@@ -248,7 +248,7 @@ class Tape:
             filtered = GradientMap()
             for key, (t, g) in grads._grads.items():
                 if key in wanted:
-                    filtered._grads[key] = (t, g)
+                    filtered._grads[key] = [t, g]
         else:
             filtered = grads
         return filtered

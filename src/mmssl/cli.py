@@ -157,14 +157,7 @@ def _cmd_eval(args) -> int:
         split,
         config_flat=settings.flat,
     )
-    for name, p in trainer.state.named_parameters().items():
-        if name not in arrays:
-            raise CliError(f"checkpoint is missing parameter {name}")
-        p.data[:] = arrays[name]
-    trainer.state.disc.bn1.mean[:] = arrays["bn.disc.bn1.mean"]
-    trainer.state.disc.bn1.var[:] = arrays["bn.disc.bn1.var"]
-    trainer.state.disc.bn2.mean[:] = arrays["bn.disc.bn2.mean"]
-    trainer.state.disc.bn2.var[:] = arrays["bn.disc.bn2.var"]
+    trainer._restore_arrays(arrays)
     trainer.neighborhoods = mdl.refresh_neighborhoods(
         trainer.state, trainer.adj, features, settings.enc.top_k, settings.adv.block_rows
     )

@@ -10,6 +10,7 @@ bipartite propagation spreads them over the interaction graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,6 +25,7 @@ __all__ = [
     "EncoderConfig",
     "SemanticNeighborhood",
     "derive_semantic_neighbors",
+    "neighbors_from_row_blocks",
     "modality_view",
     "cross_modal_attention",
     "fuse_modalities",
@@ -107,21 +109,71 @@ class SemanticNeighborhood:
 
 
 def _top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest entries per row; ties go to the lower id."""
-    k = min(k, scores.shape[1])
-    # stable sort on the negated scores keeps ascending ids among ties
-    order = np.argsort(-scores, axis=1, kind="stable")
-    return np.ascontiguousarray(order[:, :k])
+    """Indices of the k largest entries per row, largest first; ties go to
+    the lower id.
+
+    The order is that of a stable sort on the negated scores, found without
+    sorting whole rows: ``np.partition`` gives each row's k-th largest
+    value, every entry above it is kept, entries equal to it are admitted
+    lowest id first until k are kept, and only the k winners are sorted.
+    """
+    rows, width = scores.shape
+    k = min(k, width)
+    if k == 0:
+        return np.empty((rows, 0), dtype=np.intp)
+    kth = np.partition(scores, width - k, axis=1)[:, width - k, None]
+    keep = scores >= kth
+    crowded = np.flatnonzero(keep.sum(axis=1) > k)
+    if crowded.size:  # more than k entries reach the k-th value: a tie crosses the cut
+        sub, cut = scores[crowded], kth[crowded]
+        above = sub > cut
+        ties = sub == cut
+        spare = k - above.sum(axis=1, keepdims=True)
+        keep[crowded] = above | (ties & (np.cumsum(ties, axis=1) <= spare))
+    winners = np.nonzero(keep)[1].reshape(rows, k)
+    order = np.argsort(-np.take_along_axis(scores, winners, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(winners, order, axis=1)
+
+
+def neighbors_from_row_blocks(blocks: Iterable[np.ndarray], k: int) -> SemanticNeighborhood:
+    """Top-k neighbours of a relation matrix given as consecutive row blocks.
+
+    Only one block and an (I, k) candidate set are alive at a time.  Users
+    take their top-k inside their own block.  Each item keeps its best k
+    (score, user) pairs so far and merges the block's column top-k behind
+    them; every earlier user id is lower, so among equal scores position
+    order is id order and the result equals the top-k of the whole matrix.
+    """
+    if k <= 0:
+        raise ValueError(f"top-k must be positive, got {k}")
+    user_parts = []
+    cand_scores = cand_users = None
+    seen = 0
+    for block in blocks:
+        block = np.asarray(block)
+        user_parts.append(_top_k_rows(block, k))
+        columns = np.ascontiguousarray(block.T)
+        best = _top_k_rows(columns, k)
+        if cand_scores is None:
+            cand_scores = np.empty((columns.shape[0], 0))
+            cand_users = np.empty((columns.shape[0], 0), dtype=np.intp)
+        scores = np.concatenate([cand_scores, np.take_along_axis(columns, best, axis=1)], axis=1)
+        users = np.concatenate([cand_users, best + seen], axis=1)
+        keep = _top_k_rows(scores, k)
+        cand_scores = np.take_along_axis(scores, keep, axis=1)
+        cand_users = np.take_along_axis(users, keep, axis=1)
+        seen += block.shape[0]
+    if cand_users is None:
+        raise ValueError("no relation rows to read neighbours from")
+    return SemanticNeighborhood(
+        user_neighbors=np.concatenate(user_parts, axis=0),
+        item_neighbors=cand_users,
+    )
 
 
 def derive_semantic_neighbors(relations: np.ndarray, k: int) -> SemanticNeighborhood:
-    if k <= 0:
-        raise ValueError(f"top-k must be positive, got {k}")
-    relations = np.asarray(relations)
-    return SemanticNeighborhood(
-        user_neighbors=_top_k_rows(relations, k),
-        item_neighbors=_top_k_rows(relations.T, k),
-    )
+    """Top-k neighbours of a dense relation matrix: the one-block case."""
+    return neighbors_from_row_blocks([relations], k)
 
 
 def _selection_matrix(neighbors: np.ndarray, width: int) -> sp.csr_matrix:

@@ -12,7 +12,14 @@ from .autodiff import Tensor
 from .data import ModalityFeatureTable, NormalizedAdjacency
 from .encoder import AttentionParams, EncoderConfig, IdEmbeddings, SemanticNeighborhood
 
-__all__ = ["ModelState", "ForwardResult", "init_model", "forward_embeddings", "refresh_neighborhoods"]
+__all__ = [
+    "ModelState",
+    "ForwardResult",
+    "init_model",
+    "forward_embeddings",
+    "refresh_block_rows",
+    "refresh_neighborhoods",
+]
 
 
 @dataclass
@@ -113,6 +120,18 @@ def forward_embeddings(
     )
 
 
+# bytes of relation rows one refresh block holds when ``block_rows`` is 0
+REFRESH_BLOCK_BYTES = 32 << 20
+
+
+def refresh_block_rows(block_rows: int, num_items: int) -> int:
+    """Users per refresh block: ``block_rows`` if positive, else as many
+    float64 relation rows as fit in ``REFRESH_BLOCK_BYTES``."""
+    if block_rows > 0:
+        return block_rows
+    return max(1, REFRESH_BLOCK_BYTES // (8 * num_items))
+
+
 def refresh_neighborhoods(
     state: ModelState,
     adj: NormalizedAdjacency,
@@ -120,13 +139,24 @@ def refresh_neighborhoods(
     top_k: int,
     block_rows: int = 0,
 ) -> list[SemanticNeighborhood]:
-    """Recompute per-modality relation matrices (eval mode, no tape) and
-    read off fresh top-k semantic neighbors."""
+    """Recompute per-modality relations (eval mode, no tape) and read off
+    fresh top-k semantic neighbors.
+
+    Relations are produced and consumed one block of user rows at a time,
+    so memory holds one (block, I) slab instead of the full (U, I) matrix.
+    """
     neighborhoods = []
     for m, table in enumerate(features):
         f_u, f_i = adversarial.modality_collab_embeddings(
             adj, table.as_float64(), state.gen, m, train=False
         )
-        rel = adversarial.generate_relations(f_u, f_i, block_rows=block_rows)
-        neighborhoods.append(enc.derive_semantic_neighbors(rel.data, top_k))
+        num_users = f_u.shape[0]
+        step = refresh_block_rows(block_rows, f_i.shape[0])
+        blocks = (
+            adversarial.relation_rows(
+                ad.gather_rows(f_u, np.arange(start, min(start + step, num_users))), f_i
+            ).data
+            for start in range(0, num_users, step)
+        )
+        neighborhoods.append(enc.neighbors_from_row_blocks(blocks, top_k))
     return neighborhoods

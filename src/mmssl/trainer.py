@@ -12,6 +12,7 @@ validation recall.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -151,23 +152,32 @@ CHECKPOINT_VERSION = 1
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
     """Binary checkpoint: magic, version, length-prefixed array table
-    (name, shape, 64-bit LE values), then a JSON metadata blob."""
+    (name, shape, 64-bit LE values), then a JSON metadata blob.
+
+    The bytes go to a sibling temporary file that replaces ``path`` only
+    once complete and on disk, so a failed save keeps the previous one.
+    """
     path = Path(path)
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
-    chunks.append(struct.pack("<I", len(arrays)))
-    for name in sorted(arrays):
-        # asarray, not ascontiguousarray: the latter promotes 0-d to (1,)
-        arr = np.asarray(arrays[name], dtype="<f8")
-        encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<B", arr.ndim))
-        chunks.append(struct.pack(f"<{max(arr.ndim, 0)}I", *arr.shape))
-        chunks.append(arr.tobytes(order="C"))
-    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    chunks.append(struct.pack("<I", len(blob)))
-    chunks.append(blob)
-    path.write_bytes(b"".join(chunks))
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<I", len(arrays)))
+            for name in sorted(arrays):
+                # asarray, not ascontiguousarray: the latter promotes 0-d to (1,)
+                arr = np.asarray(arrays[name], dtype="<f8")
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(encoded)) + encoded)
+                fh.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
+                fh.write(arr.tobytes(order="C"))
+            blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+            fh.write(struct.pack("<I", len(blob)) + blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
@@ -441,21 +451,25 @@ class Trainer:
             "precision": report.overall["precision"],
         }
 
+    def _state_buffers(self) -> dict[str, np.ndarray]:
+        """Checkpoint name -> live buffer of every parameter and BN statistic."""
+        buffers = {name: p.data for name, p in self.state.named_parameters().items()}
+        for layer in ("bn1", "bn2"):
+            stats = getattr(self.state.disc, layer)
+            buffers[f"bn.disc.{layer}.mean"] = stats.mean
+            buffers[f"bn.disc.{layer}.var"] = stats.var
+        return buffers
+
     def _snapshot_arrays(self) -> dict[str, np.ndarray]:
-        arrays = {name: p.data.copy() for name, p in self.state.named_parameters().items()}
-        arrays["bn.disc.bn1.mean"] = self.state.disc.bn1.mean.copy()
-        arrays["bn.disc.bn1.var"] = self.state.disc.bn1.var.copy()
-        arrays["bn.disc.bn2.mean"] = self.state.disc.bn2.mean.copy()
-        arrays["bn.disc.bn2.var"] = self.state.disc.bn2.var.copy()
-        return arrays
+        return {name: buf.copy() for name, buf in self._state_buffers().items()}
 
     def _restore_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, p in self.state.named_parameters().items():
-            p.data[:] = arrays[name]
-        self.state.disc.bn1.mean[:] = arrays["bn.disc.bn1.mean"]
-        self.state.disc.bn1.var[:] = arrays["bn.disc.bn1.var"]
-        self.state.disc.bn2.mean[:] = arrays["bn.disc.bn2.mean"]
-        self.state.disc.bn2.var[:] = arrays["bn.disc.bn2.var"]
+        buffers = self._state_buffers()
+        missing = sorted(set(buffers) - set(arrays))
+        if missing:
+            raise ValueError(f"checkpoint is missing array {missing[0]}")
+        for name, buf in buffers.items():
+            buf[:] = arrays[name]
 
     def checkpoint_arrays(self) -> dict[str, np.ndarray]:
         arrays = self._snapshot_arrays()
@@ -491,8 +505,8 @@ class Trainer:
         self.opt_disc.load_state_arrays("optd", arrays)
         self.opt_gen.t = meta["opt_gen_t"]
         self.opt_disc.t = meta["opt_disc_t"]
-        self.rng = _restore_rng(_unjsonable(meta["rng"]))
-        self.rng_adv = _restore_rng(_unjsonable(meta["rng_adv"]))
+        self.rng = _restore_rng(meta["rng"])
+        self.rng_adv = _restore_rng(meta["rng_adv"])
         # run() increments epoch before writing, so the stored value is
         # already the index of the next epoch to execute
         self.epoch = meta["epoch"]
@@ -602,7 +616,3 @@ def _edges_by_user(edges, num_users: int) -> list[np.ndarray]:
 def _jsonable(state: dict):
     """numpy rng states hold plain ints and strings already; deep-copy via json."""
     return json.loads(json.dumps(state, default=int))
-
-
-def _unjsonable(state: dict) -> dict:
-    return state

@@ -1,10 +1,21 @@
 """Relation generation, Gumbel proxy, discriminator, minimax losses."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import mmssl.autodiff as ad
 import mmssl.adversarial as adv
-from mmssl.data import SyntheticSpec, build_norm_adjacency, generate_synthetic, split_edges
+import mmssl.encoder as enc
+import mmssl.model as mdl
+from mmssl.data import (
+    ModalityFeatureTable,
+    SyntheticSpec,
+    build_norm_adjacency,
+    generate_synthetic,
+    graph_from_edges,
+    split_edges,
+)
 
 
 def _collab(seed=0, train=False, rng=None):
@@ -175,3 +186,54 @@ def test_generator_dropout_only_in_train_mode():
     rng = np.random.default_rng(0)
     c = adv.modality_collab_embeddings(adj, features[0].as_float64(), gen, 0, train=True, rng=rng)
     assert not np.array_equal(a[0].data, c[0].data)
+
+
+def _refresh_problem():
+    """Users 0-3 repeat user 4's items (identical relation rows) and items
+    8-9 are in no interaction (all-zero relation columns)."""
+    rng = np.random.default_rng(11)
+    edges = [(u, i) for u in range(5) for i in (0, 2, 5)]
+    edges += [(u, int(i)) for u in range(5, 13) for i in rng.choice(8, size=3, replace=False)]
+    g = graph_from_edges(13, 10, edges)
+    features = [
+        ModalityFeatureTable(f"m{m}", rng.standard_normal((10, dim)).astype(np.float32))
+        for m, dim in enumerate((6, 4))
+    ]
+    state = mdl.init_model(13, 10, [6, 4], 5, 1, 4, np.random.default_rng(12))
+    return build_norm_adjacency(g), features, state
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7, 13, 0])
+@pytest.mark.parametrize("k", [2, 4, 12, 30])
+def test_streamed_refresh_equals_dense_top_k(block_rows, k):
+    adj, features, state = _refresh_problem()
+    streamed = mdl.refresh_neighborhoods(state, adj, features, k, block_rows=block_rows)
+    for m, table in enumerate(features):
+        f_u, f_i = adv.modality_collab_embeddings(adj, table.as_float64(), state.gen, m)
+        rel = adv.generate_relations(f_u, f_i, block_rows=block_rows).data
+        assert (rel[:, 8:] == 0).all() and (rel[0] == rel[4]).all()
+        want = enc.derive_semantic_neighbors(rel, k)
+        np.testing.assert_array_equal(streamed[m].user_neighbors, want.user_neighbors)
+        np.testing.assert_array_equal(streamed[m].item_neighbors, want.item_neighbors)
+
+
+def test_refresh_block_rows_default_is_about_32_mib():
+    assert mdl.refresh_block_rows(0, 4000) == 1048
+    assert mdl.refresh_block_rows(0, 10**9) == 1
+    assert mdl.refresh_block_rows(64, 4000) == 64
+
+
+def test_streamed_refresh_peak_memory_below_half_a_dense_matrix():
+    spec = SyntheticSpec(
+        num_users=1200, num_items=900, modality_dims=(16,), interactions_per_user=3, seed=3
+    )
+    g, features, _ = generate_synthetic(spec)
+    adj = build_norm_adjacency(g)
+    state = mdl.init_model(1200, 900, [16], 8, 1, 4, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        mdl.refresh_neighborhoods(state, adj, features, 10, block_rows=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 1200 * 900 * 8, f"refresh peaked at {peak / 2**20:.1f} MiB"

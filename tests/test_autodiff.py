@@ -197,3 +197,14 @@ def test_sparse_matmul_matches_dense():
     np.testing.assert_allclose(y.data, dense @ x.data, rtol=1e-12)
     g = tape.backward(loss, params=[x]).get(x)
     np.testing.assert_allclose(g, dense.T @ (2 * y.data), rtol=1e-12)
+
+
+def test_filtered_gradient_map_accepts_further_accumulation():
+    x = ad.parameter(np.array([[1.0, 2.0]]), "x")
+    y = ad.parameter(np.array([[3.0]]), "y")
+    with ad.Tape() as tape:
+        loss = ad.add(ad.reduce_sum(ad.mul(x, x)), ad.reduce_sum(y))
+    grads = tape.backward(loss, params=[x])
+    assert y not in grads
+    grads._accumulate(x, np.ones_like(x.data))
+    np.testing.assert_allclose(grads.get(x), 2 * x.data + 1)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from mmssl.cli import main
+from mmssl.trainer import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -183,3 +184,15 @@ def test_eval_rejects_missing_checkpoint(data_dir, capsys):
         ["eval", "--checkpoint", "/nonexistent.ckpt", "--data", str(data_dir)]
     )
     assert code == 1
+
+
+def test_eval_rejects_checkpoint_missing_arrays(data_dir, train_dir, tmp_path, capsys):
+    arrays, meta = load_checkpoint(train_dir / "best.ckpt")
+    kept = {name: arr for name, arr in arrays.items() if not name.startswith("bn.disc.")}
+    broken = tmp_path / "no_bn.ckpt"
+    save_checkpoint(broken, kept, meta)
+    code = main(["eval", "--checkpoint", str(broken), "--data", str(data_dir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "bn.disc.bn1.mean" in err
+    assert "Traceback" not in err

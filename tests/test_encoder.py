@@ -178,3 +178,28 @@ def test_neighbor_k_validation_and_clamp():
     assert neigh.item_neighbors.shape == (3, 3)
     for row in neigh.user_neighbors:
         assert sorted(row.tolist()) == [0, 1, 2]
+
+
+def test_top_k_order_equals_stable_argsort_with_ties():
+    rng = np.random.default_rng(6)
+    for scores in (
+        rng.standard_normal((9, 13)),
+        rng.integers(0, 3, size=(9, 13)).astype(float),
+        np.zeros((4, 5)),
+    ):
+        for k in (1, 4, 13, 20):
+            want = np.argsort(-scores, axis=1, kind="stable")[:, : min(k, scores.shape[1])]
+            np.testing.assert_array_equal(enc._top_k_rows(scores, k), want)
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 100])
+def test_row_blocks_equal_one_dense_block(block):
+    rng = np.random.default_rng(7)
+    rel = rng.integers(0, 4, size=(11, 8)).astype(float)  # ties across blocks
+    for k in (1, 3, 9, 15):
+        dense = enc.derive_semantic_neighbors(rel, k)
+        streamed = enc.neighbors_from_row_blocks(
+            (rel[s : s + block] for s in range(0, 11, block)), k
+        )
+        np.testing.assert_array_equal(streamed.user_neighbors, dense.user_neighbors)
+        np.testing.assert_array_equal(streamed.item_neighbors, dense.item_neighbors)

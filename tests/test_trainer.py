@@ -1,6 +1,8 @@
 """Training loop: determinism, checkpoints, optimizer math, side effects."""
 
+import errno
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,6 +269,43 @@ def test_checkpoint_roundtrip(tmp_path):
     for name, arr in arrays.items():
         np.testing.assert_array_equal(loaded[name], arr)
         assert loaded[name].shape == arr.shape
+
+
+class _FullDisk:
+    """Write handle on a disk that fills up after the first few bytes."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(bytes(data)[:5])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(path, {"w": np.arange(4.0)}, {"epoch": 1})
+    real_open = Path.open
+
+    def open_full_disk(self, mode="r", *args, **kwargs):
+        fh = real_open(self, mode, *args, **kwargs)
+        return _FullDisk(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(Path, "open", open_full_disk)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(path, {"w": np.zeros(4)}, {"epoch": 2})
+    monkeypatch.undo()
+    arrays, meta = load_checkpoint(path)
+    assert meta == {"epoch": 1}
+    np.testing.assert_array_equal(arrays["w"], np.arange(4.0))
+    assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
