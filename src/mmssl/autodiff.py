@@ -10,15 +10,12 @@ Every primitive checks its output for NaN/Inf and raises ``NumericError``
 on the first non-finite value, which keeps numeric failures close to their
 source instead of surfacing as a corrupted loss many steps later.
 
-Tapes are thread-local: forward/backward over one tape belongs to one
-execution context, while several tapes may read the same parameter tensors
-concurrently (backward never mutates parameters, it only returns a
-gradient map).
+At most one tape records at a time.  Backward never mutates parameters;
+it only returns a gradient map.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -108,32 +105,6 @@ class Tensor:
         tag = self.name or ("param" if self.requires_grad else "tensor")
         return f"Tensor({tag}, shape={self.shape})"
 
-    # Small operator sugar; everything routes through the module-level ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def parameter(data, name: str) -> Tensor:
     return Tensor(data, requires_grad=True, name=name)
@@ -153,11 +124,7 @@ def _as_tensor(x) -> Tensor:
 # Tape machinery
 # --------------------------------------------------------------------------
 
-_TLS = threading.local()
-
-
-def _active_tape() -> "Tape | None":
-    return getattr(_TLS, "tape", None)
+_ACTIVE: "Tape | None" = None  # the tape recording right now, if any
 
 
 @dataclass
@@ -198,18 +165,17 @@ class Tape:
 
     def __init__(self):
         self._records: list[_Record] = []
-        self._entered = False
 
     def __enter__(self) -> "Tape":
-        if _active_tape() is not None:
-            raise RuntimeError("a tape is already active in this thread")
-        _TLS.tape = self
-        self._entered = True
+        global _ACTIVE
+        if _ACTIVE is not None:
+            raise RuntimeError("a tape is already active")
+        _ACTIVE = self
         return self
 
     def __exit__(self, *exc) -> None:
-        _TLS.tape = None
-        self._entered = False
+        global _ACTIVE
+        _ACTIVE = None
 
     def __len__(self) -> int:
         return len(self._records)
@@ -255,9 +221,8 @@ class Tape:
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
-    tape = _active_tape()
-    if tape is not None:
-        tape._records.append(_Record(out, inputs, vjp))
+    if _ACTIVE is not None:
+        _ACTIVE._records.append(_Record(out, inputs, vjp))
 
 
 # --------------------------------------------------------------------------

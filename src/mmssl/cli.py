@@ -143,6 +143,9 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     arrays, meta = load_checkpoint(args.checkpoint)
     flat = dict(meta.get("config", {}))
+    # checkpoints written before evaluation lost its thread pool store this
+    # retired key; it never changed a result, so dropping it is safe
+    flat.pop("eval.threads", None)
     settings = resolve_settings(flat)
     graph, features = _load_data_dir(args.data)
     split = split_edges(graph, settings.train.split, seed=settings.train.seed)
@@ -174,7 +177,6 @@ def _cmd_eval(args) -> int:
         relevant=relevant,
         k=args.k or settings.eval.k,
         boundaries=settings.eval.buckets,
-        threads=settings.eval.threads,
     )
     print(report.to_json() if args.format == "json" else report.to_text())
     return 0

@@ -2,7 +2,7 @@
 
 Config files are JSON objects whose keys are dotted names such as
 ``train.epochs`` or ``adv.zeta``.  ``MMSSL_SEED`` overrides the training
-seed and ``MMSSL_THREADS`` caps evaluation parallelism.
+seed.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ DEFAULTS: dict = {
     "loss.omega": 0.2,
     "loss.paper_sign": False,
     "eval.k": 20,
-    "eval.threads": 1,
     "eval.buckets": [0, 4, 6, 9, 13, 100],
 }
 
@@ -93,15 +92,6 @@ def apply_env(flat: dict, env=os.environ) -> dict:
             out["train.seed"] = int(seed)
         except ValueError:
             raise ConfigError(f"MMSSL_SEED must be an integer, got {seed!r}") from None
-    threads = env.get("MMSSL_THREADS")
-    if threads is not None:
-        try:
-            cap = int(threads)
-        except ValueError:
-            raise ConfigError(f"MMSSL_THREADS must be an integer, got {threads!r}") from None
-        if cap < 1:
-            raise ConfigError("MMSSL_THREADS must be at least 1")
-        out["eval.threads"] = max(1, min(int(flat["eval.threads"]), cap))
     return out
 
 
@@ -171,13 +161,23 @@ def resolve_settings(flat: dict) -> Settings:
     )
     eval_cfg = EvalConfig(
         k=int(merged["eval.k"]),
-        threads=int(merged["eval.threads"]),
         buckets=tuple(int(b) for b in merged["eval.buckets"]),
     )
     if train.embed_dim % enc.heads != 0:
         raise ConfigError(
             f"train.embed_dim={train.embed_dim} must be divisible by enc.heads={enc.heads}"
         )
-    if eval_cfg.k < 1:
-        raise ConfigError("eval.k must be at least 1")
+    for key, low in (
+        ("train.batch_size", 1),
+        ("train.d_steps", 1),
+        ("train.steps_per_epoch", 0),
+        ("train.epochs", 0),
+        ("enc.refresh_every", 1),
+        ("eval.k", 1),
+    ):
+        if int(merged[key]) < low:
+            raise ConfigError(f"{key} must be at least {low}, got {merged[key]}")
+    for key in ("train.lr_gen", "train.lr_disc", "adv.tau"):
+        if not float(merged[key]) > 0:
+            raise ConfigError(f"{key} must be positive, got {merged[key]}")
     return Settings(train=train, enc=enc, adv=adv, objective=objective, eval=eval_cfg, flat=merged)

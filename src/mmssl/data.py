@@ -79,6 +79,14 @@ class InteractionGraph:
             a[u, items] = 1.0
         return a
 
+    def sparse_matrix(self) -> sp.csr_matrix:
+        """``dense_matrix`` in CSR form, without the U x I buffer."""
+        indptr = np.concatenate([[0], np.cumsum([len(items) for items in self.user_items])])
+        indices = np.concatenate([np.zeros(0, dtype=np.int64), *self.user_items])
+        return sp.csr_matrix(
+            (np.ones(len(indices)), indices, indptr), shape=(self.num_users, self.num_items)
+        )
+
 
 def graph_from_edges(num_users: int, num_items: int, edges) -> InteractionGraph:
     """Build a graph from (user, item) pairs, validating ranges and duplicates."""

@@ -26,6 +26,7 @@ __all__ = [
     "SemanticNeighborhood",
     "derive_semantic_neighbors",
     "neighbors_from_row_blocks",
+    "top_k_rows",
     "modality_view",
     "cross_modal_attention",
     "fuse_modalities",
@@ -108,7 +109,7 @@ class SemanticNeighborhood:
         return _selection_matrix(self.item_neighbors, num_users)
 
 
-def _top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
+def top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest entries per row, largest first; ties go to
     the lower id.
 
@@ -151,15 +152,15 @@ def neighbors_from_row_blocks(blocks: Iterable[np.ndarray], k: int) -> SemanticN
     seen = 0
     for block in blocks:
         block = np.asarray(block)
-        user_parts.append(_top_k_rows(block, k))
+        user_parts.append(top_k_rows(block, k))
         columns = np.ascontiguousarray(block.T)
-        best = _top_k_rows(columns, k)
+        best = top_k_rows(columns, k)
         if cand_scores is None:
             cand_scores = np.empty((columns.shape[0], 0))
             cand_users = np.empty((columns.shape[0], 0), dtype=np.intp)
         scores = np.concatenate([cand_scores, np.take_along_axis(columns, best, axis=1)], axis=1)
         users = np.concatenate([cand_users, best + seen], axis=1)
-        keep = _top_k_rows(scores, k)
+        keep = top_k_rows(scores, k)
         cand_scores = np.take_along_axis(scores, keep, axis=1)
         cand_users = np.take_along_axis(users, keep, axis=1)
         seen += block.shape[0]

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DEFAULT_BUCKET_BOUNDARIES, bucket_labels, sparsity_buckets
+from .data import DEFAULT_BUCKET_BOUNDARIES, sparsity_buckets
+from .encoder import top_k_rows
 
 __all__ = [
     "EvalConfig",
@@ -21,11 +21,13 @@ __all__ = [
     "evaluate_scores",
 ]
 
+# Score rows ranked at a time: about 8 MiB of float64 rows per block.
+BLOCK_BYTES = 8 << 20
+
 
 @dataclass
 class EvalConfig:
     k: int = 20
-    threads: int = 1
     buckets: tuple[int, ...] = DEFAULT_BUCKET_BOUNDARIES
 
 
@@ -105,16 +107,22 @@ class RankingReport:
         return "\n".join(lines)
 
 
-def _user_metrics(args) -> tuple[int, float, float, float]:
-    u, row, exclude, relevant, k = args
-    ranked = rank_items(row, exclude)
-    rel = set(relevant.tolist())
-    return (
-        u,
-        recall_at_k(ranked, rel, k),
-        precision_at_k(ranked, rel, k),
-        ndcg_at_k(ranked, rel, k),
-    )
+def _fill(block: np.ndarray, item_lists, users: np.ndarray, value) -> None:
+    """Set ``block[r, i] = value`` for every item ``i`` listed for ``users[r]``."""
+    ids = [np.asarray(item_lists[u], dtype=np.intp) for u in users]
+    rows = np.repeat(np.arange(len(ids)), [len(i) for i in ids])
+    block[rows, np.concatenate(ids)] = value
+
+
+def _means(per_user: np.ndarray) -> dict[str, float]:
+    """Macro averages of (recall, precision, ndcg) rows; zeros for no rows."""
+    if not len(per_user):
+        return {"recall": 0.0, "precision": 0.0, "ndcg": 0.0}
+    return {
+        "recall": float(per_user[:, 0].mean()),
+        "precision": float(per_user[:, 1].mean()),
+        "ndcg": float(per_user[:, 2].mean()),
+    }
 
 
 def evaluate_scores(
@@ -123,49 +131,43 @@ def evaluate_scores(
     relevant: list[np.ndarray],
     k: int = 20,
     boundaries=DEFAULT_BUCKET_BOUNDARIES,
-    threads: int = 1,
 ) -> RankingReport:
     """Rank every item for every user and aggregate top-K metrics.
 
-    Users whose relevant set is empty are skipped.  Bucket rows group users
-    by *training* interaction count; macro averages throughout.  The work
-    is read-only per user, so it parallelizes over user chunks without
-    changing any result.
+    Users whose relevant set is empty are skipped.  The others are ranked
+    in blocks of about ``BLOCK_BYTES`` of score rows: training items are set
+    to -inf and ``encoder.top_k_rows`` reads off the top K in exactly the
+    order of ``rank_items`` (descending score, ties to the lower id), so
+    every per-user value equals that of ``rank_items`` and the metric
+    functions bit for bit.  Bucket rows group users by *training*
+    interaction count; macro averages throughout.
     """
-    num_users = scores.shape[0]
-    tasks = [
-        (u, scores[u], train_items[u], relevant[u], k)
-        for u in range(num_users)
-        if len(relevant[u])
-    ]
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_user_metrics, tasks))
-    else:
-        rows = [_user_metrics(t) for t in tasks]
-    per_user = {u: (r, p, n) for u, r, p, n in rows}
-    if per_user:
-        arr = np.array([per_user[u] for u in sorted(per_user)])
-        overall = {
-            "recall": float(arr[:, 0].mean()),
-            "precision": float(arr[:, 1].mean()),
-            "ndcg": float(arr[:, 2].mean()),
-        }
-    else:
-        overall = {"recall": 0.0, "precision": 0.0, "ndcg": 0.0}
-    degrees = np.array([len(v) for v in train_items], dtype=np.int64)
-    groups = sparsity_buckets(degrees, boundaries)
-    buckets = {}
-    for label in bucket_labels(boundaries):
-        members = [u for u in groups[label] if u in per_user]
-        if members:
-            arr = np.array([per_user[u] for u in members])
-            buckets[label] = {
-                "users": float(len(members)),
-                "recall": float(arr[:, 0].mean()),
-                "precision": float(arr[:, 1].mean()),
-                "ndcg": float(arr[:, 2].mean()),
-            }
-        else:
-            buckets[label] = {"users": 0.0, "recall": 0.0, "precision": 0.0, "ndcg": 0.0}
-    return RankingReport(k=k, num_users=len(per_user), overall=overall, buckets=buckets)
+    num_items = scores.shape[1]
+    users = np.array([u for u in range(scores.shape[0]) if len(relevant[u])], dtype=np.intp)
+    width = min(k, num_items)
+    discount = np.array([1.0 / math.log2(r + 1) for r in range(1, width + 1)])
+    hits = np.zeros(len(users), dtype=np.int64)
+    num_relevant = np.zeros(len(users), dtype=np.int64)
+    dcg = np.zeros(len(users))
+    step = max(1, BLOCK_BYTES // (8 * max(num_items, 1)))
+    for start in range(0, len(users), step):
+        block = users[start : start + step]
+        rows = np.asarray(scores[block], dtype=np.float64)
+        _fill(rows, train_items, block, -np.inf)
+        mask = np.zeros(rows.shape, dtype=bool)
+        _fill(mask, relevant, block, True)
+        found = np.take_along_axis(mask, top_k_rows(rows, k), axis=1)
+        hits[start : start + step] = found.sum(axis=1)
+        num_relevant[start : start + step] = mask.sum(axis=1)
+        # a running sum left to right, as ndcg_at_k accumulates its DCG
+        dcg[start : start + step] = np.cumsum(found * discount, axis=1)[:, -1]
+    # the ideal DCG summed left to right over the same discounts, as ndcg_at_k does
+    cut = np.minimum(num_relevant, k)
+    ideal = np.array([sum(discount[:n].tolist()) for n in range(1, cut.max(initial=0) + 1)])
+    per_user = np.column_stack([hits / num_relevant, hits / k, dcg / ideal[cut - 1]])
+    degrees = np.array([len(train_items[u]) for u in users], dtype=np.int64)
+    buckets = {
+        label: {"users": float(len(members)), **_means(per_user[members])}
+        for label, members in sparsity_buckets(degrees, boundaries).items()
+    }
+    return RankingReport(k=k, num_users=len(users), overall=_means(per_user), buckets=buckets)

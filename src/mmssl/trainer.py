@@ -136,11 +136,6 @@ class AdamOptimizer:
             out[f"{prefix}.v.{p.name}"] = self.v[p.name]
         return out
 
-    def load_state_arrays(self, prefix: str, arrays: dict[str, np.ndarray]) -> None:
-        for p in self.params:
-            self.m[p.name][:] = arrays[f"{prefix}.m.{p.name}"]
-            self.v[p.name][:] = arrays[f"{prefix}.v.{p.name}"]
-
 
 # --------------------------------------------------------------------------
 # Checkpoint container
@@ -281,7 +276,7 @@ class Trainer:
         self.config_flat = dict(config_flat or {})
         self.train_graph = split.train_graph(graph)
         self.adj = build_norm_adjacency(self.train_graph)
-        self.train_matrix = self.train_graph.dense_matrix()
+        self.train_csr = self.train_graph.sparse_matrix()
         init_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
         self.state = mdl.init_model(
             graph.num_users,
@@ -336,7 +331,7 @@ class Trainer:
             fwd = self._eval_forward()
             h_u, h_i = fwd.h_users.data[batch_users], fwd.h_items.data
         real = adversarial.gumbel_real_proxy(
-            self.train_matrix[batch_users], self.rng_adv, gumbel_cfg, h_u, h_i
+            self.train_csr[batch_users].toarray(), self.rng_adv, gumbel_cfg, h_u, h_i
         )
         fake = np.empty((len(batch_users), self.graph.num_items))
         assignment = self.rng_adv.integers(0, len(self.features), size=len(batch_users))
@@ -443,7 +438,6 @@ class Trainer:
             relevant=_edges_by_user(self.split.val, self.graph.num_users),
             k=self.eval_cfg.k,
             boundaries=self.eval_cfg.buckets,
-            threads=self.eval_cfg.threads,
         )
         return {
             "recall": report.overall["recall"],
@@ -463,11 +457,15 @@ class Trainer:
     def _snapshot_arrays(self) -> dict[str, np.ndarray]:
         return {name: buf.copy() for name, buf in self._state_buffers().items()}
 
-    def _restore_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        buffers = self._state_buffers()
-        missing = sorted(set(buffers) - set(arrays))
-        if missing:
-            raise ValueError(f"checkpoint is missing array {missing[0]}")
+    def _restore_arrays(self, arrays: dict[str, np.ndarray], buffers=None) -> None:
+        """Copy ``arrays`` into ``buffers`` (default: the model state), after
+        checking that none is missing, so a bad checkpoint changes nothing."""
+        buffers = self._state_buffers() if buffers is None else buffers
+        for name in sorted(buffers):
+            if name not in arrays:
+                raise ValueError(f"checkpoint is missing array {name}")
+            if arrays[name].shape != buffers[name].shape:
+                raise ValueError(f"checkpoint array {name} has shape {arrays[name].shape}")
         for name, buf in buffers.items():
             buf[:] = arrays[name]
 
@@ -500,9 +498,18 @@ class Trainer:
         arrays, meta = load_checkpoint(path)
         if self.config_flat and meta.get("config_hash") != _config_fingerprint(self.config_flat):
             raise ValueError("checkpoint was produced under a different configuration")
-        self._restore_arrays(arrays)
-        self.opt_gen.load_state_arrays("optg", arrays)
-        self.opt_disc.load_state_arrays("optd", arrays)
+        missing = sorted(set(self.checkpoint_meta()) - set(meta))
+        if missing:
+            raise ValueError(f"checkpoint metadata is missing {missing[0]}")
+        # the optimizer state arrays are the optimizers' live moment buffers
+        self._restore_arrays(
+            arrays,
+            {
+                **self._state_buffers(),
+                **self.opt_gen.state_arrays("optg"),
+                **self.opt_disc.state_arrays("optd"),
+            },
+        )
         self.opt_gen.t = meta["opt_gen_t"]
         self.opt_disc.t = meta["opt_disc_t"]
         self.rng = _restore_rng(meta["rng"])

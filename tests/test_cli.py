@@ -5,7 +5,7 @@ import json
 import pytest
 
 from mmssl.cli import main
-from mmssl.trainer import load_checkpoint, save_checkpoint
+from mmssl.trainer import _config_fingerprint, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -196,3 +196,69 @@ def test_eval_rejects_checkpoint_missing_arrays(data_dir, train_dir, tmp_path, c
     err = capsys.readouterr().err
     assert "bn.disc.bn1.mean" in err
     assert "Traceback" not in err
+
+
+def test_train_rejects_out_of_range_config(data_dir, tmp_path, capsys):
+    config = tmp_path / "zero_batch.json"
+    config.write_text(json.dumps({"train.batch_size": 0}))
+    code = main(
+        ["train", "--data", str(data_dir), "--out", str(tmp_path / "out"), "--config", str(config)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "train.batch_size" in err
+    assert "Traceback" not in err
+
+
+def test_resume_rejects_checkpoint_without_optimizer_state(data_dir, train_dir, tmp_path, capsys):
+    arrays, meta = load_checkpoint(train_dir / "final.ckpt")
+    kept = {name: arr for name, arr in arrays.items() if not name.startswith("optg.")}
+    broken = tmp_path / "no_opt.ckpt"
+    save_checkpoint(broken, kept, meta)
+    code = main(
+        [
+            "train",
+            "--data",
+            str(data_dir),
+            "--out",
+            str(tmp_path / "out"),
+            "--config",
+            str(train_dir / "config.json"),
+            "--resume",
+            str(broken),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "missing array optg." in err
+    assert "Traceback" not in err
+
+
+def test_eval_reads_checkpoint_with_retired_threads_key(data_dir, train_dir, tmp_path, capsys):
+    # checkpoints written while evaluation had a thread pool store eval.threads
+    arrays, meta = load_checkpoint(train_dir / "best.ckpt")
+    config = {**meta["config"], "eval.threads": 2}
+    old_meta = dict(meta, config=config, config_hash=_config_fingerprint(config))
+    old = tmp_path / "old.ckpt"
+    save_checkpoint(old, arrays, old_meta)
+    args = ["--data", str(data_dir), "--split", "val", "--format", "json"]
+    assert main(["eval", "--checkpoint", str(train_dir / "best.ckpt"), *args]) == 0
+    current = capsys.readouterr().out
+    assert main(["eval", "--checkpoint", str(old), *args]) == 0
+    assert capsys.readouterr().out == current
+    # resuming it is refused: its stored config hashes differently
+    code = main(
+        [
+            "train",
+            "--data",
+            str(data_dir),
+            "--out",
+            str(tmp_path / "out"),
+            "--config",
+            str(train_dir / "config.json"),
+            "--resume",
+            str(old),
+        ]
+    )
+    assert code == 1
+    assert "different configuration" in capsys.readouterr().err

@@ -69,20 +69,6 @@ def test_env_seed_override():
         apply_env(dict(DEFAULTS), env={"MMSSL_SEED": "abc"})
 
 
-def test_env_thread_cap():
-    base = dict(DEFAULTS)
-    base["eval.threads"] = 8
-    capped = apply_env(base, env={"MMSSL_THREADS": "2"})
-    assert capped["eval.threads"] == 2
-    # the cap only lowers, never raises
-    roomy = apply_env(base, env={"MMSSL_THREADS": "32"})
-    assert roomy["eval.threads"] == 8
-    with pytest.raises(ConfigError, match="MMSSL_THREADS"):
-        apply_env(base, env={"MMSSL_THREADS": "0"})
-    with pytest.raises(ConfigError, match="MMSSL_THREADS"):
-        apply_env(base, env={"MMSSL_THREADS": "many"})
-
-
 def test_env_ignored_when_unset():
     assert apply_env(dict(DEFAULTS), env={}) == DEFAULTS
 
@@ -100,6 +86,33 @@ def test_head_divisibility_checked():
 def test_eval_k_positive():
     with pytest.raises(ConfigError, match="eval.k"):
         resolve_settings({"eval.k": 0})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("train.batch_size", 0),
+        ("train.d_steps", 0),
+        ("enc.refresh_every", 0),
+        ("train.steps_per_epoch", -1),
+        ("train.epochs", -1),
+        ("train.lr_gen", 0.0),
+        ("train.lr_gen", -1.0),
+        ("train.lr_disc", 0.0),
+        ("adv.tau", -1.0),
+        ("adv.tau", float("nan")),
+    ],
+)
+def test_out_of_range_values_rejected(key, value):
+    with pytest.raises(ConfigError, match=key):
+        resolve_settings({key: value})
+
+
+def test_range_limits_themselves_accepted():
+    settings = resolve_settings(
+        {"train.steps_per_epoch": 0, "train.epochs": 0, "train.batch_size": 1, "adv.tau": 1e-6}
+    )
+    assert settings.train.epochs == 0 and settings.train.batch_size == 1
 
 
 def test_partial_overrides_resolve():

@@ -189,7 +189,7 @@ def test_top_k_order_equals_stable_argsort_with_ties():
     ):
         for k in (1, 4, 13, 20):
             want = np.argsort(-scores, axis=1, kind="stable")[:, : min(k, scores.shape[1])]
-            np.testing.assert_array_equal(enc._top_k_rows(scores, k), want)
+            np.testing.assert_array_equal(enc.top_k_rows(scores, k), want)
 
 
 @pytest.mark.parametrize("block", [1, 2, 5, 100])

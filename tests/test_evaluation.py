@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from mmssl import evaluation
+from mmssl.data import sparsity_buckets
 from mmssl.evaluation import (
+    RankingReport,
     evaluate_scores,
     ndcg_at_k,
     precision_at_k,
@@ -151,7 +154,7 @@ def test_random_scores_hit_expected_recall():
     assert abs(report.overall["recall"] - p) <= 3 * sigma
 
 
-def small_report(threads=1, boundaries=(0, 2, 5)):
+def small_report(boundaries=(0, 2, 5)):
     scores = np.array(
         [
             [0.9, 0.8, 0.7, 0.1, 0.2],
@@ -163,7 +166,7 @@ def small_report(threads=1, boundaries=(0, 2, 5)):
     train = [np.array([0]), np.array([1, 3]), np.array([], dtype=int), np.array([0, 1, 2])]
     relevant = [np.array([1, 2]), np.array([0]), np.array([], dtype=int), np.array([3, 4])]
     return scores, train, relevant, evaluate_scores(
-        scores, train, relevant, k=2, boundaries=boundaries, threads=threads
+        scores, train, relevant, k=2, boundaries=boundaries
     )
 
 
@@ -189,12 +192,6 @@ def test_report_aggregation_and_buckets():
     )
 
 
-def test_threading_does_not_change_results():
-    _, _, _, single = small_report(threads=1)
-    _, _, _, pooled = small_report(threads=4)
-    assert single.to_json() == pooled.to_json()
-
-
 def test_report_serialization():
     _, _, _, report = small_report()
     doc = json.loads(report.to_json())
@@ -218,3 +215,84 @@ def test_all_users_empty_relevant_yields_zero_report():
     )
     assert report.num_users == 0
     assert report.overall == {"recall": 0.0, "precision": 0.0, "ndcg": 0.0}
+
+
+# -- block ranking against the per-user reference -----------------------------
+
+
+def per_user_report(scores, train, relevant, k, boundaries):
+    """The report built one user at a time from rank_items and the metric
+    functions, aggregated as evaluate_scores documents."""
+    per_user = {}
+    for u in range(scores.shape[0]):
+        if len(relevant[u]):
+            ranked = rank_items(scores[u], train[u])
+            rel = set(relevant[u].tolist())
+            per_user[u] = (
+                recall_at_k(ranked, rel, k),
+                precision_at_k(ranked, rel, k),
+                ndcg_at_k(ranked, rel, k),
+            )
+
+    def means(users):
+        if not users:
+            return {"recall": 0.0, "precision": 0.0, "ndcg": 0.0}
+        arr = np.array([per_user[u] for u in users])
+        return {
+            "recall": float(arr[:, 0].mean()),
+            "precision": float(arr[:, 1].mean()),
+            "ndcg": float(arr[:, 2].mean()),
+        }
+
+    groups = sparsity_buckets(np.array([len(t) for t in train]), boundaries)
+    buckets = {}
+    for label, members in groups.items():
+        kept = [int(u) for u in members if int(u) in per_user]
+        buckets[label] = {"users": float(len(kept)), **means(kept)}
+    return RankingReport(k=k, num_users=len(per_user), overall=means(sorted(per_user)), buckets=buckets)
+
+
+def tie_heavy_case(seed, num_users, num_items):
+    """Integer scores in a narrow range, so most top-k cuts fall inside a
+    tie; some users have no held-out items, some held-out items are also
+    training items, and some users have almost every item excluded."""
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(-3, 4, size=(num_users, num_items)).astype(np.float64)
+    train, relevant = [], []
+    for u in range(num_users):
+        items = rng.permutation(num_items)
+        n_train = num_items - 2 if u % 7 == 3 else int(rng.integers(0, num_items // 2))
+        train.append(np.sort(items[:n_train]))
+        if u % 5 == 0:
+            relevant.append(np.array([], dtype=np.int64))
+        else:
+            # half of them drawn across the whole catalog, training items included
+            pool = items if u % 2 else items[n_train:]
+            n_rel = int(rng.integers(1, max(2, min(len(pool), 6))))
+            relevant.append(np.sort(pool[:n_rel]))
+    return scores, train, relevant
+
+
+@pytest.mark.parametrize("k", [1, 3, 20, 40])
+@pytest.mark.parametrize("block_rows", [1, 4, 1000])
+def test_block_ranking_equals_per_user_reference(monkeypatch, k, block_rows):
+    # 25 items: k = 40 exceeds the catalog, k = 20 exceeds what is left to
+    # users with almost every item excluded
+    num_items = 25
+    monkeypatch.setattr(evaluation, "BLOCK_BYTES", 8 * num_items * block_rows)
+    scores, train, relevant = tie_heavy_case(k * 100 + block_rows, 30, num_items)
+    boundaries = (0, 3, 8, 30)
+    got = evaluate_scores(scores, train, relevant, k=k, boundaries=boundaries)
+    want = per_user_report(scores, train, relevant, k, boundaries)
+    assert got.to_json() == want.to_json()
+
+
+def test_block_ranking_equals_reference_on_float_scores(monkeypatch):
+    rng = np.random.default_rng(11)
+    scores = rng.standard_normal((200, 60))
+    train = [np.sort(rng.choice(60, size=int(rng.integers(0, 12)), replace=False)) for _ in range(200)]
+    relevant = [np.sort(rng.choice(60, size=int(rng.integers(0, 5)), replace=False)) for _ in range(200)]
+    monkeypatch.setattr(evaluation, "BLOCK_BYTES", 8 * 60 * 16)
+    got = evaluate_scores(scores, train, relevant, k=20)
+    want = per_user_report(scores, train, relevant, 20, evaluation.DEFAULT_BUCKET_BOUNDARIES)
+    assert got.to_json() == want.to_json()

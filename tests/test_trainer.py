@@ -353,3 +353,57 @@ def test_resume_allows_extended_stopping_criteria(tmp_path):
         config_flat={"train.lr_gen": 0.001, "train.epochs": 4, "train.patience": 50},
     )
     assert [rec["epoch"] for rec in res.log] == [2, 3]
+
+
+def test_sparse_train_rows_equal_dense_rows():
+    trainer = build_trainer()
+    users = np.array([0, 5, 5, 11, 0, 3, 3, 3])  # repeated users, as d_step draws them
+    dense = trainer.train_graph.dense_matrix()[users]
+    gathered = trainer.train_csr[users].toarray()
+    assert gathered.dtype == dense.dtype and gathered.shape == dense.shape
+    assert gathered.tobytes() == dense.tobytes()
+
+
+def _without(prefix):
+    return lambda arrays, meta: (
+        {n: a for n, a in arrays.items() if not n.startswith(prefix)},
+        meta,
+    )
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_without("optg."), "missing array optg."),
+        (_without("optd.v."), "missing array optd.v."),
+        (_without("id.users"), "missing array id.users"),
+        (
+            lambda arrays, meta: ({**arrays, "id.users": arrays["id.users"][:-1]}, meta),
+            "id.users has shape",
+        ),
+        (
+            lambda arrays, meta: (arrays, {k: v for k, v in meta.items() if k != "opt_gen_t"}),
+            "metadata is missing opt_gen_t",
+        ),
+    ],
+)
+def test_restore_of_a_bad_checkpoint_changes_nothing(tmp_path, edit, message):
+    ckpt = tmp_path / "full.ckpt"
+    run_tiny(epochs=2, checkpoint=str(ckpt))
+    broken = tmp_path / "broken.ckpt"
+    save_checkpoint(broken, *edit(*load_checkpoint(ckpt)))
+    trainer = build_trainer()
+
+    def state():
+        return {
+            **trainer._snapshot_arrays(),
+            **{f"g{n}": a.copy() for n, a in trainer.opt_gen.state_arrays("optg").items()},
+            **{f"d{n}": a.copy() for n, a in trainer.opt_disc.state_arrays("optd").items()},
+        }
+
+    before = state()
+    with pytest.raises(ValueError, match=message):
+        trainer.restore(broken)
+    after = state()
+    assert all(np.array_equal(before[n], after[n]) for n in before)
+    assert trainer.epoch == 0 and trainer.opt_gen.t == 0
