@@ -32,7 +32,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "neg",
     "scale",
     "matmul",
     "sparse_matmul",
@@ -156,9 +155,6 @@ class GradientMap:
     def __contains__(self, t: Tensor) -> bool:
         return id(t) in self._grads
 
-    def tensors(self) -> list[Tensor]:
-        return [t for t, _ in self._grads.values()]
-
 
 class Tape:
     """Ordered record of primitive applications."""
@@ -265,13 +261,6 @@ def mul(a, b) -> Tensor:
         (a, b),
         lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
     )
-    return out
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(-a.data)
-    _record(out, (a,), lambda g: (-g,))
     return out
 
 
@@ -548,9 +537,6 @@ class BatchNormState:
     @classmethod
     def create(cls, width: int) -> "BatchNormState":
         return cls(mean=np.zeros(width), var=np.ones(width))
-
-    def copy(self) -> "BatchNormState":
-        return BatchNormState(self.mean.copy(), self.var.copy())
 
 
 def batch_norm(

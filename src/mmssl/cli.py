@@ -143,9 +143,10 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     arrays, meta = load_checkpoint(args.checkpoint)
     flat = dict(meta.get("config", {}))
-    # checkpoints written before evaluation lost its thread pool store this
-    # retired key; it never changed a result, so dropping it is safe
-    flat.pop("eval.threads", None)
+    # older checkpoints store these retired keys; neither ever changed a
+    # result, so dropping them is safe
+    for key in ("eval.threads", "adv.block_rows"):
+        flat.pop(key, None)
     settings = resolve_settings(flat)
     graph, features = _load_data_dir(args.data)
     split = split_edges(graph, settings.train.split, seed=settings.train.seed)
@@ -162,7 +163,7 @@ def _cmd_eval(args) -> int:
     )
     trainer._restore_arrays(arrays)
     trainer.neighborhoods = mdl.refresh_neighborhoods(
-        trainer.state, trainer.adj, features, settings.enc.top_k, settings.adv.block_rows
+        trainer.state, trainer.adj, features, settings.enc.top_k
     )
     fwd = trainer._eval_forward()
     scores = fwd.h_users.data @ fwd.h_items.data.T

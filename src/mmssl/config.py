@@ -2,19 +2,21 @@
 
 Config files are JSON objects whose keys are dotted names such as
 ``train.epochs`` or ``adv.zeta``.  ``MMSSL_SEED`` overrides the training
-seed.
+seed.  Every key, its default and its type come from a field of the
+config dataclasses: ``<prefix>.<field>``, with the prefixes of
+``_PREFIXES`` and the three renamed loss weights of ``_RENAMED``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import reduce
 from pathlib import Path
 
 from .encoder import EncoderConfig
 from .evaluation import EvalConfig
-from .objectives import LossWeights
 from .trainer import AdvConfig, ObjectiveConfig, TrainConfig
 
 __all__ = ["ConfigError", "Settings", "DEFAULTS", "load_config", "resolve_settings"]
@@ -24,44 +26,60 @@ class ConfigError(ValueError):
     """Unknown key, malformed file or out-of-range value."""
 
 
-DEFAULTS: dict = {
-    "train.seed": 0,
-    "train.epochs": 50,
-    "train.batch_size": 128,
-    "train.steps_per_epoch": 0,
-    "train.d_steps": 1,
-    "train.lr_gen": 5e-4,
-    "train.lr_disc": 3e-4,
-    "train.weight_decay": 1.4e-2,
-    "train.lr_decay": 0.98,
-    "train.patience": 10,
-    "train.embed_dim": 64,
-    "train.disc_hidden": 64,
-    "train.gen_dropout": 0.1,
-    "train.disc_dropout": 0.1,
-    "train.split": [0.8, 0.1, 0.1],
-    "train.disable_asl": False,
-    "train.disable_cl": False,
-    "train.disable_gumbel": False,
-    "adv.tau": 0.2,
-    "adv.zeta": 100.0,
-    "adv.lam1": 1.0,
-    "adv.negate_critic": False,
-    "adv.block_rows": 0,
-    "enc.top_k": 10,
-    "enc.heads": 2,
-    "enc.layers": 2,
-    "enc.eta": 0.5,
-    "enc.refresh_every": 1,
-    "loss.lambda2": 0.03,
-    "loss.lambda3": 0.01,
-    "loss.lambda4": 0.0,
-    "loss.tau_prime": 0.085,
-    "loss.omega": 0.2,
-    "loss.paper_sign": False,
-    "eval.k": 20,
-    "eval.buckets": [0, 4, 6, 9, 13, 100],
+@dataclass
+class Settings:
+    train: TrainConfig = field(default_factory=TrainConfig)
+    enc: EncoderConfig = field(default_factory=EncoderConfig)
+    adv: AdvConfig = field(default_factory=AdvConfig)
+    objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
+    eval: EvalConfig = field(default_factory=EvalConfig)
+    flat: dict = field(default_factory=dict)
+
+
+# Settings attribute -> key prefix
+_PREFIXES = {"train": "train", "enc": "enc", "adv": "adv", "objective": "loss", "eval": "eval"}
+# the only keys that differ from "<prefix>.<field path>"
+_RENAMED = {f"loss.weights.lam{n}": f"loss.lambda{n}" for n in (2, 3, 4)}
+
+
+def _leaves(config, key: str, path: tuple):
+    """(key, attribute path, default) of every leaf field under ``config``."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        sub_key, sub_path = f"{key}.{f.name}", (*path, f.name)
+        if is_dataclass(value):
+            yield from _leaves(value, sub_key, sub_path)
+        else:
+            yield _RENAMED.get(sub_key, sub_key), sub_path, value
+
+
+_FIELDS = {
+    key: (path, default)
+    for attr, prefix in _PREFIXES.items()
+    for key, path, default in _leaves(getattr(Settings(), attr), prefix, (attr,))
 }
+# the JSON form: tuples become lists
+DEFAULTS: dict = {
+    key: list(default) if isinstance(default, tuple) else default
+    for key, (_, default) in _FIELDS.items()
+}
+
+# key -> smallest allowed value
+_AT_LEAST = {
+    "train.batch_size": 1,
+    "train.d_steps": 1,
+    "train.steps_per_epoch": 0,
+    "train.epochs": 0,
+    "train.embed_dim": 1,
+    "train.disc_hidden": 1,
+    "enc.top_k": 1,
+    "enc.heads": 1,
+    "enc.layers": 0,
+    "enc.refresh_every": 1,
+    "eval.k": 1,
+}
+_POSITIVE = ("train.lr_gen", "train.lr_disc", "train.lr_decay", "adv.tau", "loss.tau_prime")
+_DROPOUT = ("train.gen_dropout", "train.disc_dropout")  # in [0, 1)
 
 
 def load_config(path=None) -> dict:
@@ -95,14 +113,34 @@ def apply_env(flat: dict, env=os.environ) -> dict:
     return out
 
 
-@dataclass
-class Settings:
-    train: TrainConfig = field(default_factory=TrainConfig)
-    enc: EncoderConfig = field(default_factory=EncoderConfig)
-    adv: AdvConfig = field(default_factory=AdvConfig)
-    objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
-    eval: EvalConfig = field(default_factory=EvalConfig)
-    flat: dict = field(default_factory=dict)
+def _coerce(key: str, default, value):
+    """``value`` as the type of ``default``; tuples element-wise as the
+    type of their first default element."""
+    try:
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(x) for x in value)
+        return type(default)(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} cannot be read as {type(default).__name__}: {value!r}") from None
+
+
+def _check_ranges(values: dict) -> None:
+    for key, low in _AT_LEAST.items():
+        if values[key] < low:
+            raise ConfigError(f"{key} must be at least {low}, got {values[key]}")
+    for key in _POSITIVE:
+        if not values[key] > 0:
+            raise ConfigError(f"{key} must be positive, got {values[key]}")
+    for key in _DROPOUT:
+        if not 0 <= values[key] < 1:
+            raise ConfigError(f"{key} must be in [0, 1), got {values[key]}")
+    if len(values["train.split"]) != 3:
+        raise ConfigError(f"train.split needs three ratios, got {list(values['train.split'])}")
+    if values["train.embed_dim"] % values["enc.heads"] != 0:
+        raise ConfigError(
+            f"train.embed_dim={values['train.embed_dim']} must be divisible by "
+            f"enc.heads={values['enc.heads']}"
+        )
 
 
 def resolve_settings(flat: dict) -> Settings:
@@ -110,74 +148,10 @@ def resolve_settings(flat: dict) -> Settings:
     unknown = set(flat) - set(DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    merged = dict(DEFAULTS)
-    merged.update(flat)
-    split = tuple(float(x) for x in merged["train.split"])
-    if len(split) != 3:
-        raise ConfigError(f"train.split needs three ratios, got {merged['train.split']}")
-    train = TrainConfig(
-        seed=int(merged["train.seed"]),
-        epochs=int(merged["train.epochs"]),
-        batch_size=int(merged["train.batch_size"]),
-        steps_per_epoch=int(merged["train.steps_per_epoch"]),
-        d_steps=int(merged["train.d_steps"]),
-        lr_gen=float(merged["train.lr_gen"]),
-        lr_disc=float(merged["train.lr_disc"]),
-        weight_decay=float(merged["train.weight_decay"]),
-        lr_decay=float(merged["train.lr_decay"]),
-        patience=int(merged["train.patience"]),
-        embed_dim=int(merged["train.embed_dim"]),
-        disc_hidden=int(merged["train.disc_hidden"]),
-        gen_dropout=float(merged["train.gen_dropout"]),
-        disc_dropout=float(merged["train.disc_dropout"]),
-        split=split,
-        disable_asl=bool(merged["train.disable_asl"]),
-        disable_cl=bool(merged["train.disable_cl"]),
-        disable_gumbel=bool(merged["train.disable_gumbel"]),
-    )
-    enc = EncoderConfig(
-        top_k=int(merged["enc.top_k"]),
-        heads=int(merged["enc.heads"]),
-        layers=int(merged["enc.layers"]),
-        eta=float(merged["enc.eta"]),
-        refresh_every=int(merged["enc.refresh_every"]),
-    )
-    adv = AdvConfig(
-        tau=float(merged["adv.tau"]),
-        zeta=float(merged["adv.zeta"]),
-        lam1=float(merged["adv.lam1"]),
-        negate_critic=bool(merged["adv.negate_critic"]),
-        block_rows=int(merged["adv.block_rows"]),
-    )
-    objective = ObjectiveConfig(
-        weights=LossWeights(
-            lam2=float(merged["loss.lambda2"]),
-            lam3=float(merged["loss.lambda3"]),
-            lam4=float(merged["loss.lambda4"]),
-        ),
-        tau_prime=float(merged["loss.tau_prime"]),
-        omega=float(merged["loss.omega"]),
-        paper_sign=bool(merged["loss.paper_sign"]),
-    )
-    eval_cfg = EvalConfig(
-        k=int(merged["eval.k"]),
-        buckets=tuple(int(b) for b in merged["eval.buckets"]),
-    )
-    if train.embed_dim % enc.heads != 0:
-        raise ConfigError(
-            f"train.embed_dim={train.embed_dim} must be divisible by enc.heads={enc.heads}"
-        )
-    for key, low in (
-        ("train.batch_size", 1),
-        ("train.d_steps", 1),
-        ("train.steps_per_epoch", 0),
-        ("train.epochs", 0),
-        ("enc.refresh_every", 1),
-        ("eval.k", 1),
-    ):
-        if int(merged[key]) < low:
-            raise ConfigError(f"{key} must be at least {low}, got {merged[key]}")
-    for key in ("train.lr_gen", "train.lr_disc", "adv.tau"):
-        if not float(merged[key]) > 0:
-            raise ConfigError(f"{key} must be positive, got {merged[key]}")
-    return Settings(train=train, enc=enc, adv=adv, objective=objective, eval=eval_cfg, flat=merged)
+    merged = {**DEFAULTS, **flat}
+    values = {key: _coerce(key, default, merged[key]) for key, (_, default) in _FIELDS.items()}
+    _check_ranges(values)
+    settings = Settings(flat=merged)
+    for key, ((*parents, name), _) in _FIELDS.items():
+        setattr(reduce(getattr, parents, settings), name, values[key])
+    return settings

@@ -247,6 +247,8 @@ def split_edges(
     """
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"split ratios must sum to 1, got {ratios}")
+    if min(ratios) < 0:
+        raise ValueError(f"split ratios must not be negative, got {ratios}")
     rng = np.random.default_rng(seed)
     reserved: list[tuple[int, int]] = []
     pool: list[tuple[int, int]] = []

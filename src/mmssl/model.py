@@ -17,7 +17,6 @@ __all__ = [
     "ForwardResult",
     "init_model",
     "forward_embeddings",
-    "refresh_block_rows",
     "refresh_neighborhoods",
 ]
 
@@ -120,16 +119,8 @@ def forward_embeddings(
     )
 
 
-# bytes of relation rows one refresh block holds when ``block_rows`` is 0
+# bytes of float64 relation rows one refresh block holds
 REFRESH_BLOCK_BYTES = 32 << 20
-
-
-def refresh_block_rows(block_rows: int, num_items: int) -> int:
-    """Users per refresh block: ``block_rows`` if positive, else as many
-    float64 relation rows as fit in ``REFRESH_BLOCK_BYTES``."""
-    if block_rows > 0:
-        return block_rows
-    return max(1, REFRESH_BLOCK_BYTES // (8 * num_items))
 
 
 def refresh_neighborhoods(
@@ -137,7 +128,6 @@ def refresh_neighborhoods(
     adj: NormalizedAdjacency,
     features: list[ModalityFeatureTable],
     top_k: int,
-    block_rows: int = 0,
 ) -> list[SemanticNeighborhood]:
     """Recompute per-modality relations (eval mode, no tape) and read off
     fresh top-k semantic neighbors.
@@ -151,7 +141,7 @@ def refresh_neighborhoods(
             adj, table.as_float64(), state.gen, m, train=False
         )
         num_users = f_u.shape[0]
-        step = refresh_block_rows(block_rows, f_i.shape[0])
+        step = max(1, REFRESH_BLOCK_BYTES // (8 * f_i.shape[0]))
         blocks = (
             adversarial.relation_rows(
                 ad.gather_rows(f_u, np.arange(start, min(start + step, num_users))), f_i

@@ -29,7 +29,7 @@ from .data import (
     build_norm_adjacency,
     sample_bpr_triplets,
 )
-from .encoder import EncoderConfig
+from .encoder import EncoderConfig, SemanticNeighborhood
 from .evaluation import EvalConfig, evaluate_scores
 from .model import ModelState
 from .objectives import LossWeights
@@ -76,7 +76,6 @@ class AdvConfig:
     zeta: float = 100.0
     lam1: float = 1.0
     negate_critic: bool = False
-    block_rows: int = 0
 
     def gumbel(self, disable: bool) -> GumbelConfig:
         return GumbelConfig(tau=self.tau, zeta=self.zeta, disable=disable)
@@ -475,6 +474,11 @@ class Trainer:
         arrays.update(self.opt_disc.state_arrays("optd"))
         for name, arr in self.best_arrays.items():
             arrays[f"best.{name}"] = arr
+        # neighbour ids are exact in float64; a resume between refreshes
+        # (enc.refresh_every > 1) must train on the same neighbours
+        for m, neigh in enumerate(self.neighborhoods or ()):
+            arrays[f"nbr.{m}.users"] = neigh.user_neighbors
+            arrays[f"nbr.{m}.items"] = neigh.item_neighbors
         return arrays
 
     def checkpoint_meta(self) -> dict:
@@ -501,6 +505,11 @@ class Trainer:
         missing = sorted(set(self.checkpoint_meta()) - set(meta))
         if missing:
             raise ValueError(f"checkpoint metadata is missing {missing[0]}")
+        num_users, num_items, k = self.graph.num_users, self.graph.num_items, self.enc_cfg.top_k
+        neighbors = {}
+        for m in range(len(self.features)):
+            neighbors[f"nbr.{m}.users"] = np.empty((num_users, min(k, num_items)))
+            neighbors[f"nbr.{m}.items"] = np.empty((num_items, min(k, num_users)))
         # the optimizer state arrays are the optimizers' live moment buffers
         self._restore_arrays(
             arrays,
@@ -508,8 +517,16 @@ class Trainer:
                 **self._state_buffers(),
                 **self.opt_gen.state_arrays("optg"),
                 **self.opt_disc.state_arrays("optd"),
+                **neighbors,
             },
         )
+        self.neighborhoods = [
+            SemanticNeighborhood(
+                neighbors[f"nbr.{m}.users"].astype(np.intp),
+                neighbors[f"nbr.{m}.items"].astype(np.intp),
+            )
+            for m in range(len(self.features))
+        ]
         self.opt_gen.t = meta["opt_gen_t"]
         self.opt_disc.t = meta["opt_disc_t"]
         self.rng = _restore_rng(meta["rng"])
@@ -538,11 +555,7 @@ class Trainer:
                 self.opt_disc.lr = cfg.lr_disc * cfg.lr_decay**epoch
                 if self.neighborhoods is None or epoch % self.enc_cfg.refresh_every == 0:
                     self.neighborhoods = mdl.refresh_neighborhoods(
-                        self.state,
-                        self.adj,
-                        self.features,
-                        self.enc_cfg.top_k,
-                        self.adv_cfg.block_rows,
+                        self.state, self.adj, self.features, self.enc_cfg.top_k
                     )
                 sums = {"l_bpr": 0.0, "l_cl": 0.0, "l_g": 0.0, "l_d": 0.0}
                 try:

@@ -205,9 +205,11 @@ def _refresh_problem():
 
 @pytest.mark.parametrize("block_rows", [1, 3, 7, 13, 0])
 @pytest.mark.parametrize("k", [2, 4, 12, 30])
-def test_streamed_refresh_equals_dense_top_k(block_rows, k):
+def test_streamed_refresh_equals_dense_top_k(monkeypatch, block_rows, k):
     adj, features, state = _refresh_problem()
-    streamed = mdl.refresh_neighborhoods(state, adj, features, k, block_rows=block_rows)
+    if block_rows:  # 0 keeps the default size: one block of all 13 users
+        monkeypatch.setattr(mdl, "REFRESH_BLOCK_BYTES", 8 * 10 * block_rows)
+    streamed = mdl.refresh_neighborhoods(state, adj, features, k)
     for m, table in enumerate(features):
         f_u, f_i = adv.modality_collab_embeddings(adj, table.as_float64(), state.gen, m)
         rel = adv.generate_relations(f_u, f_i, block_rows=block_rows).data
@@ -217,22 +219,34 @@ def test_streamed_refresh_equals_dense_top_k(block_rows, k):
         np.testing.assert_array_equal(streamed[m].item_neighbors, want.item_neighbors)
 
 
-def test_refresh_block_rows_default_is_about_32_mib():
-    assert mdl.refresh_block_rows(0, 4000) == 1048
-    assert mdl.refresh_block_rows(0, 10**9) == 1
-    assert mdl.refresh_block_rows(64, 4000) == 64
+def test_refresh_block_rows_default_is_about_32_mib(monkeypatch):
+    spec = SyntheticSpec(
+        num_users=2100, num_items=4000, modality_dims=(2,), interactions_per_user=1, seed=5
+    )
+    g, features, _ = generate_synthetic(spec)
+    state = mdl.init_model(2100, 4000, [2], 2, 1, 2, np.random.default_rng(0))
+    monkeypatch.setattr(
+        enc, "neighbors_from_row_blocks", lambda blocks, k: [b.shape for b in blocks]
+    )
+    adj = build_norm_adjacency(g)
+    assert mdl.refresh_neighborhoods(state, adj, features, 10) == [
+        [(1048, 4000), (1048, 4000), (4, 4000)]
+    ]
+    monkeypatch.setattr(mdl, "REFRESH_BLOCK_BYTES", 8 * 4000 - 1)  # less than one row
+    assert mdl.refresh_neighborhoods(state, adj, features, 10)[0][:2] == [(1, 4000)] * 2
 
 
-def test_streamed_refresh_peak_memory_below_half_a_dense_matrix():
+def test_streamed_refresh_peak_memory_below_half_a_dense_matrix(monkeypatch):
     spec = SyntheticSpec(
         num_users=1200, num_items=900, modality_dims=(16,), interactions_per_user=3, seed=3
     )
     g, features, _ = generate_synthetic(spec)
     adj = build_norm_adjacency(g)
     state = mdl.init_model(1200, 900, [16], 8, 1, 4, np.random.default_rng(0))
+    monkeypatch.setattr(mdl, "REFRESH_BLOCK_BYTES", 8 * 900 * 64)
     tracemalloc.start()
     try:
-        mdl.refresh_neighborhoods(state, adj, features, 10, block_rows=64)
+        mdl.refresh_neighborhoods(state, adj, features, 10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

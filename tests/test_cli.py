@@ -210,6 +210,18 @@ def test_train_rejects_out_of_range_config(data_dir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_train_rejects_zero_heads_without_traceback(data_dir, tmp_path, capsys):
+    config = tmp_path / "zero_heads.json"
+    config.write_text(json.dumps({"enc.heads": 0}))
+    code = main(
+        ["train", "--data", str(data_dir), "--out", str(tmp_path / "out"), "--config", str(config)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "enc.heads" in err
+    assert "Traceback" not in err
+
+
 def test_resume_rejects_checkpoint_without_optimizer_state(data_dir, train_dir, tmp_path, capsys):
     arrays, meta = load_checkpoint(train_dir / "final.ckpt")
     kept = {name: arr for name, arr in arrays.items() if not name.startswith("optg.")}
@@ -234,10 +246,9 @@ def test_resume_rejects_checkpoint_without_optimizer_state(data_dir, train_dir, 
     assert "Traceback" not in err
 
 
-def test_eval_reads_checkpoint_with_retired_threads_key(data_dir, train_dir, tmp_path, capsys):
-    # checkpoints written while evaluation had a thread pool store eval.threads
+def _retired_key_evaluates_but_cannot_resume(data_dir, train_dir, tmp_path, capsys, key, value):
     arrays, meta = load_checkpoint(train_dir / "best.ckpt")
-    config = {**meta["config"], "eval.threads": 2}
+    config = {**meta["config"], key: value}
     old_meta = dict(meta, config=config, config_hash=_config_fingerprint(config))
     old = tmp_path / "old.ckpt"
     save_checkpoint(old, arrays, old_meta)
@@ -262,3 +273,17 @@ def test_eval_reads_checkpoint_with_retired_threads_key(data_dir, train_dir, tmp
     )
     assert code == 1
     assert "different configuration" in capsys.readouterr().err
+
+
+def test_eval_reads_checkpoint_with_retired_threads_key(data_dir, train_dir, tmp_path, capsys):
+    # checkpoints written while evaluation had a thread pool store eval.threads
+    _retired_key_evaluates_but_cannot_resume(
+        data_dir, train_dir, tmp_path, capsys, "eval.threads", 2
+    )
+
+
+def test_eval_reads_checkpoint_with_retired_block_rows_key(data_dir, train_dir, tmp_path, capsys):
+    # checkpoints written while the refresh block size was a knob store adv.block_rows
+    _retired_key_evaluates_but_cannot_resume(
+        data_dir, train_dir, tmp_path, capsys, "adv.block_rows", 0
+    )

@@ -1,10 +1,33 @@
 """Configuration loading, env overrides, and validation."""
 
 import json
+from dataclasses import fields, is_dataclass
 
 import pytest
 
 from mmssl.config import DEFAULTS, ConfigError, apply_env, load_config, resolve_settings
+from mmssl.encoder import EncoderConfig
+from mmssl.evaluation import EvalConfig
+from mmssl.trainer import AdvConfig, ObjectiveConfig, TrainConfig, _config_fingerprint
+
+SECTIONS = ("train", "enc", "adv", "objective", "eval")
+
+
+def leaf_values(config, path):
+    """Field path -> value of every leaf field of a config dataclass."""
+    if not is_dataclass(config):
+        return {path: config}
+    out = {}
+    for f in fields(config):
+        out.update(leaf_values(getattr(config, f.name), f"{path}.{f.name}"))
+    return out
+
+
+def settings_leaves(settings):
+    out = {}
+    for name in SECTIONS:
+        out.update(leaf_values(getattr(settings, name), name))
+    return out
 
 
 def test_defaults_resolve_to_dataclass_defaults():
@@ -19,6 +42,39 @@ def test_defaults_resolve_to_dataclass_defaults():
     assert settings.eval.k == 20
     assert settings.eval.buckets == (0, 4, 6, 9, 13, 100)
     assert settings.flat == DEFAULTS
+    empty = resolve_settings({})
+    assert empty.train == TrainConfig() and empty.enc == EncoderConfig()
+    assert empty.adv == AdvConfig() and empty.objective == ObjectiveConfig()
+    assert empty.eval == EvalConfig() and empty.flat == DEFAULTS
+
+
+def test_default_fingerprint_is_pinned():
+    # every key, value and JSON type as earlier versions wrote them, less the
+    # retired adv.block_rows, so old run directories keep their meaning
+    assert (
+        _config_fingerprint(DEFAULTS)
+        == "4ef6c53eb286e2f60820b38a94133f05ecd04400d85b94901f65bfcb66c9d2b6"
+    )
+
+
+def changed_value(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, list):
+        return value[::-1]
+    return value + (2 if isinstance(value, int) else 0.25)
+
+
+def test_every_field_is_set_by_exactly_one_key():
+    base = settings_leaves(resolve_settings({}))
+    reached = []
+    for key, value in DEFAULTS.items():
+        moved = settings_leaves(resolve_settings({key: changed_value(value)}))
+        changed = [path for path in base if moved[path] != base[path]]
+        assert len(changed) == 1, (key, changed)
+        reached += changed
+    assert sorted(reached) == sorted(base)
+    assert len(reached) == len(DEFAULTS) == 35
 
 
 def test_load_config_without_file_is_defaults():
@@ -101,6 +157,17 @@ def test_eval_k_positive():
         ("train.lr_disc", 0.0),
         ("adv.tau", -1.0),
         ("adv.tau", float("nan")),
+        ("enc.heads", 0),
+        ("enc.layers", -1),
+        ("train.embed_dim", 0),
+        ("train.disc_hidden", 0),
+        ("train.lr_decay", -1.0),
+        ("loss.tau_prime", 0.0),
+        ("enc.top_k", 0),
+        ("train.gen_dropout", 1.0),
+        ("train.disc_dropout", -0.1),
+        ("train.epochs", None),
+        ("train.split", 5),
     ],
 )
 def test_out_of_range_values_rejected(key, value):
@@ -110,7 +177,14 @@ def test_out_of_range_values_rejected(key, value):
 
 def test_range_limits_themselves_accepted():
     settings = resolve_settings(
-        {"train.steps_per_epoch": 0, "train.epochs": 0, "train.batch_size": 1, "adv.tau": 1e-6}
+        {
+            "train.steps_per_epoch": 0,
+            "train.epochs": 0,
+            "train.batch_size": 1,
+            "adv.tau": 1e-6,
+            "enc.layers": 0,
+            "train.gen_dropout": 0.0,
+        }
     )
     assert settings.train.epochs == 0 and settings.train.batch_size == 1
 

@@ -158,6 +158,8 @@ def test_split_rejects_bad_ratios():
     g = graph_from_edges(2, 2, [(0, 0), (1, 1)])
     with pytest.raises(ValueError):
         split_edges(g, (0.5, 0.4, 0.2))
+    with pytest.raises(ValueError, match="negative"):
+        split_edges(g, (0.8, 0.3, -0.1))  # sums to 1
 
 
 def test_triplets_avoid_observed_pairs():

@@ -97,7 +97,7 @@ def build_trainer(**overrides):
     cfg, enc, adv, objc, evc = tiny_configs(**overrides)
     trainer = Trainer(cfg, enc, adv, objc, evc, graph, features, split)
     trainer.neighborhoods = mdl.refresh_neighborhoods(
-        trainer.state, trainer.adj, trainer.features, enc.top_k, adv.block_rows
+        trainer.state, trainer.adj, trainer.features, enc.top_k
     )
     return trainer
 
@@ -334,6 +334,34 @@ def test_checkpoint_rejects_truncation(tmp_path):
         load_checkpoint(path)
 
 
+def test_resume_between_refreshes_matches_uninterrupted(tmp_path):
+    # epoch 1 trains on the neighbours refreshed at epoch 0, so the
+    # checkpoint written after epoch 0 must carry them
+    spec = SyntheticSpec(num_users=60, num_items=40, modality_dims=(6, 5), seed=4)
+    graph, features, _ = generate_synthetic(spec)
+    split = split_edges(graph, (0.8, 0.1, 0.1), seed=4)
+
+    def run(epochs, checkpoint, resume=None):
+        cfg = TrainConfig(
+            seed=1, epochs=epochs, batch_size=8, steps_per_epoch=20, lr_gen=5e-2,
+            embed_dim=8, disc_hidden=8, patience=100,
+        )
+        return fit(
+            cfg, EncoderConfig(top_k=3, refresh_every=2), AdvConfig(), ObjectiveConfig(),
+            EvalConfig(), graph, features, split,
+            checkpoint_path=checkpoint, resume_from=resume,
+        )
+
+    straight = run(3, tmp_path / "straight.ckpt")
+    run(1, tmp_path / "mid.ckpt")
+    resumed = run(3, tmp_path / "resumed.ckpt", resume=tmp_path / "mid.ckpt")
+    assert resumed.log == straight.log[1:]
+    want, _ = load_checkpoint(tmp_path / "straight.ckpt")
+    got, _ = load_checkpoint(tmp_path / "resumed.ckpt")
+    assert sorted(got) == sorted(want) and "nbr.1.items" in got
+    assert [n for n in want if not np.array_equal(want[n], got[n])] == []
+
+
 def test_resume_rejects_config_change(tmp_path):
     ckpt = tmp_path / "guard.ckpt"
     run_tiny(epochs=2, checkpoint=str(ckpt), config_flat={"train.lr_gen": 0.001})
@@ -377,6 +405,7 @@ def _without(prefix):
         (_without("optg."), "missing array optg."),
         (_without("optd.v."), "missing array optd.v."),
         (_without("id.users"), "missing array id.users"),
+        (_without("nbr.1."), "missing array nbr.1."),
         (
             lambda arrays, meta: ({**arrays, "id.users": arrays["id.users"][:-1]}, meta),
             "id.users has shape",
@@ -401,9 +430,10 @@ def test_restore_of_a_bad_checkpoint_changes_nothing(tmp_path, edit, message):
             **{f"d{n}": a.copy() for n, a in trainer.opt_disc.state_arrays("optd").items()},
         }
 
-    before = state()
+    before, neighborhoods = state(), trainer.neighborhoods
     with pytest.raises(ValueError, match=message):
         trainer.restore(broken)
     after = state()
     assert all(np.array_equal(before[n], after[n]) for n in before)
+    assert trainer.neighborhoods is neighborhoods
     assert trainer.epoch == 0 and trainer.opt_gen.t == 0
