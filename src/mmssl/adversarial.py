@@ -33,6 +33,7 @@ __all__ = [
     "modality_collab_embeddings",
     "generate_relations",
     "relation_rows",
+    "user_relation_rows",
     "gumbel_real_proxy",
     "discriminate",
     "interpolate_rows",
@@ -100,6 +101,11 @@ def relation_rows(f_user_rows: Tensor, f_item: Tensor) -> Tensor:
     q = ad.l2_normalize_rows(f_user_rows)
     k = ad.l2_normalize_rows(f_item)
     return ad.matmul(q, ad.transpose(k))
+
+
+def user_relation_rows(f_user: Tensor, f_item: Tensor, users) -> Tensor:
+    """Relation rows of the given users (ids may repeat)."""
+    return relation_rows(ad.gather_rows(f_user, users), f_item)
 
 
 def generate_relations(f_user: Tensor, f_item: Tensor, block_rows: int = 0) -> Tensor:

@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import model as mdl
 from .autodiff import NumericError
 from .config import ConfigError, apply_env, load_config, resolve_settings
@@ -27,9 +25,9 @@ from .data import (
     write_interactions,
     write_modality_features,
 )
-from .evaluation import evaluate_scores
+from .evaluation import evaluate_scores  # noqa: F401  (perfbench's wrapper test binds it here)
 from .gradcheck import run_loss_checks, run_primitive_checks
-from .trainer import Trainer, load_checkpoint
+from .trainer import Trainer, load_checkpoint, save_checkpoint
 
 __all__ = ["main"]
 
@@ -97,15 +95,10 @@ def _load_data_dir(data_dir: str):
     return graph, features
 
 
-def _cmd_train(args) -> int:
-    flat = apply_env(load_config(args.config))
-    settings = resolve_settings(flat)
-    graph, features = _load_data_dir(args.data)
+def _build_trainer(settings, data_dir: str) -> Trainer:
+    graph, features = _load_data_dir(data_dir)
     split = split_edges(graph, settings.train.split, seed=settings.train.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(json.dumps(settings.flat, sort_keys=True, indent=2))
-    trainer = Trainer(
+    return Trainer(
         settings.train,
         settings.enc,
         settings.adv,
@@ -116,14 +109,20 @@ def _cmd_train(args) -> int:
         split,
         config_flat=settings.flat,
     )
+
+
+def _cmd_train(args) -> int:
+    settings = resolve_settings(apply_env(load_config(args.config)))
+    trainer = _build_trainer(settings, args.data)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.json").write_text(json.dumps(settings.flat, sort_keys=True, indent=2))
     if args.resume:
         trainer.restore(args.resume)
     result = trainer.run(
         checkpoint_path=out / "final.ckpt", log_path=out / "metrics.ndjson"
     )
     if result.best_arrays:
-        from .trainer import save_checkpoint
-
         best_meta = trainer.checkpoint_meta()
         best_meta["epoch"] = result.best_epoch
         save_checkpoint(out / "best.ckpt", {**result.best_arrays}, best_meta)
@@ -141,6 +140,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.k is not None and args.k < 1:
+        raise CliError(f"--k must be at least 1, got {args.k}")
     arrays, meta = load_checkpoint(args.checkpoint)
     flat = dict(meta.get("config", {}))
     # older checkpoints store these retired keys; neither ever changed a
@@ -148,36 +149,14 @@ def _cmd_eval(args) -> int:
     for key in ("eval.threads", "adv.block_rows"):
         flat.pop(key, None)
     settings = resolve_settings(flat)
-    graph, features = _load_data_dir(args.data)
-    split = split_edges(graph, settings.train.split, seed=settings.train.seed)
-    trainer = Trainer(
-        settings.train,
-        settings.enc,
-        settings.adv,
-        settings.objective,
-        settings.eval,
-        graph,
-        features,
-        split,
-        config_flat=settings.flat,
-    )
+    trainer = _build_trainer(settings, args.data)
     trainer._restore_arrays(arrays)
     trainer.neighborhoods = mdl.refresh_neighborhoods(
-        trainer.state, trainer.adj, features, settings.enc.top_k
+        trainer.state, trainer.adj, trainer.features, settings.enc.top_k
     )
-    fwd = trainer._eval_forward()
-    scores = fwd.h_users.data @ fwd.h_items.data.T
-    from .trainer import _edges_by_user
-
-    relevant = _edges_by_user(
-        split.test if args.split == "test" else split.val, graph.num_users
-    )
-    report = evaluate_scores(
-        scores,
-        train_items=trainer.train_graph.user_items,
-        relevant=relevant,
-        k=args.k or settings.eval.k,
-        boundaries=settings.eval.buckets,
+    report = trainer.evaluate(
+        trainer.split.test if args.split == "test" else trainer.split.val,
+        settings.eval.k if args.k is None else args.k,
     )
     print(report.to_json() if args.format == "json" else report.to_text())
     return 0

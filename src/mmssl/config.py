@@ -10,6 +10,7 @@ config dataclasses: ``<prefix>.<field>``, with the prefixes of
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import reduce
@@ -70,6 +71,7 @@ _AT_LEAST = {
     "train.d_steps": 1,
     "train.steps_per_epoch": 0,
     "train.epochs": 0,
+    "train.patience": 1,
     "train.embed_dim": 1,
     "train.disc_hidden": 1,
     "enc.top_k": 1,
@@ -115,13 +117,18 @@ def apply_env(flat: dict, env=os.environ) -> dict:
 
 def _coerce(key: str, default, value):
     """``value`` as the type of ``default``; tuples element-wise as the
-    type of their first default element."""
-    try:
-        if isinstance(default, tuple):
-            return tuple(type(default[0])(x) for x in value)
-        return type(default)(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} cannot be read as {type(default).__name__}: {value!r}") from None
+    type of their first default element.  A bool key takes only true or
+    false, an int key only whole numbers and a float key any number; a
+    bool is never a number."""
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return tuple(_coerce(key, default[0], x) for x in value)
+    kind = type(default)
+    wanted = bool if kind is bool else numbers.Integral if kind is int else numbers.Real
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, wanted):
+        raise ConfigError(f"{key} cannot be read as {kind.__name__}: {value!r}")
+    return kind(value)
 
 
 def _check_ranges(values: dict) -> None:

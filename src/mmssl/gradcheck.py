@@ -18,6 +18,7 @@ from .autodiff import Tensor
 from .data import (
     ModalityFeatureTable,
     SyntheticSpec,
+    TripletBatch,
     build_norm_adjacency,
     generate_synthetic,
     sample_bpr_triplets,
@@ -26,9 +27,7 @@ from .data import (
 from .encoder import EncoderConfig
 from .objectives import LossWeights
 
-__all__ = ["CheckInstance", "build_check_instance", "run_loss_checks", "LOSS_NAMES"]
-
-LOSS_NAMES = ("l_bpr", "l_cl", "l_g", "l_d", "l_total")
+__all__ = ["CheckInstance", "build_check_instance", "run_loss_checks"]
 
 
 @dataclass
@@ -42,16 +41,15 @@ class CheckInstance:
     tau_prime: float
     weights: LossWeights
     lam1: float
-    users: np.ndarray
-    pos_items: np.ndarray
-    neg_items: np.ndarray
+    triplets: TripletBatch
     adv_users: np.ndarray
     real_rows: np.ndarray
     fake_rows: np.ndarray
     gp_rows: np.ndarray
 
-    def _forward(self) -> mdl.ForwardResult:
-        return mdl.forward_embeddings(
+    def generator_losses(self, contrastive: bool = True, adv: bool = True):
+        """The training step's (l_bpr, l_cl, l_g) on an eval-mode forward."""
+        fwd = mdl.forward_embeddings(
             self.state,
             self.adj,
             self.features,
@@ -60,44 +58,15 @@ class CheckInstance:
             self.omega,
             train=False,
         )
-
-    def _bpr(self, fwd: mdl.ForwardResult) -> Tensor:
-        pos = ad.reduce_sum(
-            ad.mul(
-                ad.gather_rows(fwd.h_users, self.users),
-                ad.gather_rows(fwd.h_items, self.pos_items),
-            ),
-            axis=1,
+        return mdl.generator_losses(
+            fwd,
+            self.state.disc,
+            self.triplets,
+            self.adv_users if adv else None,
+            self.tau_prime,
+            paper_sign=False,
+            contrastive=contrastive,
         )
-        neg = ad.reduce_sum(
-            ad.mul(
-                ad.gather_rows(fwd.h_users, self.users),
-                ad.gather_rows(fwd.h_items, self.neg_items),
-            ),
-            axis=1,
-        )
-        return obj.bpr_loss(pos, neg)
-
-    def _cl(self, fwd: mdl.ForwardResult) -> Tensor:
-        return obj.infonce_loss(fwd.h_users, fwd.views_users, tau=self.tau_prime)
-
-    def _lg(self, fwd: mdl.ForwardResult) -> Tensor:
-        scores = []
-        for m in range(len(self.features)):
-            rows = adversarial.relation_rows(
-                ad.gather_rows(fwd.prior_users[m], self.adv_users), fwd.prior_items[m]
-            )
-            scores.append(adversarial.discriminate(rows, self.state.disc, train=False))
-        return adversarial.loss_g(scores)
-
-    def loss_bpr(self) -> Tensor:
-        return self._bpr(self._forward())
-
-    def loss_cl(self) -> Tensor:
-        return self._cl(self._forward())
-
-    def loss_g(self) -> Tensor:
-        return self._lg(self._forward())
 
     def loss_d(self) -> Tensor:
         real = adversarial.discriminate(self.real_rows, self.state.disc, train=False)
@@ -107,21 +76,19 @@ class CheckInstance:
         )
 
     def loss_total(self) -> Tensor:
-        fwd = self._forward()
         return obj.total_loss(
-            self._bpr(fwd),
-            self._cl(fwd),
-            self._lg(fwd),
-            self.state.generator_parameters(),
-            self.weights,
+            *self.generator_losses(), self.state.generator_parameters(), self.weights
         )
 
     def closures(self) -> dict:
         gen = self.state.generator_parameters()
         return {
-            "l_bpr": (self.loss_bpr, gen),
-            "l_cl": (self.loss_cl, gen),
-            "l_g": (self.loss_g, self.state.gen.parameters()),
+            "l_bpr": (lambda: self.generator_losses(contrastive=False, adv=False)[0], gen),
+            "l_cl": (lambda: self.generator_losses(adv=False)[1], gen),
+            "l_g": (
+                lambda: self.generator_losses(contrastive=False)[2],
+                self.state.gen.parameters(),
+            ),
             "l_d": (self.loss_d, self.state.discriminator_parameters()),
             "l_total": (self.loss_total, gen),
         }
@@ -176,7 +143,7 @@ def build_check_instance(
         fwd.h_items.data,
     )
     f_u, f_i = fwd.prior_users[0], fwd.prior_items[0]
-    fake = adversarial.relation_rows(ad.gather_rows(f_u, adv_users), f_i).data
+    fake = adversarial.user_relation_rows(f_u, f_i, adv_users).data
     gp = adversarial.interpolate_rows(real, fake, rng)
     return CheckInstance(
         state=state,
@@ -188,9 +155,7 @@ def build_check_instance(
         tau_prime=0.085,
         weights=LossWeights(lam2=0.1, lam3=0.1, lam4=1e-4),
         lam1=1.0,
-        users=triplets.users,
-        pos_items=triplets.pos_items,
-        neg_items=triplets.neg_items,
+        triplets=triplets,
         adv_users=adv_users,
         real_rows=real,
         fake_rows=fake,

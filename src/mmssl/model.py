@@ -9,7 +9,7 @@ import numpy as np
 from . import adversarial, autodiff as ad, encoder as enc, objectives as obj
 from .adversarial import DiscriminatorParams, GeneratorParams
 from .autodiff import Tensor
-from .data import ModalityFeatureTable, NormalizedAdjacency
+from .data import ModalityFeatureTable, NormalizedAdjacency, TripletBatch
 from .encoder import AttentionParams, EncoderConfig, IdEmbeddings, SemanticNeighborhood
 
 __all__ = [
@@ -17,6 +17,7 @@ __all__ = [
     "ForwardResult",
     "init_model",
     "forward_embeddings",
+    "generator_losses",
     "refresh_neighborhoods",
 ]
 
@@ -119,6 +120,41 @@ def forward_embeddings(
     )
 
 
+def generator_losses(
+    fwd: ForwardResult,
+    disc: DiscriminatorParams,
+    triplets: TripletBatch,
+    adv_users: np.ndarray | None,
+    tau: float,
+    paper_sign: bool,
+    contrastive: bool,
+) -> tuple[Tensor, Tensor | None, Tensor | None]:
+    """BPR, cross-modal InfoNCE and generator-adversarial losses of one
+    forward pass.  InfoNCE is None unless ``contrastive``; the adversarial
+    term is None without ``adv_users``, whose relation rows the critic
+    scores in each modality."""
+
+    def scores(items):
+        users = ad.gather_rows(fwd.h_users, triplets.users)
+        return ad.reduce_sum(ad.mul(users, ad.gather_rows(fwd.h_items, items)), axis=1)
+
+    l_bpr = obj.bpr_loss(scores(triplets.pos_items), scores(triplets.neg_items))
+    l_cl = None
+    if contrastive:
+        l_cl = obj.infonce_loss(fwd.h_users, fwd.views_users, tau=tau, paper_sign=paper_sign)
+    l_g = None
+    if adv_users is not None:
+        l_g = adversarial.loss_g(
+            [
+                adversarial.discriminate(
+                    adversarial.user_relation_rows(f_u, f_i, adv_users), disc, train=False
+                )
+                for f_u, f_i in zip(fwd.prior_users, fwd.prior_items)
+            ]
+        )
+    return l_bpr, l_cl, l_g
+
+
 # bytes of float64 relation rows one refresh block holds
 REFRESH_BLOCK_BYTES = 32 << 20
 
@@ -143,8 +179,8 @@ def refresh_neighborhoods(
         num_users = f_u.shape[0]
         step = max(1, REFRESH_BLOCK_BYTES // (8 * f_i.shape[0]))
         blocks = (
-            adversarial.relation_rows(
-                ad.gather_rows(f_u, np.arange(start, min(start + step, num_users))), f_i
+            adversarial.user_relation_rows(
+                f_u, f_i, np.arange(start, min(start + step, num_users))
             ).data
             for start in range(0, num_users, step)
         )

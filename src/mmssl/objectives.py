@@ -84,22 +84,28 @@ def infonce_loss(
         raise ValueError(f"temperature must be positive, got {tau}")
     if not modality_views:
         raise ValueError("contrastive loss needs at least one modality view")
-    n = h_users.shape[0]
-    eye = ad.constant(np.eye(n))
     q_h = ad.l2_normalize_rows(h_users)
     total = None
     for view in modality_views:
-        q_v = ad.l2_normalize_rows(view)
-        sim_hv = ad.scale(ad.matmul(q_h, ad.transpose(q_v)), 1.0 / tau)  # [u', u]
-        sim_vv = ad.scale(ad.matmul(q_v, ad.transpose(q_v)), 1.0 / tau)  # [u', u]
-        pos = ad.reduce_sum(ad.mul(sim_hv, eye), axis=0)  # diag: s(h_u, e_u^m)
-        denom = ad.reduce_sum(ad.add(ad.exp(sim_hv), ad.exp(sim_vv)), axis=0)
-        term = ad.mean(ad.sub(ad.log(denom), pos))
+        term = ad.mean(_infonce_terms(q_h, view, tau))
         total = term if total is None else ad.add(total, term)
     loss = ad.scale(total, 1.0 / len(modality_views))
     if paper_sign:
         loss = ad.scale(loss, -1.0)
     return loss
+
+
+def _infonce_terms(q_h: Tensor, view: Tensor, tau: float) -> Tensor:
+    """Per-user terms -log(ratio) of one modality view, given the unit-norm
+    final user embeddings ``q_h``."""
+    q_v = ad.l2_normalize_rows(view)
+    sim_hv = ad.scale(ad.matmul(q_h, ad.transpose(q_v)), 1.0 / tau)  # [u', u]
+    sim_vv = ad.scale(ad.matmul(q_v, ad.transpose(q_v)), 1.0 / tau)  # [u', u]
+    n = q_h.shape[0]
+    # diag: s(h_u, e_u^m), gathered from the flat matrix at stride n + 1
+    pos = ad.gather_rows(ad.reshape(sim_hv, (n * n,)), np.arange(n) * (n + 1))
+    denom = ad.reduce_sum(ad.add(ad.exp(sim_hv), ad.exp(sim_vv)), axis=0)
+    return ad.sub(ad.log(denom), pos)
 
 
 def hard_negative_profile(x, tau: float) -> np.ndarray:
@@ -121,29 +127,18 @@ def negative_gradient_norms(
 ) -> np.ndarray:
     """Measured per-negative gradient norms of one contrastive term.
 
-    Builds the anchor's single loss term on a tape, differentiates with
-    respect to every user embedding, and returns the gradient norm of each
-    non-anchor row.  Pairs with ``hard_negative_profile`` as its measured
-    counterpart.
+    Differentiates the anchor's entry of the per-user terms that
+    ``infonce_loss`` averages with respect to every user embedding, and
+    returns the gradient norm of each non-anchor row.  Pairs with
+    ``hard_negative_profile`` as its measured counterpart.
     """
     h = ad.parameter(np.asarray(h_users, dtype=np.float64), "profile.h")
     v = ad.constant(np.asarray(view, dtype=np.float64))
-    n = h.shape[0]
     with ad.Tape() as tape:
-        q_h = ad.l2_normalize_rows(h)
-        q_v = ad.l2_normalize_rows(v)
-        sims_h = ad.scale(ad.matmul(q_h, ad.transpose(q_v)), 1.0 / tau)  # [u', u]
-        sims_v = ad.scale(ad.matmul(q_v, ad.transpose(q_v)), 1.0 / tau)
-        # shape (n,) mask broadcasts across rows, keeping column `anchor`:
-        # the denominator runs over every u' against the anchor's view
-        col = ad.constant(np.eye(n)[anchor])
-        pos = ad.reduce_sum(ad.mul(sims_h, ad.constant(np.eye(n))), axis=0)
-        pos_a = ad.dot(ad.reshape(pos, (n,)), ad.constant(np.eye(n)[anchor]))
-        denom_col = ad.reduce_sum(ad.mul(ad.add(ad.exp(sims_h), ad.exp(sims_v)), col))
-        term = ad.sub(ad.log(denom_col), pos_a)
+        terms = _infonce_terms(ad.l2_normalize_rows(h), v, tau)
+        term = ad.gather_rows(terms, [anchor])
     grads = tape.backward(term, params=[h])
-    g = grads.get(h)
-    norms = np.linalg.norm(g, axis=1)
+    norms = np.linalg.norm(grads.get(h), axis=1)
     return np.delete(norms, anchor)
 
 

@@ -30,7 +30,7 @@ from .data import (
     sample_bpr_triplets,
 )
 from .encoder import EncoderConfig, SemanticNeighborhood
-from .evaluation import EvalConfig, evaluate_scores
+from .evaluation import EvalConfig, RankingReport, evaluate_scores
 from .model import ModelState
 from .objectives import LossWeights
 
@@ -90,7 +90,7 @@ class ObjectiveConfig:
 
 
 class AdamOptimizer:
-    """Adaptive-moment update; optional decoupled weight decay."""
+    """Adaptive-moment update with weight decay decoupled from the moments."""
 
     def __init__(
         self,
@@ -99,14 +99,12 @@ class AdamOptimizer:
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
-        decoupled: bool = False,
     ):
         self.params = list(params)
         self.lr = lr
         self.betas = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self.decoupled = decoupled
         self.t = 0
         self.m = {p.name: np.zeros_like(p.data) for p in self.params}
         self.v = {p.name: np.zeros_like(p.data) for p in self.params}
@@ -118,7 +116,7 @@ class AdamOptimizer:
         bc2 = 1.0 - b2**self.t
         for p in self.params:
             g = grads.get(p)
-            if self.decoupled and self.weight_decay:
+            if self.weight_decay:
                 p.data -= self.lr * self.weight_decay * p.data
             m = self.m[p.name]
             v = self.v[p.name]
@@ -293,10 +291,7 @@ class Trainer:
         # triplet sampling or dropout draws on the main path
         self.rng_adv = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(2,)))
         self.opt_gen = AdamOptimizer(
-            self.state.generator_parameters(),
-            lr=cfg.lr_gen,
-            weight_decay=cfg.weight_decay,
-            decoupled=True,
+            self.state.generator_parameters(), lr=cfg.lr_gen, weight_decay=cfg.weight_decay
         )
         self.opt_disc = AdamOptimizer(self.state.discriminator_parameters(), lr=cfg.lr_disc)
         self.neighborhoods = None
@@ -341,10 +336,7 @@ class Trainer:
             f_u, f_i = adversarial.modality_collab_embeddings(
                 self.adj, table.as_float64(), self.state.gen, m, train=False
             )
-            rel = adversarial.relation_rows(
-                ad.gather_rows(f_u, batch_users[rows]), f_i
-            )
-            fake[rows] = rel.data
+            fake[rows] = adversarial.user_relation_rows(f_u, f_i, batch_users[rows]).data
         gp_rows = adversarial.interpolate_rows(real, fake, self.rng_adv)
         with ad.Tape() as tape:
             real_scores = adversarial.discriminate(real, self.state.disc, train=True, rng=self.rng_adv)
@@ -381,40 +373,15 @@ class Trainer:
                 train=True,
                 rng=self.rng,
             )
-            pos = ad.reduce_sum(
-                ad.mul(
-                    ad.gather_rows(fwd.h_users, triplets.users),
-                    ad.gather_rows(fwd.h_items, triplets.pos_items),
-                ),
-                axis=1,
+            l_bpr, l_cl, l_g = mdl.generator_losses(
+                fwd,
+                self.state.disc,
+                triplets,
+                adv_users,
+                self.obj_cfg.tau_prime,
+                self.obj_cfg.paper_sign,
+                contrastive=not cfg.disable_cl,
             )
-            neg = ad.reduce_sum(
-                ad.mul(
-                    ad.gather_rows(fwd.h_users, triplets.users),
-                    ad.gather_rows(fwd.h_items, triplets.neg_items),
-                ),
-                axis=1,
-            )
-            l_bpr = obj.bpr_loss(pos, neg)
-            l_cl = None
-            if not cfg.disable_cl:
-                l_cl = obj.infonce_loss(
-                    fwd.h_users,
-                    fwd.views_users,
-                    tau=self.obj_cfg.tau_prime,
-                    paper_sign=self.obj_cfg.paper_sign,
-                )
-            l_g = None
-            if not cfg.disable_asl:
-                scores = []
-                for m in range(len(self.features)):
-                    rows = adversarial.relation_rows(
-                        ad.gather_rows(fwd.prior_users[m], adv_users), fwd.prior_items[m]
-                    )
-                    scores.append(
-                        adversarial.discriminate(rows, self.state.disc, train=False)
-                    )
-                l_g = adversarial.loss_g(scores)
             loss = obj.total_loss(
                 l_bpr, l_cl, l_g, self.state.generator_parameters(), self.obj_cfg.weights
             )
@@ -428,21 +395,22 @@ class Trainer:
 
     # -- evaluation and state management -----------------------------------
 
-    def _validate(self) -> dict[str, float]:
+    def evaluate(self, edges, k: int) -> RankingReport:
+        """Rank every item for each user (eval mode, training items
+        excluded) and score the top ``k`` against the held-out ``edges``."""
         fwd = self._eval_forward()
         scores = fwd.h_users.data @ fwd.h_items.data.T
-        report = evaluate_scores(
+        return evaluate_scores(
             scores,
             train_items=self.train_graph.user_items,
-            relevant=_edges_by_user(self.split.val, self.graph.num_users),
-            k=self.eval_cfg.k,
+            relevant=_edges_by_user(edges, self.graph.num_users),
+            k=k,
             boundaries=self.eval_cfg.buckets,
         )
-        return {
-            "recall": report.overall["recall"],
-            "ndcg": report.overall["ndcg"],
-            "precision": report.overall["precision"],
-        }
+
+    def _validate(self) -> dict[str, float]:
+        report = self.evaluate(self.split.val, self.eval_cfg.k)
+        return {key: report.overall[key] for key in ("recall", "ndcg", "precision")}
 
     def _state_buffers(self) -> dict[str, np.ndarray]:
         """Checkpoint name -> live buffer of every parameter and BN statistic."""

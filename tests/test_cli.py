@@ -109,6 +109,17 @@ def test_eval_k_override(data_dir, train_dir, capsys):
     assert json.loads(capsys.readouterr().out)["k"] == 5
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_eval_rejects_k_below_one(data_dir, train_dir, capsys, k):
+    code = main(
+        ["eval", "--checkpoint", str(train_dir / "final.ckpt"), "--data", str(data_dir), "--k", k]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--k must be at least 1" in err
+    assert "Traceback" not in err
+
+
 def test_eval_text_report(data_dir, train_dir, capsys):
     code = main(
         [
@@ -219,6 +230,19 @@ def test_train_rejects_zero_heads_without_traceback(data_dir, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "enc.heads" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [("train.disable_cl", "false"), ("train.epochs", 2.9)])
+def test_train_rejects_wrongly_typed_config(data_dir, tmp_path, capsys, key, value):
+    config = tmp_path / "typed.json"
+    config.write_text(json.dumps({key: value}))
+    code = main(
+        ["train", "--data", str(data_dir), "--out", str(tmp_path / "out"), "--config", str(config)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert key in err
     assert "Traceback" not in err
 
 

@@ -152,6 +152,7 @@ def test_eval_k_positive():
         ("enc.refresh_every", 0),
         ("train.steps_per_epoch", -1),
         ("train.epochs", -1),
+        ("train.patience", 0),
         ("train.lr_gen", 0.0),
         ("train.lr_gen", -1.0),
         ("train.lr_disc", 0.0),
@@ -175,6 +176,38 @@ def test_out_of_range_values_rejected(key, value):
         resolve_settings({key: value})
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("train.disable_cl", "false"),
+        ("train.disable_cl", 0),
+        ("adv.negate_critic", None),
+        ("train.epochs", 2.9),
+        ("train.epochs", 2.0),
+        ("train.epochs", True),
+        ("train.epochs", "3"),
+        ("train.lr_gen", True),
+        ("train.lr_gen", "0.1"),
+        ("eval.buckets", [0, 4.5, 100]),
+        ("train.split", [0.8, False, 0.2]),
+        ("train.split", "0.8"),
+    ],
+)
+def test_wrongly_typed_values_rejected(key, value):
+    with pytest.raises(ConfigError, match=key):
+        resolve_settings({key: value})
+
+
+def test_numbers_convert_only_upwards():
+    settings = resolve_settings(
+        {"train.lr_gen": 1, "train.split": [1, 0, 0], "train.disable_cl": True, "eval.k": 5}
+    )
+    assert settings.train.lr_gen == 1.0 and isinstance(settings.train.lr_gen, float)
+    assert settings.train.split == (1.0, 0.0, 0.0)
+    assert all(isinstance(x, float) for x in settings.train.split)
+    assert settings.train.disable_cl is True and settings.eval.k == 5
+
+
 def test_range_limits_themselves_accepted():
     settings = resolve_settings(
         {
@@ -184,6 +217,7 @@ def test_range_limits_themselves_accepted():
             "adv.tau": 1e-6,
             "enc.layers": 0,
             "train.gen_dropout": 0.0,
+            "train.patience": 1,
         }
     )
     assert settings.train.epochs == 0 and settings.train.batch_size == 1

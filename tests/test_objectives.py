@@ -136,6 +136,22 @@ def test_negative_gradient_norms_track_profile(tau):
     assert pearson >= 0.99
 
 
+def test_negative_gradient_norms_closed_form():
+    # unit-norm h: the anchor term pulls negative u' with norm
+    # exp(x/tau) * sqrt(1 - x^2) / (tau * denominator), x = cos(h_u', e_a)
+    rng = np.random.default_rng(14)
+    n, d, tau, anchor = 40, 6, 0.2, 5
+    h = rng.standard_normal((n, d))
+    h /= np.linalg.norm(h, axis=1, keepdims=True)
+    view = rng.standard_normal((n, d))
+    q_v = view / np.linalg.norm(view, axis=1, keepdims=True)
+    x = h @ q_v[anchor]
+    denom = np.exp(x / tau).sum() + np.exp(q_v @ q_v[anchor] / tau).sum()
+    want = np.exp(x / tau) * np.sqrt(1.0 - x * x) / (tau * denom)
+    got = obj.negative_gradient_norms(h, view, anchor=anchor, tau=tau)
+    np.testing.assert_allclose(got, np.delete(want, anchor), rtol=1e-9)
+
+
 def test_negative_gradient_peak_location():
     # the pull peaks where phi does, at x* where tau = sqrt(1-x^2)/x ... i.e.
     # hard-but-not-identical negatives dominate easy ones

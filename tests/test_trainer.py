@@ -200,13 +200,13 @@ class FixedGrads:
         return self._by_id[id(t)]
 
 
-def manual_adam(p0, grads, lr, wd=0.0, decoupled=False, betas=(0.9, 0.999), eps=1e-8):
+def manual_adam(p0, grads, lr, wd=0.0, betas=(0.9, 0.999), eps=1e-8):
     p = np.array(p0, dtype=np.float64)
     m = np.zeros_like(p)
     v = np.zeros_like(p)
     for t, g in enumerate(grads, start=1):
         g = np.asarray(g, dtype=np.float64)
-        if decoupled and wd:
+        if wd:
             p = p - lr * wd * p
         m = betas[0] * m + (1 - betas[0]) * g
         v = betas[1] * v + (1 - betas[1]) * g * g
@@ -228,26 +228,15 @@ def test_adam_matches_hand_computation():
 
 def test_adamw_decoupled_decay():
     p = make_param([4.0, -4.0], "w")
-    opt = AdamOptimizer([p], lr=0.1, weight_decay=0.5, decoupled=True)
+    opt = AdamOptimizer([p], lr=0.1, weight_decay=0.5)
     grads_seq = [np.array([1.0, 1.0]), np.array([-0.5, 2.0])]
     for g in grads_seq:
         opt.step(FixedGrads([(p, g.copy())]))
-    expected = manual_adam([4.0, -4.0], grads_seq, lr=0.1, wd=0.5, decoupled=True)
+    expected = manual_adam([4.0, -4.0], grads_seq, lr=0.1, wd=0.5)
     np.testing.assert_allclose(p.data, expected, rtol=1e-15)
     # decay shrinks toward zero beyond the pure-Adam trajectory
     plain = manual_adam([4.0, -4.0], grads_seq, lr=0.1)
     assert np.all(np.abs(p.data) < np.abs(plain))
-
-
-def test_coupled_optimizer_ignores_decay_flag():
-    p1 = make_param([2.0], "a")
-    p2 = make_param([2.0], "a")
-    opt1 = AdamOptimizer([p1], lr=0.1, weight_decay=0.7, decoupled=False)
-    opt2 = AdamOptimizer([p2], lr=0.1)
-    g = np.array([0.25])
-    opt1.step(FixedGrads([(p1, g.copy())]))
-    opt2.step(FixedGrads([(p2, g.copy())]))
-    np.testing.assert_array_equal(p1.data, p2.data)
 
 
 # -- checkpoint container ---------------------------------------------------
