@@ -52,6 +52,7 @@ __all__ = [
     "l2_normalize_rows",
     "divide_rows_by_sq_norm",
     "dot",
+    "infonce_terms",
     "dropout",
     "batch_norm",
     "BatchNormState",
@@ -509,6 +510,53 @@ def dot(a, b) -> Tensor:
     out = Tensor(np.dot(a.data, b.data))
     _check_finite(out.data, "dot")
     _record(out, (a, b), lambda g: (g * b.data, g * a.data))
+    return out
+
+
+def infonce_terms(q_h, q_v, tau: float) -> Tensor:
+    """Per-user contrastive terms of one view, as one tape record.
+
+    Entry u is log(sum_u' exp(q_h[u'].q_v[u] / tau) + exp(q_v[u'].q_v[u] / tau))
+    - q_h[u].q_v[u] / tau.  The forward and the vjp run the same numpy
+    operations, in the same order and memory layouts, as the composed
+    expression (transpose, matmul, scale, exp, add, reduce_sum, log,
+    diagonal gather, sub), so values and gradients are bitwise equal to it.
+    The record keeps the two (n, n) exponentials instead of seven
+    intermediates, and only the (n,) output is checked for non-finite values.
+    """
+    q_h, q_v = _as_tensor(q_h), _as_tensor(q_v)
+    if q_h.ndim != 2 or q_h.shape != q_v.shape:
+        raise ValueError(
+            f"infonce_terms expects two equal 2-D shapes, got {q_h.shape} and {q_v.shape}"
+        )
+    n = q_h.shape[0]
+    c = float(1.0 / tau)
+    t = np.ascontiguousarray(q_v.data.T)
+    e_hv = q_h.data @ t
+    e_hv *= c
+    e_vv = q_v.data @ t
+    e_vv *= c
+    pos = e_hv.diagonal().copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.exp(e_hv, out=e_hv)
+        np.exp(e_vv, out=e_vv)
+        denom = (e_hv + e_vv).sum(axis=0)
+        val = np.log(denom) - pos
+    _check_finite(val, "infonce_terms")
+    out = Tensor(val)
+
+    def vjp(g):
+        g_den = g / denom
+        g_hv = g_den * e_hv
+        g_hv.reshape(-1)[:: n + 1] -= g  # the positives' share
+        g_hv *= c
+        d_h, hv_part = g_hv @ t.T, q_h.data.T @ g_hv
+        del g_hv  # one (n, n) partial alive at a time
+        g_vv = g_den * e_vv
+        g_vv *= c
+        return (d_h, g_vv @ t.T + (q_v.data.T @ g_vv).T + hv_part.T)
+
+    _record(out, (q_h, q_v), vjp)
     return out
 
 

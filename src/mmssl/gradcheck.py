@@ -243,6 +243,11 @@ def run_primitive_checks(seed: int = 3, eps: float = 1e-5) -> dict[str, float]:
     v1 = ad.parameter(rng.standard_normal(6), "v1")
     v2 = ad.parameter(rng.standard_normal(6), "v2")
     check("dot", lambda: ad.dot(v1, v2), [v1, v2])
+    check(
+        "infonce_terms",
+        lambda: ad.reduce_sum(ad.mul(ad.infonce_terms(a, b, 0.7), w4)),
+        [a, b],
+    )
     s = sp.random(6, 4, density=0.5, random_state=5, format="csr")
     x = ad.parameter(rng.standard_normal((4, 3)), "x")
     w63 = weights_like((6, 3))

@@ -98,14 +98,7 @@ def infonce_loss(
 def _infonce_terms(q_h: Tensor, view: Tensor, tau: float) -> Tensor:
     """Per-user terms -log(ratio) of one modality view, given the unit-norm
     final user embeddings ``q_h``."""
-    q_v = ad.l2_normalize_rows(view)
-    sim_hv = ad.scale(ad.matmul(q_h, ad.transpose(q_v)), 1.0 / tau)  # [u', u]
-    sim_vv = ad.scale(ad.matmul(q_v, ad.transpose(q_v)), 1.0 / tau)  # [u', u]
-    n = q_h.shape[0]
-    # diag: s(h_u, e_u^m), gathered from the flat matrix at stride n + 1
-    pos = ad.gather_rows(ad.reshape(sim_hv, (n * n,)), np.arange(n) * (n + 1))
-    denom = ad.reduce_sum(ad.add(ad.exp(sim_hv), ad.exp(sim_vv)), axis=0)
-    return ad.sub(ad.log(denom), pos)
+    return ad.infonce_terms(q_h, ad.l2_normalize_rows(view), tau)
 
 
 def hard_negative_profile(x, tau: float) -> np.ndarray:

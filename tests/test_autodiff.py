@@ -58,6 +58,17 @@ def test_non_finite_input_raises_numeric_error():
         ad.add(ad.Tensor(bad), ad.Tensor(bad))
 
 
+def test_infonce_terms_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match=r"\(3, 4\) and \(3, 5\)"):
+        ad.infonce_terms(np.ones((3, 4)), np.ones((3, 5)), 0.1)
+
+
+def test_infonce_terms_overflow_names_the_primitive():
+    q = np.eye(3)  # unit rows: exp(1 / 1e-3) overflows
+    with pytest.raises(ad.NumericError, match="infonce_terms"):
+        ad.infonce_terms(q, q, 1e-3)
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**31 - 1))
 def test_row_softmax_rows_sum_to_one(n, m, seed):

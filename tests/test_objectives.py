@@ -92,6 +92,42 @@ def test_infonce_brute_force_oracle():
     np.testing.assert_allclose(loss.data, np.mean(terms), rtol=1e-10)
 
 
+def composed_infonce_terms(q_h, view, tau):
+    """The per-user InfoNCE terms composed of elementary tape ops: the
+    bitwise reference of ``ad.infonce_terms``."""
+    q_v = ad.l2_normalize_rows(view)
+    sim_hv = ad.scale(ad.matmul(q_h, ad.transpose(q_v)), 1.0 / tau)  # [u', u]
+    sim_vv = ad.scale(ad.matmul(q_v, ad.transpose(q_v)), 1.0 / tau)  # [u', u]
+    n = q_h.shape[0]
+    pos = ad.gather_rows(ad.reshape(sim_hv, (n * n,)), np.arange(n) * (n + 1))
+    denom = ad.reduce_sum(ad.add(ad.exp(sim_hv), ad.exp(sim_vv)), axis=0)
+    return ad.sub(ad.log(denom), pos)
+
+
+@pytest.mark.parametrize("paper_sign", [False, True])
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_infonce_bitwise_equals_composed_tape(monkeypatch, n, paper_sign):
+    rng = np.random.default_rng(n)
+    h = ad.parameter(rng.standard_normal((n, 16)), "h")
+    views = [ad.parameter(rng.standard_normal((n, 16)), f"view{m}") for m in range(2)]
+    views[0].data[n // 2] = 0.0  # a zero view row
+    if n > 1:  # duplicated rows tie in every similarity
+        h.data[-1] = h.data[0]
+        views[1].data[-1] = views[1].data[0]
+
+    def loss_and_grads():
+        with ad.Tape() as tape:
+            loss = obj.infonce_loss(h, views, tau=0.085, paper_sign=paper_sign)
+        grads = tape.backward(loss, params=[h, *views])
+        return [loss.data] + [grads.get(p) for p in (h, *views)]
+
+    fused = loss_and_grads()
+    monkeypatch.setattr(obj, "_infonce_terms", composed_infonce_terms)
+    composed = loss_and_grads()
+    for name, a, b in zip(("loss", "h", "view0", "view1"), fused, composed):
+        assert np.array_equal(a, b), name
+
+
 def test_infonce_validation():
     h = ad.constant(np.ones((2, 2)))
     with pytest.raises(ValueError, match="temperature"):

@@ -2,12 +2,14 @@
 
 import errno
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mmssl import model as mdl
+from mmssl import objectives as obj
 from mmssl.data import SyntheticSpec, generate_synthetic, split_edges
 from mmssl.encoder import EncoderConfig
 from mmssl.evaluation import EvalConfig
@@ -370,6 +372,50 @@ def test_resume_allows_extended_stopping_criteria(tmp_path):
         config_flat={"train.lr_gen": 0.001, "train.epochs": 4, "train.patience": 50},
     )
     assert [rec["epoch"] for rec in res.log] == [2, 3]
+
+
+def test_training_is_bitwise_equal_with_composed_infonce(tmp_path, monkeypatch):
+    # the fused InfoNCE record must not move any trained value: a rewrite
+    # that is exact only to rounding fails here
+    from test_objectives import composed_infonce_terms
+
+    runs = {}
+    for name in ("fused", "composed"):
+        if name == "composed":
+            monkeypatch.setattr(obj, "_infonce_terms", composed_infonce_terms)
+        ckpt, log = tmp_path / f"{name}.ckpt", tmp_path / f"{name}.ndjson"
+        run_tiny(epochs=2, checkpoint=str(ckpt), log_path=str(log))
+        runs[name] = (*load_checkpoint(ckpt), log.read_text().splitlines())
+    (want, want_meta, want_log), (got, got_meta, got_log) = runs["fused"], runs["composed"]
+    assert all(json.loads(line)["l_cl"] > 0 for line in want_log)  # InfoNCE was on
+    assert got_log == want_log and got_meta == want_meta
+    assert sorted(got) == sorted(want)
+    assert [n for n in want if not np.array_equal(want[n], got[n])] == []
+
+
+def test_g_step_peak_memory_below_twelve_user_by_user_arrays():
+    # the full model (InfoNCE, adversarial, Gumbel) at U = 1500: the
+    # InfoNCE record keeps two (U, U) exponentials per view
+    spec = SyntheticSpec(
+        num_users=1500, num_items=1000, modality_dims=(16, 8), interactions_per_user=3, seed=5
+    )
+    graph, features, _ = generate_synthetic(spec)
+    split = split_edges(graph, (0.8, 0.1, 0.1), seed=5)
+    trainer = Trainer(
+        TrainConfig(seed=1, batch_size=256), EncoderConfig(), AdvConfig(), ObjectiveConfig(),
+        EvalConfig(), graph, features, split,
+    )
+    trainer.neighborhoods = mdl.refresh_neighborhoods(
+        trainer.state, trainer.adj, trainer.features, trainer.enc_cfg.top_k
+    )
+    tracemalloc.start()
+    try:
+        trainer.g_step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    user_by_user = 1500 * 1500 * 8
+    assert peak < 12 * user_by_user, f"g_step peaked at {peak / user_by_user:.1f} (U, U) arrays"
 
 
 def test_sparse_train_rows_equal_dense_rows():
