@@ -10,6 +10,7 @@ bipartite propagation spreads them over the interaction graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -97,16 +98,23 @@ class EncoderConfig:
 
 @dataclass
 class SemanticNeighborhood:
-    """Top-k ids per row of one relation matrix, both directions."""
+    """Top-k ids per row of one relation matrix, both directions.
+
+    The ids never change after construction, so each selection matrix is
+    built on first use and kept."""
 
     user_neighbors: np.ndarray  # (U, k_u) item ids
     item_neighbors: np.ndarray  # (I, k_i) user ids
 
-    def user_select(self, num_items: int) -> sp.csr_matrix:
-        return _selection_matrix(self.user_neighbors, num_items)
+    @cached_property
+    def user_select(self) -> sp.csr_matrix:
+        """(U, I) weights of each user's neighbour items."""
+        return _selection_matrix(self.user_neighbors, self.item_neighbors.shape[0])
 
-    def item_select(self, num_users: int) -> sp.csr_matrix:
-        return _selection_matrix(self.item_neighbors, num_users)
+    @cached_property
+    def item_select(self) -> sp.csr_matrix:
+        """(I, U) weights of each item's neighbour users."""
+        return _selection_matrix(self.item_neighbors, self.user_neighbors.shape[0])
 
 
 def top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
@@ -114,7 +122,8 @@ def top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
     the lower id.
 
     The order is that of a stable sort on the negated scores, found without
-    sorting whole rows: ``np.partition`` gives each row's k-th largest
+    sorting whole rows: one ``np.partition`` at ``width - k - 1`` puts each
+    row's k largest values behind the cut, the smallest of them is the k-th
     value, every entry above it is kept, entries equal to it are admitted
     lowest id first until k are kept, and only the k winners are sorted.
     """
@@ -122,16 +131,22 @@ def top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
     k = min(k, width)
     if k == 0:
         return np.empty((rows, 0), dtype=np.intp)
-    kth = np.partition(scores, width - k, axis=1)[:, width - k, None]
-    keep = scores >= kth
-    crowded = np.flatnonzero(keep.sum(axis=1) > k)
-    if crowded.size:  # more than k entries reach the k-th value: a tie crosses the cut
-        sub, cut = scores[crowded], kth[crowded]
-        above = sub > cut
-        ties = sub == cut
-        spare = k - above.sum(axis=1, keepdims=True)
-        keep[crowded] = above | (ties & (np.cumsum(ties, axis=1) <= spare))
-    winners = np.nonzero(keep)[1].reshape(rows, k)
+    cut = width - k
+    if cut == 0:
+        winners = np.broadcast_to(np.arange(width), (rows, width))
+    else:
+        part = np.partition(scores, cut - 1, axis=1)
+        kth = part[:, cut:].min(axis=1, keepdims=True)
+        keep = scores >= kth
+        # more than k entries reach the k-th value exactly when one is left of the cut
+        crowded = np.flatnonzero(part[:, cut - 1] == kth[:, 0])
+        if crowded.size:
+            sub, value = scores[crowded], kth[crowded]
+            above = sub > value
+            ties = sub == value
+            spare = k - above.sum(axis=1, keepdims=True)
+            keep[crowded] = above | (ties & (np.cumsum(ties, axis=1) <= spare))
+        winners = np.flatnonzero(keep).reshape(rows, k) - (np.arange(rows) * width)[:, None]
     order = np.argsort(-np.take_along_axis(scores, winners, axis=1), axis=1, kind="stable")
     return np.take_along_axis(winners, order, axis=1)
 
@@ -141,35 +156,73 @@ def neighbors_from_row_blocks(blocks: Iterable[np.ndarray], k: int) -> SemanticN
 
     Only one block and an (I, k) candidate set are alive at a time.  Users
     take their top-k inside their own block.  Each item keeps its best k
-    (score, user) pairs so far and merges the block's column top-k behind
-    them; every earlier user id is lower, so among equal scores position
-    order is id order and the result equals the top-k of the whole matrix.
+    (score, user) pairs so far, largest first, and merges a block's entries
+    behind them.  Every earlier user id is lower, so among equal scores
+    position order is id order and the result equals the top-k of the whole
+    matrix.  Once an item holds k candidates, only entries strictly above
+    its k-th score can enter: they are read with one comparison and grouped
+    by item, users ascending, so such blocks are never transposed.
     """
     if k <= 0:
         raise ValueError(f"top-k must be positive, got {k}")
+    user_parts, item_neighbors = _scan_blocks(blocks, k)
+    # The ids outlive the refresh.  Allocated only once every block and its
+    # temporaries are released, they do not split the heap space those used,
+    # so a later large array (the U x I validation scores) can reuse it instead
+    # of mapping fresh pages.
+    return SemanticNeighborhood(
+        user_neighbors=np.concatenate(user_parts, axis=0),
+        item_neighbors=item_neighbors.copy(),
+    )
+
+
+def _scan_blocks(blocks: Iterable[np.ndarray], k: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each block's user top-k, and each item's best k users over all blocks."""
     user_parts = []
     cand_scores = cand_users = None
     seen = 0
     for block in blocks:
         block = np.asarray(block)
         user_parts.append(top_k_rows(block, k))
-        columns = np.ascontiguousarray(block.T)
-        best = top_k_rows(columns, k)
         if cand_scores is None:
-            cand_scores = np.empty((columns.shape[0], 0))
-            cand_users = np.empty((columns.shape[0], 0), dtype=np.intp)
-        scores = np.concatenate([cand_scores, np.take_along_axis(columns, best, axis=1)], axis=1)
-        users = np.concatenate([cand_users, best + seen], axis=1)
-        keep = top_k_rows(scores, k)
-        cand_scores = np.take_along_axis(scores, keep, axis=1)
-        cand_users = np.take_along_axis(users, keep, axis=1)
+            cand_scores = np.empty((block.shape[1], 0))
+            cand_users = np.empty((block.shape[1], 0), dtype=np.intp)
+        if cand_scores.shape[1] < k:
+            columns = np.ascontiguousarray(block.T)
+            best = top_k_rows(columns, k)
+            new_scores, new_users = np.take_along_axis(columns, best, axis=1), best + seen
+            del columns, best  # free the transposed copy before the merge allocates
+        else:
+            new_scores, new_users = _entries_above(block, cand_scores[:, -1], seen)
+        if new_scores.shape[1]:
+            scores = np.concatenate([cand_scores, new_scores], axis=1)
+            users = np.concatenate([cand_users, new_users], axis=1)
+            keep = top_k_rows(scores, k)
+            cand_scores = np.take_along_axis(scores, keep, axis=1)
+            cand_users = np.take_along_axis(users, keep, axis=1)
         seen += block.shape[0]
     if cand_users is None:
         raise ValueError("no relation rows to read neighbours from")
-    return SemanticNeighborhood(
-        user_neighbors=np.concatenate(user_parts, axis=0),
-        item_neighbors=cand_users,
-    )
+    return user_parts, cand_users
+
+
+def _entries_above(
+    block: np.ndarray, threshold: np.ndarray, first_user: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's entries strictly above its threshold as one row of
+    (score, user id) per column, users ascending, padded with -inf."""
+    width = block.shape[1]
+    hits = np.flatnonzero(block > threshold)
+    items = hits % width
+    by_item = np.argsort(items, kind="stable")
+    hits, items = hits[by_item], items[by_item]
+    counts = np.bincount(items, minlength=width)
+    slot = np.arange(hits.size) - (np.cumsum(counts) - counts)[items]
+    scores = np.full((width, counts.max(initial=0)), -np.inf)
+    users = np.zeros(scores.shape, dtype=np.intp)
+    scores[items, slot] = block.ravel()[hits]
+    users[items, slot] = hits // width + first_user
+    return scores, users
 
 
 def derive_semantic_neighbors(relations: np.ndarray, k: int) -> SemanticNeighborhood:
@@ -196,9 +249,8 @@ def modality_view(
     items (and symmetrically for items), so the gradient flows into the id
     tables while the neighbor choice itself stays fixed.
     """
-    num_users, num_items = ids.users.shape[0], ids.items.shape[0]
-    e_user = ad.sparse_matmul(neigh.user_select(num_items), ids.items)
-    e_item = ad.sparse_matmul(neigh.item_select(num_users), ids.users)
+    e_user = ad.sparse_matmul(neigh.user_select, ids.items)
+    e_item = ad.sparse_matmul(neigh.item_select, ids.users)
     return e_user, e_item
 
 

@@ -1,10 +1,12 @@
 """Semantic neighborhoods, cross-modal attention, embedding propagation."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mmssl.autodiff as ad
 import mmssl.encoder as enc
-from mmssl.data import build_norm_adjacency, graph_from_edges
+import mmssl.model as mdl
+from mmssl.data import SyntheticSpec, build_norm_adjacency, generate_synthetic, graph_from_edges
 
 
 def test_top_k_matches_full_sort():
@@ -203,3 +205,91 @@ def test_row_blocks_equal_one_dense_block(block):
         )
         np.testing.assert_array_equal(streamed.user_neighbors, dense.user_neighbors)
         np.testing.assert_array_equal(streamed.item_neighbors, dense.item_neighbors)
+
+
+_TIE_VALUES = (-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0)
+
+
+@st.composite
+def _tied_scores(draw):
+    rows, width = draw(st.integers(1, 7)), draw(st.integers(1, 9))
+    values = st.sampled_from(_TIE_VALUES)
+    matrix = []
+    for _ in range(rows):
+        if draw(st.booleans()):  # one value repeated across the row
+            matrix.append([draw(values)] * width)
+        else:
+            matrix.append(draw(st.lists(values, min_size=width, max_size=width)))
+    scores = np.array(matrix, dtype=float)
+    return scores, draw(st.integers(1, width + 2))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_tied_scores())
+def test_top_k_rows_is_the_stable_argsort_prefix(case):
+    scores, k = case
+    want = np.argsort(-scores, axis=1, kind="stable")[:, : min(k, scores.shape[1])]
+    np.testing.assert_array_equal(enc.top_k_rows(scores, k), want)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 6])
+def test_later_blocks_enter_only_strictly_above_the_kth_score(monkeypatch, block):
+    # item 0: user 2 ties the k-th best (2.0) of users 0-1 and stays out,
+    # user 3 (2.5) enters, user 5 (3.0) enters behind user 0's equal 3.0;
+    # item 1 is all zeros; item 2 is -inf but for users 3 and 5
+    rel = np.array(
+        [
+            [3.0, 0.0, -np.inf],
+            [2.0, 0.0, -np.inf],
+            [2.0, 0.0, -np.inf],
+            [2.5, 0.0, 4.0],
+            [1.0, 0.0, -np.inf],
+            [3.0, 0.0, 4.0],
+        ]
+    )
+    read = set()
+    entries_above = enc._entries_above
+
+    def spy(*args):
+        scores, users = entries_above(*args)
+        items, slots = np.nonzero(scores > -np.inf)
+        read.update(zip(items.tolist(), users[items, slots].tolist()))
+        return scores, users
+
+    monkeypatch.setattr(enc, "_entries_above", spy)
+    streamed = enc.neighbors_from_row_blocks((rel[s : s + block] for s in range(0, 6, block)), 2)
+    assert streamed.item_neighbors.tolist() == [[0, 5], [0, 1], [3, 5]]
+    dense = enc.derive_semantic_neighbors(rel, 2)
+    np.testing.assert_array_equal(streamed.item_neighbors, dense.item_neighbors)
+    np.testing.assert_array_equal(streamed.user_neighbors, dense.user_neighbors)
+    # blocks after the first k users read no tie and no zero, only what enters
+    assert read == (set() if block == 6 else {(0, 3), (0, 5), (2, 3), (2, 5)})
+
+
+def test_selection_matrices_are_built_once_per_refresh(monkeypatch):
+    spec = SyntheticSpec(num_users=30, num_items=20, modality_dims=(4, 3), interactions_per_user=3, seed=2)
+    g, features, _ = generate_synthetic(spec)
+    adj = build_norm_adjacency(g)
+    state = mdl.init_model(30, 20, [4, 3], 8, 2, 4, np.random.default_rng(0))
+    built = []
+    selection_matrix = enc._selection_matrix
+
+    def spy(neighbors, width):
+        built.append(width)
+        return selection_matrix(neighbors, width)
+
+    monkeypatch.setattr(enc, "_selection_matrix", spy)
+    cfg = enc.EncoderConfig(top_k=3)
+    for _ in range(2):
+        neighborhoods = mdl.refresh_neighborhoods(state, adj, features, cfg.top_k)
+        outputs = [
+            mdl.forward_embeddings(state, adj, features, neighborhoods, cfg, omega=0.5)
+            for _ in range(3)
+        ]
+        assert len(built) == 2 * len(features)
+        rebuilt = [enc.SemanticNeighborhood(n.user_neighbors, n.item_neighbors) for n in neighborhoods]
+        outputs.append(mdl.forward_embeddings(state, adj, features, rebuilt, cfg, omega=0.5))
+        for out in outputs[1:]:
+            np.testing.assert_array_equal(out.h_users.data, outputs[0].h_users.data)
+            np.testing.assert_array_equal(out.h_items.data, outputs[0].h_items.data)
+        built.clear()
