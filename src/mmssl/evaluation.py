@@ -14,6 +14,7 @@ from .encoder import top_k_rows
 __all__ = [
     "EvalConfig",
     "RankingReport",
+    "ScoreRows",
     "rank_items",
     "recall_at_k",
     "precision_at_k",
@@ -107,6 +108,19 @@ class RankingReport:
         return "\n".join(lines)
 
 
+class ScoreRows:
+    """The (U, I) scores ``users @ items.T``, computed a block of rows at a
+    time: ``evaluate_scores`` reads only ``.shape`` and ``[rows]``, so the
+    whole U x I matrix is never held."""
+
+    def __init__(self, users: np.ndarray, items: np.ndarray):
+        self.users, self.items = users, items
+        self.shape = (users.shape[0], items.shape[0])
+
+    def __getitem__(self, rows) -> np.ndarray:
+        return self.users[rows] @ self.items.T
+
+
 def _fill(block: np.ndarray, item_lists, users: np.ndarray, value) -> None:
     """Set ``block[r, i] = value`` for every item ``i`` listed for ``users[r]``."""
     ids = [np.asarray(item_lists[u], dtype=np.intp) for u in users]
@@ -126,7 +140,7 @@ def _means(per_user: np.ndarray) -> dict[str, float]:
 
 
 def evaluate_scores(
-    scores: np.ndarray,
+    scores: np.ndarray | ScoreRows,
     train_items: list[np.ndarray],
     relevant: list[np.ndarray],
     k: int = 20,
@@ -134,8 +148,9 @@ def evaluate_scores(
 ) -> RankingReport:
     """Rank every item for every user and aggregate top-K metrics.
 
-    Users whose relevant set is empty are skipped.  The others are ranked
-    in blocks of about ``BLOCK_BYTES`` of score rows: training items are set
+    ``scores`` is a (U, I) array or a ``ScoreRows``.  Users whose relevant
+    set is empty are skipped.  The others are ranked in blocks of about
+    ``BLOCK_BYTES`` of score rows: training items are set
     to -inf and ``encoder.top_k_rows`` reads off the top K in exactly the
     order of ``rank_items`` (descending score, ties to the lower id), so
     every per-user value equals that of ``rank_items`` and the metric

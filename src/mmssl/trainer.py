@@ -30,7 +30,7 @@ from .data import (
     sample_bpr_triplets,
 )
 from .encoder import EncoderConfig, SemanticNeighborhood
-from .evaluation import EvalConfig, RankingReport, evaluate_scores
+from .evaluation import EvalConfig, RankingReport, ScoreRows, evaluate_scores
 from .model import ModelState
 from .objectives import LossWeights
 
@@ -399,9 +399,8 @@ class Trainer:
         """Rank every item for each user (eval mode, training items
         excluded) and score the top ``k`` against the held-out ``edges``."""
         fwd = self._eval_forward()
-        scores = fwd.h_users.data @ fwd.h_items.data.T
         return evaluate_scores(
-            scores,
+            ScoreRows(fwd.h_users.data, fwd.h_items.data),
             train_items=self.train_graph.user_items,
             relevant=_edges_by_user(edges, self.graph.num_users),
             k=k,

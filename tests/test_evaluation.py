@@ -10,6 +10,7 @@ from mmssl import evaluation
 from mmssl.data import sparsity_buckets
 from mmssl.evaluation import (
     RankingReport,
+    ScoreRows,
     evaluate_scores,
     ndcg_at_k,
     precision_at_k,
@@ -295,4 +296,22 @@ def test_block_ranking_equals_reference_on_float_scores(monkeypatch):
     monkeypatch.setattr(evaluation, "BLOCK_BYTES", 8 * 60 * 16)
     got = evaluate_scores(scores, train, relevant, k=20)
     want = per_user_report(scores, train, relevant, 20, evaluation.DEFAULT_BUCKET_BOUNDARIES)
+    assert got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 1000])
+def test_score_rows_rank_exactly_like_the_full_score_matrix(monkeypatch, block_rows):
+    # small integer embeddings: every product and sum is exact, so the
+    # row-on-demand scores equal the full matrix whatever the gemm order,
+    # and the narrow range makes most top-k cuts fall inside a tie
+    rng = np.random.default_rng(block_rows)
+    users = rng.integers(-2, 3, size=(40, 4)).astype(np.float64)
+    items = rng.integers(-2, 3, size=(25, 4)).astype(np.float64)
+    _, train, relevant = tie_heavy_case(block_rows, 40, 25)
+    monkeypatch.setattr(evaluation, "BLOCK_BYTES", 8 * 25 * block_rows)
+    view = ScoreRows(users, items)
+    assert view.shape == (40, 25)
+    np.testing.assert_array_equal(view[[3, 0, 7]], (users @ items.T)[[3, 0, 7]])
+    got = evaluate_scores(view, train, relevant, k=5)
+    want = evaluate_scores(users @ items.T, train, relevant, k=5)
     assert got.to_json() == want.to_json()

@@ -393,6 +393,31 @@ def test_training_is_bitwise_equal_with_composed_infonce(tmp_path, monkeypatch):
     assert [n for n in want if not np.array_equal(want[n], got[n])] == []
 
 
+def test_evaluate_peak_memory_below_half_a_user_by_item_array():
+    # validation and `mmssl eval` rank score rows block by block; the
+    # (U, I) score matrix is never built
+    spec = SyntheticSpec(
+        num_users=4000, num_items=3000, modality_dims=(8, 4), interactions_per_user=3, seed=5
+    )
+    graph, features, _ = generate_synthetic(spec)
+    split = split_edges(graph, (0.8, 0.1, 0.1), seed=5)
+    trainer = Trainer(
+        TrainConfig(seed=1), EncoderConfig(), AdvConfig(), ObjectiveConfig(), EvalConfig(),
+        graph, features, split,
+    )
+    trainer.neighborhoods = mdl.refresh_neighborhoods(
+        trainer.state, trainer.adj, trainer.features, trainer.enc_cfg.top_k
+    )
+    tracemalloc.start()
+    try:
+        trainer.evaluate(split.val, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    user_by_item = 4000 * 3000 * 8
+    assert peak < user_by_item / 2, f"evaluate peaked at {peak / user_by_item:.2f} (U, I) arrays"
+
+
 def test_g_step_peak_memory_below_twelve_user_by_user_arrays():
     # the full model (InfoNCE, adversarial, Gumbel) at U = 1500: the
     # InfoNCE record keeps two (U, U) exponentials per view
