@@ -51,7 +51,6 @@ __all__ = [
     "row_softmax",
     "l2_normalize_rows",
     "divide_rows_by_sq_norm",
-    "dot",
     "infonce_terms",
     "dropout",
     "batch_norm",
@@ -500,16 +499,6 @@ def divide_rows_by_sq_norm(a) -> Tensor:
         return (d,)
 
     _record(out, (a,), vjp)
-    return out
-
-
-def dot(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ValueError("dot expects 1-D operands")
-    out = Tensor(np.dot(a.data, b.data))
-    _check_finite(out.data, "dot")
-    _record(out, (a, b), lambda g: (g * b.data, g * a.data))
     return out
 
 

@@ -85,14 +85,7 @@ def _load_data_dir(data_dir: str):
     feature_paths = sorted(root.glob("*.mmf"))
     if not feature_paths:
         raise CliError(f"no modality feature files (*.mmf) under {root}")
-    features = [load_modality_features(p) for p in feature_paths]
-    for table in features:
-        if table.num_items != graph.num_items:
-            raise CliError(
-                f"feature table {table.name} has {table.num_items} rows, "
-                f"graph declares {graph.num_items} items"
-            )
-    return graph, features
+    return graph, [load_modality_features(p) for p in feature_paths]
 
 
 def _build_trainer(settings, data_dir: str) -> Trainer:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -49,23 +50,36 @@ class DataFormatError(ValueError):
 
 @dataclass
 class InteractionGraph:
-    """Bipartite user-item interactions with contiguous integer ids."""
+    """Bipartite user-item interactions with contiguous integer ids.
 
-    num_users: int
-    num_items: int
-    user_items: list[np.ndarray]  # per user, sorted item ids
-    item_users: list[np.ndarray]  # per item, sorted user ids
-    edge_set: frozenset[tuple[int, int]]
+    ``matrix`` is the (U, I) CSR matrix of ones, each row's item ids
+    ascending and without repeats; every other view derives from it.
+    """
+
+    matrix: sp.csr_matrix
+
+    @property
+    def num_users(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def num_items(self) -> int:
+        return self.matrix.shape[1]
 
     @property
     def num_edges(self) -> int:
-        return len(self.edge_set)
+        return self.matrix.nnz
+
+    @cached_property
+    def user_items(self) -> list[np.ndarray]:
+        """Per user, the sorted item ids (views of ``matrix.indices``)."""
+        bounds = self.matrix.indptr.tolist()
+        return [self.matrix.indices[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
     def edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edge_set)
-
-    def user_degree(self) -> np.ndarray:
-        return np.array([len(v) for v in self.user_items], dtype=np.int64)
+        """Every (user, item) pair, in ascending order."""
+        users = np.repeat(np.arange(self.num_users), np.diff(self.matrix.indptr))
+        return list(zip(users.tolist(), self.matrix.indices.tolist()))
 
     def sparsity(self) -> float:
         cells = self.num_users * self.num_items
@@ -74,41 +88,40 @@ class InteractionGraph:
         return 1.0 - self.num_edges / cells
 
     def dense_matrix(self) -> np.ndarray:
-        a = np.zeros((self.num_users, self.num_items))
-        for u, items in enumerate(self.user_items):
-            a[u, items] = 1.0
-        return a
-
-    def sparse_matrix(self) -> sp.csr_matrix:
-        """``dense_matrix`` in CSR form, without the U x I buffer."""
-        indptr = np.concatenate([[0], np.cumsum([len(items) for items in self.user_items])])
-        indices = np.concatenate([np.zeros(0, dtype=np.int64), *self.user_items])
-        return sp.csr_matrix(
-            (np.ones(len(indices)), indices, indptr), shape=(self.num_users, self.num_items)
-        )
+        return self.matrix.toarray()
 
 
 def graph_from_edges(num_users: int, num_items: int, edges) -> InteractionGraph:
-    """Build a graph from (user, item) pairs, validating ranges and duplicates."""
-    user_items: list[list[int]] = [[] for _ in range(num_users)]
-    item_users: list[list[int]] = [[] for _ in range(num_items)]
-    seen: set[tuple[int, int]] = set()
-    for u, i in edges:
-        u, i = int(u), int(i)
-        if not (0 <= u < num_users and 0 <= i < num_items):
+    """Build a graph from (user, item) pairs, validating ranges and duplicates.
+
+    An error names the first pair, in input order, that is out of range or
+    repeats an earlier pair; a pair that is both is reported as out of range.
+    """
+    try:
+        pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        raise DataFormatError("edge id outside the 64-bit range") from None
+    users, items = pairs[:, 0], pairs[:, 1]
+    outside = (users < 0) | (users >= num_users) | (items < 0) | (items >= num_items)
+    # equal in-range pairs have equal keys; a key that an out-of-range pair
+    # shares is never reported, as that pair or an earlier offender wins
+    keys = users * num_items + items
+    order = np.argsort(keys, kind="stable")
+    repeat = np.zeros(len(keys), dtype=bool)
+    repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    offenders = np.flatnonzero(outside | repeat)
+    if offenders.size:
+        first = offenders[0]
+        u, i = int(users[first]), int(items[first])
+        if outside[first]:
             raise DataFormatError(f"edge ({u}, {i}) outside declared id range")
-        if (u, i) in seen:
-            raise DataFormatError(f"duplicate edge ({u}, {i})")
-        seen.add((u, i))
-        user_items[u].append(i)
-        item_users[i].append(u)
-    return InteractionGraph(
-        num_users=num_users,
-        num_items=num_items,
-        user_items=[np.array(sorted(v), dtype=np.int64) for v in user_items],
-        item_users=[np.array(sorted(v), dtype=np.int64) for v in item_users],
-        edge_set=frozenset(seen),
+        raise DataFormatError(f"duplicate edge ({u}, {i})")
+    indptr = np.zeros(num_users + 1, dtype=np.int64)
+    np.cumsum(np.bincount(users, minlength=num_users), out=indptr[1:])
+    matrix = sp.csr_matrix(
+        (np.ones(len(order)), items[order], indptr), shape=(num_users, num_items)
     )
+    return InteractionGraph(matrix)
 
 
 def _parse_header(line: str, lineno: int) -> tuple[int, int]:
@@ -227,8 +240,6 @@ class DataSplit:
     train: list[tuple[int, int]]
     val: list[tuple[int, int]]
     test: list[tuple[int, int]]
-    seed: int
-    cold_users: frozenset[int] = field(default_factory=frozenset)
 
     def train_graph(self, graph: InteractionGraph) -> InteractionGraph:
         return graph_from_edges(graph.num_users, graph.num_items, self.train)
@@ -242,8 +253,8 @@ def split_edges(
     """Deterministic per-user stratified split.
 
     Every interacting user keeps at least one train edge (a single-edge
-    user goes entirely to train); users with no edges at all are flagged
-    cold.  Remaining edges are pooled and cut by the global ratios.
+    user goes entirely to train); users with no edges get none.  Remaining
+    edges are pooled and cut by the global ratios.
     """
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"split ratios must sum to 1, got {ratios}")
@@ -252,11 +263,9 @@ def split_edges(
     rng = np.random.default_rng(seed)
     reserved: list[tuple[int, int]] = []
     pool: list[tuple[int, int]] = []
-    cold = []
     for u in range(graph.num_users):
         items = graph.user_items[u]
         if len(items) == 0:
-            cold.append(u)
             continue
         order = rng.permutation(len(items))
         reserved.append((u, int(items[order[0]])))
@@ -275,13 +284,7 @@ def split_edges(
     train = reserved + pool[:extra_train]
     val = pool[extra_train : extra_train + n_val]
     test = pool[extra_train + n_val :]
-    return DataSplit(
-        train=sorted(train),
-        val=sorted(val),
-        test=sorted(test),
-        seed=seed,
-        cold_users=frozenset(cold),
-    )
+    return DataSplit(train=sorted(train), val=sorted(val), test=sorted(test))
 
 
 @dataclass
@@ -318,7 +321,7 @@ def sample_bpr_triplets(
             raise ValueError(f"user {u} interacts with every item; no negative exists")
         while True:
             cand = int(rng.integers(0, graph.num_items))
-            if (u, cand) not in graph.edge_set:
+            if cand not in graph.user_items[u]:
                 break
         users[row], pos[row], neg[row] = u, i, cand
     return TripletBatch(users=users, pos_items=pos, neg_items=neg)
@@ -341,32 +344,19 @@ class NormalizedAdjacency:
     item_from_user: sp.csr_matrix  # (I, U)
 
 
+def _inverse_sqrt_degree_rows(m: sp.csr_matrix) -> sp.csr_matrix:
+    """``m`` with each entry of row r set to 1/sqrt(entries in row r)."""
+    counts = np.diff(m.indptr)
+    return sp.csr_matrix(
+        (1.0 / np.sqrt(np.repeat(counts, counts)), m.indices, m.indptr), shape=m.shape
+    )
+
+
 def build_norm_adjacency(graph: InteractionGraph) -> NormalizedAdjacency:
-    rows, cols, vals = [], [], []
-    for u in range(graph.num_users):
-        items = graph.user_items[u]
-        if len(items) == 0:
-            continue
-        w = 1.0 / np.sqrt(len(items))
-        rows.extend([u] * len(items))
-        cols.extend(items.tolist())
-        vals.extend([w] * len(items))
-    user_from_item = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(graph.num_users, graph.num_items)
+    return NormalizedAdjacency(
+        user_from_item=_inverse_sqrt_degree_rows(graph.matrix),
+        item_from_user=_inverse_sqrt_degree_rows(graph.matrix.T.tocsr()),
     )
-    rows, cols, vals = [], [], []
-    for i in range(graph.num_items):
-        users = graph.item_users[i]
-        if len(users) == 0:
-            continue
-        w = 1.0 / np.sqrt(len(users))
-        rows.extend([i] * len(users))
-        cols.extend(users.tolist())
-        vals.extend([w] * len(users))
-    item_from_user = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(graph.num_items, graph.num_users)
-    )
-    return NormalizedAdjacency(user_from_item=user_from_item, item_from_user=item_from_user)
 
 
 # --------------------------------------------------------------------------

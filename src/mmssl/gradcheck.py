@@ -240,9 +240,6 @@ def run_primitive_checks(seed: int = 3, eps: float = 1e-5) -> dict[str, float]:
         lambda: ad.reduce_sum(ad.mul(ad.divide_rows_by_sq_norm(a), w)),
         [a],
     )
-    v1 = ad.parameter(rng.standard_normal(6), "v1")
-    v2 = ad.parameter(rng.standard_normal(6), "v2")
-    check("dot", lambda: ad.dot(v1, v2), [v1, v2])
     check(
         "infonce_terms",
         lambda: ad.reduce_sum(ad.mul(ad.infonce_terms(a, b, 0.7), w4)),

@@ -27,6 +27,7 @@ from .data import (
     InteractionGraph,
     ModalityFeatureTable,
     build_norm_adjacency,
+    graph_from_edges,
     sample_bpr_triplets,
 )
 from .encoder import EncoderConfig, SemanticNeighborhood
@@ -273,7 +274,6 @@ class Trainer:
         self.config_flat = dict(config_flat or {})
         self.train_graph = split.train_graph(graph)
         self.adj = build_norm_adjacency(self.train_graph)
-        self.train_csr = self.train_graph.sparse_matrix()
         init_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
         self.state = mdl.init_model(
             graph.num_users,
@@ -325,7 +325,7 @@ class Trainer:
             fwd = self._eval_forward()
             h_u, h_i = fwd.h_users.data[batch_users], fwd.h_items.data
         real = adversarial.gumbel_real_proxy(
-            self.train_csr[batch_users].toarray(), self.rng_adv, gumbel_cfg, h_u, h_i
+            self.train_graph.matrix[batch_users].toarray(), self.rng_adv, gumbel_cfg, h_u, h_i
         )
         fake = np.empty((len(batch_users), self.graph.num_items))
         assignment = self.rng_adv.integers(0, len(self.features), size=len(batch_users))
@@ -398,11 +398,12 @@ class Trainer:
     def evaluate(self, edges, k: int) -> RankingReport:
         """Rank every item for each user (eval mode, training items
         excluded) and score the top ``k`` against the held-out ``edges``."""
+        held_out = graph_from_edges(self.graph.num_users, self.graph.num_items, edges)
         fwd = self._eval_forward()
         return evaluate_scores(
             ScoreRows(fwd.h_users.data, fwd.h_items.data),
             train_items=self.train_graph.user_items,
-            relevant=_edges_by_user(edges, self.graph.num_users),
+            relevant=held_out.user_items,
             k=k,
             boundaries=self.eval_cfg.buckets,
         )
@@ -591,13 +592,6 @@ def fit(
     if resume_from is not None:
         trainer.restore(resume_from)
     return trainer.run(checkpoint_path=checkpoint_path, log_path=log_path)
-
-
-def _edges_by_user(edges, num_users: int) -> list[np.ndarray]:
-    out: list[list[int]] = [[] for _ in range(num_users)]
-    for u, i in edges:
-        out[u].append(i)
-    return [np.array(sorted(v), dtype=np.int64) for v in out]
 
 
 def _jsonable(state: dict):

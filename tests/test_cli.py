@@ -1,10 +1,12 @@
 """End-to-end command-line workflows on a throwaway dataset."""
 
 import json
+import shutil
 
 import pytest
 
 from mmssl.cli import main
+from mmssl.data import load_modality_features, write_modality_features
 from mmssl.trainer import _config_fingerprint, load_checkpoint, save_checkpoint
 
 
@@ -178,6 +180,18 @@ def test_train_rejects_missing_data(tmp_path, capsys):
     code = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "interactions.txt" in capsys.readouterr().err
+
+
+def test_train_rejects_short_feature_table(data_dir, tmp_path, capsys):
+    short = tmp_path / "data"
+    shutil.copytree(data_dir, short)
+    table = load_modality_features(short / "modality1.mmf")
+    write_modality_features(short / "modality1.mmf", table.values[:-1])
+    code = main(["train", "--data", str(short), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "modality1" in err
+    assert "Traceback" not in err
 
 
 def test_train_rejects_unknown_config_key(data_dir, tmp_path, capsys):

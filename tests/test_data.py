@@ -55,6 +55,7 @@ def test_tiktok_shaped_manifest_sparsity(tmp_path):
         ("0\t0\n0\n", "line 2"),
         ("0\t0\n0\t0\n", "duplicate"),
         ("# users=2 items=2\n5\t0\n", "range"),
+        ("# users=2 items=2\n99999999999999999999\t0\n", "range"),
         ("0\tx\n", "line 1"),
         ("0\t0\n# users=2 items=2\n", "header"),
     ],
@@ -71,7 +72,7 @@ def test_interactions_round_trip(tmp_path):
     p = tmp_path / "rt.txt"
     write_interactions(g, p)
     g2 = load_interactions(p)
-    assert g2.edge_set == g.edge_set
+    assert g2.edges() == g.edges()
     assert (g2.num_users, g2.num_items) == (3, 4)
     write_interactions(g2, tmp_path / "rt2.txt")
     assert (tmp_path / "rt.txt").read_bytes() == (tmp_path / "rt2.txt").read_bytes()
@@ -80,7 +81,6 @@ def test_interactions_round_trip(tmp_path):
 def test_degree_sums_equal_edge_count():
     g = graph_from_edges(4, 5, [(0, 0), (0, 1), (1, 1), (3, 4)])
     assert sum(len(v) for v in g.user_items) == g.num_edges
-    assert sum(len(v) for v in g.item_users) == g.num_edges
 
 
 def test_feature_file_round_trip(tmp_path):
@@ -170,7 +170,7 @@ def test_triplets_avoid_observed_pairs():
     assert len(batch.users) == 4
     for u, ip, ineg in zip(batch.users, batch.pos_items, batch.neg_items):
         assert (int(u), int(ip)) in split.train
-        assert (int(u), int(ineg)) not in g.edge_set
+        assert (int(u), int(ineg)) not in g.edges()
 
 
 def test_triplets_deterministic_per_seed():
@@ -214,6 +214,84 @@ def test_norm_adjacency_matches_dense_oracle():
         dense_i[i, u] = 1 / np.sqrt(di[i])
     np.testing.assert_allclose(adj.user_from_item.toarray(), dense_u, rtol=1e-15)
     np.testing.assert_allclose(adj.item_from_user.toarray(), dense_i, rtol=1e-15)
+
+
+@st.composite
+def edge_lists(draw):
+    num_users = draw(st.integers(0, 7))
+    num_items = draw(st.integers(0, 7))
+    pairs = st.tuples(st.integers(0, num_users - 1), st.integers(0, num_items - 1))
+    edges = draw(st.lists(pairs, unique=True, max_size=30)) if num_users and num_items else []
+    return num_users, num_items, edges
+
+
+@settings(deadline=None, max_examples=60)
+@given(edge_lists())
+def test_graph_matches_its_edge_list(case):
+    num_users, num_items, edges = case
+    g = graph_from_edges(num_users, num_items, edges)
+    assert (g.num_users, g.num_items, g.num_edges) == (num_users, num_items, len(edges))
+    assert g.edges() == sorted(set(edges))
+    assert g.matrix.has_canonical_format
+    assert len(g.user_items) == num_users
+    for u in range(num_users):
+        assert g.user_items[u].tolist() == sorted(i for v, i in edges if v == u)
+    degree_u = np.bincount([u for u, _ in edges], minlength=num_users)
+    degree_i = np.bincount([i for _, i in edges], minlength=num_items)
+    dense_u = np.zeros((num_users, num_items))
+    dense_i = np.zeros((num_items, num_users))
+    for u, i in edges:
+        dense_u[u, i] = 1.0 / np.sqrt(degree_u[u])
+        dense_i[i, u] = 1.0 / np.sqrt(degree_i[i])
+    adj = build_norm_adjacency(g)
+    for op, oracle in ((adj.user_from_item, dense_u), (adj.item_from_user, dense_i)):
+        assert op.toarray().tobytes() == oracle.tobytes()
+        assert all(np.all(np.diff(op.indices[a:b]) > 0) for a, b in zip(op.indptr, op.indptr[1:]))
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 0), (1, 1), (0, 0), (5, 0)], r"duplicate edge \(0, 0\)"),
+        ([(0, 0), (5, 0), (0, 0)], r"edge \(5, 0\) outside"),
+        ([(5, 0), (5, 0)], r"edge \(5, 0\) outside"),
+        # (0, 2) is out of range but shares the row-major key of (1, 0)
+        ([(1, 0), (0, 2)], r"edge \(0, 2\) outside"),
+        ([(0, 2), (1, 0)], r"edge \(0, 2\) outside"),
+        ([(1, -1), (1, 0), (1, 0)], r"edge \(1, -1\) outside"),
+    ],
+)
+def test_graph_errors_name_the_first_offender(edges, message):
+    with pytest.raises(DataFormatError, match=message):
+        graph_from_edges(2, 2, edges)
+
+
+def _first_edge_error(num_users, num_items, edges):
+    """Reference: the per-edge loop's first error message, or None."""
+    seen = set()
+    for u, i in edges:
+        if not (0 <= u < num_users and 0 <= i < num_items):
+            return f"edge ({u}, {i}) outside declared id range"
+        if (u, i) in seen:
+            return f"duplicate edge ({u}, {i})"
+        seen.add((u, i))
+    return None
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.lists(st.tuples(st.integers(-2, 5), st.integers(-2, 5)), max_size=12),
+)
+def test_graph_errors_match_the_per_edge_loop(num_users, num_items, edges):
+    expected = _first_edge_error(num_users, num_items, edges)
+    if expected is None:
+        assert graph_from_edges(num_users, num_items, edges).edges() == sorted(edges)
+        return
+    with pytest.raises(DataFormatError) as err:
+        graph_from_edges(num_users, num_items, edges)
+    assert str(err.value) == expected
 
 
 def test_bucket_labels_match_report_header():
@@ -268,7 +346,7 @@ def test_synthetic_identity_map_no_noise():
 def test_synthetic_same_seed_identical():
     a = generate_synthetic(SyntheticSpec(seed=5))
     b = generate_synthetic(SyntheticSpec(seed=5))
-    assert a[0].edge_set == b[0].edge_set
+    assert a[0].edges() == b[0].edges()
     for ta, tb in zip(a[1], b[1]):
         np.testing.assert_array_equal(ta.values, tb.values)
     np.testing.assert_array_equal(a[2], b[2])

@@ -447,7 +447,7 @@ def test_sparse_train_rows_equal_dense_rows():
     trainer = build_trainer()
     users = np.array([0, 5, 5, 11, 0, 3, 3, 3])  # repeated users, as d_step draws them
     dense = trainer.train_graph.dense_matrix()[users]
-    gathered = trainer.train_csr[users].toarray()
+    gathered = trainer.train_graph.matrix[users].toarray()
     assert gathered.dtype == dense.dtype and gathered.shape == dense.shape
     assert gathered.tobytes() == dense.tobytes()
 
