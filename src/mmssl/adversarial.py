@@ -91,8 +91,8 @@ def modality_collab_embeddings(
         gen.biases[modality],
     )
     feats = ad.dropout(feats, gen.dropout_rate, rng, train)
-    f_user = ad.sparse_matmul(adj.user_from_item, feats)
-    f_item = ad.sparse_matmul(adj.item_from_user, f_user)
+    f_user = ad.sparse_matmul(adj.user_from_item, feats, lambda: adj.user_from_item_t)
+    f_item = ad.sparse_matmul(adj.item_from_user, f_user, lambda: adj.item_from_user_t)
     return f_user, f_item
 
 

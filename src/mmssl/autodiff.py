@@ -1,14 +1,18 @@
 """Reverse-mode differentiation over an explicitly recorded operation tape.
 
 All buffers are 64-bit floats.  Operations compute eagerly with numpy and,
-when a tape is active, append a record holding the output, the input tensors
-and a vector-Jacobian closure.  ``Tape.backward`` walks the records in
-reverse; creation order is a topological order by construction, so no sort
-is needed.
+when a tape is active, append a record holding the op name, the output, the
+input tensors and a vector-Jacobian closure.  ``Tape.backward`` walks the
+records in reverse; creation order is a topological order by construction,
+so no sort is needed.
 
-Every primitive checks its output for NaN/Inf and raises ``NumericError``
-on the first non-finite value, which keeps numeric failures close to their
-source instead of surfacing as a corrupted loss many steps later.
+Non-finite values raise ``NumericError`` naming the op that produced them.
+A call made with no tape active checks its own output.  A taped step is
+checked once: ``Tape.backward`` checks the loss and every gradient it
+returns, and on failure replays the records to name the first op with a
+non-finite output, or the op whose vjp went non-finite.  ``batch_norm``
+checks every call, so a failing step never writes a non-finite running
+statistic.
 
 At most one tape records at a time.  Backward never mutates parameters;
 it only returns a gradient map.
@@ -52,6 +56,7 @@ __all__ = [
     "l2_normalize_rows",
     "divide_rows_by_sq_norm",
     "infonce_terms",
+    "head_attention",
     "dropout",
     "batch_norm",
     "BatchNormState",
@@ -70,9 +75,15 @@ class NumericError(ArithmeticError):
     """A primitive produced a NaN or Inf."""
 
 
-def _check_finite(arr: np.ndarray, op: str) -> None:
+def _require_finite(arr: np.ndarray, op: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"non-finite value produced by '{op}'")
+
+
+def _check_finite(arr: np.ndarray, op: str) -> None:
+    """Check an untaped call's output; a taped step is checked in backward."""
+    if _ACTIVE is None:
+        _require_finite(arr, op)
 
 
 class Tensor:
@@ -126,11 +137,22 @@ def _as_tensor(x) -> Tensor:
 _ACTIVE: "Tape | None" = None  # the tape recording right now, if any
 
 
-@dataclass
+@dataclass(slots=True)
 class _Record:
-    out: Tensor
+    """One primitive application.  ``out`` is its output, or a tuple of
+    outputs whose gradients the vjp takes as a tuple (zeros for an output
+    that got none).  The vjp returns one partial per input: an array, None,
+    or a function that computes the array and is called only if that input
+    needs a gradient.  It is dropped once it has run; the op name and
+    output stay for the replay that names a failing op."""
+
+    op: str
+    out: Tensor | tuple[Tensor, ...]
     inputs: tuple[Tensor, ...]
-    vjp: Callable[[np.ndarray], tuple]
+    vjp: Callable | None
+
+    def outputs(self) -> tuple[Tensor, ...]:
+        return self.out if isinstance(self.out, tuple) else (self.out,)
 
 
 class GradientMap:
@@ -179,46 +201,93 @@ class Tape:
     def backward(self, loss: Tensor, params: Sequence[Tensor] | None = None) -> GradientMap:
         """Accumulate d(loss)/d(param) for every parameter reachable on this tape.
 
-        ``loss`` must be scalar (size one).  When ``params`` is given the
-        returned map is restricted to those tensors.
+        ``loss`` must be scalar (size one).  When ``params`` is given only
+        those tensors receive gradients; a partial that only a constant or
+        another leaf would receive is not worked out where its primitive
+        defers it.  Each vjp is dropped once it has run, which frees the
+        arrays it holds, so a tape is differentiated once.  Raises
+        ``NumericError`` if the loss or a returned gradient is not finite.
         """
         if loss.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
-        produced = {id(rec.out) for rec in self._records}
+        if not np.all(np.isfinite(loss.data)):
+            raise NumericError(self._blame("non-finite loss"))
+        wanted = None if params is None else {id(p) for p in params}
+        produced = {id(t) for rec in self._records for t in rec.outputs()}
         buffer: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        owned: set[int] = set()  # buffered sums allocated here, safe to add into
         grads = GradientMap()
-        if loss.requires_grad:
+        if loss.requires_grad and (wanted is None or id(loss) in wanted):
             grads._accumulate(loss, np.ones_like(loss.data))
-        for rec in reversed(self._records):
+        # a vjp, or the sum of its partials, that makes a non-finite value
+        # from finite ones raises a floating-point flag here
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            try:
+                for rec in reversed(self._records):
+                    self._step_back(rec, buffer, owned, produced, wanted, grads)
+            except FloatingPointError:
+                raise NumericError(
+                    self._blame(f"non-finite gradient from the vjp of '{rec.op}'")
+                ) from None
+        for t, g in grads._grads.values():
+            if not np.all(np.isfinite(g)):
+                raise NumericError(self._blame(f"non-finite gradient of '{t.name}'"))
+        return grads
+
+    def _step_back(self, rec: _Record, buffer, owned, produced, wanted, grads) -> None:
+        """Run one record's vjp and add its partials to the buffered
+        gradients of produced tensors, or to ``grads`` for wanted leaves.
+        A buffered partial is kept as it is until a second one is added to it
+        (copy on write)."""
+        vjp, rec.vjp = rec.vjp, None
+        if isinstance(rec.out, tuple):
+            g_out = tuple(buffer.pop(id(t), None) for t in rec.out)
+            if all(g is None for g in g_out):
+                return
+            g_out = tuple(
+                np.zeros_like(t.data) if g is None else g for t, g in zip(rec.out, g_out)
+            )
+        else:
             g_out = buffer.pop(id(rec.out), None)
             if g_out is None:
+                return
+        partials = vjp(g_out)
+        del vjp  # frees what the closure holds before the partials are summed
+        for inp, g_in in zip(rec.inputs, partials):
+            key = id(inp)
+            requested = inp.requires_grad and (wanted is None or key in wanted)
+            if key not in produced and not requested:
+                continue  # a constant, or a leaf no one asked for: nothing to work out
+            if callable(g_in):
+                g_in = g_in()
+            if g_in is None:
                 continue
-            partials = rec.vjp(g_out)
-            for inp, g_in in zip(rec.inputs, partials):
-                if g_in is None:
-                    continue
-                if id(inp) in produced:
-                    key = id(inp)
-                    if key in buffer:
-                        buffer[key] += g_in
-                    else:
-                        buffer[key] = np.array(g_in, dtype=np.float64, copy=True)
-                elif inp.requires_grad:
-                    grads._accumulate(inp, np.asarray(g_in, dtype=np.float64))
-        if params is not None:
-            wanted = {id(p) for p in params}
-            filtered = GradientMap()
-            for key, (t, g) in grads._grads.items():
-                if key in wanted:
-                    filtered._grads[key] = [t, g]
-        else:
-            filtered = grads
-        return filtered
+            if key not in produced:
+                grads._accumulate(inp, g_in)
+                continue
+            held = buffer.get(key)
+            if held is None:
+                # no copy, but a strided view is copied so that consumers see
+                # the layouts they saw when every first partial was
+                contiguous = g_in.flags.c_contiguous or g_in.flags.f_contiguous
+                buffer[key] = g_in if contiguous else np.array(g_in)
+            elif key in owned:
+                held += g_in
+            else:
+                buffer[key] = np.add(held, g_in, out=np.empty_like(held))
+                owned.add(key)
+
+    def _blame(self, otherwise: str) -> str:
+        """Replay the records: name the first op with a non-finite output."""
+        for rec in self._records:
+            if any(not np.all(np.isfinite(t.data)) for t in rec.outputs()):
+                return f"non-finite value produced by '{rec.op}'"
+        return otherwise
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
+def _record(op: str, out: Tensor | tuple[Tensor, ...], inputs: tuple[Tensor, ...], vjp) -> None:
     if _ACTIVE is not None:
-        _ACTIVE._records.append(_Record(out, inputs, vjp))
+        _ACTIVE._records.append(_Record(op, out, inputs, vjp))
 
 
 # --------------------------------------------------------------------------
@@ -240,7 +309,7 @@ def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data + b.data)
     _check_finite(out.data, "add")
-    _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    _record("add", out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
     return out
 
 
@@ -248,7 +317,7 @@ def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data - b.data)
     _check_finite(out.data, "sub")
-    _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+    _record("sub", out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
     return out
 
 
@@ -257,9 +326,13 @@ def mul(a, b) -> Tensor:
     out = Tensor(a.data * b.data)
     _check_finite(out.data, "mul")
     _record(
+        "mul",
         out,
         (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
+        lambda g: (
+            lambda: _unbroadcast(g * b.data, a.shape),
+            lambda: _unbroadcast(g * a.data, b.shape),
+        ),
     )
     return out
 
@@ -269,7 +342,7 @@ def scale(a, c: float) -> Tensor:
     c = float(c)
     out = Tensor(a.data * c)
     _check_finite(out.data, "scale")
-    _record(out, (a,), lambda g: (g * c,))
+    _record("scale", out, (a,), lambda g: (g * c,))
     return out
 
 
@@ -279,31 +352,39 @@ def matmul(a, b) -> Tensor:
         raise ValueError("matmul expects 2-D operands")
     out = Tensor(a.data @ b.data)
     _check_finite(out.data, "matmul")
-    _record(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+    _record("matmul", out, (a, b), lambda g: (lambda: g @ b.data.T, lambda: a.data.T @ g))
     return out
 
 
-def sparse_matmul(s: sp.spmatrix, x) -> Tensor:
-    """Multiply a constant sparse matrix against a dense tensor."""
+def sparse_matmul(
+    s: sp.spmatrix, x, transpose: Callable[[], sp.csr_matrix] | None = None
+) -> Tensor:
+    """Multiply a constant sparse matrix against a dense tensor.
+
+    The vjp multiplies by the CSR transpose of ``s``.  ``transpose``, if
+    given, returns it (an owner builds it once and keeps it); otherwise it is
+    built here.  Either way it is asked for only while a tape records.
+    """
     x = _as_tensor(x)
     out = Tensor(np.asarray(s @ x.data))
     _check_finite(out.data, "sparse_matmul")
-    st = s.T.tocsr()
-    _record(out, (x,), lambda g: (np.asarray(st @ g),))
+    if _ACTIVE is not None:
+        st = transpose() if transpose is not None else s.T.tocsr()
+        _record("sparse_matmul", out, (x,), lambda g: (np.asarray(st @ g),))
     return out
 
 
 def transpose(a) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(a.data.T)
-    _record(out, (a,), lambda g: (g.T,))
+    _record("transpose", out, (a,), lambda g: (g.T,))
     return out
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(a.data.reshape(shape))
-    _record(out, (a,), lambda g: (g.reshape(a.shape),))
+    _record("reshape", out, (a,), lambda g: (g.reshape(a.shape),))
     return out
 
 
@@ -316,7 +397,7 @@ def slice_cols(a, start: int, stop: int) -> Tensor:
         buf[:, start:stop] = g
         return (buf,)
 
-    _record(out, (a,), vjp)
+    _record("slice_cols", out, (a,), vjp)
     return out
 
 
@@ -334,7 +415,7 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
             pieces.append(g[tuple(slicer)])
         return tuple(pieces)
 
-    _record(out, tuple(tensors), vjp)
+    _record("concat", out, tuple(tensors), vjp)
     return out
 
 
@@ -348,7 +429,7 @@ def gather_rows(a, idx) -> Tensor:
         np.add.at(buf, idx, g)
         return (buf,)
 
-    _record(out, (a,), vjp)
+    _record("gather_rows", out, (a,), vjp)
     return out
 
 
@@ -363,7 +444,7 @@ def reduce_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
         gg = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, a.shape).copy(),)
 
-    _record(out, (a,), vjp)
+    _record("reduce_sum", out, (a,), vjp)
     return out
 
 
@@ -379,7 +460,7 @@ def exp(a) -> Tensor:
         val = np.exp(a.data)
     _check_finite(val, "exp")
     out = Tensor(val)
-    _record(out, (a,), lambda g: (g * val,))
+    _record("exp", out, (a,), lambda g: (g * val,))
     return out
 
 
@@ -389,7 +470,7 @@ def log(a) -> Tensor:
         val = np.log(a.data)
     _check_finite(val, "log")
     out = Tensor(val)
-    _record(out, (a,), lambda g: (g / a.data,))
+    _record("log", out, (a,), lambda g: (g / a.data,))
     return out
 
 
@@ -400,13 +481,7 @@ def sqrt(a) -> Tensor:
     _check_finite(val, "sqrt")
     out = Tensor(val)
 
-    def vjp(g):
-        with np.errstate(divide="ignore"):
-            d = g / (2.0 * val)
-        _check_finite(d, "sqrt-grad")
-        return (d,)
-
-    _record(out, (a,), vjp)
+    _record("sqrt", out, (a,), lambda g: (g / (2.0 * val),))
     return out
 
 
@@ -423,7 +498,7 @@ def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     val = _sigmoid_values(a.data)
     out = Tensor(val)
-    _record(out, (a,), lambda g: (g * val * (1.0 - val),))
+    _record("sigmoid", out, (a,), lambda g: (g * val * (1.0 - val),))
     return out
 
 
@@ -432,7 +507,7 @@ def softplus(a) -> Tensor:
     a = _as_tensor(a)
     val = np.logaddexp(0.0, a.data)
     out = Tensor(val)
-    _record(out, (a,), lambda g: (g * _sigmoid_values(a.data),))
+    _record("softplus", out, (a,), lambda g: (g * _sigmoid_values(a.data),))
     return out
 
 
@@ -440,7 +515,7 @@ def leaky_relu(a, slope: float = 0.2) -> Tensor:
     a = _as_tensor(a)
     val = np.where(a.data >= 0, a.data, slope * a.data)
     out = Tensor(val)
-    _record(out, (a,), lambda g: (g * np.where(a.data >= 0, 1.0, slope),))
+    _record("leaky_relu", out, (a,), lambda g: (g * np.where(a.data >= 0, 1.0, slope),))
     return out
 
 
@@ -448,18 +523,22 @@ def row_softmax(a) -> Tensor:
     a = _as_tensor(a)
     if a.ndim != 2:
         raise ValueError("row_softmax expects a 2-D tensor")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    val = e / e.sum(axis=1, keepdims=True)
+    val = _softmax_rows(a.data)
     _check_finite(val, "row_softmax")
     out = Tensor(val)
-
-    def vjp(g):
-        inner = (g * val).sum(axis=1, keepdims=True)
-        return (val * (g - inner),)
-
-    _record(out, (a,), vjp)
+    _record("row_softmax", out, (a,), lambda g: (_softmax_rows_vjp(g, val),))
     return out
+
+
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_rows_vjp(g: np.ndarray, val: np.ndarray) -> np.ndarray:
+    inner = (g * val).sum(axis=1, keepdims=True)
+    return val * (g - inner)
 
 
 def l2_normalize_rows(a) -> Tensor:
@@ -478,7 +557,7 @@ def l2_normalize_rows(a) -> Tensor:
         d[norms[:, 0] == 0] = 0.0
         return (d,)
 
-    _record(out, (a,), vjp)
+    _record("l2_normalize_rows", out, (a,), vjp)
     return out
 
 
@@ -498,7 +577,7 @@ def divide_rows_by_sq_norm(a) -> Tensor:
         d[sq[:, 0] == 0] = 0.0
         return (d,)
 
-    _record(out, (a,), vjp)
+    _record("divide_rows_by_sq_norm", out, (a,), vjp)
     return out
 
 
@@ -545,8 +624,94 @@ def infonce_terms(q_h, q_v, tau: float) -> Tensor:
         g_vv *= c
         return (d_h, g_vv @ t.T + (q_v.data.T @ g_vv).T + hv_part.T)
 
-    _record(out, (q_h, q_v), vjp)
+    _record("infonce_terms", out, (q_h, q_v), vjp)
     return out
+
+
+def head_attention(
+    views: Sequence, query: Sequence[Tensor], key: Sequence[Tensor]
+) -> list[Tensor]:
+    """Per-head scalar attention across M views of shape (n, d), as one tape
+    record with the M mixed views as its outputs.
+
+    Head h maps each view through ``query[h]`` and ``key[h]`` (d, d/H).  For
+    target view m its row weights are the softmax over m' of
+    (v_m query[h]) . (v_m' key[h]) / sqrt(d/H), and they mix the unprojected
+    head-h column slices of the views.  The forward and the vjp run the
+    numpy operations of the composed expression (matmul, mul, reduce_sum,
+    scale, concat, row_softmax, slice_cols, add, concat) in the same order
+    and layouts.  Each view is listed once per target view, query map and
+    key map, and each map once per view, so the tape sums their partials in
+    the composed order and values and gradients are bitwise equal to it.
+    Only the outputs are checked for non-finite values.
+    """
+    views = [_as_tensor(v) for v in views]
+    n, d = views[0].shape
+    heads, num_m = len(query), len(views)
+    dh = d // heads
+    c = float(1.0 / np.sqrt(dh))
+    v = [t.data for t in views]
+    keys = [[x @ key[h].data for x in v] for h in range(heads)]
+    queries = [[x @ query[h].data for x in v] for h in range(heads)]
+    alphas = {}
+    vals = [np.empty((n, d)) for _ in range(num_m)]
+    for m in range(num_m):
+        for h in range(heads):
+            q, cols = queries[h][m], slice(h * dh, (h + 1) * dh)
+            scores = [(q * k).sum(axis=1, keepdims=True) * c for k in keys[h]]
+            alpha = alphas[m, h] = _softmax_rows(np.concatenate(scores, axis=1))
+            block = vals[m][:, cols]
+            np.multiply(alpha[:, 0:1], v[0][:, cols], out=block)
+            for mp in range(1, num_m):
+                block += alpha[:, mp : mp + 1] * v[mp][:, cols]
+        _check_finite(vals[m], "head_attention")
+    outs = [Tensor(val) for val in vals]
+
+    def vjp(gs):
+        g_q = [[None] * num_m for _ in range(heads)]
+        g_k = [[None] * num_m for _ in range(heads)]
+        mixes = []  # per target view, last first: one partial per view
+        for m in reversed(range(num_m)):
+            mix = [np.empty((n, d)) for _ in range(num_m)]
+            for h in reversed(range(heads)):
+                cols, alpha = slice(h * dh, (h + 1) * dh), alphas[m, h]
+                g_head = gs[m][:, cols]
+                g_alpha = np.empty((n, num_m))
+                for mp in reversed(range(num_m)):
+                    g_alpha[:, mp] = (g_head * v[mp][:, cols]).sum(axis=1)
+                    np.multiply(g_head, alpha[:, mp : mp + 1], out=mix[mp][:, cols])
+                g_scores = _softmax_rows_vjp(g_alpha, alpha)
+                for mp in reversed(range(num_m)):
+                    g_s = g_scores[:, mp : mp + 1] * c
+                    g_q[h][m] = _add_partial(g_q[h][m], g_s * keys[h][mp])
+                    g_k[h][mp] = _add_partial(g_k[h][mp], g_s * queries[h][m])
+            mixes.extend(mix)
+        heads_down = range(heads - 1, -1, -1)
+        return (
+            *mixes,
+            *(g_q[h][m] @ query[h].data.T for h in heads_down for m in range(num_m)),
+            *(g_k[h][m] @ key[h].data.T for h in heads_down for m in range(num_m)),
+            *(v[m].T @ g_q[h][m] for h in range(heads) for m in reversed(range(num_m))),
+            *(v[m].T @ g_k[h][m] for h in range(heads) for m in reversed(range(num_m))),
+        )
+
+    inputs = (
+        *(views * num_m),
+        *(views * heads),
+        *(views * heads),
+        *(query[h] for h in range(heads) for _ in range(num_m)),
+        *(key[h] for h in range(heads) for _ in range(num_m)),
+    )
+    _record("head_attention", tuple(outs), inputs, vjp)
+    return outs
+
+
+def _add_partial(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
+    """The tape's running sum of one tensor's partials, in arrival order."""
+    if total is None:
+        return part
+    total += part
+    return total
 
 
 def dropout(a, rate: float, rng: np.random.Generator | None, train: bool) -> Tensor:
@@ -560,7 +725,7 @@ def dropout(a, rate: float, rng: np.random.Generator | None, train: bool) -> Ten
         raise ValueError("train-mode dropout needs a random generator")
     mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
     out = Tensor(a.data * mask)
-    _record(out, (a,), lambda g: (g * mask,))
+    _record("dropout", out, (a,), lambda g: (g * mask,))
     return out
 
 
@@ -602,7 +767,7 @@ def batch_norm(
         inv = 1.0 / np.sqrt(var + eps)
         xhat = xc * inv
         val = gamma.data * xhat + beta.data
-        _check_finite(val, "batch_norm")
+        _require_finite(val, "batch_norm")
         out = Tensor(val)
 
         def vjp(g):
@@ -612,7 +777,7 @@ def batch_norm(
             dx = inv / n * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
             return (dx, dgamma, dbeta)
 
-        _record(out, (x, gamma, beta), vjp)
+        _record("batch_norm", out, (x, gamma, beta), vjp)
         unbiased = var * n / (n - 1) if n > 1 else var
         state.mean[:] = (1.0 - momentum) * state.mean + momentum * mu
         state.var[:] = (1.0 - momentum) * state.var + momentum * unbiased
@@ -620,13 +785,13 @@ def batch_norm(
     inv = 1.0 / np.sqrt(state.var + eps)
     xhat = (x.data - state.mean) * inv
     val = gamma.data * xhat + beta.data
-    _check_finite(val, "batch_norm")
+    _require_finite(val, "batch_norm")
     out = Tensor(val)
 
     def vjp_eval(g):
         return (g * gamma.data * inv, (g * xhat).sum(axis=0), g.sum(axis=0))
 
-    _record(out, (x, gamma, beta), vjp_eval)
+    _record("batch_norm", out, (x, gamma, beta), vjp_eval)
     return out
 
 

@@ -138,6 +138,10 @@ def _parse_header(line: str, lineno: int) -> tuple[int, int]:
         raise DataFormatError(f"line {lineno}: header must declare users=<n> items=<m>") from e
 
 
+# largest user or item count a file may give: the range of a 32-bit CSR index
+MAX_IDS = 2**31 - 1
+
+
 def load_interactions(path) -> InteractionGraph:
     """Read an interaction file.  Header counts win; otherwise max id + 1."""
     path = Path(path)
@@ -170,7 +174,14 @@ def load_interactions(path) -> InteractionGraph:
     else:
         num_users = 1 + max((u for u, _ in edges), default=-1)
         num_items = 1 + max((i for _, i in edges), default=-1)
-    return graph_from_edges(num_users, num_items, edges)
+    source = "header declares" if declared is not None else "ids imply"
+    counts = f"{source} users={num_users} items={num_items}"
+    if not (0 <= num_users <= MAX_IDS and 0 <= num_items <= MAX_IDS):
+        raise DataFormatError(f"{path.name}: {counts}; each count must lie in 0..{MAX_IDS}")
+    try:
+        return graph_from_edges(num_users, num_items, edges)
+    except MemoryError:
+        raise DataFormatError(f"{path.name}: {counts}, too many to allocate") from None
 
 
 def write_interactions(graph: InteractionGraph, path) -> None:
@@ -338,10 +349,20 @@ class NormalizedAdjacency:
 
     ``user_from_item[u, i] = 1/sqrt(|N_u|)`` on observed edges, so a row's
     squared entries sum to one; ``item_from_user`` is the item-side analog.
+    The CSR transposes, which only backward passes use, are built on first
+    use and kept.
     """
 
     user_from_item: sp.csr_matrix  # (U, I)
     item_from_user: sp.csr_matrix  # (I, U)
+
+    @cached_property
+    def user_from_item_t(self) -> sp.csr_matrix:
+        return self.user_from_item.T.tocsr()
+
+    @cached_property
+    def item_from_user_t(self) -> sp.csr_matrix:
+        return self.item_from_user.T.tocsr()
 
 
 def _inverse_sqrt_degree_rows(m: sp.csr_matrix) -> sp.csr_matrix:
@@ -411,10 +432,6 @@ class SyntheticSpec:
     interactions_per_user: int = 2
     noise: float = 0.5
     seed: int = 0
-
-    @property
-    def num_modalities(self) -> int:
-        return len(self.modality_dims)
 
     @classmethod
     def from_json(cls, doc: dict) -> "SyntheticSpec":

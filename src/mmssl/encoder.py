@@ -100,8 +100,9 @@ class EncoderConfig:
 class SemanticNeighborhood:
     """Top-k ids per row of one relation matrix, both directions.
 
-    The ids never change after construction, so each selection matrix is
-    built on first use and kept."""
+    The ids never change after construction, so each selection matrix and
+    its CSR transpose (which only backward passes use) is built on first
+    use and kept."""
 
     user_neighbors: np.ndarray  # (U, k_u) item ids
     item_neighbors: np.ndarray  # (I, k_i) user ids
@@ -115,6 +116,14 @@ class SemanticNeighborhood:
     def item_select(self) -> sp.csr_matrix:
         """(I, U) weights of each item's neighbour users."""
         return _selection_matrix(self.item_neighbors, self.user_neighbors.shape[0])
+
+    @cached_property
+    def user_select_t(self) -> sp.csr_matrix:
+        return self.user_select.T.tocsr()
+
+    @cached_property
+    def item_select_t(self) -> sp.csr_matrix:
+        return self.item_select.T.tocsr()
 
 
 def top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
@@ -249,8 +258,8 @@ def modality_view(
     items (and symmetrically for items), so the gradient flows into the id
     tables while the neighbor choice itself stays fixed.
     """
-    e_user = ad.sparse_matmul(neigh.user_select, ids.items)
-    e_item = ad.sparse_matmul(neigh.item_select, ids.users)
+    e_user = ad.sparse_matmul(neigh.user_select, ids.items, lambda: neigh.user_select_t)
+    e_item = ad.sparse_matmul(neigh.item_select, ids.users, lambda: neigh.item_select_t)
     return e_user, e_item
 
 
@@ -265,37 +274,12 @@ def cross_modal_attention(views: list[Tensor], attn: AttentionParams) -> list[Te
     For every node and head, the query comes from the target modality and
     the keys from all modalities; softmax weights combine the *unprojected*
     head-slices of the views, and head outputs are concatenated.  With a
-    single modality this is exactly the identity.
+    single modality this is exactly the identity.  The mixing is one tape
+    record (``autodiff.head_attention``).
     """
     if not views:
         raise ValueError("attention needs at least one modality view")
-    n, d = views[0].shape
-    heads = attn.heads
-    dh = d // heads
-    num_m = len(views)
-    out: list[Tensor] = []
-    keys = [[ad.matmul(v, attn.key[h]) for v in views] for h in range(heads)]
-    queries = [[ad.matmul(v, attn.query[h]) for v in views] for h in range(heads)]
-    inv_sqrt = 1.0 / np.sqrt(dh)
-    for m in range(num_m):
-        head_outputs = []
-        for h in range(heads):
-            q = queries[h][m]
-            scores = [
-                ad.scale(ad.reduce_sum(ad.mul(q, keys[h][mp]), axis=1, keepdims=True), inv_sqrt)
-                for mp in range(num_m)
-            ]
-            alpha = ad.row_softmax(ad.concat(scores, axis=1))  # (n, M)
-            mixed = None
-            for mp in range(num_m):
-                piece = ad.mul(
-                    ad.slice_cols(alpha, mp, mp + 1),
-                    ad.slice_cols(views[mp], h * dh, (h + 1) * dh),
-                )
-                mixed = piece if mixed is None else ad.add(mixed, piece)
-            head_outputs.append(mixed)
-        out.append(ad.concat(head_outputs, axis=1))
-    return out
+    return ad.head_attention(views, attn.query, attn.key)
 
 
 def fuse_modalities(mixed_views: list[Tensor]) -> Tensor:
@@ -334,8 +318,12 @@ def propagate_high_order(
         # both sides advance from layer l together, the block form of the
         # joint recursion over the stacked bipartite adjacency
         prev_u, prev_i = layers_u[-1], layers_i[-1]
-        layers_u.append(ad.sparse_matmul(adj.user_from_item, prev_i))
-        layers_i.append(ad.sparse_matmul(adj.item_from_user, prev_u))
+        layers_u.append(
+            ad.sparse_matmul(adj.user_from_item, prev_i, lambda: adj.user_from_item_t)
+        )
+        layers_i.append(
+            ad.sparse_matmul(adj.item_from_user, prev_u, lambda: adj.item_from_user_t)
+        )
     inv = 1.0 / (layers + 1)
     total_u, total_i = layers_u[0], layers_i[0]
     for lu, li in zip(layers_u[1:], layers_i[1:]):

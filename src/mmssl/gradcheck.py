@@ -24,7 +24,7 @@ from .data import (
     sample_bpr_triplets,
     split_edges,
 )
-from .encoder import EncoderConfig
+from .encoder import AttentionParams, EncoderConfig
 from .objectives import LossWeights
 
 __all__ = ["CheckInstance", "build_check_instance", "run_loss_checks"]
@@ -273,4 +273,13 @@ def run_primitive_checks(seed: int = 3, eps: float = 1e-5) -> dict[str, float]:
         return ad.reduce_sum(ad.mul(ad.dropout(a, 0.3, local, train=True), w))
 
     check("dropout", dropout_fixed, [a])
+    views = [ad.parameter(rng.standard_normal((4, 6)), f"view{m}") for m in range(3)]
+    attn = AttentionParams.create(6, 2, rng)
+    w46 = [weights_like((4, 6)) for _ in views]
+
+    def attention():
+        mixed = ad.head_attention(views, attn.query, attn.key)
+        return ad.reduce_sum(ad.concat([ad.mul(t, wt) for t, wt in zip(mixed, w46)], axis=1))
+
+    check("head_attention", attention, views + attn.parameters())
     return results

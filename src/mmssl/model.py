@@ -170,19 +170,18 @@ def refresh_neighborhoods(
 
     Relations are produced and consumed one block of user rows at a time,
     so memory holds one (block, I) slab instead of the full (U, I) matrix.
+    Rows are normalized once per modality; a block is the product of its
+    unit user rows with the transposed unit item table, the same numpy
+    operations ``adversarial.relation_rows`` runs on a gathered block.
     """
     neighborhoods = []
     for m, table in enumerate(features):
         f_u, f_i = adversarial.modality_collab_embeddings(
             adj, table.as_float64(), state.gen, m, train=False
         )
-        num_users = f_u.shape[0]
-        step = max(1, REFRESH_BLOCK_BYTES // (8 * f_i.shape[0]))
-        blocks = (
-            adversarial.user_relation_rows(
-                f_u, f_i, np.arange(start, min(start + step, num_users))
-            ).data
-            for start in range(0, num_users, step)
-        )
+        qu = ad.l2_normalize_rows(f_u).data
+        kt = np.ascontiguousarray(ad.l2_normalize_rows(f_i).data.T)
+        step = max(1, REFRESH_BLOCK_BYTES // (8 * kt.shape[1]))
+        blocks = (qu[start : start + step] @ kt for start in range(0, qu.shape[0], step))
         neighborhoods.append(enc.neighbors_from_row_blocks(blocks, top_k))
     return neighborhoods

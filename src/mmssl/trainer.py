@@ -320,7 +320,7 @@ class Trainer:
         cfg = self.cfg
         batch_users = self.rng_adv.integers(0, self.graph.num_users, size=cfg.batch_size)
         gumbel_cfg = self.adv_cfg.gumbel(cfg.disable_gumbel)
-        h_u = h_i = None
+        fwd = h_u = h_i = None
         if not gumbel_cfg.disable and gumbel_cfg.zeta != 0.0:
             fwd = self._eval_forward()
             h_u, h_i = fwd.h_users.data[batch_users], fwd.h_items.data
@@ -333,10 +333,14 @@ class Trainer:
             rows = np.flatnonzero(assignment == m)
             if rows.size == 0:
                 continue
-            f_u, f_i = adversarial.modality_collab_embeddings(
-                self.adj, table.as_float64(), self.state.gen, m, train=False
-            )
+            if fwd is not None:  # the same eval-mode embeddings, already computed
+                f_u, f_i = fwd.prior_users[m], fwd.prior_items[m]
+            else:
+                f_u, f_i = adversarial.modality_collab_embeddings(
+                    self.adj, table.as_float64(), self.state.gen, m, train=False
+                )
             fake[rows] = adversarial.user_relation_rows(f_u, f_i, batch_users[rows]).data
+        del fwd  # the critic's tape needs none of the forward's arrays
         gp_rows = adversarial.interpolate_rows(real, fake, self.rng_adv)
         with ad.Tape() as tape:
             real_scores = adversarial.discriminate(real, self.state.disc, train=True, rng=self.rng_adv)

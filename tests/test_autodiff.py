@@ -69,6 +69,101 @@ def test_infonce_terms_overflow_names_the_primitive():
         ad.infonce_terms(q, q, 1e-3)
 
 
+def test_taped_forward_defers_the_finite_check_to_backward():
+    # no per-op scan under a tape: the NaN surfaces in backward, and the
+    # replay names the op that made it, not the ops it flowed through
+    x = ad.parameter(np.array([[1.0, -1.0], [2.0, 3.0]]), "x")
+    with ad.Tape() as tape:
+        y = ad.log(x)  # log(-1) is NaN
+        loss = ad.reduce_sum(ad.exp(ad.mul(y, y)))
+    assert np.isnan(loss.item())
+    with pytest.raises(ad.NumericError, match="non-finite value produced by 'log'"):
+        tape.backward(loss, params=[x])
+
+
+def test_non_finite_vjp_names_its_op():
+    # sqrt(0) is finite, its derivative is not
+    x = ad.parameter(np.array([[0.0, 0.0], [1.0, 2.0]]), "x")
+    with ad.Tape() as tape:
+        loss = ad.reduce_sum(ad.sqrt(ad.reduce_sum(ad.mul(x, x), axis=1)))
+    assert np.isfinite(loss.item())
+    with pytest.raises(ad.NumericError, match="vjp of 'sqrt'"):
+        tape.backward(loss, params=[x])
+
+
+def test_batch_norm_checks_under_a_tape_and_keeps_its_statistics():
+    state = ad.BatchNormState.create(2)
+    x = ad.Tensor(np.array([[1.0, np.inf], [2.0, 0.0]]))
+    with ad.Tape(), np.errstate(invalid="ignore"):
+        with pytest.raises(ad.NumericError, match="batch_norm"):
+            ad.batch_norm(x, ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)), state, train=True)
+    np.testing.assert_array_equal(state.mean, [0.0, 0.0])
+    np.testing.assert_array_equal(state.var, [1.0, 1.0])
+
+
+def test_backward_frees_each_vjp_and_keeps_the_records():
+    x = ad.parameter(np.ones((2, 2)), "x")
+    with ad.Tape() as tape:
+        loss = ad.reduce_sum(ad.mul(ad.exp(x), x))
+    tape.backward(loss, params=[x])
+    assert len(tape) == 3
+    assert [rec.op for rec in tape._records] == ["exp", "mul", "reduce_sum"]
+    assert all(rec.vjp is None for rec in tape._records)
+
+
+def test_backward_fills_only_the_requested_leaves():
+    x = ad.parameter(np.ones((2, 2)), "x")
+    y = ad.parameter(np.ones((2, 2)), "y")
+    with ad.Tape() as tape:
+        loss = ad.reduce_sum(ad.mul(x, y))
+    grads = tape.backward(loss, params=[x])
+    assert x in grads and y not in grads
+
+
+@pytest.mark.parametrize("op", [ad.matmul, ad.mul])
+def test_backward_works_out_partials_only_for_inputs_that_need_them(op):
+    rng = np.random.default_rng(4)
+    const = ad.constant(rng.standard_normal((3, 3)))
+    w = ad.parameter(rng.standard_normal((3, 3)), "w")
+    other = ad.parameter(rng.standard_normal((3, 3)), "other")
+    with ad.Tape() as tape:
+        inner = op(const, w)
+        loss = ad.reduce_sum(op(inner, other))
+    label = {id(const): "const", id(w): "w", id(other): "other", id(inner): "inner"}
+    worked_out = []
+    for rec in tape._records[:2]:
+
+        def spy(g, vjp=rec.vjp, inputs=rec.inputs):
+            return tuple(
+                lambda part=part, key=id(inp): worked_out.append(label[key]) or part()
+                for part, inp in zip(vjp(g), inputs)
+            )
+
+        rec.vjp = spy
+    grads = tape.backward(loss, params=[w])
+    assert sorted(worked_out) == ["inner", "w"]
+    assert w in grads and other not in grads
+
+
+def test_sparse_matmul_asks_for_the_transpose_only_while_taping():
+    import scipy.sparse as sp
+
+    mat = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]))
+    asked = []
+
+    def transpose():
+        asked.append(1)
+        return mat.T.tocsr()
+
+    x = ad.parameter(np.arange(6.0).reshape(3, 2), "x")
+    ad.sparse_matmul(mat, x, transpose)
+    assert asked == []
+    with ad.Tape() as tape:
+        loss = ad.reduce_sum(ad.sparse_matmul(mat, x, transpose))
+    assert asked == [1]
+    np.testing.assert_array_equal(tape.backward(loss, params=[x]).get(x), mat.T @ np.ones((2, 2)))
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**31 - 1))
 def test_row_softmax_rows_sum_to_one(n, m, seed):

@@ -194,6 +194,17 @@ def test_train_rejects_short_feature_table(data_dir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("header", ["# users=1000000000000 items=2", "# users=4 items=-1"])
+def test_train_rejects_impossible_header_counts(data_dir, tmp_path, header, capsys):
+    bad = tmp_path / "data"
+    shutil.copytree(data_dir, bad)
+    (bad / "interactions.txt").write_text("\n".join([header, "0\t0", "1\t1"]) + "\n")
+    code = main(["train", "--data", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert header[2:] in err and "Traceback" not in err
+
+
 def test_train_rejects_unknown_config_key(data_dir, tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"train.womp": 1}))

@@ -80,6 +80,75 @@ def test_attention_rows_are_convex_mixes_of_head_slices():
         np.testing.assert_allclose(out.data, v.data, rtol=1e-12)
 
 
+def composed_cross_modal_attention(views, attn):
+    """Cross-modal attention composed of elementary tape ops: the bitwise
+    reference of the one-record ``enc.cross_modal_attention``."""
+    n, d = views[0].shape
+    heads = attn.heads
+    dh = d // heads
+    num_m = len(views)
+    out = []
+    keys = [[ad.matmul(v, attn.key[h]) for v in views] for h in range(heads)]
+    queries = [[ad.matmul(v, attn.query[h]) for v in views] for h in range(heads)]
+    inv_sqrt = 1.0 / np.sqrt(dh)
+    for m in range(num_m):
+        head_outputs = []
+        for h in range(heads):
+            q = queries[h][m]
+            scores = [
+                ad.scale(ad.reduce_sum(ad.mul(q, keys[h][mp]), axis=1, keepdims=True), inv_sqrt)
+                for mp in range(num_m)
+            ]
+            alpha = ad.row_softmax(ad.concat(scores, axis=1))  # (n, M)
+            mixed = None
+            for mp in range(num_m):
+                piece = ad.mul(
+                    ad.slice_cols(alpha, mp, mp + 1),
+                    ad.slice_cols(views[mp], h * dh, (h + 1) * dh),
+                )
+                mixed = piece if mixed is None else ad.add(mixed, piece)
+            head_outputs.append(mixed)
+        out.append(ad.concat(head_outputs, axis=1))
+    return out
+
+
+@pytest.mark.parametrize("used", ["all", "last"])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("num_m", [1, 2, 3])
+def test_attention_bitwise_equals_composed_tape(monkeypatch, num_m, heads, used):
+    rng = np.random.default_rng(10 * num_m + heads)
+    n, d = 9, 8
+    attn = _attn(d, heads, seed=num_m)
+    bases = [ad.parameter(rng.standard_normal((n, d)), f"base{m}") for m in range(num_m)]
+    bases[0].data[4] = 0.0  # a zero view row
+    bases[-1].data[-1] = bases[-1].data[0]  # duplicated rows
+    bases[0].data[2] = bases[0].data[1]
+    weights = ad.constant(rng.standard_normal((n, d)))
+    params = bases + attn.parameters()
+
+    def outputs_and_grads():
+        with ad.Tape() as tape:
+            # produced views whose gradient also gets a later partial first,
+            # as the user-side views get InfoNCE's
+            views = [ad.scale(b, 1.0) for b in bases]
+            mixed = enc.cross_modal_attention(views, attn)
+            # with one output unused, that output's gradient is left out
+            summary = enc.fuse_modalities(mixed if used == "all" else mixed[-1:])
+            loss = ad.reduce_sum(ad.mul(summary, weights))
+            for v in views:
+                loss = ad.add(loss, ad.reduce_sum(ad.mul(ad.mul(v, v), weights)))
+        grads = tape.backward(loss, params=params)
+        return [summary.data, loss.data] + [grads.get(p) for p in params]
+
+    fused = outputs_and_grads()
+    monkeypatch.setattr(enc, "cross_modal_attention", composed_cross_modal_attention)
+    composed = outputs_and_grads()
+    names = ["summary", "loss"] + [p.name for p in params]
+    for name, a, b in zip(names, fused, composed):
+        assert np.array_equal(a, b), name
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(fused[:2], composed[:2]))
+
+
 def test_attention_dim_must_divide_heads():
     with pytest.raises(ValueError):
         enc.AttentionParams.create(6, 4, np.random.default_rng(0))
