@@ -107,11 +107,11 @@ def _build_trainer(settings, data_dir: str) -> Trainer:
 def _cmd_train(args) -> int:
     settings = resolve_settings(apply_env(load_config(args.config)))
     trainer = _build_trainer(settings, args.data)
+    if args.resume:  # before config.json: a refused resume leaves the run's files alone
+        trainer.restore(args.resume)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(settings.flat, sort_keys=True, indent=2))
-    if args.resume:
-        trainer.restore(args.resume)
     result = trainer.run(
         checkpoint_path=out / "final.ckpt", log_path=out / "metrics.ndjson"
     )
@@ -197,8 +197,13 @@ def _cmd_report(args) -> int:
     text = path.read_text(encoding="utf-8").strip()
     if not text:
         raise CliError(f"log file {path} is empty")
-    if text.lstrip().startswith("{") and "\n" not in text.lstrip().rstrip():
+    # `mmssl eval --format json` writes one report over many lines; anything
+    # else is a metrics log of one JSON record per line
+    try:
         doc = json.loads(text)
+    except json.JSONDecodeError:
+        doc = None
+    if isinstance(doc, dict) and "overall" in doc:
         print(json.dumps(doc, sort_keys=True, indent=2))
         return 0
     records = []
@@ -241,7 +246,7 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ConfigError, DataFormatError, FileNotFoundError, ValueError) as e:
+    except (ConfigError, DataFormatError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except NumericError as e:

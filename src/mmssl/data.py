@@ -248,12 +248,11 @@ class ModalityFeatureTable:
 
 @dataclass
 class DataSplit:
-    train: list[tuple[int, int]]
-    val: list[tuple[int, int]]
-    test: list[tuple[int, int]]
+    """Disjoint train/val/test edges, each a graph of the full shape."""
 
-    def train_graph(self, graph: InteractionGraph) -> InteractionGraph:
-        return graph_from_edges(graph.num_users, graph.num_items, self.train)
+    train: InteractionGraph
+    val: InteractionGraph
+    test: InteractionGraph
 
 
 def split_edges(
@@ -272,16 +271,17 @@ def split_edges(
     if min(ratios) < 0:
         raise ValueError(f"split ratios must not be negative, got {ratios}")
     rng = np.random.default_rng(seed)
-    reserved: list[tuple[int, int]] = []
-    pool: list[tuple[int, int]] = []
-    for u in range(graph.num_users):
-        items = graph.user_items[u]
-        if len(items) == 0:
-            continue
-        order = rng.permutation(len(items))
-        reserved.append((u, int(items[order[0]])))
-        pool.extend((u, int(items[j])) for j in order[1:])
-    total = len(reserved) + len(pool)
+    indptr, indices = graph.matrix.indptr, graph.matrix.indices
+    counts = np.diff(indptr)
+    # each interacting user's CSR positions, shuffled, in user order; as empty
+    # rows add nothing, the block of user u starts at indptr[u]
+    shuffled = np.concatenate(
+        [np.empty(0, dtype=np.int64)]
+        + [start + rng.permutation(n) for start, n in zip(indptr.tolist(), counts.tolist()) if n]
+    )
+    firsts = indptr[:-1][counts > 0]
+    reserved, pool = shuffled[firsts], np.delete(shuffled, firsts)
+    total = len(shuffled)
     n_val = int(round(ratios[1] * total))
     n_test = int(round(ratios[2] * total))
     n_train = total - n_val - n_test
@@ -289,13 +289,10 @@ def split_edges(
         n_train = len(reserved)
         n_val = min(n_val, total - n_train)
         n_test = total - n_train - n_val
-    perm = rng.permutation(len(pool))
-    pool = [pool[j] for j in perm]
-    extra_train = n_train - len(reserved)
-    train = reserved + pool[:extra_train]
-    val = pool[extra_train : extra_train + n_val]
-    test = pool[extra_train + n_val :]
-    return DataSplit(train=sorted(train), val=sorted(val), test=sorted(test))
+    order = np.concatenate((reserved, pool[rng.permutation(len(pool))]))
+    pairs = np.column_stack((np.repeat(np.arange(graph.num_users), counts)[order], indices[order]))
+    parts = np.split(pairs, [n_train, n_train + n_val])
+    return DataSplit(*(graph_from_edges(graph.num_users, graph.num_items, p) for p in parts))
 
 
 @dataclass
@@ -319,22 +316,22 @@ def sample_bpr_triplets(
     Negatives are uniform over items not observed for that user anywhere in
     the dataset.  A user interacting with every item has no valid negative.
     """
-    edges = split.train
-    if not edges:
+    train = split.train.matrix
+    if train.nnz == 0:
         raise ValueError("cannot sample triplets from an empty train split")
-    idx = rng.integers(0, len(edges), size=batch)
-    users = np.empty(batch, dtype=np.int64)
-    pos = np.empty(batch, dtype=np.int64)
+    idx = rng.integers(0, train.nnz, size=batch)
+    # the row holding CSR entry j: "right" steps past the empty rows before it
+    users = (np.searchsorted(train.indptr, idx, side="right") - 1).astype(np.int64)
+    pos = train.indices[idx].astype(np.int64)
     neg = np.empty(batch, dtype=np.int64)
-    for row, j in enumerate(idx):
-        u, i = edges[j]
+    for row, u in enumerate(users.tolist()):
         if len(graph.user_items[u]) >= graph.num_items:
             raise ValueError(f"user {u} interacts with every item; no negative exists")
         while True:
             cand = int(rng.integers(0, graph.num_items))
             if cand not in graph.user_items[u]:
                 break
-        users[row], pos[row], neg[row] = u, i, cand
+        neg[row] = cand
     return TripletBatch(users=users, pos_items=pos, neg_items=neg)
 
 

@@ -117,8 +117,7 @@ def build_check_instance(
     )
     graph, features, _ = generate_synthetic(spec)
     split = split_edges(graph, seed=seed)
-    train_graph = split.train_graph(graph)
-    adj = build_norm_adjacency(train_graph)
+    adj = build_norm_adjacency(split.train)
     rng = np.random.default_rng(seed)
     state = mdl.init_model(
         num_users,
@@ -134,7 +133,7 @@ def build_check_instance(
     triplets = sample_bpr_triplets(split, graph, batch, rng)
     adv_users = rng.integers(0, num_users, size=batch)
     fwd = mdl.forward_embeddings(state, adj, features, neighborhoods, enc_cfg, 0.2)
-    a_rows = train_graph.dense_matrix()[adv_users]
+    a_rows = split.train.dense_matrix()[adv_users]
     real = adversarial.gumbel_real_proxy(
         a_rows,
         rng,

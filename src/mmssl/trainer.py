@@ -27,7 +27,6 @@ from .data import (
     InteractionGraph,
     ModalityFeatureTable,
     build_norm_adjacency,
-    graph_from_edges,
     sample_bpr_triplets,
 )
 from .encoder import EncoderConfig, SemanticNeighborhood
@@ -178,6 +177,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     blob = path.read_bytes()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path.name}: bad checkpoint magic {blob[:4]!r}")
+    if len(blob) < 12:
+        raise ValueError(f"{path.name}: truncated checkpoint header")
     (version,) = struct.unpack_from("<I", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path.name}: unsupported checkpoint version {version}")
@@ -263,6 +264,9 @@ class Trainer:
                     f"feature table '{table.name}' covers {table.num_items} items, "
                     f"graph has {graph.num_items}"
                 )
+        for name in ("train", "val", "test"):
+            if getattr(split, name).matrix.shape != graph.matrix.shape:
+                raise ValueError(f"split.{name} is not of the graph's shape {graph.matrix.shape}")
         self.cfg = cfg
         self.enc_cfg = enc_cfg
         self.adv_cfg = adv_cfg
@@ -272,8 +276,7 @@ class Trainer:
         self.features = features
         self.split = split
         self.config_flat = dict(config_flat or {})
-        self.train_graph = split.train_graph(graph)
-        self.adj = build_norm_adjacency(self.train_graph)
+        self.adj = build_norm_adjacency(split.train)
         init_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
         self.state = mdl.init_model(
             graph.num_users,
@@ -325,7 +328,7 @@ class Trainer:
             fwd = self._eval_forward()
             h_u, h_i = fwd.h_users.data[batch_users], fwd.h_items.data
         real = adversarial.gumbel_real_proxy(
-            self.train_graph.matrix[batch_users].toarray(), self.rng_adv, gumbel_cfg, h_u, h_i
+            self.split.train.matrix[batch_users].toarray(), self.rng_adv, gumbel_cfg, h_u, h_i
         )
         fake = np.empty((len(batch_users), self.graph.num_items))
         assignment = self.rng_adv.integers(0, len(self.features), size=len(batch_users))
@@ -399,14 +402,13 @@ class Trainer:
 
     # -- evaluation and state management -----------------------------------
 
-    def evaluate(self, edges, k: int) -> RankingReport:
+    def evaluate(self, held_out: InteractionGraph, k: int) -> RankingReport:
         """Rank every item for each user (eval mode, training items
-        excluded) and score the top ``k`` against the held-out ``edges``."""
-        held_out = graph_from_edges(self.graph.num_users, self.graph.num_items, edges)
+        excluded) and score the top ``k`` against the ``held_out`` edges."""
         fwd = self._eval_forward()
         return evaluate_scores(
             ScoreRows(fwd.h_users.data, fwd.h_items.data),
-            train_items=self.train_graph.user_items,
+            train_items=self.split.train.user_items,
             relevant=held_out.user_items,
             k=k,
             boundaries=self.eval_cfg.buckets,
@@ -517,7 +519,7 @@ class Trainer:
 
     def run(self, checkpoint_path=None, log_path=None) -> TrainResult:
         cfg = self.cfg
-        steps = cfg.steps_per_epoch or max(1, -(-len(self.split.train) // cfg.batch_size))
+        steps = cfg.steps_per_epoch or max(1, -(-self.split.train.num_edges // cfg.batch_size))
         aborted = False
         log_fh = open(log_path, "a", encoding="utf-8") if log_path else None
         try:

@@ -336,3 +336,70 @@ def test_eval_reads_checkpoint_with_retired_block_rows_key(data_dir, train_dir, 
     _retired_key_evaluates_but_cannot_resume(
         data_dir, train_dir, tmp_path, capsys, "adv.block_rows", 0
     )
+
+
+def test_refused_resume_keeps_config_json(data_dir, train_dir, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(train_dir, run)
+    before = (run / "config.json").read_bytes()
+    changed = tmp_path / "changed.json"
+    changed.write_text(json.dumps({**json.loads(before), "train.lr_gen": 0.01}))
+    code = main(
+        [
+            "train", "--data", str(data_dir), "--out", str(run),
+            "--config", str(changed), "--resume", str(run / "final.ckpt"),
+        ]
+    )
+    assert code == 1
+    assert "different configuration" in capsys.readouterr().err
+    assert (run / "config.json").read_bytes() == before
+
+
+@pytest.mark.parametrize("flag", ["--config", "--resume", "--checkpoint", "--spec"])
+def test_directory_given_as_file_exits_one(data_dir, train_dir, tmp_path, capsys, flag):
+    folder = str(tmp_path)
+    out = str(tmp_path / "out")
+    argv = {
+        "--config": ["train", "--data", str(data_dir), "--out", out, "--config", folder],
+        "--resume": [
+            "train", "--data", str(data_dir), "--out", out,
+            "--config", str(train_dir / "config.json"), "--resume", folder,
+        ],
+        "--checkpoint": ["eval", "--checkpoint", folder, "--data", str(data_dir)],
+        "--spec": ["synth", "--out", out, "--spec", folder],
+    }[flag]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_eval_rejects_truncated_checkpoint_header(data_dir, tmp_path, capsys):
+    short = tmp_path / "short.ckpt"
+    short.write_bytes(b"MMCK\x01\x00\x00")
+    assert main(["eval", "--checkpoint", str(short), "--data", str(data_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "truncated checkpoint header" in err and "Traceback" not in err
+
+
+def test_report_reads_eval_json_output(data_dir, train_dir, tmp_path, capsys):
+    args = ["--checkpoint", str(train_dir / "best.ckpt"), "--data", str(data_dir)]
+    assert main(["eval", *args, "--format", "json"]) == 0
+    written = capsys.readouterr().out
+    assert "\n" in written.strip()  # pretty-printed over many lines
+    report_path = tmp_path / "report.json"
+    report_path.write_text(written)
+    for fmt in ("text", "json"):
+        assert main(["report", "--log", str(report_path), "--format", fmt]) == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(written)
+
+
+def test_report_renders_one_epoch_log_as_table(train_dir, tmp_path, capsys):
+    first = (train_dir / "metrics.ndjson").read_text().splitlines()[0]
+    log = tmp_path / "metrics.ndjson"
+    log.write_text(first + "\n")
+    assert main(["report", "--log", str(log)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["epoch", "l_bpr", "l_cl", "l_g", "l_d", "recall", "ndcg", "precision"]
+    assert len(lines) == 2 and lines[1].split()[0] == "0"
+    assert main(["report", "--log", str(log), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == [json.loads(first)]

@@ -133,9 +133,11 @@ def test_feature_file_errors(tmp_path):
 def test_split_sizes_and_disjointness():
     g = graph_from_edges(5, 6, [(u, i) for u in range(5) for i in (u, u + 1)])
     split = split_edges(g, (0.8, 0.1, 0.1), seed=7)
-    assert len(split.train) + len(split.val) + len(split.test) == 10
-    assert (len(split.train), len(split.val), len(split.test)) == (8, 1, 1)
-    all_edges = split.train + split.val + split.test
+    parts = (split.train, split.val, split.test)
+    assert all(p.matrix.shape == g.matrix.shape for p in parts)
+    assert sum(p.num_edges for p in parts) == 10
+    assert tuple(p.num_edges for p in parts) == (8, 1, 1)
+    all_edges = split.train.edges() + split.val.edges() + split.test.edges()
     assert len(set(all_edges)) == 10
 
 
@@ -143,15 +145,39 @@ def test_split_is_deterministic():
     g = graph_from_edges(6, 6, [(u, i) for u in range(6) for i in range(3)])
     a = split_edges(g, seed=3)
     b = split_edges(g, seed=3)
-    assert (a.train, a.val, a.test) == (b.train, b.val, b.test)
+    for name in ("train", "val", "test"):
+        assert getattr(a, name).edges() == getattr(b, name).edges()
 
 
 def test_split_keeps_every_user_in_train():
     g = graph_from_edges(4, 8, [(0, 0)] + [(u, i) for u in (1, 2, 3) for i in range(4)])
     split = split_edges(g, seed=0)
-    train_users = {u for u, _ in split.train}
+    train_users = {u for u, _ in split.train.edges()}
     assert train_users == {0, 1, 2, 3}
-    assert (0, 0) in split.train  # single-edge user goes wholly to train
+    assert (0, 0) in split.train.edges()  # single-edge user goes wholly to train
+
+
+def _ragged_graph():
+    # user 1 has one edge, user 2 none: an empty CSR row between two full ones
+    rows = {0: [0, 1, 2, 3, 4], 1: [3], 3: [1, 2, 5, 6, 7], 4: [0, 7], 5: [2, 3, 4, 6]}
+    return graph_from_edges(6, 8, [(u, i) for u, items in rows.items() for i in items])
+
+
+def test_split_pins_exact_edges():
+    # one permutation per interacting user in user order, then one over the
+    # pool: these edges pin that RNG stream
+    split = split_edges(_ragged_graph(), (0.6, 0.2, 0.2), seed=5)
+    assert split.train.edges() == [
+        (0, 0), (0, 4), (1, 3), (3, 1), (3, 2), (3, 6), (4, 0), (4, 7), (5, 2), (5, 4), (5, 6),
+    ]
+    assert split.val.edges() == [(0, 1), (0, 3), (5, 3)]
+    assert split.test.edges() == [(0, 2), (3, 5), (3, 7)]
+
+
+def test_split_of_graph_without_edges():
+    split = split_edges(graph_from_edges(3, 2, []), seed=0)
+    assert [p.num_edges for p in (split.train, split.val, split.test)] == [0, 0, 0]
+    assert split.train.matrix.shape == (3, 2)
 
 
 def test_split_rejects_bad_ratios():
@@ -169,8 +195,28 @@ def test_triplets_avoid_observed_pairs():
     batch = sample_bpr_triplets(split, g, 4, rng)
     assert len(batch.users) == 4
     for u, ip, ineg in zip(batch.users, batch.pos_items, batch.neg_items):
-        assert (int(u), int(ip)) in split.train
+        assert (int(u), int(ip)) in split.train.edges()
         assert (int(u), int(ineg)) not in g.edges()
+
+
+def test_triplets_pin_exact_draws_across_empty_rows():
+    g = _ragged_graph()
+    split = split_edges(g, (0.6, 0.2, 0.2), seed=5)
+    batch = sample_bpr_triplets(split, g, 12, np.random.default_rng(3))
+    assert batch.users.tolist() == [5, 0, 0, 1, 0, 5, 5, 4, 0, 0, 3, 3]
+    assert batch.pos_items.tolist() == [2, 0, 4, 3, 4, 2, 4, 0, 0, 4, 1, 2]
+    assert batch.neg_items.tolist() == [1, 5, 5, 0, 7, 5, 1, 5, 6, 7, 0, 0]
+    assert batch.users.dtype == batch.pos_items.dtype == np.int64
+
+
+def test_triplets_draw_every_train_edge_with_empty_first_and_last_rows():
+    # rows 0, 2, 3 and 6 are empty; each edge belongs to the row that holds it
+    edges = [(1, 0), (1, 2), (4, 1), (5, 0), (5, 3)]
+    g = graph_from_edges(7, 4, edges)
+    split = split_edges(g, (1.0, 0.0, 0.0), seed=0)
+    batch = sample_bpr_triplets(split, g, 400, np.random.default_rng(1))
+    drawn = set(zip(batch.users.tolist(), batch.pos_items.tolist()))
+    assert drawn == set(edges)
 
 
 def test_triplets_deterministic_per_seed():
@@ -188,6 +234,12 @@ def test_triplets_error_when_no_negative_exists():
     split = split_edges(g, (0.8, 0.1, 0.1), seed=0)
     with pytest.raises(ValueError, match="negative"):
         sample_bpr_triplets(split, g, 2, np.random.default_rng(0))
+
+
+def test_triplets_error_on_empty_train_split():
+    g = graph_from_edges(2, 2, [])
+    with pytest.raises(ValueError, match="empty train split"):
+        sample_bpr_triplets(split_edges(g, seed=0), g, 2, np.random.default_rng(0))
 
 
 def test_norm_adjacency_values_and_row_norms():

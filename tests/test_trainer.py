@@ -184,6 +184,16 @@ def test_feature_graph_mismatch_rejected():
         Trainer(cfg, enc, adv, objc, evc, graph, bad, split)
 
 
+def test_split_of_another_graph_rejected():
+    graph, features, _ = tiny_problem()
+    cfg, enc, adv, objc, evc = tiny_configs()
+    wider = generate_synthetic(SyntheticSpec(num_users=12, num_items=11, modality_dims=(6, 5)))[0]
+    fewer = generate_synthetic(SyntheticSpec(num_users=11, num_items=10, modality_dims=(6, 5)))[0]
+    for other in (wider, fewer):
+        with pytest.raises(ValueError, match=r"split.train is not of the graph.s shape"):
+            Trainer(cfg, enc, adv, objc, evc, graph, features, split_edges(other, seed=0))
+
+
 # -- optimizer math ---------------------------------------------------------
 
 
@@ -314,6 +324,15 @@ def test_checkpoint_rejects_bad_version(tmp_path):
     blob[4:8] = (99).to_bytes(4, "little")
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError, match="version"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("size", [4, 8, 11])
+def test_checkpoint_rejects_truncated_header(tmp_path, size):
+    path = tmp_path / "head.ckpt"
+    save_checkpoint(path, {"w": np.zeros(2)}, {})
+    path.write_bytes(path.read_bytes()[:size])
+    with pytest.raises(ValueError, match="truncated checkpoint header"):
         load_checkpoint(path)
 
 
@@ -474,8 +493,8 @@ def test_g_step_peak_memory_below_nine_user_by_user_arrays():
 def test_sparse_train_rows_equal_dense_rows():
     trainer = build_trainer()
     users = np.array([0, 5, 5, 11, 0, 3, 3, 3])  # repeated users, as d_step draws them
-    dense = trainer.train_graph.dense_matrix()[users]
-    gathered = trainer.train_graph.matrix[users].toarray()
+    dense = trainer.split.train.dense_matrix()[users]
+    gathered = trainer.split.train.matrix[users].toarray()
     assert gathered.dtype == dense.dtype and gathered.shape == dense.shape
     assert gathered.tobytes() == dense.tobytes()
 
