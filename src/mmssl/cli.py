@@ -25,6 +25,7 @@ from .data import (
     write_interactions,
     write_modality_features,
 )
+from .evaluation import RankingReport
 from .evaluation import evaluate_scores  # noqa: F401  (perfbench's wrapper test binds it here)
 from .gradcheck import run_loss_checks, run_primitive_checks
 from .trainer import Trainer, load_checkpoint, save_checkpoint
@@ -190,6 +191,9 @@ def _cmd_gradcheck(args) -> int:
     return 0
 
 
+_LOG_COLUMNS = ("epoch", "l_bpr", "l_cl", "l_g", "l_d", "recall", "ndcg", "precision")
+
+
 def _cmd_report(args) -> int:
     path = Path(args.log)
     if not path.is_file():
@@ -204,7 +208,11 @@ def _cmd_report(args) -> int:
     except json.JSONDecodeError:
         doc = None
     if isinstance(doc, dict) and "overall" in doc:
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        try:
+            report = RankingReport.from_json(doc)
+        except ValueError as e:
+            raise CliError(f"{path.name}: not an eval report: {e}") from None
+        print(report.to_json() if args.format == "json" else report.to_text())
         return 0
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -212,19 +220,24 @@ def _cmd_report(args) -> int:
         if not line:
             continue
         try:
-            records.append(json.loads(line))
+            rec = json.loads(line)
         except json.JSONDecodeError as e:
             raise CliError(f"{path.name} line {lineno}: not valid JSON: {e}") from e
+        if not isinstance(rec, dict):
+            raise CliError(f"{path.name} line {lineno}: not a JSON object: {line}")
+        for c in _LOG_COLUMNS:
+            if c in rec and (isinstance(rec[c], bool) or not isinstance(rec[c], (int, float))):
+                raise CliError(f"{path.name} line {lineno}: {c} is not a number: {rec[c]!r}")
+        records.append(rec)
     if args.format == "json":
         print(json.dumps(records, sort_keys=True, indent=2))
         return 0
-    cols = ("epoch", "l_bpr", "l_cl", "l_g", "l_d", "recall", "ndcg", "precision")
-    print(" ".join(f"{c:>10}" for c in cols))
+    print(" ".join(f"{c:>10}" for c in _LOG_COLUMNS))
     for rec in records:
         cells = []
-        for c in cols:
-            v = rec.get(c, "")
-            cells.append(f"{v:>10}" if isinstance(v, int) else f"{v:>10.5f}" if v != "" else " " * 10)
+        for c in _LOG_COLUMNS:
+            v = rec.get(c)
+            cells.append(" " * 10 if v is None else f"{v:>10}" if isinstance(v, int) else f"{v:>10.5f}")
         print(" ".join(cells))
     return 0
 

@@ -415,6 +415,13 @@ def sparsity_buckets(
 # --------------------------------------------------------------------------
 
 
+def _whole_number(key: str, value) -> int:
+    """``value`` if it is an int (a bool is not); else a ``DataFormatError``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataFormatError(f"{key} must be a whole number, got {value!r}")
+    return value
+
+
 @dataclass
 class SyntheticSpec:
     """Recipe for a small dataset with recoverable planted preferences."""
@@ -432,20 +439,40 @@ class SyntheticSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SyntheticSpec":
+        if not isinstance(doc, dict):
+            raise DataFormatError(f"synthetic spec must be a JSON object, got {doc!r}")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(doc) - known
         if extra:
             raise DataFormatError(f"unknown synthetic spec fields: {sorted(extra)}")
         kwargs = dict(doc)
+        for key in ("num_users", "num_items", "latent_dim", "interactions_per_user", "seed"):
+            if key in kwargs:
+                _whole_number(key, kwargs[key])
         if "modality_dims" in kwargs:
-            kwargs["modality_dims"] = tuple(int(d) for d in kwargs["modality_dims"])
+            dims = kwargs["modality_dims"]
+            if not isinstance(dims, (list, tuple)):
+                raise DataFormatError(f"modality_dims must be a list, got {dims!r}")
+            kwargs["modality_dims"] = tuple(_whole_number("modality_dims", d) for d in dims)
+        noise = kwargs.get("noise", cls.noise)
+        if isinstance(noise, bool) or not isinstance(noise, (int, float)):
+            raise DataFormatError(f"noise must be a number, got {noise!r}")
         spec = cls(**kwargs)
         if spec.num_users <= 0 or spec.num_items <= 0:
             raise DataFormatError("synthetic spec needs positive user/item counts")
-        if spec.interactions_per_user > spec.num_items:
-            raise DataFormatError("interactions_per_user cannot exceed num_items")
-        if not 0.0 <= spec.noise:
-            raise DataFormatError("noise must be non-negative")
+        if spec.latent_dim <= 0:
+            raise DataFormatError(f"latent_dim must be positive, got {spec.latent_dim}")
+        if any(d <= 0 for d in spec.modality_dims):
+            raise DataFormatError(f"modality_dims must be positive, got {list(spec.modality_dims)}")
+        if not 0 <= spec.interactions_per_user <= spec.num_items:
+            raise DataFormatError(
+                f"interactions_per_user must lie in 0..num_items={spec.num_items}, "
+                f"got {spec.interactions_per_user}"
+            )
+        if not 0.0 <= spec.noise < np.inf:
+            raise DataFormatError(f"noise must be a finite non-negative number, got {spec.noise}")
+        if spec.seed < 0:
+            raise DataFormatError(f"seed must not be negative, got {spec.seed}")
         return spec
 
     def to_json(self) -> dict:
@@ -495,12 +522,53 @@ def generate_synthetic(
             mapped = mapped + spec.noise * mapped.std() * rng.standard_normal(mapped.shape)
         features.append(ModalityFeatureTable(name=f"modality{m}", values=mapped.astype("<f4")))
     planted = z_u @ z_i.T
-    edges = []
-    for u in range(spec.num_users):
-        logits = planted[u] - planted[u].max()
-        probs = np.exp(logits)
-        probs /= probs.sum()
-        chosen = rng.choice(spec.num_items, size=spec.interactions_per_user, replace=False, p=probs)
-        edges.extend((u, int(i)) for i in chosen)
+    edges = _draw_interactions(planted, spec.interactions_per_user, rng)
     graph = graph_from_edges(spec.num_users, spec.num_items, edges)
     return graph, features, planted
+
+
+# bytes of each of the two float64 row buffers of ``_draw_interactions``
+DRAW_BLOCK_BYTES = 8 << 20
+
+
+def _draw_interactions(planted: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """The (U*k, 2) edges that a per-user ``rng.choice(I, k, replace=False,
+    p=softmax(planted[u]))`` draws, bit for bit and with the same ``rng`` calls.
+
+    The softmax and its normalised cumulative sum are computed a block of
+    rows at a time, by the operations ``rng.choice`` applies to one row.
+    Per user, numpy's without-replacement rounds are replayed: draw the
+    missing count; from the second round on, zero the items found so far
+    and rebuild the distribution; search it and keep the first occurrence
+    of each item, in draw order.
+    """
+    num_users, num_items = planted.shape
+    if num_users and not 0 <= k <= num_items:
+        raise ValueError(f"cannot draw {k} distinct items from {num_items}")
+    edges = np.empty((num_users, k, 2), dtype=np.int64)
+    edges[:, :, 0] = np.arange(num_users)[:, None]
+    step = max(1, DRAW_BLOCK_BYTES // (8 * max(1, num_items)))
+    probs = np.empty((min(step, num_users), num_items))
+    cdfs = np.empty_like(probs)
+    for start in range(0, num_users, step):
+        block = planted[start : start + step]
+        p, c = probs[: len(block)], cdfs[: len(block)]
+        np.subtract(block, block.max(axis=1, keepdims=True), out=p)
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        short = np.flatnonzero(np.count_nonzero(p > 0, axis=1) < k)
+        if short.size:
+            raise ValueError(f"user {start + short[0]} has fewer than {k} items of non-zero probability")
+        np.cumsum(p, axis=1, out=c)
+        c /= c[:, -1:].copy()  # a copy: dividing by a view of c itself is twice as slow
+        for row in range(len(block)):
+            cdf, found = c[row], []
+            while len(found) < k:
+                x = rng.random(k - len(found))
+                if found:  # p is a work buffer: this row is not read again
+                    p[row, found] = 0
+                    cdf = np.cumsum(p[row])
+                    cdf /= cdf[-1]
+                found.extend(dict.fromkeys(cdf.searchsorted(x, side="right").tolist()))
+            edges[start + row, :, 1] = found
+    return edges.reshape(-1, 2)

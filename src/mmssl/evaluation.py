@@ -90,6 +90,31 @@ class RankingReport:
             indent=2,
         )
 
+    @classmethod
+    def from_json(cls, doc: dict) -> "RankingReport":
+        """The report ``to_json`` wrote; a field that is missing or not a
+        number raises ``ValueError`` naming it."""
+        buckets = doc.get("buckets", {})
+        if not isinstance(buckets, dict):
+            raise ValueError(f"buckets is not an object: {buckets!r}")
+        try:  # to_json sorts the "[low,high)" labels as strings; restore the ranges' order
+            order = sorted(buckets, key=lambda label: float(label[1 : label.index(",")]))
+        except ValueError:
+            raise ValueError(f"bucket labels must read [low,high): {sorted(buckets)}") from None
+        buckets = {label: buckets[label] for label in order}
+        metrics = ("recall", "precision", "ndcg")
+        values = [("k", doc.get("k")), ("num_users", doc.get("num_users"))]
+        rows = [("overall", doc.get("overall"), metrics)]
+        rows += [(f"buckets.{label}", row, ("users", *metrics)) for label, row in buckets.items()]
+        for where, row, keys in rows:
+            if not isinstance(row, dict):
+                raise ValueError(f"{where} is not an object: {row!r}")
+            values += [(f"{where}.{key}", row.get(key)) for key in keys]
+        for where, value in values:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{where} is not a number: {value!r}")
+        return cls(k=doc["k"], num_users=doc["num_users"], overall=doc["overall"], buckets=buckets)
+
     def to_text(self) -> str:
         lines = [
             f"users evaluated: {self.num_users}   K={self.k}",

@@ -405,6 +405,11 @@ class Trainer:
     def evaluate(self, held_out: InteractionGraph, k: int) -> RankingReport:
         """Rank every item for each user (eval mode, training items
         excluded) and score the top ``k`` against the ``held_out`` edges."""
+        if held_out.matrix.shape != self.graph.matrix.shape:
+            raise ValueError(
+                f"held-out graph has shape {held_out.matrix.shape}, "
+                f"the model {self.graph.matrix.shape}"
+            )
         fwd = self._eval_forward()
         return evaluate_scores(
             ScoreRows(fwd.h_users.data, fwd.h_items.data),

@@ -388,9 +388,65 @@ def test_report_reads_eval_json_output(data_dir, train_dir, tmp_path, capsys):
     assert "\n" in written.strip()  # pretty-printed over many lines
     report_path = tmp_path / "report.json"
     report_path.write_text(written)
-    for fmt in ("text", "json"):
-        assert main(["report", "--log", str(report_path), "--format", fmt]) == 0
-        assert json.loads(capsys.readouterr().out) == json.loads(written)
+    assert main(["report", "--log", str(report_path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads(written)
+    # the text form is the table `mmssl eval --format text` prints
+    assert main(["eval", *args, "--format", "text"]) == 0
+    table = capsys.readouterr().out
+    assert "bucket" in table
+    assert main(["report", "--log", str(report_path), "--format", "text"]) == 0
+    assert capsys.readouterr().out == table
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"epoch": 0}\n[1, 2]\n', "line 2: not a JSON object"),
+        ('"done"\n', "line 1: not a JSON object"),
+        ('{"epoch": 0, "recall": "high"}\n', "line 1: recall is not a number"),
+        ('{"k": 5, "num_users": 3, "overall": {"recall": "x", "precision": 0.1, "ndcg": 0.2}}',
+         "overall.recall is not a number"),
+        ('{"k": 5, "num_users": 3, "overall": [0.1]}', "overall is not an object"),
+        ('{"k": 5, "num_users": 3, "overall": {"recall": 0.1, "precision": 0.1, "ndcg": 0.2},'
+         ' "buckets": {"[0,4)": {"users": 2, "recall": 0.1, "precision": null, "ndcg": 0.2}}}',
+         "buckets.[0,4).precision is not a number"),
+        ('{"k": 5, "num_users": 3, "overall": {"recall": 0.1, "precision": 0.1, "ndcg": 0.2},'
+         ' "buckets": {"sparse": {}}}',
+         "bucket labels must read [low,high)"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_report_rejects_json_that_is_not_a_record(tmp_path, capsys, text, message, fmt):
+    log = tmp_path / "log.ndjson"
+    log.write_text(text)
+    assert main(["report", "--log", str(log), "--format", fmt]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: log.ndjson") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("noise", "x", "noise must be a number"),
+        ("noise", -0.5, "noise must be a finite non-negative number"),
+        ("num_users", 2.5, "num_users must be a whole number"),
+        ("num_items", True, "num_items must be a whole number"),
+        ("seed", "3", "seed must be a whole number"),
+        ("interactions_per_user", -1, "interactions_per_user must lie in 0..num_items=40"),
+        ("interactions_per_user", 41, "interactions_per_user must lie in 0..num_items=40"),
+        ("modality_dims", [8, 0], "modality_dims must be positive"),
+        ("modality_dims", [8, 2.0], "modality_dims must be a whole number"),
+        ("modality_dims", 8, "modality_dims must be a list"),
+        ("latent_dim", 0, "latent_dim must be positive"),
+    ],
+)
+def test_synth_rejects_bad_spec_fields(tmp_path, capsys, field, value, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({field: value}))
+    assert main(["synth", "--out", str(tmp_path / "out"), "--spec", str(spec)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_renders_one_epoch_log_as_table(train_dir, tmp_path, capsys):

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mmssl import data
 from mmssl.data import (
     DataFormatError,
     SyntheticSpec,
@@ -395,6 +396,102 @@ def test_synthetic_identity_map_no_noise():
     np.testing.assert_allclose(planted, z_u @ features[0].as_float64().T, rtol=1e-6)
 
 
+def reference_draw(planted, k, rng):
+    """The per-user ``rng.choice`` loop that ``_draw_interactions`` replays."""
+    edges = []
+    for u in range(planted.shape[0]):
+        logits = planted[u] - planted[u].max()
+        probs = np.exp(logits)
+        probs /= probs.sum()
+        chosen = rng.choice(planted.shape[1], size=k, replace=False, p=probs)
+        edges.extend((u, int(i)) for i in chosen)
+    return edges
+
+
+def assert_synthetic_matches_reference(spec, monkeypatch):
+    graph, features, planted = generate_synthetic(spec)
+    with monkeypatch.context() as m:
+        m.setattr(data, "_draw_interactions", reference_draw)
+        ref_graph, ref_features, ref_planted = generate_synthetic(spec)
+    assert np.array_equal(graph.matrix.indptr, ref_graph.matrix.indptr)
+    assert np.array_equal(graph.matrix.indices, ref_graph.matrix.indices)
+    assert [t.values.tobytes() for t in features] == [t.values.tobytes() for t in ref_features]
+    assert planted.tobytes() == ref_planted.tobytes()
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"num_users": 1},
+        {"interactions_per_user": 0},
+        {"interactions_per_user": 40},
+        {"num_items": 37, "interactions_per_user": 9},
+        {"latent_dim": 16, "modality_dims": (16, 5)},
+        {"noise": 0.0},
+        # peaked rows: most users need several rounds to find 30 distinct items
+        {"latent_dim": 16, "num_items": 35, "interactions_per_user": 30},
+    ],
+)
+def test_synthetic_draws_equal_the_choice_loop(fields, monkeypatch):
+    assert_synthetic_matches_reference(SyntheticSpec(**{"num_users": 30, **fields}), monkeypatch)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7, 30])
+def test_synthetic_draws_equal_the_choice_loop_across_blocks(rows, monkeypatch):
+    spec = SyntheticSpec(num_users=31, num_items=21, latent_dim=12, interactions_per_user=6, seed=4)
+    monkeypatch.setattr(data, "DRAW_BLOCK_BYTES", 8 * 21 * rows + 7)
+    assert_synthetic_matches_reference(spec, monkeypatch)
+    monkeypatch.setattr(data, "DRAW_BLOCK_BYTES", 8 * 21 - 1)  # less than one row
+    assert_synthetic_matches_reference(spec, monkeypatch)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    num_users=st.integers(1, 25),
+    num_items=st.integers(1, 30),
+    latent_dim=st.integers(1, 20),
+    share=st.floats(0, 1),
+    rows=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_synthetic_draws_equal_the_choice_loop_on_random_specs(
+    num_users, num_items, latent_dim, share, rows, seed
+):
+    spec = SyntheticSpec(
+        num_users=num_users, num_items=num_items, modality_dims=(3,), latent_dim=latent_dim,
+        interactions_per_user=round(share * num_items), seed=seed,
+    )
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(data, "DRAW_BLOCK_BYTES", 8 * num_items * rows)
+        assert_synthetic_matches_reference(spec, m)
+
+
+def test_draws_with_underflowed_probabilities_equal_the_choice_loop():
+    # exp underflows to exactly zero for the -800 entries, which are never drawn
+    planted = np.zeros((4, 9))
+    planted[:, ::2] = -800.0
+    planted[1] = np.linspace(0, 3, 9)
+    got = data._draw_interactions(planted, 4, np.random.default_rng(2))
+    want = reference_draw(planted, 4, np.random.default_rng(2))
+    assert got.tolist() == [list(e) for e in want]
+    assert not set(got[got[:, 0] != 1, 1].tolist()) & {0, 2, 4, 6, 8}
+
+
+def test_draw_errors_match_the_choice_loop():
+    too_many = SyntheticSpec(num_items=5, interactions_per_user=6)
+    with pytest.raises(ValueError):
+        reference_draw(np.zeros((1, 5)), 6, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="cannot draw 6 distinct items from 5"):
+        generate_synthetic(too_many)
+    # user 2's row leaves two items of non-zero probability
+    planted = np.zeros((3, 6))
+    planted[2, 2:] = -1000.0
+    with pytest.raises(ValueError):
+        reference_draw(planted, 3, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="user 2 has fewer than 3 items of non-zero probability"):
+        data._draw_interactions(planted, 3, np.random.default_rng(0))
+
+
 def test_synthetic_same_seed_identical():
     a = generate_synthetic(SyntheticSpec(seed=5))
     b = generate_synthetic(SyntheticSpec(seed=5))
@@ -416,3 +513,22 @@ def test_synthetic_spec_json_round_trip(tmp_path):
 def test_synthetic_spec_rejects_unknown_fields():
     with pytest.raises(DataFormatError, match="unknown"):
         SyntheticSpec.from_json({"num_users": 5, "flavor": "grape"})
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1, 2], "must be a JSON object"),
+        ({"noise": "x"}, "noise must be a number"),
+        ({"noise": float("inf")}, "noise must be a finite non-negative number"),
+        ({"num_users": 2.5}, "num_users must be a whole number"),
+        ({"latent_dim": False}, "latent_dim must be a whole number"),
+        ({"seed": -1}, "seed must not be negative"),
+        ({"interactions_per_user": -1}, "interactions_per_user must lie in 0..num_items=40"),
+        ({"modality_dims": ["8"]}, "modality_dims must be a whole number"),
+        ({"modality_dims": [4, -2]}, "modality_dims must be positive"),
+    ],
+)
+def test_synthetic_spec_rejects_wrong_types_and_ranges(doc, message):
+    with pytest.raises(DataFormatError, match=message):
+        SyntheticSpec.from_json(doc)

@@ -194,6 +194,16 @@ def test_split_of_another_graph_rejected():
             Trainer(cfg, enc, adv, objc, evc, graph, features, split_edges(other, seed=0))
 
 
+@pytest.mark.parametrize("num_users", [5, 40])
+def test_evaluate_rejects_held_out_graph_of_another_shape(num_users):
+    # fewer users used to end in an IndexError, more were silently dropped
+    graph, features, split = tiny_problem()
+    trainer = Trainer(*tiny_configs(), graph, features, split)
+    other = generate_synthetic(SyntheticSpec(num_users=num_users, num_items=10))[0]
+    with pytest.raises(ValueError, match=rf"\({num_users}, 10\), the model \(12, 10\)"):
+        trainer.evaluate(other, 5)
+
+
 # -- optimizer math ---------------------------------------------------------
 
 
