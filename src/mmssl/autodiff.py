@@ -14,8 +14,10 @@ non-finite output, or the op whose vjp went non-finite.  ``batch_norm``
 checks every call, so a failing step never writes a non-finite running
 statistic.
 
-At most one tape records at a time.  Backward never mutates parameters;
-it only returns a gradient map.
+At most one tape records at a time.  A tape may be entered again after it
+was left: its records then continue in order, so a forward recorded in
+pieces is differentiated as one.  Backward never mutates parameters; it
+only returns a gradient map.
 """
 
 from __future__ import annotations
@@ -210,8 +212,7 @@ class Tape:
         """
         if loss.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
-        if not np.all(np.isfinite(loss.data)):
-            raise NumericError(self._blame("non-finite loss"))
+        self.require_finite(loss, "non-finite loss")
         wanted = None if params is None else {id(p) for p in params}
         produced = {id(t) for rec in self._records for t in rec.outputs()}
         buffer: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
@@ -276,6 +277,12 @@ class Tape:
             else:
                 buffer[key] = np.add(held, g_in, out=np.empty_like(held))
                 owned.add(key)
+
+    def require_finite(self, t: Tensor, otherwise: str) -> None:
+        """Raise ``NumericError`` if ``t`` holds a non-finite value, naming
+        the first recorded op with a non-finite output (else ``otherwise``)."""
+        if not np.all(np.isfinite(t.data)):
+            raise NumericError(self._blame(otherwise))
 
     def _blame(self, otherwise: str) -> str:
         """Replay the records: name the first op with a non-finite output."""

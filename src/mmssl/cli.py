@@ -174,6 +174,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    # 0 asks for exact gradients; NaN would fail every check, inf pass any finite error
+    if not 0.0 <= args.tolerance < float("inf"):
+        raise CliError(f"--tolerance must be a finite number of at least 0, got {args.tolerance}")
     failures = 0
     sections = []
     if args.module in ("losses", "all"):

@@ -15,7 +15,9 @@ from .encoder import AttentionParams, EncoderConfig, IdEmbeddings, SemanticNeigh
 __all__ = [
     "ModelState",
     "ForwardResult",
+    "SemanticChain",
     "init_model",
+    "semantic_embeddings",
     "forward_embeddings",
     "generator_losses",
     "refresh_neighborhoods",
@@ -76,28 +78,34 @@ class ForwardResult:
     views_items: list[Tensor]
 
 
-def forward_embeddings(
+@dataclass
+class SemanticChain:
+    """Propagated embeddings and the modality views they were built from."""
+
+    prop_users: Tensor
+    prop_items: Tensor
+    views_users: list[Tensor]
+    views_items: list[Tensor]
+
+
+def semantic_embeddings(
     state: ModelState,
     adj: NormalizedAdjacency,
-    features: list[ModalityFeatureTable],
-    neighborhoods: list[SemanticNeighborhood],
+    neighborhoods: list[SemanticNeighborhood] | None,
     cfg: EncoderConfig,
-    omega: float,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-) -> ForwardResult:
-    """Full chain from raw features and id tables to final embeddings.
+) -> SemanticChain:
+    """Semantic-neighbor views, cross-modal attention, modality fusion and
+    high-order propagation.
 
-    The semantic neighborhoods are taken as fixed index structure; all
-    other stages are differentiable tape operations.
+    No stage has a train mode or draws random numbers, so one chain serves
+    every forward pass under the same id tables, attention weights and
+    neighborhoods.
     """
-    prior_u, prior_i = [], []
-    for m, table in enumerate(features):
-        f_u, f_i = adversarial.modality_collab_embeddings(
-            adj, table.as_float64(), state.gen, m, train=train, rng=rng
+    if neighborhoods is None:
+        raise ValueError(
+            "no semantic neighborhoods yet: set trainer.neighborhoods via "
+            "model.refresh_neighborhoods (as Trainer.run does)"
         )
-        prior_u.append(f_u)
-        prior_i.append(f_i)
     views_u, views_i = [], []
     for neigh in neighborhoods:
         e_u, e_i = enc.modality_view(neigh, state.ids)
@@ -108,15 +116,43 @@ def forward_embeddings(
     prop_u, prop_i = enc.propagate_high_order(
         adj, state.ids.users, state.ids.items, summary_u, summary_i, cfg.layers, cfg.eta
     )
-    h_u = obj.fuse_final(prop_u, prior_u, omega)
-    h_i = obj.fuse_final(prop_i, prior_i, omega)
+    return SemanticChain(prop_u, prop_i, views_u, views_i)
+
+
+def forward_embeddings(
+    state: ModelState,
+    adj: NormalizedAdjacency,
+    features: list[ModalityFeatureTable],
+    neighborhoods: list[SemanticNeighborhood] | None,
+    cfg: EncoderConfig,
+    omega: float,
+    train: bool = False,
+    rng: np.random.Generator | None = None,
+    semantic: SemanticChain | None = None,
+) -> ForwardResult:
+    """Full chain from raw features and id tables to final embeddings.
+
+    The semantic neighborhoods are taken as fixed index structure; all
+    other stages are differentiable tape operations.  ``semantic`` is a
+    chain already computed from the same state and neighborhoods; without
+    it the chain is computed here.
+    """
+    if semantic is None:
+        semantic = semantic_embeddings(state, adj, neighborhoods, cfg)
+    prior_u, prior_i = [], []
+    for m, table in enumerate(features):
+        f_u, f_i = adversarial.modality_collab_embeddings(
+            adj, table.as_float64(), state.gen, m, train=train, rng=rng
+        )
+        prior_u.append(f_u)
+        prior_i.append(f_i)
     return ForwardResult(
-        h_users=h_u,
-        h_items=h_i,
+        h_users=obj.fuse_final(semantic.prop_users, prior_u, omega),
+        h_items=obj.fuse_final(semantic.prop_items, prior_i, omega),
         prior_users=prior_u,
         prior_items=prior_i,
-        views_users=views_u,
-        views_items=views_i,
+        views_users=semantic.views_users,
+        views_items=semantic.views_items,
     )
 
 

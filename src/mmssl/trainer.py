@@ -298,6 +298,9 @@ class Trainer:
         )
         self.opt_disc = AdamOptimizer(self.state.discriminator_parameters(), lr=cfg.lr_disc)
         self.neighborhoods = None
+        # (tape, semantic chain, neighborhoods, generator step) that d_step
+        # recorded for the next g_step
+        self._held_chain = None
         self.epoch = 0
         self.best_epoch = -1
         self.best_recall = -1.0
@@ -307,7 +310,7 @@ class Trainer:
 
     # -- single steps -----------------------------------------------------
 
-    def _eval_forward(self) -> mdl.ForwardResult:
+    def _eval_forward(self, semantic: mdl.SemanticChain | None = None) -> mdl.ForwardResult:
         return mdl.forward_embeddings(
             self.state,
             self.adj,
@@ -316,16 +319,41 @@ class Trainer:
             self.enc_cfg,
             self.obj_cfg.omega,
             train=False,
+            semantic=semantic,
         )
 
+    def _semantic_chain(self) -> tuple[ad.Tape, mdl.SemanticChain]:
+        """Take the taped semantic chain a critic step held, if it was built
+        from the current neighborhoods and generator step; otherwise record
+        a new one on a fresh tape."""
+        held, self._held_chain = self._held_chain, None
+        if held is not None:
+            tape, chain, neighborhoods, step = held
+            if neighborhoods is self.neighborhoods and step == self.opt_gen.t:
+                return tape, chain
+        tape = ad.Tape()
+        with tape:
+            chain = mdl.semantic_embeddings(self.state, self.adj, self.neighborhoods, self.enc_cfg)
+        return tape, chain
+
     def d_step(self) -> float:
-        """One critic update on frozen generator outputs."""
+        """One critic update on frozen generator outputs.
+
+        With the Gumbel proxy's augmentation on, the generator's semantic
+        chain is recorded on a tape and held for the next ``g_step``, which
+        differentiates it instead of computing it again.
+        """
         cfg = self.cfg
         batch_users = self.rng_adv.integers(0, self.graph.num_users, size=cfg.batch_size)
         gumbel_cfg = self.adv_cfg.gumbel(cfg.disable_gumbel)
-        fwd = h_u = h_i = None
+        fwd = h_u = h_i = held = None
         if not gumbel_cfg.disable and gumbel_cfg.zeta != 0.0:
-            fwd = self._eval_forward()
+            chain_tape, chain = self._semantic_chain()
+            # taped ops skip their own finiteness checks; check what is read
+            for t in (chain.prop_users, chain.prop_items):
+                chain_tape.require_finite(t, "non-finite semantic embeddings")
+            held = (chain_tape, chain, self.neighborhoods, self.opt_gen.t)
+            fwd = self._eval_forward(chain)
             h_u, h_i = fwd.h_users.data[batch_users], fwd.h_items.data
         real = adversarial.gumbel_real_proxy(
             self.split.train.matrix[batch_users].toarray(), self.rng_adv, gumbel_cfg, h_u, h_i
@@ -360,6 +388,7 @@ class Trainer:
             )
         grads = tape.backward(loss, params=self.state.discriminator_parameters())
         self.opt_disc.step(grads)
+        self._held_chain = held
         return loss.item()
 
     def g_step(self) -> dict[str, float]:
@@ -369,7 +398,8 @@ class Trainer:
         adv_users = None
         if not cfg.disable_asl:
             adv_users = self.rng_adv.integers(0, self.graph.num_users, size=cfg.batch_size)
-        with ad.Tape() as tape:
+        tape, chain = self._semantic_chain()
+        with tape:
             fwd = mdl.forward_embeddings(
                 self.state,
                 self.adj,
@@ -379,6 +409,7 @@ class Trainer:
                 self.obj_cfg.omega,
                 train=True,
                 rng=self.rng,
+                semantic=chain,
             )
             l_bpr, l_cl, l_g = mdl.generator_losses(
                 fwd,
@@ -437,7 +468,9 @@ class Trainer:
 
     def _restore_arrays(self, arrays: dict[str, np.ndarray], buffers=None) -> None:
         """Copy ``arrays`` into ``buffers`` (default: the model state), after
-        checking that none is missing, so a bad checkpoint changes nothing."""
+        checking that none is missing, so a bad checkpoint changes nothing.
+        A held semantic chain is dropped: it may no longer match the state."""
+        self._held_chain = None
         buffers = self._state_buffers() if buffers is None else buffers
         for name in sorted(buffers):
             if name not in arrays:

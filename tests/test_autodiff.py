@@ -111,6 +111,30 @@ def test_backward_frees_each_vjp_and_keeps_the_records():
     assert all(rec.vjp is None for rec in tape._records)
 
 
+def test_a_tape_entered_twice_appends_its_records_in_order():
+    x = ad.parameter(np.array([[0.5, -1.0], [2.0, 0.25]]), "x")
+    tape = ad.Tape()
+    with tape:
+        y = ad.exp(x)
+    ad.mul(y, y)  # between the two entries nothing records
+    with tape:
+        loss = ad.reduce_sum(ad.mul(y, x))
+    assert [rec.op for rec in tape._records] == ["exp", "mul", "reduce_sum"]
+    grads = tape.backward(loss, params=[x])
+    np.testing.assert_allclose(grads.get(x), np.exp(x.data) * (x.data + 1.0))
+
+
+def test_require_finite_names_the_first_op_with_a_non_finite_output():
+    x = ad.parameter(np.array([[1.0, -1.0]]), "x")
+    with ad.Tape() as tape:
+        y = ad.exp(ad.log(x))  # log(-1) is NaN, and exp carries it on
+    tape.require_finite(x, "unused")
+    with pytest.raises(ad.NumericError, match="non-finite value produced by 'log'"):
+        tape.require_finite(y, "unused")
+    with pytest.raises(ad.NumericError, match="no op made it"):
+        ad.Tape().require_finite(y, "no op made it")
+
+
 def test_backward_fills_only_the_requested_leaves():
     x = ad.parameter(np.ones((2, 2)), "x")
     y = ad.parameter(np.ones((2, 2)), "y")

@@ -169,6 +169,14 @@ def test_gradcheck_impossible_tolerance_fails(capsys):
     assert "above tolerance" in captured.err
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf", "-inf"])
+def test_gradcheck_rejects_a_bad_tolerance_before_any_check(capsys, tolerance):
+    assert main(["gradcheck", f"--tolerance={tolerance}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no check ran
+    assert "--tolerance must be a finite number of at least 0" in captured.err
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["eval", "--data", "/tmp"]) == 1
     assert "required" in capsys.readouterr().err

@@ -11,6 +11,7 @@ import pytest
 from mmssl import encoder
 from mmssl import model as mdl
 from mmssl import objectives as obj
+from mmssl.autodiff import GradientMap, NumericError
 from mmssl.data import SyntheticSpec, generate_synthetic, split_edges
 from mmssl.encoder import EncoderConfig
 from mmssl.evaluation import EvalConfig
@@ -554,3 +555,133 @@ def test_restore_of_a_bad_checkpoint_changes_nothing(tmp_path, edit, message):
     assert all(np.array_equal(before[n], after[n]) for n in before)
     assert trainer.neighborhoods is neighborhoods
     assert trainer.epoch == 0 and trainer.opt_gen.t == 0
+
+
+# -- the semantic chain a critic step holds for the next generator step ------
+
+
+def count_chains(monkeypatch):
+    """Count the semantic chains trainers build from here on."""
+    calls = []
+    build = mdl.semantic_embeddings
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(mdl, "semantic_embeddings", counted)
+    return calls
+
+
+def step_losses(trainer, steps, before_g_step=lambda: None):
+    losses = []
+    for _ in range(steps):
+        for _ in range(trainer.cfg.d_steps):
+            losses.append(trainer.d_step())
+        before_g_step()
+        losses.extend(trainer.g_step().values())
+    return losses
+
+
+def test_held_chain_trains_bitwise_like_a_chain_per_step(monkeypatch):
+    calls = count_chains(monkeypatch)
+    held = build_trainer(d_steps=2)
+    assert held.cfg.disable_cl is False and held.cfg.disable_gumbel is False
+    held_losses = step_losses(held, 3)
+    assert len(calls) == 3  # one chain per step: both critic steps and the g_step share it
+
+    del calls[:]
+    fresh = build_trainer(d_steps=2)
+
+    def drop():
+        fresh._held_chain = None
+
+    fresh_losses = step_losses(fresh, 3, before_g_step=drop)
+    assert len(calls) == 6
+    assert held_losses == fresh_losses  # exact float equality
+    assert held.opt_gen.t == fresh.opt_gen.t == 3
+    want, got = fresh._snapshot_arrays(), held._snapshot_arrays()
+    assert [n for n in want if not np.array_equal(want[n], got[n])] == []
+
+
+def test_step_losses_match_the_values_pinned_before_the_chain_was_shared():
+    # d, d, then (l_bpr, l_cl, l_g) of three steps, printed at the commit
+    # that computed the chain twice per step; rel 1e-12 leaves room for
+    # another BLAS build's rounding, a stale or misplaced chain moves far more
+    pinned = [
+        0.7147628477017578, 0.8003010680657326,
+        0.23643154023144114, 3.9570947018490754, -0.7503929249157522,
+        0.8638684838864921, 0.967459631992079,
+        0.34500441697596695, 4.029260227796659, -0.6277407141307394,
+        0.9354192892677626, 0.8445184652030161,
+        0.42638665601096337, 3.983123742062702, -0.5483857060434666,
+    ]
+    assert step_losses(build_trainer(d_steps=2), 3) == pytest.approx(pinned, rel=1e-12, abs=0)
+
+
+def _reassign_neighborhoods(trainer, tmp_path):
+    trainer.neighborhoods = list(trainer.neighborhoods)  # same arrays, another object
+
+
+def _restore(trainer, tmp_path):
+    trainer.restore(tmp_path / "saved.ckpt")
+
+
+def _restore_arrays(trainer, tmp_path):
+    trainer._restore_arrays(trainer._snapshot_arrays())
+
+
+def _generator_update(trainer, tmp_path):
+    trainer.opt_gen.step(GradientMap())  # zero gradients, but weight decay moves every parameter
+
+
+@pytest.mark.parametrize(
+    "between", [_reassign_neighborhoods, _restore, _restore_arrays, _generator_update]
+)
+def test_held_chain_is_rebuilt_after_a_change_between_the_steps(tmp_path, monkeypatch, between):
+    trainer = build_trainer()
+    trainer.save(tmp_path / "saved.ckpt")
+    calls = count_chains(monkeypatch)
+    trainer.d_step()
+    between(trainer, tmp_path)
+    trainer.g_step()
+    assert len(calls) == 2
+
+
+def test_held_chain_is_dropped_by_a_g_step_that_raised(monkeypatch):
+    trainer = build_trainer()
+    calls = count_chains(monkeypatch)
+    trainer.d_step()
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("loss assembly failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mdl, "generator_losses", fail)
+        with pytest.raises(RuntimeError, match="loss assembly failed"):
+            trainer.g_step()
+    assert trainer._held_chain is None
+    losses = trainer.g_step()
+    assert len(calls) == 2 and all(np.isfinite(v) for v in losses.values())
+
+
+def test_non_finite_id_row_names_the_op_in_both_steps():
+    # the critic step's chain is taped, so its ops skip their own checks;
+    # the step checks what it reads and names the op, as an untaped forward did
+    trainer = build_trainer()
+    trainer.state.ids.users.data[3] = np.nan
+    with pytest.raises(NumericError, match="non-finite value produced by 'sparse_matmul'"):
+        trainer.d_step()
+    assert trainer._held_chain is None
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericError, match="non-finite value produced by 'sparse_matmul'"):
+            trainer.g_step()
+
+
+@pytest.mark.parametrize("call", ["d_step", "g_step", "evaluate"])
+def test_steps_before_any_refresh_say_how_to_get_neighborhoods(call):
+    graph, features, split = tiny_problem()
+    trainer = Trainer(*tiny_configs(), graph, features, split)
+    args = (split.val, 5) if call == "evaluate" else ()
+    with pytest.raises(ValueError, match=r"trainer\.neighborhoods via model\.refresh_neighborhoods"):
+        getattr(trainer, call)(*args)
