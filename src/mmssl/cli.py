@@ -2,7 +2,8 @@
 
 Subcommands: ``train``, ``eval``, ``synth``, ``gradcheck``, ``report``.
 Exit status 0 on success, 1 on a validation problem (bad flags, missing or
-malformed files, inconsistent configuration), 2 on a numeric failure.
+malformed files, inconsistent configuration, sizes too large to allocate),
+2 on a numeric failure.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def _cmd_synth(args) -> int:
     write_interactions(graph, out / "interactions.txt")
     for table in features:
         write_modality_features(out / f"{table.name}.mmf", table.values)
-    write_modality_features(out / "planted.dat", planted.astype("<f4"))
+    write_modality_features(out / "planted.dat", planted)  # the full product, cast to float32
     (out / "spec.json").write_text(json.dumps(spec.to_json(), sort_keys=True, indent=2))
     print(
         f"wrote {graph.num_users} users, {graph.num_items} items, "
@@ -268,6 +269,9 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:  # numpy's message names the size and shape it asked for
+        print(f"error: out of memory: {e or 'an allocation failed'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ __all__ = [
     "DataFormatError",
     "InteractionGraph",
     "ModalityFeatureTable",
+    "ScoreRows",
     "DataSplit",
     "TripletBatch",
     "SyntheticSpec",
@@ -143,8 +144,72 @@ MAX_IDS = 2**31 - 1
 
 
 def load_interactions(path) -> InteractionGraph:
-    """Read an interaction file.  Header counts win; otherwise max id + 1."""
+    """Read an interaction file.  Header counts win; otherwise max id + 1.
+
+    A file of plain ``digits<TAB>digits`` lines after at most one header line
+    is parsed with array operations; any other file line by line, which
+    gives each error its line number."""
     path = Path(path)
+    plain = _read_plain(path.read_bytes())
+    declared, edges = plain if plain is not None else _read_lines(path)
+    if declared is not None:
+        num_users, num_items = declared
+    elif plain is not None:
+        num_users, num_items = (1 + edges.max(axis=0, initial=-1)).tolist()
+    else:
+        num_users = 1 + max((u for u, _ in edges), default=-1)
+        num_items = 1 + max((i for _, i in edges), default=-1)
+    source = "header declares" if declared is not None else "ids imply"
+    counts = f"{source} users={num_users} items={num_items}"
+    if not (0 <= num_users <= MAX_IDS and 0 <= num_items <= MAX_IDS):
+        raise DataFormatError(f"{path.name}: {counts}; each count must lie in 0..{MAX_IDS}")
+    try:
+        return graph_from_edges(num_users, num_items, edges)
+    except MemoryError:
+        raise DataFormatError(f"{path.name}: {counts}, too many to allocate") from None
+
+
+# ids of at most this many digits fit an int64 whatever the digits
+PLAIN_ID_DIGITS = 18
+
+
+def _read_plain(blob: bytes) -> tuple[tuple[int, int] | None, np.ndarray] | None:
+    """Header counts (or None) and (n, 2) int64 ids of a file made of at most
+    one header line followed only by ``digits<TAB>digits`` lines of ids up to
+    ``PLAIN_ID_DIGITS`` long; None for any other file."""
+    head = None
+    if blob.startswith(b"#"):
+        head, _, blob = blob.partition(b"\n")
+    data = np.frombuffer(blob, dtype=np.uint8)
+    if data.size and data[-1] != ord("\n"):
+        data = np.append(data, np.uint8(ord("\n")))
+    sep = np.flatnonzero((data < ord("0")) | (data > ord("9")))
+    # fields alternate: an id ended by a tab, an id ended by a newline
+    if sep.size % 2 or (data[sep[0::2]] != ord("\t")).any() or (data[sep[1::2]] != ord("\n")).any():
+        return None
+    lengths = np.diff(sep, prepend=-1) - 1
+    if not 1 <= lengths.min(initial=1) <= lengths.max(initial=1) <= PLAIN_ID_DIGITS:
+        return None
+    declared = None
+    if head is not None:
+        # a lone carriage return ends a line when read as text: leave that to the line reader
+        if b"\r" in head[:-1]:
+            return None
+        try:
+            line = head.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            return None
+        declared = _parse_header(line, 1)
+    digits = data.astype(np.int64) - ord("0")
+    digits[sep] = 0
+    # each digit's place value: the count of digits after it in its field
+    place = np.repeat(sep, lengths + 1) - np.arange(data.size) - 1
+    values = np.add.reduceat(digits * 10 ** np.maximum(place, 0), sep - lengths) if sep.size else digits
+    return declared, values.reshape(-1, 2)
+
+
+def _read_lines(path: Path) -> tuple[tuple[int, int] | None, list[tuple[int, int]]]:
+    """Header counts (or None) and the (user, item) pairs, read line by line."""
     declared: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
     with path.open("r", encoding="utf-8") as fh:
@@ -169,19 +234,7 @@ def load_interactions(path) -> InteractionGraph:
             if u < 0 or i < 0:
                 raise DataFormatError(f"line {lineno}: negative id in {raw!r}")
             edges.append((u, i))
-    if declared is not None:
-        num_users, num_items = declared
-    else:
-        num_users = 1 + max((u for u, _ in edges), default=-1)
-        num_items = 1 + max((i for _, i in edges), default=-1)
-    source = "header declares" if declared is not None else "ids imply"
-    counts = f"{source} users={num_users} items={num_items}"
-    if not (0 <= num_users <= MAX_IDS and 0 <= num_items <= MAX_IDS):
-        raise DataFormatError(f"{path.name}: {counts}; each count must lie in 0..{MAX_IDS}")
-    try:
-        return graph_from_edges(num_users, num_items, edges)
-    except MemoryError:
-        raise DataFormatError(f"{path.name}: {counts}, too many to allocate") from None
+    return declared, edges
 
 
 def write_interactions(graph: InteractionGraph, path) -> None:
@@ -496,9 +549,25 @@ class SyntheticSpec:
         return cls.from_json(doc)
 
 
+class ScoreRows:
+    """The (U, I) scores ``users @ items.T``, computed a block of rows at a
+    time: a reader of only ``.shape`` and ``[rows]`` never holds the whole
+    U x I matrix.  ``np.asarray`` builds it in one product."""
+
+    def __init__(self, users: np.ndarray, items: np.ndarray):
+        self.users, self.items = users, items
+        self.shape = (users.shape[0], items.shape[0])
+
+    def __getitem__(self, rows) -> np.ndarray:
+        return self.users[rows] @ self.items.T
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self.users @ self.items.T, dtype=dtype)
+
+
 def generate_synthetic(
     spec: SyntheticSpec,
-) -> tuple[InteractionGraph, list[ModalityFeatureTable], np.ndarray]:
+) -> tuple[InteractionGraph, list[ModalityFeatureTable], ScoreRows]:
     """Plant user/item latents, derive features and interactions from them.
 
     Each modality's features are a linear map of the item latents plus
@@ -506,7 +575,8 @@ def generate_synthetic(
     noise-free spec reproduces the latents exactly).  Each user interacts
     with exactly ``interactions_per_user`` distinct items drawn without
     replacement in proportion to softmax(z_u . z_i).  Returns the graph,
-    the feature tables and the planted affinity matrix z_u . z_i.
+    the feature tables and the planted affinities z_u . z_i as ``ScoreRows``,
+    which the draws read a block of users at a time.
     """
     rng = np.random.default_rng(spec.seed)
     z_u = rng.standard_normal((spec.num_users, spec.latent_dim))
@@ -521,7 +591,7 @@ def generate_synthetic(
         if spec.noise > 0:
             mapped = mapped + spec.noise * mapped.std() * rng.standard_normal(mapped.shape)
         features.append(ModalityFeatureTable(name=f"modality{m}", values=mapped.astype("<f4")))
-    planted = z_u @ z_i.T
+    planted = ScoreRows(z_u, z_i)
     edges = _draw_interactions(planted, spec.interactions_per_user, rng)
     graph = graph_from_edges(spec.num_users, spec.num_items, edges)
     return graph, features, planted
@@ -531,12 +601,14 @@ def generate_synthetic(
 DRAW_BLOCK_BYTES = 8 << 20
 
 
-def _draw_interactions(planted: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _draw_interactions(planted: np.ndarray | ScoreRows, k: int, rng: np.random.Generator) -> np.ndarray:
     """The (U*k, 2) edges that a per-user ``rng.choice(I, k, replace=False,
     p=softmax(planted[u]))`` draws, bit for bit and with the same ``rng`` calls.
 
-    The softmax and its normalised cumulative sum are computed a block of
-    rows at a time, by the operations ``rng.choice`` applies to one row.
+    ``planted`` is read, and the softmax and its normalised cumulative sum
+    are computed, a block of rows at a time, by the operations
+    ``rng.choice`` applies to one row.  Rows of a ``ScoreRows`` block can
+    differ from the full product's in the last bit; the draws use the block.
     Per user, numpy's without-replacement rounds are replayed: draw the
     missing count; from the second round on, zero the items found so far
     and rebuild the distribution; search it and keep the first occurrence

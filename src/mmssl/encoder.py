@@ -126,20 +126,86 @@ class SemanticNeighborhood:
         return self.item_select.T.tocsr()
 
 
+# A row at least this wide is pruned before its exact top-k: the maxima of
+# GROUPS interleaved column groups bound its k-th value from below, and only
+# entries reaching that bound are ranked.  A row keeping more than
+# MAX_CANDIDATES of them (ties, an all-zero column, -inf masks) is ranked whole.
+GROUPS = 64
+MAX_CANDIDATES = 64
+
+
 def top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest entries per row, largest first; ties go to
     the lower id.
 
-    The order is that of a stable sort on the negated scores, found without
-    sorting whole rows: one ``np.partition`` at ``width - k - 1`` puts each
-    row's k largest values behind the cut, the smallest of them is the k-th
-    value, every entry above it is kept, entries equal to it are admitted
-    lowest id first until k are kept, and only the k winners are sorted.
+    The order is that of a stable sort on the negated scores.  In a row of at
+    least ``2 * GROUPS`` entries, with k at most ``GROUPS // 2``, the k-th
+    largest of its group maxima is no more than its k-th value, since those
+    k maxima are entries of distinct columns.  So every winner, and every entry
+    tied with the last winner, reaches that bound: ranking just those, in
+    ascending column order, gives the same ids as ranking the whole row.
+    ``scores`` may be a strided view, such as a transposed block: the pruning
+    reads it in place.
     """
+    if k < 1:
+        raise ValueError(f"top-k must be positive, got {k}")
     rows, width = scores.shape
     k = min(k, width)
-    if k == 0:
-        return np.empty((rows, 0), dtype=np.intp)
+    if width < 2 * GROUPS or k > GROUPS // 2:
+        return _exact_top_k(scores, k)
+    gmax = _group_maxima(scores)
+    bound = np.partition(gmax, GROUPS - k, axis=1)[:, GROUPS - k]
+    hits = np.flatnonzero(scores >= bound[:, None])  # row-major positions, in any layout
+    starts = np.searchsorted(hits, np.arange(rows + 1) * width)
+    counts = np.diff(starts)
+    out = np.empty((rows, k), dtype=np.intp)
+    # a bound at the row's maximum admits only entries equal to it: the first k win
+    tied = bound == gmax.max(axis=1)
+    out[tied] = hits[starts[:-1][tied, None] + np.arange(k)] % width
+    # a NaN is never a candidate, so a row holding one is ranked whole, as are crowded rows
+    whole = ~tied & ((counts > MAX_CANDIDATES) | np.isnan(gmax).any(axis=1))
+    out[whole] = _exact_top_k(scores[whole], k)
+    pruned = ~(tied | whole)
+    owner = np.repeat(np.arange(rows), counts)
+    keep = pruned[owner]
+    owner, column = owner[keep], hits[keep] % width
+    counts = counts[pruned]
+    # each pruned row's candidates, columns ascending, then -inf pads: a pad
+    # never outranks a candidate, which is no smaller and comes first
+    slot = np.arange(column.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    row = np.repeat(np.arange(counts.size), counts)
+    values = np.full((counts.size, counts.max(initial=k)), -np.inf)
+    columns = np.zeros(values.shape, dtype=np.intp)
+    values[row, slot] = scores[owner, column]
+    columns[row, slot] = column
+    out[pruned] = np.take_along_axis(columns, _exact_top_k(values, k), axis=1)
+    return out
+
+
+def _group_maxima(scores: np.ndarray) -> np.ndarray:
+    """(rows, GROUPS) maxima of the column groups ``j, j + GROUPS, ...``,
+    read through a strided view: slicing and reshaping would copy the rows.
+    On a transposed block this is the maxima of interleaved row groups."""
+    rows, width = scores.shape
+    span = width // GROUPS * GROUPS
+    row_stride, col_stride = scores.strides
+    view = np.lib.stride_tricks.as_strided(
+        scores, (rows, width // GROUPS, GROUPS), (row_stride, GROUPS * col_stride, col_stride)
+    )
+    gmax = view.max(axis=1)
+    np.maximum(gmax[:, : width - span], scores[:, span:], out=gmax[:, : width - span])
+    return gmax
+
+
+def _exact_top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """``top_k_rows`` for 0 < k <= width, without pruning.
+
+    One ``np.partition`` at ``width - k - 1`` puts each row's k largest
+    values behind the cut, the smallest of them is the k-th value, every
+    entry above it is kept, entries equal to it are admitted lowest id first
+    until k are kept, and only the k winners are sorted.
+    """
+    rows, width = scores.shape
     cut = width - k
     if cut == 0:
         winners = np.broadcast_to(np.arange(width), (rows, width))
@@ -197,10 +263,8 @@ def _scan_blocks(blocks: Iterable[np.ndarray], k: int) -> tuple[list[np.ndarray]
             cand_scores = np.empty((block.shape[1], 0))
             cand_users = np.empty((block.shape[1], 0), dtype=np.intp)
         if cand_scores.shape[1] < k:
-            columns = np.ascontiguousarray(block.T)
-            best = top_k_rows(columns, k)
-            new_scores, new_users = np.take_along_axis(columns, best, axis=1), best + seen
-            del columns, best  # free the transposed copy before the merge allocates
+            best = top_k_rows(block.T, k)  # the columns, read in place
+            new_scores, new_users = np.take_along_axis(block.T, best, axis=1), best + seen
         else:
             new_scores, new_users = _entries_above(block, cand_scores[:, -1], seen)
         if new_scores.shape[1]:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DEFAULT_BUCKET_BOUNDARIES, sparsity_buckets
+from .data import DEFAULT_BUCKET_BOUNDARIES, ScoreRows, sparsity_buckets
 from .encoder import top_k_rows
 
 __all__ = [
@@ -133,19 +133,6 @@ class RankingReport:
         return "\n".join(lines)
 
 
-class ScoreRows:
-    """The (U, I) scores ``users @ items.T``, computed a block of rows at a
-    time: ``evaluate_scores`` reads only ``.shape`` and ``[rows]``, so the
-    whole U x I matrix is never held."""
-
-    def __init__(self, users: np.ndarray, items: np.ndarray):
-        self.users, self.items = users, items
-        self.shape = (users.shape[0], items.shape[0])
-
-    def __getitem__(self, rows) -> np.ndarray:
-        return self.users[rows] @ self.items.T
-
-
 def _fill(block: np.ndarray, item_lists, users: np.ndarray, value) -> None:
     """Set ``block[r, i] = value`` for every item ``i`` listed for ``users[r]``."""
     ids = [np.asarray(item_lists[u], dtype=np.intp) for u in users]
@@ -182,6 +169,8 @@ def evaluate_scores(
     functions bit for bit.  Bucket rows group users by *training*
     interaction count; macro averages throughout.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     num_items = scores.shape[1]
     users = np.array([u for u in range(scores.shape[0]) if len(relevant[u])], dtype=np.intp)
     width = min(k, num_items)

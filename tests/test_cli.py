@@ -457,6 +457,30 @@ def test_synth_rejects_bad_spec_fields(tmp_path, capsys, field, value, message):
     assert not (tmp_path / "out").exists()
 
 
+def test_synth_too_large_to_allocate_exits_one(tmp_path, capsys):
+    # 2**40 users: the first array alone is 48 TiB, refused at once
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"num_users": 2**40}))
+    assert main(["synth", "--out", str(tmp_path / "out"), "--spec", str(spec)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate 48.0 TiB")
+    assert "(1099511627776, 6)" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_too_large_to_allocate_exits_one(data_dir, tmp_path, capsys):
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"train.embed_dim": 10**12}))
+    code = main(
+        ["train", "--data", str(data_dir), "--out", str(tmp_path / "out"), "--config", str(config)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate") and "TiB" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_renders_one_epoch_log_as_table(train_dir, tmp_path, capsys):
     first = (train_dir / "metrics.ndjson").read_text().splitlines()[0]
     log = tmp_path / "metrics.ndjson"

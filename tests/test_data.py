@@ -68,6 +68,120 @@ def test_load_interactions_rejects_malformed(tmp_path, text, match):
         load_interactions(p)
 
 
+def reference_load(path):
+    """The line-by-line reader ``load_interactions`` used for every file."""
+    declared, edges = None, []
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                if declared is not None:
+                    raise DataFormatError(f"line {lineno}: repeated header")
+                if edges:
+                    raise DataFormatError(f"line {lineno}: header must precede edges")
+                declared = data._parse_header(line, lineno)
+                continue
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise DataFormatError(f"line {lineno}: expected 'user<TAB>item', got {raw!r}")
+            try:
+                u, i = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise DataFormatError(f"line {lineno}: non-integer id in {raw!r}") from None
+            if u < 0 or i < 0:
+                raise DataFormatError(f"line {lineno}: negative id in {raw!r}")
+            edges.append((u, i))
+    if declared is not None:
+        num_users, num_items = declared
+    else:
+        num_users = 1 + max((u for u, _ in edges), default=-1)
+        num_items = 1 + max((i for _, i in edges), default=-1)
+    source = "header declares" if declared is not None else "ids imply"
+    counts = f"{source} users={num_users} items={num_items}"
+    if not (0 <= num_users <= data.MAX_IDS and 0 <= num_items <= data.MAX_IDS):
+        raise DataFormatError(f"{path.name}: {counts}; each count must lie in 0..{data.MAX_IDS}")
+    return graph_from_edges(num_users, num_items, edges)
+
+
+def _load_outcome(reader, path):
+    try:
+        g = reader(path)
+    except ValueError as e:  # DataFormatError, or a UnicodeDecodeError
+        return type(e), str(e)
+    return g.matrix.shape, g.matrix.indptr.tolist(), g.matrix.indices.tolist()
+
+
+# ids are small or beyond every count limit, so no file asks for a large graph
+_PLAIN_ID = st.integers(0, 40).map(lambda n: str(n).encode())
+_ODD_ID = st.sampled_from(
+    [b"007", b"-1", b"+2", b"1_0", b" 3", b"x", b"", "\u0663".encode(), b"\xff",
+     b"99999999999999999999", b"123456789012345678", b"1234567890123456789"]
+)
+_PLAIN_LINE = st.tuples(_PLAIN_ID, _PLAIN_ID).map(b"\t".join)
+_ODD_LINE = st.one_of(
+    st.tuples(
+        st.one_of(_PLAIN_ID, _ODD_ID), st.sampled_from([b"\t", b" ", b"\t\t", b""]), _ODD_ID
+    ).map(b"".join),
+    st.sampled_from(
+        [b"# users=41 items=41", b"# users=3 items=4", b"#users=50\titems=50", b"# users=2",
+         b"# users=x items=1", b"#", b"# users=3\ritems=4", b"# users=3 items=4 \x0b",
+         b"# users=99999999999999999999 items=1", b"", b" ", b"\x1c", b"0\t1\t2", b"7"]
+    ),
+)
+
+
+def _assert_same_load(path, blob):
+    path.write_bytes(blob)
+    assert _load_outcome(load_interactions, path) == _load_outcome(reference_load, path)
+
+
+@settings(deadline=None, max_examples=400)
+@given(
+    lines=st.lists(_PLAIN_LINE, max_size=6),
+    odd=st.lists(st.tuples(st.integers(0, 6), _ODD_LINE), max_size=2),
+    ends=st.lists(st.sampled_from([b"\n", b"\n", b"\n", b"\r\n", b"\r"]), min_size=8, max_size=8),
+    last=st.booleans(),
+)
+def test_load_interactions_equals_the_line_reader(tmp_path_factory, lines, odd, ends, last):
+    for at, line in odd:
+        lines.insert(at, line)
+    blob = b"".join(line + end for line, end in zip(lines, ends))
+    if lines and not last:  # no line break after the last line
+        blob = blob[: -len(ends[len(lines) - 1])]
+    _assert_same_load(tmp_path_factory.mktemp("parity") / "interactions.txt", blob)
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        b"5\n6\n",  # two lines of one id each
+        b"5\t\n",  # an empty item id
+        b"1\t99999999999999999999\n",  # 20 digits: beyond int64
+        b"1\t1234567890123456789\n",  # 19 digits
+        b"# users=3\ritems=4\n1\t2\n",  # a lone carriage return ends the header
+        b"# users=x\n\xff\n",  # undecodable after a bad header
+        b"# users=3 items=4\r\n1\t2\r\n",
+        b"\n# users=3 items=4\n1\t2\n",
+    ],
+)
+def test_load_interactions_equals_the_line_reader_on_edge_cases(tmp_path, blob):
+    _assert_same_load(tmp_path / "interactions.txt", blob)
+
+
+def test_plain_files_skip_the_line_reader(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "_read_lines", None)  # reading line by line would raise TypeError
+    p = tmp_path / "i.txt"
+    p.write_bytes(b"# users=4 items=3\r\n3\t2\n0\t0\n00\t1")
+    g = load_interactions(p)
+    assert (g.num_users, g.num_items) == (4, 3)
+    assert g.edges() == [(0, 0), (0, 1), (3, 2)]
+    p.write_bytes(b"3\t123456789012345678\n")
+    with pytest.raises(DataFormatError, match="ids imply users=4 items=123456789012345679;"):
+        load_interactions(p)
+
+
 def test_interactions_round_trip(tmp_path):
     g = graph_from_edges(3, 4, [(0, 1), (2, 0), (1, 3), (0, 2)])
     p = tmp_path / "rt.txt"
@@ -397,7 +511,9 @@ def test_synthetic_identity_map_no_noise():
 
 
 def reference_draw(planted, k, rng):
-    """The per-user ``rng.choice`` loop that ``_draw_interactions`` replays."""
+    """The per-user ``rng.choice`` loop that ``_draw_interactions`` replays,
+    over the whole planted matrix."""
+    planted = np.asarray(planted)
     edges = []
     for u in range(planted.shape[0]):
         logits = planted[u] - planted[u].max()
@@ -416,7 +532,7 @@ def assert_synthetic_matches_reference(spec, monkeypatch):
     assert np.array_equal(graph.matrix.indptr, ref_graph.matrix.indptr)
     assert np.array_equal(graph.matrix.indices, ref_graph.matrix.indices)
     assert [t.values.tobytes() for t in features] == [t.values.tobytes() for t in ref_features]
-    assert planted.tobytes() == ref_planted.tobytes()
+    assert np.asarray(planted).tobytes() == np.asarray(ref_planted).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -443,6 +559,37 @@ def test_synthetic_draws_equal_the_choice_loop_across_blocks(rows, monkeypatch):
     assert_synthetic_matches_reference(spec, monkeypatch)
     monkeypatch.setattr(data, "DRAW_BLOCK_BYTES", 8 * 21 - 1)  # less than one row
     assert_synthetic_matches_reference(spec, monkeypatch)
+
+
+@pytest.mark.parametrize("num_users, num_items", [(1500, 1500), (700, 4000)])
+def test_draws_from_planted_row_blocks_equal_those_from_the_whole_matrix(
+    num_users, num_items, monkeypatch
+):
+    # the benchmark's spec fields; 3 blocks of 699 and of 262 users
+    spec = SyntheticSpec(
+        num_users=num_users, num_items=num_items, modality_dims=(8,), latent_dim=16,
+        interactions_per_user=8, seed=7,
+    )
+    _, _, planted = generate_synthetic(spec)
+    assert isinstance(planted, data.ScoreRows) and planted.shape == (num_users, num_items)
+    step = data.DRAW_BLOCK_BYTES // (8 * num_items)
+    assert 1 < num_users / step <= 3
+    rows = np.concatenate([planted[s : s + step] for s in range(0, num_users, step)])
+    np.testing.assert_allclose(rows, np.asarray(planted), rtol=1e-13, atol=1e-13)
+    assert_synthetic_matches_reference(spec, monkeypatch)
+
+
+def test_planted_rows_are_the_product_rows():
+    # small integers: every product and sum is exact whatever the gemm order
+    rng = np.random.default_rng(1)
+    users = rng.integers(-3, 4, size=(9, 5)).astype(float)
+    items = rng.integers(-3, 4, size=(7, 5)).astype(float)
+    view = data.ScoreRows(users, items)
+    full = users @ items.T
+    np.testing.assert_array_equal(np.asarray(view), full)
+    np.testing.assert_array_equal(view[2:5], full[2:5])
+    np.testing.assert_array_equal(view[[6, 0]], full[[6, 0]])
+    np.testing.assert_array_equal(view[4], full[4])
 
 
 @settings(deadline=None, max_examples=40)

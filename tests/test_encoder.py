@@ -6,7 +6,14 @@ from hypothesis import given, settings, strategies as st
 import mmssl.autodiff as ad
 import mmssl.encoder as enc
 import mmssl.model as mdl
-from mmssl.data import SyntheticSpec, build_norm_adjacency, generate_synthetic, graph_from_edges
+from mmssl import adversarial as adv
+from mmssl.data import (
+    ModalityFeatureTable,
+    SyntheticSpec,
+    build_norm_adjacency,
+    generate_synthetic,
+    graph_from_edges,
+)
 
 
 def test_top_k_matches_full_sort():
@@ -299,6 +306,137 @@ def test_top_k_rows_is_the_stable_argsort_prefix(case):
     scores, k = case
     want = np.argsort(-scores, axis=1, kind="stable")[:, : min(k, scores.shape[1])]
     np.testing.assert_array_equal(enc.top_k_rows(scores, k), want)
+
+
+def _stable_top_k(scores, k):
+    return np.argsort(-scores, axis=1, kind="stable")[:, : min(k, scores.shape[1])]
+
+
+@st.composite
+def _wide_scores(draw):
+    """Rows wide enough to prune under a small group count and cap."""
+    groups = draw(st.sampled_from([2, 4, 8]))
+    cap = draw(st.integers(1, 3 * groups))
+    rows, width = draw(st.integers(1, 6)), draw(st.integers(2 * groups, 6 * groups))
+    values = st.one_of(st.sampled_from(_TIE_VALUES), st.floats(-2, 2, allow_nan=False))
+    matrix = []
+    for _ in range(rows):
+        if draw(st.booleans()):  # one value repeated across the row
+            matrix.append([draw(values)] * width)
+        else:
+            matrix.append(draw(st.lists(values, min_size=width, max_size=width)))
+    return groups, cap, np.array(matrix, dtype=float), draw(st.integers(1, width + 2))
+
+
+@settings(deadline=None, max_examples=400)
+@given(_wide_scores())
+def test_pruned_top_k_rows_is_the_stable_argsort_prefix(case):
+    groups, cap, scores, k = case
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(enc, "GROUPS", groups)
+        m.setattr(enc, "MAX_CANDIDATES", cap)
+        np.testing.assert_array_equal(enc.top_k_rows(scores, k), _stable_top_k(scores, k))
+
+
+def _rows_of_every_kind(width):
+    """Plain rows mixed with rows that tie at the top, tie at the k-th value,
+    hold signed zeros, are constant, or are masked with -inf."""
+    rng = np.random.default_rng(width)
+    plain = rng.standard_normal((8, width))
+    top_ties = plain[:2].copy()
+    top_ties[:, ::5] = 3.0
+    levels = rng.integers(0, 3, size=(3, width)).astype(float)  # crowded at the k-th value
+    zeros = np.where(rng.random((2, width)) < 0.5, 0.0, -0.0)
+    zeros[0, width // 2] = 1.0
+    constant = np.array([np.zeros(width), np.full(width, 0.25), np.full(width, -np.inf)])
+    masked = plain[:3].copy()
+    masked[0, rng.choice(width, width // 2, replace=False)] = -np.inf
+    masked[1, 6:] = -np.inf  # fewer finite groups than k: a bound of -inf
+    masked[2, [4, 9, width - 1]] = np.inf
+    rows = np.concatenate([plain, top_ties, levels, zeros, constant, masked])
+    return rows[rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("width", [128, 300, 1000])
+def test_wide_top_k_rows_is_the_stable_argsort_prefix(width):
+    scores = _rows_of_every_kind(width)
+    for k in (1, 2, 10, enc.GROUPS // 2, enc.GROUPS // 2 + 1, width - 1, width, width + 5):
+        np.testing.assert_array_equal(enc.top_k_rows(scores, k), _stable_top_k(scores, k))
+
+
+def _ranked_shapes(monkeypatch) -> list:
+    """The shape of every non-empty array ``top_k_rows`` ranks by partition."""
+    ranked = []
+    exact = enc._exact_top_k
+
+    def spy(scores, k):
+        if len(scores):
+            ranked.append(scores.shape)
+        return exact(scores, k)
+
+    monkeypatch.setattr(enc, "_exact_top_k", spy)
+    return ranked
+
+
+def test_wide_rows_rank_only_their_candidates(monkeypatch):
+    ranked = _ranked_shapes(monkeypatch)
+    scores = np.random.default_rng(3).standard_normal((50, 4000))
+    scores[7] = 0.0  # ties at its maximum: its first k columns win unranked
+    scores[9, ::2] = 5.0  # 2000 ties at its maximum
+    scores[11, 6:] = -np.inf  # 6 finite groups, bound -inf: every entry is a candidate
+    np.testing.assert_array_equal(enc.top_k_rows(scores, 10), _stable_top_k(scores, 10))
+    assert ranked[0] == (1, 4000)  # row 11 only
+    assert len(ranked) == 2 and ranked[1][0] == 47 and 10 <= ranked[1][1] <= enc.MAX_CANDIDATES
+
+
+def test_a_nan_row_is_ranked_whole(monkeypatch):
+    # pruning would drop the NaN and answer; the whole row raises as before
+    ranked = _ranked_shapes(monkeypatch)
+    scores = np.random.default_rng(4).standard_normal((3, 500))
+    scores[1, 77] = np.nan
+    with pytest.raises(ValueError):
+        enc.top_k_rows(scores, 10)
+    assert ranked == [(1, 500)]
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_top_k_rows_rejects_k_below_one(k):
+    with pytest.raises(ValueError, match=f"top-k must be positive, got {k}"):
+        enc.top_k_rows(np.zeros((2, 300)), k)
+
+
+def _wide_refresh_problem():
+    """300 users and 200 items, wide enough to prune both ways: users 0-9
+    repeat user 10's items (identical relation rows) and items 150-199 are
+    in no interaction (all-zero relation columns)."""
+    rng = np.random.default_rng(5)
+    edges = [(u, i) for u in range(11) for i in (3, 40, 77)]
+    edges += [(u, int(i)) for u in range(11, 300) for i in rng.choice(150, size=4, replace=False)]
+    g = graph_from_edges(300, 200, edges)
+    features = [
+        ModalityFeatureTable(f"m{m}", rng.standard_normal((200, dim)).astype(np.float32))
+        for m, dim in enumerate((6, 4))
+    ]
+    state = mdl.init_model(300, 200, [6, 4], 5, 1, 4, np.random.default_rng(6))
+    return build_norm_adjacency(g), features, state
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 64, 130, 0])
+def test_wide_refresh_equals_dense_top_k(monkeypatch, block_rows):
+    adj, features, state = _wide_refresh_problem()
+    if block_rows:  # 0 keeps the default size: one block of all 300 users
+        monkeypatch.setattr(mdl, "REFRESH_BLOCK_BYTES", 8 * 200 * block_rows)
+    for k in (1, 10, 32, 40):
+        streamed = mdl.refresh_neighborhoods(state, adj, features, k)
+        for m, table in enumerate(features):
+            f_u, f_i = adv.modality_collab_embeddings(adj, table.as_float64(), state.gen, m)
+            rel = adv.generate_relations(f_u, f_i, block_rows=block_rows).data
+            assert (rel[:, 150:] == 0).all() and (rel[:10] == rel[10]).all()
+            dense = enc.derive_semantic_neighbors(rel, k)
+            np.testing.assert_array_equal(streamed[m].user_neighbors, dense.user_neighbors)
+            np.testing.assert_array_equal(streamed[m].item_neighbors, dense.item_neighbors)
+            np.testing.assert_array_equal(dense.user_neighbors, _stable_top_k(rel, k))
+            np.testing.assert_array_equal(dense.item_neighbors, _stable_top_k(rel.T, k))
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 6])

@@ -299,6 +299,28 @@ def test_block_ranking_equals_reference_on_float_scores(monkeypatch):
     assert got.to_json() == want.to_json()
 
 
+@pytest.mark.parametrize("k", [1, 20])
+def test_block_ranking_equals_reference_on_a_wide_catalog(monkeypatch, k):
+    # 300 items, wide enough for top_k_rows to prune: integer rows tie at
+    # their maximum or their k-th value, float rows do not, and users with
+    # almost every item excluded keep fewer finite entries than k
+    num_items = 300
+    monkeypatch.setattr(evaluation, "BLOCK_BYTES", 8 * num_items * 16)
+    scores, train, relevant = tie_heavy_case(k, 60, num_items)
+    scores[1::3] += np.random.default_rng(k).standard_normal((20, num_items))
+    boundaries = (0, 3, 8, 300)
+    got = evaluate_scores(scores, train, relevant, k=k, boundaries=boundaries)
+    want = per_user_report(scores, train, relevant, k, boundaries)
+    assert got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_evaluate_scores_rejects_k_below_one(k):
+    empty = [np.array([], dtype=int)] * 2
+    with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
+        evaluate_scores(np.ones((2, 3)), empty, [np.array([1])] * 2, k=k)
+
+
 @pytest.mark.parametrize("block_rows", [1, 3, 1000])
 def test_score_rows_rank_exactly_like_the_full_score_matrix(monkeypatch, block_rows):
     # small integer embeddings: every product and sum is exact, so the
