@@ -156,18 +156,24 @@ def gumbel_real_proxy(
     a_rows = np.asarray(a_rows, dtype=np.float64)
     if cfg.disable:
         return a_rows.copy()
-    u = rng.random(a_rows.shape)
-    gumbel = -np.log(-np.log(u))
-    shifted = (a_rows + gumbel) / cfg.tau
-    shifted -= shifted.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    rows = e / e.sum(axis=1, keepdims=True)
+    # one (batch, I) buffer, worked in place in the order of
+    # softmax((a + -log(-log(u))) / tau) + zeta * cos, so no value changes
+    rows = rng.random(a_rows.shape)
+    np.negative(np.log(rows, out=rows), out=rows)
+    np.negative(np.log(rows, out=rows), out=rows)
+    rows += a_rows
+    rows /= cfg.tau
+    rows -= rows.max(axis=1, keepdims=True)
+    np.exp(rows, out=rows)
+    rows /= rows.sum(axis=1, keepdims=True)
     if cfg.zeta != 0.0 and h_user_rows is not None and h_item is not None:
         un = np.linalg.norm(h_user_rows, axis=1, keepdims=True)
         vn = np.linalg.norm(h_item, axis=1, keepdims=True)
         qu = np.divide(h_user_rows, un, out=np.zeros_like(h_user_rows), where=un > 0)
         qi = np.divide(h_item, vn, out=np.zeros_like(h_item), where=vn > 0)
-        rows = rows + cfg.zeta * (qu @ qi.T)
+        cos = qu @ qi.T
+        cos *= cfg.zeta
+        rows += cos
     return rows
 
 

@@ -16,8 +16,8 @@ statistic.
 
 At most one tape records at a time.  A tape may be entered again after it
 was left: its records then continue in order, so a forward recorded in
-pieces is differentiated as one.  Backward never mutates parameters; it
-only returns a gradient map.
+pieces is differentiated as one, and only once.  Backward never mutates
+parameters; it only returns a gradient map.
 """
 
 from __future__ import annotations
@@ -185,6 +185,7 @@ class Tape:
 
     def __init__(self):
         self._records: list[_Record] = []
+        self._spent = False  # backward ran: the vjps are gone
 
     def __enter__(self) -> "Tape":
         global _ACTIVE
@@ -207,12 +208,16 @@ class Tape:
         those tensors receive gradients; a partial that only a constant or
         another leaf would receive is not worked out where its primitive
         defers it.  Each vjp is dropped once it has run, which frees the
-        arrays it holds, so a tape is differentiated once.  Raises
+        arrays it holds (a vjp may also overwrite them), so a tape is
+        differentiated once: a second call raises ``ValueError``.  Raises
         ``NumericError`` if the loss or a returned gradient is not finite.
         """
         if loss.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
         self.require_finite(loss, "non-finite loss")
+        if self._spent:
+            raise ValueError("this tape was already differentiated; record the forward again")
+        self._spent = True
         wanted = None if params is None else {id(p) for p in params}
         produced = {id(t) for rec in self._records for t in rec.outputs()}
         buffer: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
@@ -588,16 +593,30 @@ def divide_rows_by_sq_norm(a) -> Tensor:
     return out
 
 
+# Bytes of one row block of the InfoNCE record's (n, n) arrays, worked in
+# place while it is in cache.  It cannot change a value (see infonce_terms).
+INFONCE_BLOCK_BYTES = 256 << 10
+
+
 def infonce_terms(q_h, q_v, tau: float) -> Tensor:
     """Per-user contrastive terms of one view, as one tape record.
 
     Entry u is log(sum_u' exp(q_h[u'].q_v[u] / tau) + exp(q_v[u'].q_v[u] / tau))
-    - q_h[u].q_v[u] / tau.  The forward and the vjp run the same numpy
-    operations, in the same order and memory layouts, as the composed
-    expression (transpose, matmul, scale, exp, add, reduce_sum, log,
-    diagonal gather, sub), so values and gradients are bitwise equal to it.
-    The record keeps the two (n, n) exponentials instead of seven
-    intermediates, and only the (n,) output is checked for non-finite values.
+    - q_h[u].q_v[u] / tau.  Every entry goes through the numpy operations of
+    the composed expression (transpose, matmul, scale, exp, add, reduce_sum,
+    log, diagonal gather, sub) in the same order, so values and gradients
+    are bitwise equal to it.
+
+    The two (n, n) products are whole GEMMs: a GEMM split into row blocks
+    can round differently in the last bit.  The rest runs in place, one row
+    block of ``INFONCE_BLOCK_BYTES`` at a time, so the block size cannot move
+    a bit.  The forward scales a block, reads its positives, exponentiates
+    it, and reduces its rows together with the column sums so far (row 0 of
+    a small buffer), in the row order of ``(e_hv + e_vv).sum(axis=0)``.  The
+    record holds the two exponentials and no other (n, n) array.  The vjp
+    overwrites them with their partials, so it allocates no (n, n) array and
+    the tape can be differentiated only once.  Only the (n,) output is
+    checked for non-finite values.
     """
     q_h, q_v = _as_tensor(q_h), _as_tensor(q_v)
     if q_h.ndim != 2 or q_h.shape != q_v.shape:
@@ -608,28 +627,38 @@ def infonce_terms(q_h, q_v, tau: float) -> Tensor:
     c = float(1.0 / tau)
     t = np.ascontiguousarray(q_v.data.T)
     e_hv = q_h.data @ t
-    e_hv *= c
     e_vv = q_v.data @ t
-    e_vv *= c
-    pos = e_hv.diagonal().copy()
+    rows = max(1, INFONCE_BLOCK_BYTES // (8 * max(n, 1)))
+    starts = range(0, n, rows)
+    pos = np.empty(n)
+    sums = np.zeros((min(rows, n) + 1, n))  # row 0: the column sums so far
     with np.errstate(over="ignore", invalid="ignore"):
-        np.exp(e_hv, out=e_hv)
-        np.exp(e_vv, out=e_vv)
-        denom = (e_hv + e_vv).sum(axis=0)
+        for start in starts:
+            hv, vv = e_hv[start : start + rows], e_vv[start : start + rows]
+            k = hv.shape[0]
+            hv *= c
+            pos[start : start + k] = hv.diagonal(start)
+            np.exp(hv, out=hv)
+            vv *= c
+            np.exp(vv, out=vv)
+            np.add(hv, vv, out=sums[1 : k + 1])
+            sums[0] = np.add.reduce(sums[: k + 1], axis=0)  # 0 + x is x exactly
+        denom = sums[0].copy()
         val = np.log(denom) - pos
     _check_finite(val, "infonce_terms")
     out = Tensor(val)
 
     def vjp(g):
         g_den = g / denom
-        g_hv = g_den * e_hv
-        g_hv.reshape(-1)[:: n + 1] -= g  # the positives' share
-        g_hv *= c
-        d_h, hv_part = g_hv @ t.T, q_h.data.T @ g_hv
-        del g_hv  # one (n, n) partial alive at a time
-        g_vv = g_den * e_vv
-        g_vv *= c
-        return (d_h, g_vv @ t.T + (q_v.data.T @ g_vv).T + hv_part.T)
+        for start in starts:
+            hv, vv = e_hv[start : start + rows], e_vv[start : start + rows]
+            hv *= g_den
+            hv.reshape(-1)[start :: n + 1] -= g[start : start + hv.shape[0]]  # the positives
+            hv *= c
+            vv *= g_den
+            vv *= c
+        d_h, hv_part = e_hv @ t.T, q_h.data.T @ e_hv
+        return (d_h, e_vv @ t.T + (q_v.data.T @ e_vv).T + hv_part.T)
 
     _record("infonce_terms", out, (q_h, q_v), vjp)
     return out

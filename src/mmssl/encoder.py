@@ -274,6 +274,7 @@ def _scan_blocks(blocks: Iterable[np.ndarray], k: int) -> tuple[list[np.ndarray]
             cand_scores = np.take_along_axis(scores, keep, axis=1)
             cand_users = np.take_along_axis(users, keep, axis=1)
         seen += block.shape[0]
+        del block  # else it stays alive while the generator makes the next one
     if cand_users is None:
         raise ValueError("no relation rows to read neighbours from")
     return user_parts, cand_users

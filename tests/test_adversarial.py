@@ -105,6 +105,21 @@ def test_gumbel_zeta_adds_detached_cosine():
     np.testing.assert_allclose(with_cos - base, 2.5 * hu @ hi.T, rtol=1e-10)
 
 
+def test_gumbel_proxy_in_place_equals_the_plain_expression_bitwise():
+    rng = np.random.default_rng(4)
+    a = (rng.random((6, 9)) < 0.3).astype(float)
+    h_u, h_i = rng.standard_normal((6, 4)), rng.standard_normal((9, 4))
+    h_u[2], h_i[5] = 0.0, 0.0  # zero rows have a zero cosine
+    rows = adv.gumbel_real_proxy(a, np.random.default_rng(8), adv.GumbelConfig(0.2, 2.5, False), h_u, h_i)
+    shifted = (a - np.log(-np.log(np.random.default_rng(8).random(a.shape)))) / 0.2
+    e = np.exp(shifted - shifted.max(axis=1, keepdims=True))
+    un, vn = np.linalg.norm(h_u, axis=1, keepdims=True), np.linalg.norm(h_i, axis=1, keepdims=True)
+    qu = np.divide(h_u, un, out=np.zeros_like(h_u), where=un > 0)
+    qi = np.divide(h_i, vn, out=np.zeros_like(h_i), where=vn > 0)
+    expected = e / e.sum(axis=1, keepdims=True) + 2.5 * (qu @ qi.T)
+    assert rows.tobytes() == expected.tobytes()
+
+
 def test_discriminator_output_shape_and_range():
     rng = np.random.default_rng(3)
     disc = adv.DiscriminatorParams.create(10, 16, rng)

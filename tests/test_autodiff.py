@@ -1,4 +1,6 @@
 """Tape engine: primitive gradients, layer walking, input-gradient norms."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,6 +111,40 @@ def test_backward_frees_each_vjp_and_keeps_the_records():
     assert len(tape) == 3
     assert [rec.op for rec in tape._records] == ["exp", "mul", "reduce_sum"]
     assert all(rec.vjp is None for rec in tape._records)
+
+
+def test_a_spent_tape_refuses_a_second_backward():
+    rng = np.random.default_rng(2)
+    h, v = (ad.parameter(rng.standard_normal((5, 3)), name) for name in "hv")
+    with ad.Tape() as tape:
+        terms = ad.infonce_terms(h, v, 0.5)
+        loss = ad.mean(terms)
+    with pytest.raises(ValueError, match="scalar"):
+        tape.backward(terms)  # refused before any vjp ran: the tape is not spent
+    tape.backward(loss, params=[h, v])
+    with pytest.raises(ValueError, match="already differentiated"):
+        tape.backward(loss, params=[h, v])
+
+
+def test_infonce_record_holds_two_user_by_user_arrays_and_its_vjp_makes_none():
+    n = 1000
+    rng = np.random.default_rng(4)
+    h, v = (ad.parameter(rng.standard_normal((n, 16)), name) for name in "hv")
+    user_by_user = n * n * 8
+    tracemalloc.start()
+    try:
+        with ad.Tape() as tape:
+            loss = ad.mean(ad.infonce_terms(h, v, 0.5))
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tape.backward(loss, params=[h, v])
+        backward_growth = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    # the rest is (n, d) partials and one row block, 0.05 to 0.1 of a (n, n) array
+    assert forward_peak < 2.25 * user_by_user, f"forward peaked at {forward_peak / user_by_user:.2f}"
+    assert backward_growth < 0.5 * user_by_user, f"backward grew {backward_growth / user_by_user:.2f}"
 
 
 def test_a_tape_entered_twice_appends_its_records_in_order():

@@ -1,4 +1,6 @@
 """Semantic neighborhoods, cross-modal attention, embedding propagation."""
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -471,6 +473,23 @@ def test_later_blocks_enter_only_strictly_above_the_kth_score(monkeypatch, block
     np.testing.assert_array_equal(streamed.user_neighbors, dense.user_neighbors)
     # blocks after the first k users read no tie and no zero, only what enters
     assert read == (set() if block == 6 else {(0, 3), (0, 5), (2, 3), (2, 5)})
+
+
+def test_row_block_scan_frees_each_block_before_the_next_is_made():
+    # a refresh holds one (block, I) relation slab, not two
+    rng = np.random.default_rng(3)
+    made = []
+
+    def blocks():
+        for _ in range(4):
+            assert all(ref() is None for ref in made), "an earlier block is still alive"
+            block = rng.standard_normal((5, 7))
+            made.append(weakref.ref(block))
+            yield block
+            del block
+
+    streamed = enc.neighbors_from_row_blocks(blocks(), 3)
+    assert len(made) == 4 and streamed.user_neighbors.shape == (20, 3)
 
 
 def test_selection_matrices_are_built_once_per_refresh(monkeypatch):

@@ -104,9 +104,7 @@ def composed_infonce_terms(q_h, view, tau):
     return ad.sub(ad.log(denom), pos)
 
 
-@pytest.mark.parametrize("paper_sign", [False, True])
-@pytest.mark.parametrize("n", [1, 7, 300])
-def test_infonce_bitwise_equals_composed_tape(monkeypatch, n, paper_sign):
+def _assert_fused_infonce_equals_composed(monkeypatch, n, paper_sign):
     rng = np.random.default_rng(n)
     h = ad.parameter(rng.standard_normal((n, 16)), "h")
     views = [ad.parameter(rng.standard_normal((n, 16)), f"view{m}") for m in range(2)]
@@ -126,6 +124,22 @@ def test_infonce_bitwise_equals_composed_tape(monkeypatch, n, paper_sign):
     composed = loss_and_grads()
     for name, a, b in zip(("loss", "h", "view0", "view1"), fused, composed):
         assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("paper_sign", [False, True])
+@pytest.mark.parametrize("n", [1, 7, 300, 1000])
+def test_infonce_bitwise_equals_composed_tape(monkeypatch, n, paper_sign):
+    # with 256 KiB row blocks, 1 and 7 users fit in one block, 300 are
+    # blocks of 109, 109 and 82 rows, and 1000 are 31 of 32 and one of 8
+    _assert_fused_infonce_equals_composed(monkeypatch, n, paper_sign)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 8, 40, 41])
+def test_infonce_row_block_size_moves_no_bit(monkeypatch, rows):
+    # 40 users in blocks of one row, of 7 (a partial last block), of 8,
+    # in one block, and in a block larger than the users
+    monkeypatch.setattr(ad, "INFONCE_BLOCK_BYTES", rows * 8 * 40)
+    _assert_fused_infonce_equals_composed(monkeypatch, 40, paper_sign=False)
 
 
 def test_infonce_validation():
