@@ -14,7 +14,6 @@ from .encoder import top_k_rows
 __all__ = [
     "EvalConfig",
     "RankingReport",
-    "ScoreRows",
     "rank_items",
     "recall_at_k",
     "precision_at_k",

@@ -1,12 +1,12 @@
 """Alternating adversarial/recommendation training loop.
 
-Each step runs the configured number of critic updates, then one
-generator-side update covering every non-critic parameter.  The two sides
-use strictly disjoint parameter sets and separate adaptive-moment
-optimizers: the generator side decays weights decoupled from the moment
-update, the critic side applies no decay.  A multiplicative learning-rate
-schedule advances at every epoch boundary and early stopping watches
-validation recall.
+Each step records the semantic chain once, runs the configured number of
+critic updates on it, then one generator-side update covering every
+non-critic parameter.  The two sides use strictly disjoint parameter sets
+and separate adaptive-moment optimizers: the generator side decays weights
+decoupled from the moment update, the critic side applies no decay.  A
+multiplicative learning-rate schedule advances at every epoch boundary and
+early stopping watches validation recall.
 """
 
 from __future__ import annotations
@@ -26,11 +26,12 @@ from .data import (
     DataSplit,
     InteractionGraph,
     ModalityFeatureTable,
+    ScoreRows,
     build_norm_adjacency,
     sample_bpr_triplets,
 )
 from .encoder import EncoderConfig, SemanticNeighborhood
-from .evaluation import EvalConfig, RankingReport, ScoreRows, evaluate_scores
+from .evaluation import EvalConfig, RankingReport, evaluate_scores
 from .model import ModelState
 from .objectives import LossWeights
 
@@ -298,9 +299,6 @@ class Trainer:
         )
         self.opt_disc = AdamOptimizer(self.state.discriminator_parameters(), lr=cfg.lr_disc)
         self.neighborhoods = None
-        # (tape, semantic chain, neighborhoods, generator step) that d_step
-        # recorded for the next g_step
-        self._held_chain = None
         self.epoch = 0
         self.best_epoch = -1
         self.best_recall = -1.0
@@ -322,37 +320,36 @@ class Trainer:
             semantic=semantic,
         )
 
-    def _semantic_chain(self) -> tuple[ad.Tape, mdl.SemanticChain]:
-        """Take the taped semantic chain a critic step held, if it was built
-        from the current neighborhoods and generator step; otherwise record
-        a new one on a fresh tape."""
-        held, self._held_chain = self._held_chain, None
-        if held is not None:
-            tape, chain, neighborhoods, step = held
-            if neighborhoods is self.neighborhoods and step == self.opt_gen.t:
-                return tape, chain
+    def _record_chain(self) -> tuple[ad.Tape, mdl.SemanticChain]:
+        """The generator's semantic chain, recorded on a fresh tape."""
         tape = ad.Tape()
         with tape:
             chain = mdl.semantic_embeddings(self.state, self.adj, self.neighborhoods, self.enc_cfg)
         return tape, chain
 
-    def d_step(self) -> float:
+    def train_step(self) -> tuple[list[float], dict[str, float]]:
+        """The critic updates (none with the adversarial task off), then the
+        generator update, on one taped semantic chain; returns their losses.
+        No critic update moves a parameter the chain reads."""
+        taped = self._record_chain()
+        d_steps = 0 if self.cfg.disable_asl else self.cfg.d_steps
+        return [self.d_step(taped) for _ in range(d_steps)], self.g_step(taped)
+
+    def d_step(self, taped: tuple[ad.Tape, mdl.SemanticChain] | None = None) -> float:
         """One critic update on frozen generator outputs.
 
-        With the Gumbel proxy's augmentation on, the generator's semantic
-        chain is recorded on a tape and held for the next ``g_step``, which
-        differentiates it instead of computing it again.
+        With the Gumbel proxy's augmentation on, the eval-mode forward reads
+        the ``(tape, chain)`` pair ``taped``, or a chain of its own.
         """
         cfg = self.cfg
         batch_users = self.rng_adv.integers(0, self.graph.num_users, size=cfg.batch_size)
         gumbel_cfg = self.adv_cfg.gumbel(cfg.disable_gumbel)
-        fwd = h_u = h_i = held = None
+        fwd = h_u = h_i = None
         if not gumbel_cfg.disable and gumbel_cfg.zeta != 0.0:
-            chain_tape, chain = self._semantic_chain()
+            chain_tape, chain = taped or self._record_chain()
             # taped ops skip their own finiteness checks; check what is read
             for t in (chain.prop_users, chain.prop_items):
                 chain_tape.require_finite(t, "non-finite semantic embeddings")
-            held = (chain_tape, chain, self.neighborhoods, self.opt_gen.t)
             fwd = self._eval_forward(chain)
             h_u, h_i = fwd.h_users.data[batch_users], fwd.h_items.data
         real = adversarial.gumbel_real_proxy(
@@ -388,17 +385,18 @@ class Trainer:
             )
         grads = tape.backward(loss, params=self.state.discriminator_parameters())
         self.opt_disc.step(grads)
-        self._held_chain = held
         return loss.item()
 
-    def g_step(self) -> dict[str, float]:
-        """One generator-side update over every non-critic parameter."""
+    def g_step(self, taped: tuple[ad.Tape, mdl.SemanticChain] | None = None) -> dict[str, float]:
+        """One generator-side update over every non-critic parameter, which
+        differentiates the ``(tape, chain)`` pair ``taped``, or a chain of
+        its own."""
         cfg = self.cfg
         triplets = sample_bpr_triplets(self.split, self.graph, cfg.batch_size, self.rng)
         adv_users = None
         if not cfg.disable_asl:
             adv_users = self.rng_adv.integers(0, self.graph.num_users, size=cfg.batch_size)
-        tape, chain = self._semantic_chain()
+        tape, chain = taped or self._record_chain()
         with tape:
             fwd = mdl.forward_embeddings(
                 self.state,
@@ -468,9 +466,7 @@ class Trainer:
 
     def _restore_arrays(self, arrays: dict[str, np.ndarray], buffers=None) -> None:
         """Copy ``arrays`` into ``buffers`` (default: the model state), after
-        checking that none is missing, so a bad checkpoint changes nothing.
-        A held semantic chain is dropped: it may no longer match the state."""
-        self._held_chain = None
+        checking that none is missing, so a bad checkpoint changes nothing."""
         buffers = self._state_buffers() if buffers is None else buffers
         for name in sorted(buffers):
             if name not in arrays:
@@ -572,10 +568,9 @@ class Trainer:
                 sums = {"l_bpr": 0.0, "l_cl": 0.0, "l_g": 0.0, "l_d": 0.0}
                 try:
                     for _ in range(steps):
-                        if not cfg.disable_asl:
-                            for _ in range(cfg.d_steps):
-                                sums["l_d"] += self.d_step()
-                        g_losses = self.g_step()
+                        d_losses, g_losses = self.train_step()
+                        for value in d_losses:  # one at a time, in step order
+                            sums["l_d"] += value
                         for key, value in g_losses.items():
                             sums[key] += value
                 except NumericError:

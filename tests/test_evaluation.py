@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from mmssl import evaluation
-from mmssl.data import sparsity_buckets
+from mmssl.data import ScoreRows, sparsity_buckets
 from mmssl.evaluation import (
     RankingReport,
-    ScoreRows,
     evaluate_scores,
     ndcg_at_k,
     precision_at_k,

@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmssl import encoder
+from mmssl import adversarial, encoder
 from mmssl import model as mdl
 from mmssl import objectives as obj
-from mmssl.autodiff import GradientMap, NumericError
+from mmssl.autodiff import GradientMap, NumericError, Tape
 from mmssl.data import SyntheticSpec, generate_synthetic, split_edges
 from mmssl.encoder import EncoderConfig
 from mmssl.evaluation import EvalConfig
@@ -558,7 +558,7 @@ def test_restore_of_a_bad_checkpoint_changes_nothing(tmp_path, edit, message):
     assert trainer.epoch == 0 and trainer.opt_gen.t == 0
 
 
-# -- the semantic chain a critic step holds for the next generator step ------
+# -- one semantic chain per training step -------------------------------------
 
 
 def count_chains(monkeypatch):
@@ -574,34 +574,47 @@ def count_chains(monkeypatch):
     return calls
 
 
-def step_losses(trainer, steps, before_g_step=lambda: None):
+def step_losses(trainer, steps):
     losses = []
     for _ in range(steps):
         for _ in range(trainer.cfg.d_steps):
             losses.append(trainer.d_step())
-        before_g_step()
         losses.extend(trainer.g_step().values())
     return losses
 
 
-def test_held_chain_trains_bitwise_like_a_chain_per_step(monkeypatch):
+def train_step_losses(trainer, steps):
+    losses = []
+    for _ in range(steps):
+        d_losses, g_losses = trainer.train_step()
+        losses.extend(d_losses + list(g_losses.values()))
+    return losses
+
+
+def tapes_held(trainer):
+    """Trainer attributes that hold a tape, alone or in a tuple or list."""
+    return [
+        name
+        for name, value in vars(trainer).items()
+        if isinstance(value, Tape)
+        or isinstance(value, (tuple, list)) and any(isinstance(v, Tape) for v in value)
+    ]
+
+
+def test_train_step_shares_one_chain_bitwise_like_standalone_steps(monkeypatch):
     calls = count_chains(monkeypatch)
-    held = build_trainer(d_steps=2)
-    assert held.cfg.disable_cl is False and held.cfg.disable_gumbel is False
-    held_losses = step_losses(held, 3)
+    shared = build_trainer(d_steps=2)
+    assert shared.cfg.disable_cl is False and shared.cfg.disable_gumbel is False
+    shared_losses = train_step_losses(shared, 3)
     assert len(calls) == 3  # one chain per step: both critic steps and the g_step share it
 
     del calls[:]
-    fresh = build_trainer(d_steps=2)
-
-    def drop():
-        fresh._held_chain = None
-
-    fresh_losses = step_losses(fresh, 3, before_g_step=drop)
-    assert len(calls) == 6
-    assert held_losses == fresh_losses  # exact float equality
-    assert held.opt_gen.t == fresh.opt_gen.t == 3
-    want, got = fresh._snapshot_arrays(), held._snapshot_arrays()
+    standalone = build_trainer(d_steps=2)
+    standalone_losses = step_losses(standalone, 3)
+    assert len(calls) == 9  # each standalone step records its own chain
+    assert shared_losses == standalone_losses  # exact float equality
+    assert shared.opt_gen.t == standalone.opt_gen.t == 3
+    want, got = standalone._snapshot_arrays(), shared._snapshot_arrays()
     assert [n for n in want if not np.array_equal(want[n], got[n])] == []
 
 
@@ -618,6 +631,43 @@ def test_step_losses_match_the_values_pinned_before_the_chain_was_shared():
         0.42638665601096337, 3.983123742062702, -0.5483857060434666,
     ]
     assert step_losses(build_trainer(d_steps=2), 3) == pytest.approx(pinned, rel=1e-12, abs=0)
+    assert train_step_losses(build_trainer(d_steps=2), 3) == pytest.approx(pinned, rel=1e-12, abs=0)
+
+
+def test_epoch_log_matches_the_values_pinned_before_train_step():
+    # per-epoch (l_d, l_bpr, l_cl, l_g) of a two-epoch d_steps=2 run, printed
+    # at the commit before train_step; l_d adds the critic losses one at a time
+    pinned = [
+        [0.8365980079115154, 0.2907179786037041, 3.993177464822867, -0.6890668195232458],
+        [0.9162077118530564, 0.40152683506632286, 4.0085420861542325, -0.5343720906549199],
+    ]
+    log = run_tiny(epochs=2, d_steps=2).log
+    got = [[record[k] for k in ("l_d", "l_bpr", "l_cl", "l_g")] for record in log]
+    assert got == [pytest.approx(row, rel=1e-12, abs=0) for row in pinned]
+
+
+def test_a_hand_edit_between_the_steps_reaches_the_next_g_step():
+    edited, twin = build_trainer(), build_trainer()
+    for trainer in (edited, twin):
+        trainer.d_step()
+        trainer.state.ids.users.data *= 1.5
+    twin._restore_arrays(twin._snapshot_arrays())  # no chain from before a restore is read
+    assert edited.g_step() == twin.g_step()
+
+
+def test_no_trainer_attribute_holds_a_tape_after_a_step(monkeypatch):
+    trainer = build_trainer(d_steps=2)
+    trainer.train_step()
+    assert tapes_held(trainer) == []
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("critic loss failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(adversarial, "loss_d", fail)
+        with pytest.raises(RuntimeError, match="critic loss failed"):
+            trainer.train_step()
+    assert tapes_held(trainer) == []
 
 
 def _reassign_neighborhoods(trainer, tmp_path):
@@ -661,9 +711,10 @@ def test_held_chain_is_dropped_by_a_g_step_that_raised(monkeypatch):
         patch.setattr(mdl, "generator_losses", fail)
         with pytest.raises(RuntimeError, match="loss assembly failed"):
             trainer.g_step()
-    assert trainer._held_chain is None
+    assert tapes_held(trainer) == []
     losses = trainer.g_step()
-    assert len(calls) == 2 and all(np.isfinite(v) for v in losses.values())
+    # each standalone step records its own chain
+    assert len(calls) == 3 and all(np.isfinite(v) for v in losses.values())
 
 
 def test_non_finite_id_row_names_the_op_in_both_steps():
@@ -673,13 +724,12 @@ def test_non_finite_id_row_names_the_op_in_both_steps():
     trainer.state.ids.users.data[3] = np.nan
     with pytest.raises(NumericError, match="non-finite value produced by 'sparse_matmul'"):
         trainer.d_step()
-    assert trainer._held_chain is None
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericError, match="non-finite value produced by 'sparse_matmul'"):
             trainer.g_step()
 
 
-@pytest.mark.parametrize("call", ["d_step", "g_step", "evaluate"])
+@pytest.mark.parametrize("call", ["train_step", "d_step", "g_step", "evaluate"])
 def test_steps_before_any_refresh_say_how_to_get_neighborhoods(call):
     graph, features, split = tiny_problem()
     trainer = Trainer(*tiny_configs(), graph, features, split)
