@@ -84,16 +84,22 @@ def modality_collab_embeddings(
     Raw item features are first pushed through the modality transform with
     dropout; user vectors aggregate transformed item vectors over observed
     interactions with 1/sqrt(degree) weights, and item vectors then
-    aggregate those user vectors the same way.
+    aggregate those user vectors the same way.  One tape segment.
     """
-    feats = ad.add(
-        ad.matmul(ad.constant(np.asarray(raw_features, dtype=np.float64)), gen.weights[modality]),
-        gen.biases[modality],
-    )
-    feats = ad.dropout(feats, gen.dropout_rate, rng, train)
-    f_user = ad.sparse_matmul(adj.user_from_item, feats, lambda: adj.user_from_item_t)
-    f_item = ad.sparse_matmul(adj.item_from_user, f_user, lambda: adj.item_from_user_t)
-    return f_user, f_item
+
+    def collab():
+        feats = ad.add(
+            ad.matmul(
+                ad.constant(np.asarray(raw_features, dtype=np.float64)), gen.weights[modality]
+            ),
+            gen.biases[modality],
+        )
+        feats = ad.dropout(feats, gen.dropout_rate, rng, train)
+        f_user = ad.sparse_matmul(adj.user_from_item, feats, lambda: adj.user_from_item_t)
+        f_item = ad.sparse_matmul(adj.item_from_user, f_user, lambda: adj.item_from_user_t)
+        return f_user, f_item
+
+    return ad.segment("modality_collab_embeddings", collab)
 
 
 def relation_rows(f_user_rows: Tensor, f_item: Tensor) -> Tensor:

@@ -2,17 +2,19 @@
 
 All buffers are 64-bit floats.  Operations compute eagerly with numpy and,
 when a tape is active, append a record holding the op name, the output, the
-input tensors and a vector-Jacobian closure.  ``Tape.backward`` walks the
-records in reverse; creation order is a topological order by construction,
-so no sort is needed.
+input tensors and a vector-Jacobian closure, which keeps only what it reads.
+``Tape.backward`` walks the records in reverse; creation order is a
+topological order by construction, so no sort is needed.  A ``segment``
+collapses the records a function makes into one record that keeps only the
+function's outputs.
 
 Non-finite values raise ``NumericError`` naming the op that produced them.
 A call made with no tape active checks its own output.  A taped step is
 checked once: ``Tape.backward`` checks the loss and every gradient it
 returns, and on failure replays the records to name the first op with a
-non-finite output, or the op whose vjp went non-finite.  ``batch_norm``
-checks every call, so a failing step never writes a non-finite running
-statistic.
+non-finite output, or the op whose vjp went non-finite; a failure inside a
+segment names the segment.  ``batch_norm`` checks every call, so a failing
+step never writes a non-finite running statistic.
 
 At most one tape records at a time.  A tape may be entered again after it
 was left: its records then continue in order, so a forward recorded in
@@ -33,6 +35,7 @@ __all__ = [
     "Tensor",
     "Tape",
     "GradientMap",
+    "segment",
     "parameter",
     "constant",
     "add",
@@ -141,12 +144,14 @@ _ACTIVE: "Tape | None" = None  # the tape recording right now, if any
 
 @dataclass(slots=True)
 class _Record:
-    """One primitive application.  ``out`` is its output, or a tuple of
-    outputs whose gradients the vjp takes as a tuple (zeros for an output
-    that got none).  The vjp returns one partial per input: an array, None,
-    or a function that computes the array and is called only if that input
+    """One primitive application, or one segment (see ``segment``), which
+    keeps only its outputs.  ``out`` is its output, or a tuple of outputs
+    whose gradients the vjp takes as a tuple (None for an output that got
+    none).  The vjp returns one partial per input: an array, None, or a
+    function that computes the array and is called only if that input
     needs a gradient.  It is dropped once it has run; the op name and
-    output stay for the replay that names a failing op."""
+    output stay for the replay that names a failing op, so a failure
+    inside a segment names the segment."""
 
     op: str
     out: Tensor | tuple[Tensor, ...]
@@ -155,6 +160,48 @@ class _Record:
 
     def outputs(self) -> tuple[Tensor, ...]:
         return self.out if isinstance(self.out, tuple) else (self.out,)
+
+
+def _keys(out: Tensor | tuple[Tensor, ...]) -> int | tuple[int, ...]:
+    return tuple(id(t) for t in out) if isinstance(out, tuple) else id(out)
+
+
+class _Sums:
+    """Summed gradients by tensor id, under the tape's copy-on-write rule:
+    a first partial is kept as it is, a second is added into a new array,
+    and later ones into that array in place."""
+
+    __slots__ = ("held", "owned")
+
+    def __init__(self, held: dict[int, np.ndarray]):
+        self.held = held
+        self.owned: set[int] = set()  # sums allocated here, safe to add into
+
+    def add(self, key: int, g: np.ndarray) -> None:
+        held = self.held.get(key)
+        if held is None:
+            # no copy, but a strided view is copied so that consumers see
+            # the layouts they saw when every first partial was
+            contiguous = g.flags.c_contiguous or g.flags.f_contiguous
+            self.held[key] = g if contiguous else np.array(g)
+        elif key in self.owned:
+            held += g
+        else:
+            self.held[key] = np.add(held, g, out=np.empty_like(held))
+            self.owned.add(key)
+
+    def run(self, vjp: Callable, out: int | tuple[int, ...]):
+        """``vjp``'s partials for the sums of the outputs keyed ``out``,
+        which leave the buffer; None when no output got a gradient."""
+        if isinstance(out, tuple):
+            g_out = tuple(self.held.pop(key, None) for key in out)
+            if all(g is None for g in g_out):
+                return None
+        else:
+            g_out = self.held.pop(out, None)
+            if g_out is None:
+                return None
+        return vjp(g_out)
 
 
 class GradientMap:
@@ -220,8 +267,7 @@ class Tape:
         self._spent = True
         wanted = None if params is None else {id(p) for p in params}
         produced = {id(t) for rec in self._records for t in rec.outputs()}
-        buffer: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        owned: set[int] = set()  # buffered sums allocated here, safe to add into
+        sums = _Sums({id(loss): np.ones_like(loss.data)})
         grads = GradientMap()
         if loss.requires_grad and (wanted is None or id(loss) in wanted):
             grads._accumulate(loss, np.ones_like(loss.data))
@@ -230,7 +276,22 @@ class Tape:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             try:
                 for rec in reversed(self._records):
-                    self._step_back(rec, buffer, owned, produced, wanted, grads)
+                    vjp, rec.vjp = rec.vjp, None
+                    partials = sums.run(vjp, _keys(rec.out))
+                    del vjp  # frees what the closure holds before the partials are summed
+                    for inp, g_in in zip(rec.inputs, partials or ()):
+                        key = id(inp)
+                        requested = inp.requires_grad and (wanted is None or key in wanted)
+                        if key not in produced and not requested:
+                            continue  # a constant, or a leaf no one asked for: nothing to work out
+                        if callable(g_in):
+                            g_in = g_in()
+                        if g_in is None:
+                            continue
+                        if key in produced:
+                            sums.add(key, g_in)
+                        else:
+                            grads._accumulate(inp, g_in)
             except FloatingPointError:
                 raise NumericError(
                     self._blame(f"non-finite gradient from the vjp of '{rec.op}'")
@@ -239,49 +300,6 @@ class Tape:
             if not np.all(np.isfinite(g)):
                 raise NumericError(self._blame(f"non-finite gradient of '{t.name}'"))
         return grads
-
-    def _step_back(self, rec: _Record, buffer, owned, produced, wanted, grads) -> None:
-        """Run one record's vjp and add its partials to the buffered
-        gradients of produced tensors, or to ``grads`` for wanted leaves.
-        A buffered partial is kept as it is until a second one is added to it
-        (copy on write)."""
-        vjp, rec.vjp = rec.vjp, None
-        if isinstance(rec.out, tuple):
-            g_out = tuple(buffer.pop(id(t), None) for t in rec.out)
-            if all(g is None for g in g_out):
-                return
-            g_out = tuple(
-                np.zeros_like(t.data) if g is None else g for t, g in zip(rec.out, g_out)
-            )
-        else:
-            g_out = buffer.pop(id(rec.out), None)
-            if g_out is None:
-                return
-        partials = vjp(g_out)
-        del vjp  # frees what the closure holds before the partials are summed
-        for inp, g_in in zip(rec.inputs, partials):
-            key = id(inp)
-            requested = inp.requires_grad and (wanted is None or key in wanted)
-            if key not in produced and not requested:
-                continue  # a constant, or a leaf no one asked for: nothing to work out
-            if callable(g_in):
-                g_in = g_in()
-            if g_in is None:
-                continue
-            if key not in produced:
-                grads._accumulate(inp, g_in)
-                continue
-            held = buffer.get(key)
-            if held is None:
-                # no copy, but a strided view is copied so that consumers see
-                # the layouts they saw when every first partial was
-                contiguous = g_in.flags.c_contiguous or g_in.flags.f_contiguous
-                buffer[key] = g_in if contiguous else np.array(g_in)
-            elif key in owned:
-                held += g_in
-            else:
-                buffer[key] = np.add(held, g_in, out=np.empty_like(held))
-                owned.add(key)
 
     def require_finite(self, t: Tensor, otherwise: str) -> None:
         """Raise ``NumericError`` if ``t`` holds a non-finite value, naming
@@ -300,6 +318,69 @@ class Tape:
 def _record(op: str, out: Tensor | tuple[Tensor, ...], inputs: tuple[Tensor, ...], vjp) -> None:
     if _ACTIVE is not None:
         _ACTIVE._records.append(_Record(op, out, inputs, vjp))
+
+
+def segment(op: str, fn: Callable, *args):
+    """``fn(*args)``, a Tensor or a tuple of them, recorded as one record.
+
+    With a tape active, the records ``fn`` makes collapse into one record
+    named ``op``.  Its outputs are the returned tensors made inside; a
+    returned tensor made outside is passed through.  Its inputs are the
+    outside tensors the inner records read, listed once per partial in the
+    order backward delivers them.  Its vjp runs the inner vjps in reverse
+    and sums their partials with the tape's own rule, so values and
+    gradients are bitwise equal to the records it replaces, and an output
+    that gets no gradient skips the records that made it, as on the tape.
+    The inner outputs are not kept, so a non-finite value made inside is
+    named by ``op``.  Only the returned tensors may be read afterwards.
+    With no tape active this is ``fn(*args)``, per-op checks included; with
+    no returned tensor made inside, the records stay as they are.
+    """
+    tape = _ACTIVE
+    if tape is None:
+        return fn(*args)
+    start = len(tape._records)
+    result = fn(*args)
+    inner = tape._records[start:]
+    made = {id(t) for rec in inner for t in rec.outputs()}
+    outs = tuple(t for t in (result if isinstance(result, tuple) else (result,)) if id(t) in made)
+    if not outs:
+        return result
+    del tape._records[start:]
+    inputs: list[Tensor] = []
+    steps = []  # (vjp, output keys, one route per input) per record
+    for rec in reversed(inner):
+        routes = []
+        for t in rec.inputs:
+            if id(t) in made:
+                routes.append(id(t))
+            else:  # the ~position of its partial among the segment's inputs
+                routes.append(~len(inputs))
+                inputs.append(t)
+        steps.append((rec.vjp, _keys(rec.out), routes))
+    steps.reverse()  # pop() takes the last record first
+    out_keys = _keys(outs)
+
+    def vjp(g_out):
+        g_out = g_out if len(outs) > 1 else (g_out,)
+        sums = _Sums({key: g for key, g in zip(out_keys, g_out) if g is not None})
+        partials = [None] * len(inputs)
+        while steps:
+            step_vjp, out, routes = steps.pop()
+            step_partials = sums.run(step_vjp, out) or ()
+            del step_vjp
+            for route, g_in in zip(routes, step_partials):
+                if route < 0:
+                    partials[~route] = g_in
+                    continue
+                if callable(g_in):
+                    g_in = g_in()
+                if g_in is not None:
+                    sums.add(route, g_in)
+        return partials
+
+    _record(op, outs if len(outs) > 1 else outs[0], tuple(inputs), vjp)
+    return result
 
 
 # --------------------------------------------------------------------------
@@ -321,7 +402,8 @@ def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data + b.data)
     _check_finite(out.data, "add")
-    _record("add", out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    sa, sb = a.shape, b.shape
+    _record("add", out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
     return out
 
 
@@ -329,7 +411,8 @@ def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data - b.data)
     _check_finite(out.data, "sub")
-    _record("sub", out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+    sa, sb = a.shape, b.shape
+    _record("sub", out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
     return out
 
 
@@ -396,16 +479,18 @@ def transpose(a) -> Tensor:
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(a.data.reshape(shape))
-    _record("reshape", out, (a,), lambda g: (g.reshape(a.shape),))
+    old = a.shape
+    _record("reshape", out, (a,), lambda g: (g.reshape(old),))
     return out
 
 
 def slice_cols(a, start: int, stop: int) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(a.data[:, start:stop])
+    shape = a.shape
 
     def vjp(g):
-        buf = np.zeros_like(a.data)
+        buf = np.zeros(shape)
         buf[:, start:stop] = g
         return (buf,)
 
@@ -422,7 +507,7 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
     def vjp(g):
         slicer = [slice(None)] * g.ndim
         pieces = []
-        for i in range(len(tensors)):
+        for i in range(len(sizes)):
             slicer[axis] = slice(offsets[i], offsets[i + 1])
             pieces.append(g[tuple(slicer)])
         return tuple(pieces)
@@ -435,9 +520,10 @@ def gather_rows(a, idx) -> Tensor:
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
     out = Tensor(a.data[idx])
+    shape = a.shape
 
     def vjp(g):
-        buf = np.zeros_like(a.data)
+        buf = np.zeros(shape)
         np.add.at(buf, idx, g)
         return (buf,)
 
@@ -449,12 +535,13 @@ def reduce_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
     _check_finite(out.data, "reduce_sum")
+    shape = a.shape
 
     def vjp(g):
         if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
+            return (np.broadcast_to(g, shape).copy(),)
         gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).copy(),)
+        return (np.broadcast_to(gg, shape).copy(),)
 
     _record("reduce_sum", out, (a,), vjp)
     return out
@@ -704,6 +791,7 @@ def head_attention(
     outs = [Tensor(val) for val in vals]
 
     def vjp(gs):
+        gs = [np.zeros((n, d)) if g is None else g for g in gs]
         g_q = [[None] * num_m for _ in range(heads)]
         g_k = [[None] * num_m for _ in range(heads)]
         mixes = []  # per target view, last first: one partial per view

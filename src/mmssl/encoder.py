@@ -348,11 +348,15 @@ def cross_modal_attention(views: list[Tensor], attn: AttentionParams) -> list[Te
 
 
 def fuse_modalities(mixed_views: list[Tensor]) -> Tensor:
-    """Mean over modalities."""
-    total = None
-    for v in mixed_views:
-        total = v if total is None else ad.add(total, v)
-    return ad.scale(total, 1.0 / len(mixed_views))
+    """Mean over modalities, as one tape segment."""
+
+    def mean():
+        total = None
+        for v in mixed_views:
+            total = v if total is None else ad.add(total, v)
+        return ad.scale(total, 1.0 / len(mixed_views))
+
+    return ad.segment("fuse_modalities", mean)
 
 
 # --------------------------------------------------------------------------
@@ -374,24 +378,30 @@ def propagate_high_order(
     Zero-order embeddings add the fused modality summary scaled by eta and
     divided by its per-row squared norm (zero rows contribute nothing).
     Each further layer maps the opposite side through the normalized
-    adjacency, and the output averages all layers 0..L inclusive.
+    adjacency, and the output averages all layers 0..L inclusive.  The
+    whole is one tape segment, ``'propagate'``: backward keeps none of the
+    layers.
     """
-    e0_u = ad.add(id_users, ad.scale(ad.divide_rows_by_sq_norm(summary_users), eta))
-    e0_i = ad.add(id_items, ad.scale(ad.divide_rows_by_sq_norm(summary_items), eta))
-    layers_u, layers_i = [e0_u], [e0_i]
-    for _ in range(layers):
-        # both sides advance from layer l together, the block form of the
-        # joint recursion over the stacked bipartite adjacency
-        prev_u, prev_i = layers_u[-1], layers_i[-1]
-        layers_u.append(
-            ad.sparse_matmul(adj.user_from_item, prev_i, lambda: adj.user_from_item_t)
-        )
-        layers_i.append(
-            ad.sparse_matmul(adj.item_from_user, prev_u, lambda: adj.item_from_user_t)
-        )
-    inv = 1.0 / (layers + 1)
-    total_u, total_i = layers_u[0], layers_i[0]
-    for lu, li in zip(layers_u[1:], layers_i[1:]):
-        total_u = ad.add(total_u, lu)
-        total_i = ad.add(total_i, li)
-    return ad.scale(total_u, inv), ad.scale(total_i, inv)
+
+    def propagate():
+        e0_u = ad.add(id_users, ad.scale(ad.divide_rows_by_sq_norm(summary_users), eta))
+        e0_i = ad.add(id_items, ad.scale(ad.divide_rows_by_sq_norm(summary_items), eta))
+        layers_u, layers_i = [e0_u], [e0_i]
+        for _ in range(layers):
+            # both sides advance from layer l together, the block form of the
+            # joint recursion over the stacked bipartite adjacency
+            prev_u, prev_i = layers_u[-1], layers_i[-1]
+            layers_u.append(
+                ad.sparse_matmul(adj.user_from_item, prev_i, lambda: adj.user_from_item_t)
+            )
+            layers_i.append(
+                ad.sparse_matmul(adj.item_from_user, prev_u, lambda: adj.item_from_user_t)
+            )
+        inv = 1.0 / (layers + 1)
+        total_u, total_i = layers_u[0], layers_i[0]
+        for lu, li in zip(layers_u[1:], layers_i[1:]):
+            total_u = ad.add(total_u, lu)
+            total_i = ad.add(total_i, li)
+        return ad.scale(total_u, inv), ad.scale(total_i, inv)
+
+    return ad.segment("propagate", propagate)

@@ -40,11 +40,15 @@ def fuse_final(
 ) -> Tensor:
     """Final embeddings: propagated id embeddings plus row-normalized
     modality priors scaled by omega.  Zero-norm prior rows contribute
-    nothing rather than dividing by zero."""
-    out = propagated
-    for prior in modality_priors:
-        out = ad.add(out, ad.scale(ad.l2_normalize_rows(prior), omega))
-    return out
+    nothing rather than dividing by zero.  One tape segment."""
+
+    def fuse():
+        out = propagated
+        for prior in modality_priors:
+            out = ad.add(out, ad.scale(ad.l2_normalize_rows(prior), omega))
+        return out
+
+    return ad.segment("fuse_final", fuse)
 
 
 def predict(h_users: Tensor, h_items: Tensor) -> Tensor:

@@ -374,3 +374,94 @@ def test_filtered_gradient_map_accepts_further_accumulation():
     assert y not in grads
     grads._accumulate(x, np.ones_like(x.data))
     np.testing.assert_allclose(grads.get(x), 2 * x.data + 1)
+
+
+def _bits(arr):
+    """Bytes of an array: equal bytes mean equal values and signs of zero."""
+    return np.asarray(arr).tobytes()
+
+
+def _segment_body(x, w, k):
+    # `a` gets three partials; `x`, made outside, is read here and after the
+    # segment; `unused` gets no gradient.  `k` holds -0.0 entries, so a zero
+    # gradient sent down the unused path would flip signs of zero
+    a = ad.mul(x, w)
+    b = ad.add(ad.exp(a), ad.scale(a, 0.5))
+    c = ad.mul(a, x)
+    unused = ad.sqrt(ad.exp(a))
+    return b, ad.mul(c, k), unused
+
+
+def _segment_run(segmented, nested=False):
+    p = ad.parameter(np.array([[0.3, -1.2, 0.0], [2.0, -0.5, 1.1]]), "p")
+    w = ad.parameter(np.array([[1.5, 0.0, -0.7], [-2.0, 0.4, 0.9]]), "w")
+    k = ad.constant(np.array([[1.0, -0.0, 2.0], [-0.0, -3.0, -0.0]]))
+    if not segmented:
+        body = _segment_body
+    elif nested:
+        body = lambda *xs: ad.segment("outer", lambda: ad.segment("inner", _segment_body, *xs))
+    else:
+        body = lambda *xs: ad.segment("seg", _segment_body, *xs)
+    with ad.Tape() as tape:
+        x = ad.exp(p)
+        b, c, unused = body(x, w, k)
+        loss = ad.reduce_sum(ad.add(ad.mul(b, k), ad.mul(c, x)))
+    grads = tape.backward(loss, params=[p, w])
+    return tape, [loss.data, b.data, c.data, unused.data, grads.get(p), grads.get(w)]
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_a_segment_is_bitwise_equal_to_its_records(nested):
+    plain_tape, plain = _segment_run(segmented=False)
+    tape, got = _segment_run(segmented=True, nested=nested)
+    assert (np.signbit(plain[5]) & (plain[5] == 0)).any()  # w's gradient has a -0.0
+    assert [_bits(v) for v in got] == [_bits(v) for v in plain]
+    assert [rec.op for rec in tape._records] == ["exp", "outer" if nested else "seg", *(
+        rec.op for rec in plain_tape._records[-4:]
+    )]
+    assert len(plain_tape) == 13 and len(tape) == 6
+
+
+def test_a_segment_keeps_only_its_outputs_and_outside_inputs():
+    # inputs in the order backward delivers partials: k from mul(c, k), x
+    # from mul(a, x), then x and w from mul(x, w); no inner tensor is kept
+    tape, _ = _segment_run(segmented=True)
+    x, rec = tape._records[0].out, tape._records[1]
+    assert len(rec.outputs()) == 3
+    k, x1, x2, w = rec.inputs
+    assert x1 is x and x2 is x and w.name == "w" and not k.requires_grad
+
+
+def test_pass_through_outputs_and_empty_segments_add_no_record():
+    x = ad.parameter(np.array([[0.5, -1.0], [2.0, 0.25]]), "x")
+    with ad.Tape() as tape:
+        y = ad.exp(x)
+        assert ad.segment("empty", lambda: y) is y
+        z, same = ad.segment("through", lambda t: (ad.exp(t), t), y)
+        loss = ad.reduce_sum(ad.mul(z, same))
+    assert same is y
+    assert [rec.op for rec in tape._records] == ["exp", "through", "mul", "reduce_sum"]
+    assert tape._records[1].out is z
+    grads = tape.backward(loss, params=[x])
+    with ad.Tape() as plain:
+        y = ad.exp(x)
+        loss = ad.reduce_sum(ad.mul(ad.exp(y), y))
+    assert _bits(grads.get(x)) == _bits(plain.backward(loss, params=[x]).get(x))
+
+
+def test_a_segment_without_a_tape_is_a_plain_call_with_per_op_checks():
+    x = ad.Tensor(np.array([[800.0, 1.0]]))
+    assert ad.segment("seg", lambda t: ad.scale(t, 2.0), x).data.tolist() == [[1600.0, 2.0]]
+    with pytest.raises(ad.NumericError, match="non-finite value produced by 'exp'"):
+        ad.segment("seg", ad.exp, x)
+
+
+def test_a_non_finite_value_made_inside_a_segment_names_the_segment():
+    x = ad.parameter(np.array([[1.0, -1.0]]), "x")
+    with ad.Tape() as tape:
+        y = ad.segment("seg", lambda t: ad.exp(ad.log(t)), x)
+        loss = ad.reduce_sum(y)
+    with pytest.raises(ad.NumericError, match="non-finite value produced by 'seg'"):
+        tape.require_finite(y, "unused")
+    with pytest.raises(ad.NumericError, match="non-finite value produced by 'seg'"):
+        tape.backward(loss, params=[x])

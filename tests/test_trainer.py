@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mmssl import adversarial, encoder
+from mmssl import autodiff as ad
 from mmssl import model as mdl
 from mmssl import objectives as obj
 from mmssl.autodiff import GradientMap, NumericError, Tape
@@ -405,7 +406,7 @@ def test_resume_allows_extended_stopping_criteria(tmp_path):
     assert [rec["epoch"] for rec in res.log] == [2, 3]
 
 
-def _fused_and_composed_runs(tmp_path, monkeypatch, module, name, composed):
+def _fused_and_composed_runs(tmp_path, monkeypatch, module, name, composed, **overrides):
     """Checkpoint, metadata and log lines of a 2-epoch full-model run, with
     the fused record and with ``module.name`` replaced by its composed
     reference."""
@@ -414,7 +415,7 @@ def _fused_and_composed_runs(tmp_path, monkeypatch, module, name, composed):
         if label == "composed":
             monkeypatch.setattr(module, name, composed)
         ckpt, log = tmp_path / f"{label}.ckpt", tmp_path / f"{label}.ndjson"
-        run_tiny(epochs=2, checkpoint=str(ckpt), log_path=str(log))
+        run_tiny(epochs=2, checkpoint=str(ckpt), log_path=str(log), **overrides)
         runs.append((*load_checkpoint(ckpt), log.read_text().splitlines()))
     return runs
 
@@ -449,6 +450,17 @@ def test_training_is_bitwise_equal_with_composed_attention(tmp_path, monkeypatch
     _assert_runs_equal(fused, composed)
 
 
+@pytest.mark.parametrize("d_steps", [1, 2])
+def test_training_is_bitwise_equal_with_segments_as_plain_calls(tmp_path, monkeypatch, d_steps):
+    # a segment only merges records: with every segment's records left on the
+    # tape as they are, no trained value may move
+    fused, composed = _fused_and_composed_runs(
+        tmp_path, monkeypatch, ad, "segment", lambda op, fn, *args: fn(*args), d_steps=d_steps
+    )
+    assert all(json.loads(line)["l_cl"] > 0 and json.loads(line)["l_g"] != 0 for line in fused[2])
+    _assert_runs_equal(fused, composed)
+
+
 def test_evaluate_peak_memory_below_half_a_user_by_item_array():
     # validation and `mmssl eval` rank score rows block by block; the
     # (U, I) score matrix is never built
@@ -474,20 +486,16 @@ def test_evaluate_peak_memory_below_half_a_user_by_item_array():
     assert peak < user_by_item / 2, f"evaluate peaked at {peak / user_by_item:.2f} (U, I) arrays"
 
 
-def test_g_step_peak_memory_below_seven_and_a_half_user_by_user_arrays():
-    # the full model (InfoNCE, adversarial, Gumbel) at U = 1500: the
-    # InfoNCE record keeps two (U, U) exponentials per view and builds no
-    # other (U, U) array; its vjp overwrites them with their partials.
-    # Backward frees each record's arrays once its vjp ran and copies no
-    # first partial, which keeps the peak near 7.3 (U, U) arrays
+def _g_step_peak(**overrides):
+    """Traced peak allocation of one ``g_step`` at U = 1500, I = 1000, d = 64."""
     spec = SyntheticSpec(
         num_users=1500, num_items=1000, modality_dims=(16, 8), interactions_per_user=3, seed=5
     )
     graph, features, _ = generate_synthetic(spec)
     split = split_edges(graph, (0.8, 0.1, 0.1), seed=5)
     trainer = Trainer(
-        TrainConfig(seed=1, batch_size=256), EncoderConfig(), AdvConfig(), ObjectiveConfig(),
-        EvalConfig(), graph, features, split,
+        TrainConfig(seed=1, batch_size=256, **overrides), EncoderConfig(), AdvConfig(),
+        ObjectiveConfig(), EvalConfig(), graph, features, split,
     )
     trainer.neighborhoods = mdl.refresh_neighborhoods(
         trainer.state, trainer.adj, trainer.features, trainer.enc_cfg.top_k
@@ -495,11 +503,30 @@ def test_g_step_peak_memory_below_seven_and_a_half_user_by_user_arrays():
     tracemalloc.start()
     try:
         trainer.g_step()
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_g_step_peak_memory_below_six_and_three_quarters_user_by_user_arrays():
+    # the full model (InfoNCE, adversarial, Gumbel): the InfoNCE record keeps
+    # two (U, U) exponentials per view and builds no other (U, U) array; its
+    # vjp overwrites them with their partials.  Backward frees each record's
+    # arrays once its vjp ran and copies no first partial; the propagation
+    # and fusion segments keep only their outputs, and add, sub and the
+    # routing ops keep shapes, not inputs.  The peak is near 6.3 (U, U) arrays
     user_by_user = 1500 * 1500 * 8
-    assert peak < 7.5 * user_by_user, f"g_step peaked at {peak / user_by_user:.1f} (U, U) arrays"
+    peak = _g_step_peak()
+    assert peak < 6.75 * user_by_user, f"g_step peaked at {peak / user_by_user:.2f} (U, U) arrays"
+
+
+def test_g_step_peak_memory_without_infonce_below_62_user_by_dim_arrays():
+    # with InfoNCE off no (U, U) array exists; the tape's (n, d) arrays set
+    # the peak, near 54 (U, d) arrays, where keeping every record's output
+    # made it 80
+    user_by_dim = 1500 * 64 * 8
+    peak = _g_step_peak(disable_cl=True)
+    assert peak < 62 * user_by_dim, f"g_step peaked at {peak / user_by_dim:.1f} (U, d) arrays"
 
 
 def test_sparse_train_rows_equal_dense_rows():
@@ -727,6 +754,22 @@ def test_non_finite_id_row_names_the_op_in_both_steps():
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericError, match="non-finite value produced by 'sparse_matmul'"):
             trainer.g_step()
+
+
+def test_an_inf_made_inside_propagation_names_the_segment():
+    # the views are finite; the two adjacency products overflow inside the
+    # segment, which keeps no inner output, so the segment is named
+    trainer = build_trainer()
+    trainer.adj.user_from_item.data *= 1e200
+    trainer.adj.item_from_user.data *= 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="non-finite value produced by 'propagate'"):
+            trainer.d_step()  # checks the chain it reads with Tape.require_finite
+        tape, chain = trainer._record_chain()
+        with tape:
+            loss = ad.reduce_sum(ad.add(chain.prop_users, ad.reduce_sum(chain.prop_items)))
+        with pytest.raises(NumericError, match="non-finite value produced by 'propagate'"):
+            tape.backward(loss, params=trainer.state.generator_parameters())
 
 
 @pytest.mark.parametrize("call", ["train_step", "d_step", "g_step", "evaluate"])
