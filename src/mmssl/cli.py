@@ -145,9 +145,10 @@ def _cmd_eval(args) -> int:
         flat.pop(key, None)
     settings = resolve_settings(flat)
     trainer = _build_trainer(settings, args.data)
+    previous = trainer.stored_neighborhoods(arrays)  # a bound only; best.ckpt has none
     trainer._restore_arrays(arrays)
     trainer.neighborhoods = mdl.refresh_neighborhoods(
-        trainer.state, trainer.adj, trainer.features, settings.enc.top_k
+        trainer.state, trainer.adj, trainer.features, settings.enc.top_k, previous
     )
     report = trainer.evaluate(
         trainer.split.test if args.split == "test" else trainer.split.val,
@@ -159,13 +160,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_synth(args) -> int:
     spec = SyntheticSpec.load(args.spec) if args.spec else SyntheticSpec()
-    graph, features, planted = generate_synthetic(spec)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    graph, features, _ = generate_synthetic(spec, planted_path=out / "planted.dat")
     write_interactions(graph, out / "interactions.txt")
     for table in features:
         write_modality_features(out / f"{table.name}.mmf", table.values)
-    write_modality_features(out / "planted.dat", planted)  # the full product, cast to float32
     (out / "spec.json").write_text(json.dumps(spec.to_json(), sort_keys=True, indent=2))
     print(
         f"wrote {graph.num_users} users, {graph.num_items} items, "

@@ -270,9 +270,12 @@ def write_modality_features(path, values: np.ndarray) -> None:
         raise DataFormatError("feature table must be 2-D")
     path = Path(path)
     with path.open("wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<II", values.shape[0], values.shape[1]))
+        fh.write(_feature_header(values.shape))
         fh.write(values.tobytes(order="C"))
+
+
+def _feature_header(shape: tuple[int, int]) -> bytes:
+    return FEATURE_MAGIC + struct.pack("<II", *shape)
 
 
 @dataclass
@@ -566,7 +569,7 @@ class ScoreRows:
 
 
 def generate_synthetic(
-    spec: SyntheticSpec,
+    spec: SyntheticSpec, planted_path=None
 ) -> tuple[InteractionGraph, list[ModalityFeatureTable], ScoreRows]:
     """Plant user/item latents, derive features and interactions from them.
 
@@ -576,7 +579,10 @@ def generate_synthetic(
     with exactly ``interactions_per_user`` distinct items drawn without
     replacement in proportion to softmax(z_u . z_i).  Returns the graph,
     the feature tables and the planted affinities z_u . z_i as ``ScoreRows``,
-    which the draws read a block of users at a time.
+    which the draws read a block of users at a time.  With ``planted_path``,
+    the float32 cast of each block is written there as it is drawn, as a
+    feature table of the affinities the draws used; its directory is made
+    once the latents and features exist.
     """
     rng = np.random.default_rng(spec.seed)
     z_u = rng.standard_normal((spec.num_users, spec.latent_dim))
@@ -592,7 +598,14 @@ def generate_synthetic(
             mapped = mapped + spec.noise * mapped.std() * rng.standard_normal(mapped.shape)
         features.append(ModalityFeatureTable(name=f"modality{m}", values=mapped.astype("<f4")))
     planted = ScoreRows(z_u, z_i)
-    edges = _draw_interactions(planted, spec.interactions_per_user, rng)
+    if planted_path is None:
+        edges = _draw_interactions(planted, spec.interactions_per_user, rng)
+    else:
+        planted_path = Path(planted_path)
+        planted_path.parent.mkdir(parents=True, exist_ok=True)
+        with planted_path.open("wb") as fh:
+            fh.write(_feature_header(planted.shape))
+            edges = _draw_interactions(planted, spec.interactions_per_user, rng, fh)
     graph = graph_from_edges(spec.num_users, spec.num_items, edges)
     return graph, features, planted
 
@@ -601,7 +614,9 @@ def generate_synthetic(
 DRAW_BLOCK_BYTES = 8 << 20
 
 
-def _draw_interactions(planted: np.ndarray | ScoreRows, k: int, rng: np.random.Generator) -> np.ndarray:
+def _draw_interactions(
+    planted: np.ndarray | ScoreRows, k: int, rng: np.random.Generator, sink=None
+) -> np.ndarray:
     """The (U*k, 2) edges that a per-user ``rng.choice(I, k, replace=False,
     p=softmax(planted[u]))`` draws, bit for bit and with the same ``rng`` calls.
 
@@ -612,7 +627,8 @@ def _draw_interactions(planted: np.ndarray | ScoreRows, k: int, rng: np.random.G
     Per user, numpy's without-replacement rounds are replayed: draw the
     missing count; from the second round on, zero the items found so far
     and rebuild the distribution; search it and keep the first occurrence
-    of each item, in draw order.
+    of each item, in draw order.  Each block is also written to the binary
+    file ``sink``, if given, cast to little-endian float32.
     """
     num_users, num_items = planted.shape
     if num_users and not 0 <= k <= num_items:
@@ -624,6 +640,8 @@ def _draw_interactions(planted: np.ndarray | ScoreRows, k: int, rng: np.random.G
     cdfs = np.empty_like(probs)
     for start in range(0, num_users, step):
         block = planted[start : start + step]
+        if sink is not None:
+            sink.write(block.astype("<f4").tobytes())
         p, c = probs[: len(block)], cdfs[: len(block)]
         np.subtract(block, block.max(axis=1, keepdims=True), out=p)
         np.exp(p, out=p)

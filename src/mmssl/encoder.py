@@ -134,40 +134,48 @@ GROUPS = 64
 MAX_CANDIDATES = 64
 
 
-def top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
+def top_k_rows(scores: np.ndarray, k: int, bound: np.ndarray | None = None) -> np.ndarray:
     """Indices of the k largest entries per row, largest first; ties go to
     the lower id.
 
-    The order is that of a stable sort on the negated scores.  In a row of at
-    least ``2 * GROUPS`` entries, with k at most ``GROUPS // 2``, the k-th
-    largest of its group maxima is no more than its k-th value, since those
-    k maxima are entries of distinct columns.  So every winner, and every entry
-    tied with the last winner, reaches that bound: ranking just those, in
-    ascending column order, gives the same ids as ranking the whole row.
-    ``scores`` may be a strided view, such as a transposed block: the pruning
-    reads it in place.
+    The order is that of a stable sort on the negated scores.  Only entries
+    at or above a lower bound on each row's k-th value are ranked: every
+    winner, and every entry tied with the last winner, reaches it, so ranking
+    just those, in ascending column order, gives the same ids as ranking the
+    whole row.  ``bound`` is such a bound, one per row, for instance the
+    smallest of k distinct entries of the row.  Without it, a row of at least
+    ``2 * GROUPS`` entries, with k at most ``GROUPS // 2``, takes the k-th
+    largest of its group maxima, which are entries of distinct columns, and
+    other rows are ranked whole.  ``scores`` may be a strided view, such as a
+    transposed block: the pruning reads it in place.
     """
     if k < 1:
         raise ValueError(f"top-k must be positive, got {k}")
     rows, width = scores.shape
     k = min(k, width)
-    if width < 2 * GROUPS or k > GROUPS // 2:
-        return _exact_top_k(scores, k)
-    gmax = _group_maxima(scores)
-    bound = np.partition(gmax, GROUPS - k, axis=1)[:, GROUPS - k]
-    hits = np.flatnonzero(scores >= bound[:, None])  # row-major positions, in any layout
+    top = None
+    if bound is None:
+        if width < 2 * GROUPS or k > GROUPS // 2:
+            return _exact_top_k(scores, k)
+        gmax = _group_maxima(scores)
+        bound = np.partition(gmax, GROUPS - k, axis=1)[:, GROUPS - k]
+        top = gmax.max(axis=1)
+    # not below the bound: a NaN is a candidate too, and sends its row whole
+    below = scores < bound[:, None]
+    hits = np.flatnonzero(np.logical_not(below, out=below))  # row-major positions, in any layout
     starts = np.searchsorted(hits, np.arange(rows + 1) * width)
     counts = np.diff(starts)
     out = np.empty((rows, k), dtype=np.intp)
+    crowded = counts > MAX_CANDIDATES
+    if top is None:  # the row maxima, needed only where many entries reach the bound
+        top = np.full(rows, np.nan)
+        top[crowded] = scores[crowded].max(axis=1)
     # a bound at the row's maximum admits only entries equal to it: the first k win
-    tied = bound == gmax.max(axis=1)
+    tied = crowded & (top == bound)
     out[tied] = hits[starts[:-1][tied, None] + np.arange(k)] % width
-    # a NaN is never a candidate, so a row holding one is ranked whole, as are crowded rows
-    whole = ~tied & ((counts > MAX_CANDIDATES) | np.isnan(gmax).any(axis=1))
-    out[whole] = _exact_top_k(scores[whole], k)
-    pruned = ~(tied | whole)
+    pruned = np.flatnonzero(~crowded)
     owner = np.repeat(np.arange(rows), counts)
-    keep = pruned[owner]
+    keep = ~crowded[owner]
     owner, column = owner[keep], hits[keep] % width
     counts = counts[pruned]
     # each pruned row's candidates, columns ascending, then -inf pads: a pad
@@ -178,6 +186,12 @@ def top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
     columns = np.zeros(values.shape, dtype=np.intp)
     values[row, slot] = scores[owner, column]
     columns[row, slot] = column
+    nan = np.isnan(values).any(axis=1)
+    whole = crowded & ~tied
+    whole[pruned[nan]] = True
+    out[whole] = _exact_top_k(scores[whole], k)
+    if nan.any():
+        pruned, values, columns = pruned[~nan], values[~nan], columns[~nan]
     out[pruned] = np.take_along_axis(columns, _exact_top_k(values, k), axis=1)
     return out
 
@@ -226,7 +240,12 @@ def _exact_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(winners, order, axis=1)
 
 
-def neighbors_from_row_blocks(blocks: Iterable[np.ndarray], k: int) -> SemanticNeighborhood:
+def neighbors_from_row_blocks(
+    blocks: Iterable[np.ndarray],
+    k: int,
+    previous_users: np.ndarray | None = None,
+    item_floor: np.ndarray | None = None,
+) -> SemanticNeighborhood:
     """Top-k neighbours of a relation matrix given as consecutive row blocks.
 
     Only one block and an (I, k) candidate set are alive at a time.  Users
@@ -237,10 +256,16 @@ def neighbors_from_row_blocks(blocks: Iterable[np.ndarray], k: int) -> SemanticN
     matrix.  Once an item holds k candidates, only entries strictly above
     its k-th score can enter: they are read with one comparison and grouped
     by item, users ascending, so such blocks are never transposed.
+
+    An earlier neighbourhood only bounds the scan; the ids are the same
+    without it.  ``previous_users`` holds k distinct item ids per user, whose
+    smallest entry bounds the user's k-th value from below.  ``item_floor``
+    lies strictly below each item's k-th value, so from the first block on
+    an item takes only the entries above it and its k-th score.
     """
     if k <= 0:
         raise ValueError(f"top-k must be positive, got {k}")
-    user_parts, item_neighbors = _scan_blocks(blocks, k)
+    user_parts, item_neighbors = _scan_blocks(blocks, k, previous_users, item_floor)
     # The ids outlive the refresh.  Allocated only once every block and its
     # temporaries are released, they do not split the heap space those used,
     # so a later large array (the U x I validation scores) can reuse it instead
@@ -251,46 +276,95 @@ def neighbors_from_row_blocks(blocks: Iterable[np.ndarray], k: int) -> SemanticN
     )
 
 
-def _scan_blocks(blocks: Iterable[np.ndarray], k: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each block's user top-k, and each item's best k users over all blocks."""
+def _scan_blocks(
+    blocks: Iterable[np.ndarray],
+    k: int,
+    previous_users: np.ndarray | None,
+    item_floor: np.ndarray | None,
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each block's user top-k, and each item's best k users over all blocks.
+
+    A user's bound is the smallest of its block entries at its previous
+    items, or else the group maxima of ``top_k_rows``.  An item's threshold is
+    the larger of its floor and its k-th score so far; without a floor, the
+    first blocks rank their columns whole until each item holds k users.
+    """
     user_parts = []
     cand_scores = cand_users = None
     seen = 0
     for block in blocks:
         block = np.asarray(block)
-        user_parts.append(top_k_rows(block, k))
+        rows = block.shape[0]
+        bound = None
+        if previous_users is not None:
+            mine = previous_users[seen : seen + rows]
+            bound = np.take_along_axis(block, mine, axis=1).min(axis=1)
+        user_parts.append(top_k_rows(block, k, bound))
         if cand_scores is None:
             cand_scores = np.empty((block.shape[1], 0))
             cand_users = np.empty((block.shape[1], 0), dtype=np.intp)
-        if cand_scores.shape[1] < k:
+        if item_floor is None and cand_scores.shape[1] < k:
             best = top_k_rows(block.T, k)  # the columns, read in place
             new_scores, new_users = np.take_along_axis(block.T, best, axis=1), best + seen
         else:
-            new_scores, new_users = _entries_above(block, cand_scores[:, -1], seen)
-        if new_scores.shape[1]:
-            scores = np.concatenate([cand_scores, new_scores], axis=1)
-            users = np.concatenate([cand_users, new_users], axis=1)
-            keep = top_k_rows(scores, k)
-            cand_scores = np.take_along_axis(scores, keep, axis=1)
-            cand_users = np.take_along_axis(users, keep, axis=1)
-        seen += block.shape[0]
+            kth = cand_scores[:, -1] if cand_scores.shape[1] == k else -np.inf
+            threshold = kth if item_floor is None else np.maximum(kth, item_floor)
+            new_scores, new_users = _entries_above(block, threshold, seen, k)
+        if cand_scores.shape[1] < k:
+            cand_scores, cand_users = _merge(cand_scores, cand_users, new_scores, new_users, k)
+        elif new_scores.shape[1]:
+            got = np.flatnonzero(new_scores[:, 0] > -np.inf)  # items an entry entered
+            cand_scores[got], cand_users[got] = _merge(
+                cand_scores[got], cand_users[got], new_scores[got], new_users[got], k
+            )
+        seen += rows
         del block  # else it stays alive while the generator makes the next one
     if cand_users is None:
         raise ValueError("no relation rows to read neighbours from")
     return user_parts, cand_users
 
 
+def _merge(scores, users, new_scores, new_users, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The best k of each row's candidates followed by its later entries.
+
+    The rows are at most k + MAX_CANDIDATES wide and hold no NaN, so one
+    stable sort of the negated scores, the order ``top_k_rows`` gives,
+    ranks them whole."""
+    scores = np.concatenate([scores, new_scores], axis=1)
+    users = np.concatenate([users, new_users], axis=1)
+    keep = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(scores, keep, axis=1), np.take_along_axis(users, keep, axis=1)
+
+
 def _entries_above(
-    block: np.ndarray, threshold: np.ndarray, first_user: int
+    block: np.ndarray, threshold: np.ndarray, first_user: int, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each column's entries strictly above its threshold as one row of
-    (score, user id) per column, users ascending, padded with -inf."""
-    width = block.shape[1]
-    hits = np.flatnonzero(block > threshold)
+    (score, user id) per column, padded with -inf.
+
+    A column keeps its entries in user order, or, with more than
+    MAX_CANDIDATES of them (such as an all-zero column under a floor below
+    zero), its top k in the block: its first k users when all its entries
+    are equal.  Either way equal scores come lowest user first."""
+    rows, width = block.shape
+    above = block > threshold
+    # counted as bytes: a bool sum would widen every entry to an integer
+    counts = above.view(np.uint8).sum(axis=0, dtype=np.uint32).astype(np.intp)
+    crowded = np.flatnonzero(counts > MAX_CANDIDATES)
+    above[:, crowded] = False
+    hits = np.flatnonzero(above)
+    if crowded.size:
+        columns = block.T[crowded]
+        best = np.tile(np.arange(min(k, rows)), (crowded.size, 1))
+        varied = np.flatnonzero(columns.min(axis=1) != columns.max(axis=1))
+        if varied.size:
+            best[varied] = top_k_rows(columns[varied], k)
+        hits = np.concatenate([hits, (best * width + crowded[:, None]).ravel()])
+        counts[crowded] = best.shape[1]
     items = hits % width
-    by_item = np.argsort(items, kind="stable")
+    # stable, and a radix sort when the item ids fit 16 bits
+    by_item = np.argsort(items.astype(np.min_scalar_type(width)), kind="stable")
     hits, items = hits[by_item], items[by_item]
-    counts = np.bincount(items, minlength=width)
     slot = np.arange(hits.size) - (np.cumsum(counts) - counts)[items]
     scores = np.full((width, counts.max(initial=0)), -np.inf)
     users = np.zeros(scores.shape, dtype=np.intp)

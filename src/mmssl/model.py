@@ -200,6 +200,7 @@ def refresh_neighborhoods(
     adj: NormalizedAdjacency,
     features: list[ModalityFeatureTable],
     top_k: int,
+    previous: list[SemanticNeighborhood] | None = None,
 ) -> list[SemanticNeighborhood]:
     """Recompute per-modality relations (eval mode, no tape) and read off
     fresh top-k semantic neighbors.
@@ -209,6 +210,12 @@ def refresh_neighborhoods(
     Rows are normalized once per modality; a block is the product of its
     unit user rows with the transposed unit item table, the same numpy
     operations ``adversarial.relation_rows`` runs on a gathered block.
+
+    ``previous`` is an earlier top-k neighbourhood of each modality, such as
+    the last refresh's, with k distinct ids per row.  Its ids only bound the
+    scan, so the result is the same without it: a user's relations to its
+    previous items bound its k-th value from below, and so does each item's
+    floor (``_item_floor``).
     """
     neighborhoods = []
     for m, table in enumerate(features):
@@ -216,8 +223,36 @@ def refresh_neighborhoods(
             adj, table.as_float64(), state.gen, m, train=False
         )
         qu = ad.l2_normalize_rows(f_u).data
-        kt = np.ascontiguousarray(ad.l2_normalize_rows(f_i).data.T)
+        qi = ad.l2_normalize_rows(f_i).data
+        kt = np.ascontiguousarray(qi.T)
         step = max(1, REFRESH_BLOCK_BYTES // (8 * kt.shape[1]))
         blocks = (qu[start : start + step] @ kt for start in range(0, qu.shape[0], step))
-        neighborhoods.append(enc.neighbors_from_row_blocks(blocks, top_k))
+        if previous is None:
+            neighborhoods.append(enc.neighbors_from_row_blocks(blocks, top_k))
+            continue
+        users, items = previous[m].user_neighbors, previous[m].item_neighbors
+        if users.shape != (len(qu), min(top_k, len(qi))) or items.shape != (len(qi), min(top_k, len(qu))):
+            raise ValueError(f"previous neighbourhood {m} is not a top-{top_k} neighbourhood of this graph")
+        floor = _item_floor(qu, qi, items)
+        neighborhoods.append(enc.neighbors_from_row_blocks(blocks, top_k, users, floor))
     return neighborhoods
+
+
+def _item_floor(qu: np.ndarray, qi: np.ndarray, users: np.ndarray) -> np.ndarray:
+    """Below each item's relations to its ``users``, as any block of
+    ``qu @ qi.T`` computes them, and so below its k-th relation.
+
+    The relations are recomputed as dot products, one chunk of items at a
+    time so that the gathered (chunk, k, d) user rows stay within a refresh
+    block.  A length-d dot product of unit rows is off by at most about
+    d * 2**-53 in any summation order, so a block entry and its recomputed
+    value differ by at most twice that; the floor lies twice as far below.
+    """
+    d = qu.shape[1]
+    slack = 2 * d * np.finfo(np.float64).eps
+    chunk = max(1, REFRESH_BLOCK_BYTES // (8 * d * max(1, users.shape[1])))
+    floor = np.empty(len(qi))
+    for start in range(0, len(qi), chunk):
+        rel = np.einsum("ikd,id->ik", qu[users[start : start + chunk]], qi[start : start + chunk])
+        floor[start : start + chunk] = rel.min(axis=1) - slack
+    return floor

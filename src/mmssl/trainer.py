@@ -489,6 +489,26 @@ class Trainer:
             arrays[f"nbr.{m}.items"] = neigh.item_neighbors
         return arrays
 
+    def stored_neighborhoods(self, arrays: dict[str, np.ndarray]) -> list[SemanticNeighborhood] | None:
+        """The neighbour ids stored as ``nbr.{m}.users`` and ``nbr.{m}.items``,
+        or None when ``arrays`` holds no ``nbr.`` array (a ``best.ckpt``).
+
+        Each id must be a whole number in range, and no row may repeat one:
+        the ids index the relation matrices, and a refresh reads a row's ids
+        as k distinct entries.  Anything else is a ``ValueError`` naming the
+        array.
+        """
+        if not any(name.startswith("nbr.") for name in arrays):
+            return None
+        num_users, num_items, k = self.graph.num_users, self.graph.num_items, self.enc_cfg.top_k
+        return [
+            SemanticNeighborhood(
+                _stored_ids(arrays, f"nbr.{m}.users", (num_users, min(k, num_items)), num_items),
+                _stored_ids(arrays, f"nbr.{m}.items", (num_items, min(k, num_users)), num_users),
+            )
+            for m in range(len(self.features))
+        ]
+
     def checkpoint_meta(self) -> dict:
         return {
             "epoch": self.epoch,
@@ -513,11 +533,9 @@ class Trainer:
         missing = sorted(set(self.checkpoint_meta()) - set(meta))
         if missing:
             raise ValueError(f"checkpoint metadata is missing {missing[0]}")
-        num_users, num_items, k = self.graph.num_users, self.graph.num_items, self.enc_cfg.top_k
-        neighbors = {}
-        for m in range(len(self.features)):
-            neighbors[f"nbr.{m}.users"] = np.empty((num_users, min(k, num_items)))
-            neighbors[f"nbr.{m}.items"] = np.empty((num_items, min(k, num_users)))
+        neighborhoods = self.stored_neighborhoods(arrays)
+        if neighborhoods is None:
+            raise ValueError("checkpoint is missing array nbr.0.users")
         # the optimizer state arrays are the optimizers' live moment buffers
         self._restore_arrays(
             arrays,
@@ -525,16 +543,9 @@ class Trainer:
                 **self._state_buffers(),
                 **self.opt_gen.state_arrays("optg"),
                 **self.opt_disc.state_arrays("optd"),
-                **neighbors,
             },
         )
-        self.neighborhoods = [
-            SemanticNeighborhood(
-                neighbors[f"nbr.{m}.users"].astype(np.intp),
-                neighbors[f"nbr.{m}.items"].astype(np.intp),
-            )
-            for m in range(len(self.features))
-        ]
+        self.neighborhoods = neighborhoods
         self.opt_gen.t = meta["opt_gen_t"]
         self.opt_disc.t = meta["opt_disc_t"]
         self.rng = _restore_rng(meta["rng"])
@@ -563,7 +574,7 @@ class Trainer:
                 self.opt_disc.lr = cfg.lr_disc * cfg.lr_decay**epoch
                 if self.neighborhoods is None or epoch % self.enc_cfg.refresh_every == 0:
                     self.neighborhoods = mdl.refresh_neighborhoods(
-                        self.state, self.adj, self.features, self.enc_cfg.top_k
+                        self.state, self.adj, self.features, self.enc_cfg.top_k, self.neighborhoods
                     )
                 sums = {"l_bpr": 0.0, "l_cl": 0.0, "l_g": 0.0, "l_d": 0.0}
                 try:
@@ -631,6 +642,22 @@ def fit(
     if resume_from is not None:
         trainer.restore(resume_from)
     return trainer.run(checkpoint_path=checkpoint_path, log_path=log_path)
+
+
+def _stored_ids(arrays: dict[str, np.ndarray], name: str, shape: tuple, width: int) -> np.ndarray:
+    if name not in arrays:
+        raise ValueError(f"checkpoint is missing array {name}")
+    ids = np.asarray(arrays[name], dtype=np.float64)
+    if ids.shape != shape:
+        raise ValueError(f"checkpoint array {name} has shape {ids.shape}")
+    # NaN fails every comparison
+    if not ((ids >= 0) & (ids < width) & (ids == np.floor(ids))).all():
+        raise ValueError(f"checkpoint array {name} holds an id that is not a whole number in [0, {width})")
+    ids = ids.astype(np.intp)
+    ordered = np.sort(ids, axis=1)
+    if (ordered[:, 1:] == ordered[:, :-1]).any():
+        raise ValueError(f"checkpoint array {name} repeats an id within a row")
+    return ids
 
 
 def _jsonable(state: dict):

@@ -265,3 +265,45 @@ def test_streamed_refresh_peak_memory_below_half_a_dense_matrix(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * 1200 * 900 * 8, f"refresh peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_warm_refresh_peak_memory_below_half_a_dense_matrix(monkeypatch):
+    spec = SyntheticSpec(
+        num_users=1200, num_items=900, modality_dims=(16,), interactions_per_user=3, seed=3
+    )
+    g, features, _ = generate_synthetic(spec)
+    adj = build_norm_adjacency(g)
+    state = mdl.init_model(1200, 900, [16], 8, 1, 4, np.random.default_rng(0))
+    monkeypatch.setattr(mdl, "REFRESH_BLOCK_BYTES", 8 * 900 * 64)
+    previous = mdl.refresh_neighborhoods(
+        mdl.init_model(1200, 900, [16], 8, 1, 4, np.random.default_rng(1)), adj, features, 10
+    )
+    tracemalloc.start()
+    try:
+        warm = mdl.refresh_neighborhoods(state, adj, features, 10, previous)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 1200 * 900 * 8, f"warm refresh peaked at {peak / 2**20:.1f} MiB"
+    cold = mdl.refresh_neighborhoods(state, adj, features, 10)
+    np.testing.assert_array_equal(warm[0].user_neighbors, cold[0].user_neighbors)
+    np.testing.assert_array_equal(warm[0].item_neighbors, cold[0].item_neighbors)
+
+
+def test_item_floor_gathers_a_refresh_block_of_user_rows_at_a_time(monkeypatch):
+    rng = np.random.default_rng(2)
+    qu, qi = rng.standard_normal((1200, 64)), rng.standard_normal((900, 64))
+    qu /= np.linalg.norm(qu, axis=1, keepdims=True)
+    qi /= np.linalg.norm(qi, axis=1, keepdims=True)
+    users = np.argsort(rng.random((900, 1200)), axis=1)[:, :10]
+    whole = mdl._item_floor(qu, qi, users)  # one (900, 10, 64) gather: 4.4 MiB
+    monkeypatch.setattr(mdl, "REFRESH_BLOCK_BYTES", 64 << 10)
+    tracemalloc.start()
+    try:
+        chunked = mdl._item_floor(qu, qi, users)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (64 << 10), f"item floor peaked at {peak / 2**10:.0f} KiB"
+    np.testing.assert_array_equal(chunked, whole)
+    assert (chunked < np.take_along_axis(qi @ qu.T, users, axis=1).min(axis=1)).all()

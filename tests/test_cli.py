@@ -491,3 +491,81 @@ def test_report_renders_one_epoch_log_as_table(train_dir, tmp_path, capsys):
     assert len(lines) == 2 and lines[1].split()[0] == "0"
     assert main(["report", "--log", str(log), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == [json.loads(first)]
+
+
+@pytest.fixture(scope="module")
+def between_refreshes(tmp_path_factory):
+    """A one-epoch run that refreshes every second epoch, so a resume trains
+    on the ids its checkpoint stores."""
+    root = tmp_path_factory.mktemp("between")
+    spec = {
+        "num_users": 120,
+        "num_items": 90,
+        "modality_dims": [8, 6],
+        "latent_dim": 4,
+        "interactions_per_user": 5,
+        "seed": 3,
+    }
+    (root / "spec.json").write_text(json.dumps(spec))
+    assert main(["synth", "--out", str(root / "data"), "--spec", str(root / "spec.json")]) == 0
+    config = {
+        "train.epochs": 1,
+        "enc.refresh_every": 2,
+        "train.steps_per_epoch": 2,
+        "train.batch_size": 32,
+    }
+    (root / "config.json").write_text(json.dumps(config))
+    (root / "config2.json").write_text(json.dumps({**config, "train.epochs": 2}))
+    args = ["--data", str(root / "data"), "--config", str(root / "config.json")]
+    assert main(["train", "--out", str(root / "out"), *args]) == 0
+    return root
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (1e9, "nbr.0.users holds an id that is not a whole number in [0, 90)"),
+        (-3, "nbr.0.users holds an id that is not a whole number"),
+        (float("nan"), "nbr.0.users holds an id that is not a whole number"),
+        (2.5, "nbr.0.users holds an id that is not a whole number"),
+        ("repeat", "nbr.0.users repeats an id within a row"),
+    ],
+)
+def test_bad_neighbour_ids_exit_1_on_resume_and_eval(between_refreshes, tmp_path, capsys, value, message):
+    root = between_refreshes
+    arrays, meta = load_checkpoint(root / "out" / "final.ckpt")
+    ids = arrays["nbr.0.users"].copy()
+    ids[0, 0] = ids[0, 1] if value == "repeat" else value
+    broken = tmp_path / "broken.ckpt"
+    save_checkpoint(broken, {**arrays, "nbr.0.users": ids}, meta)
+    data = ["--data", str(root / "data")]
+    resume = ["train", "--out", str(tmp_path / "out"), "--config", str(root / "config2.json")]
+    for argv in (resume + data + ["--resume", str(broken)], ["eval", "--checkpoint", str(broken)] + data):
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_reads_stored_ids_as_a_bound_only(between_refreshes, tmp_path, capsys, monkeypatch):
+    from mmssl import model as mdl
+
+    root = between_refreshes
+    refresh, bounded = mdl.refresh_neighborhoods, []
+
+    def spy(state, adj, features, top_k, previous=None):
+        bounded.append(previous is not None)
+        return refresh(state, adj, features, top_k, previous)
+
+    monkeypatch.setattr(mdl, "refresh_neighborhoods", spy)
+    arrays, meta = load_checkpoint(root / "out" / "final.ckpt")
+    without = tmp_path / "no_ids.ckpt"
+    save_checkpoint(without, {n: a for n, a in arrays.items() if not n.startswith("nbr.")}, meta)
+    args = ["--data", str(root / "data"), "--split", "val", "--format", "json"]
+    reports = []
+    for ckpt in (root / "out" / "final.ckpt", without, root / "out" / "best.ckpt"):
+        assert main(["eval", "--checkpoint", str(ckpt), *args]) == 0
+        reports.append(capsys.readouterr().out)
+    assert bounded == [True, False, False]  # best.ckpt stores no ids: a cold scan, as before
+    assert reports[0] == reports[1]

@@ -579,6 +579,18 @@ def test_draws_from_planted_row_blocks_equal_those_from_the_whole_matrix(
     assert_synthetic_matches_reference(spec, monkeypatch)
 
 
+@pytest.mark.parametrize("rows", [1, 4, 40])
+def test_planted_file_is_the_float32_blocks_the_draws_read(rows, monkeypatch, tmp_path):
+    spec = SyntheticSpec(num_users=37, num_items=23, latent_dim=5, interactions_per_user=4, seed=2)
+    monkeypatch.setattr(data, "DRAW_BLOCK_BYTES", 8 * 23 * rows)
+    graph, _, planted = generate_synthetic(spec, planted_path=tmp_path / "planted.dat")
+    blocks = [planted[s : s + rows].astype("<f4") for s in range(0, 37, rows)]
+    written = data.load_modality_features(tmp_path / "planted.dat").values
+    assert written.shape == (37, 23)
+    assert written.tobytes() == np.concatenate(blocks).tobytes()
+    assert graph.matrix.toarray().tobytes() == generate_synthetic(spec)[0].matrix.toarray().tobytes()
+
+
 def test_planted_rows_are_the_product_rows():
     # small integers: every product and sum is exact whatever the gemm order
     rng = np.random.default_rng(1)

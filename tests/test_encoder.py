@@ -519,3 +519,143 @@ def test_selection_matrices_are_built_once_per_refresh(monkeypatch):
             np.testing.assert_array_equal(out.h_users.data, outputs[0].h_users.data)
             np.testing.assert_array_equal(out.h_items.data, outputs[0].h_items.data)
         built.clear()
+
+
+# -- warm scans: an earlier neighbourhood only bounds the scan -----------------
+
+
+def _blocks(rel, block):
+    return (rel[s : s + block] for s in range(0, rel.shape[0], block))
+
+
+def _earlier_ids(rel, k, kind, rng):
+    """k distinct column ids per row of ``rel``: random ones, the row's k
+    worst entries, or its current top-k."""
+    k = min(k, rel.shape[1])
+    if kind == "random":
+        return np.argsort(rng.random(rel.shape), axis=1)[:, :k]
+    order = np.argsort(-rel, axis=1, kind="stable")
+    return order[:, rel.shape[1] - k :] if kind == "worst" else order[:, :k]
+
+
+def _floor_below(rel, item_ids):
+    """The largest floor strictly below each column's entries at its ids."""
+    return np.nextafter(np.take_along_axis(rel.T, item_ids, axis=1).min(axis=1), -np.inf)
+
+
+@st.composite
+def _warm_scans(draw):
+    rows, width = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # few levels: ties inside rows, columns and blocks
+        rel = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=(rows, width))
+    else:
+        rel = rng.standard_normal((rows, width))
+    rel[rng.random(rows) < 0.2] = draw(st.sampled_from([0.0, 0.5]))  # all-tied rows
+    rel[:, rng.random(width) < 0.2] = 0.0  # all-zero columns
+    kinds = st.sampled_from(["random", "worst", "best"])
+    k = draw(st.integers(1, max(rows, width) + 2))
+    users = _earlier_ids(rel, k, draw(kinds), rng)
+    items = _earlier_ids(rel.T, k, draw(kinds), rng)
+    block = draw(st.integers(1, rows + 1))  # one row, fewer than k rows, or several blocks
+    cap = draw(st.sampled_from([1, 2, 4, enc.MAX_CANDIDATES]))
+    return rel, k, users, items, block, cap
+
+
+@settings(deadline=None, max_examples=300)
+@given(_warm_scans())
+def test_a_warm_scan_equals_the_cold_scan_and_the_stable_argsort(case):
+    rel, k, users, items, block, cap = case
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(enc, "MAX_CANDIDATES", cap)  # small caps crowd rows and columns
+        cold = enc.neighbors_from_row_blocks(_blocks(rel, block), k)
+        user_bound = enc.neighbors_from_row_blocks(_blocks(rel, block), k, users)
+        both = enc.neighbors_from_row_blocks(_blocks(rel, block), k, users, _floor_below(rel, items))
+    for got in (cold, user_bound, both):
+        np.testing.assert_array_equal(got.user_neighbors, _stable_top_k(rel, k))
+        np.testing.assert_array_equal(got.item_neighbors, _stable_top_k(rel.T, k))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_wide_scores())
+def test_top_k_rows_under_a_given_bound_is_the_stable_argsort_prefix(case):
+    groups, cap, scores, k = case
+    rng = np.random.default_rng(scores.shape[0] * 1000 + scores.shape[1])
+    ids = _earlier_ids(scores, k, "random", rng)
+    bound = np.take_along_axis(scores, ids, axis=1).min(axis=1)  # k distinct entries' minimum
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(enc, "MAX_CANDIDATES", cap)
+        np.testing.assert_array_equal(enc.top_k_rows(scores, k, bound), _stable_top_k(scores, k))
+
+
+def test_a_nan_row_under_a_given_bound_is_ranked_whole(monkeypatch):
+    ranked = _ranked_shapes(monkeypatch)
+    scores = np.random.default_rng(4).standard_normal((3, 500))
+    scores[1, 77] = np.nan
+    clean = np.nan_to_num(scores, nan=-np.inf)
+    bound = np.take_along_axis(clean, _stable_top_k(clean, 10), axis=1).min(axis=1)
+    with pytest.raises(ValueError):
+        enc.top_k_rows(scores, 10, bound)  # the NaN is not below the bound
+    assert ranked == [(1, 500)]
+
+
+def test_an_all_zero_column_under_a_floor_takes_its_first_users_unranked(monkeypatch):
+    ranked = _ranked_shapes(monkeypatch)
+    rel = np.random.default_rng(8).standard_normal((300, 6))
+    rel[:, 2] = 0.0  # every entry ties, above a floor below zero
+    rel[:, 4] = np.abs(rel[:, 4])  # crowded but varied: ranked within the block
+    floor = np.full(6, 2.5)
+    floor[[2, 4]] = -1e-15
+    scores, users = enc._entries_above(rel, floor, 1000, 3)
+    assert users[2, :3].tolist() == [1000, 1001, 1002] and (scores[2, :3] == 0).all()
+    assert users[4, :3].tolist() == (_stable_top_k(rel[:, 4:5].T, 3)[0] + 1000).tolist()
+    assert [shape[0] for shape in ranked] == [1]  # column 4 only
+
+
+def test_the_item_floor_lies_below_near_tied_relations():
+    # users 1e-16 apart along one direction: each item's relations to them
+    # differ in the last bits, so rounding decides their order
+    rng = np.random.default_rng(9)
+    d, k = 64, 10
+    base = rng.standard_normal(d)
+    qu = base + 1e-15 * rng.standard_normal((300, d))
+    qu[::7] = base  # exact ties too
+    qi = np.vstack([base + 1e-15 * rng.standard_normal((40, d)), rng.standard_normal((20, d)), np.zeros((4, d))])
+    qu /= np.linalg.norm(qu, axis=1, keepdims=True)
+    norms = np.linalg.norm(qi, axis=1, keepdims=True)
+    qi = np.divide(qi, norms, out=np.zeros_like(qi), where=norms > 0)
+    rel = qu @ qi.T
+    items = _earlier_ids(rel.T, k, "random", rng)
+    floor = mdl._item_floor(qu, qi, items)
+    at_ids = np.take_along_axis(rel.T, items, axis=1)
+    assert (floor[:, None] < at_ids).all()
+    assert (at_ids.min(axis=1) - floor).max() < 1e-13  # close enough to bind
+    cold = enc.neighbors_from_row_blocks(_blocks(rel, 37), k)
+    warm = enc.neighbors_from_row_blocks(
+        _blocks(rel, 37), k, _earlier_ids(rel, k, "worst", rng), floor
+    )
+    np.testing.assert_array_equal(warm.user_neighbors, cold.user_neighbors)
+    np.testing.assert_array_equal(warm.item_neighbors, cold.item_neighbors)
+    np.testing.assert_array_equal(cold.item_neighbors, _stable_top_k(rel.T, k))
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 64, 130, 0])
+def test_a_warm_refresh_equals_the_cold_refresh(monkeypatch, block_rows):
+    adj, features, state = _wide_refresh_problem()
+    other = mdl.init_model(300, 200, [6, 4], 5, 1, 4, np.random.default_rng(60))
+    if block_rows:  # 0 keeps the default size: one block of all 300 users
+        monkeypatch.setattr(mdl, "REFRESH_BLOCK_BYTES", 8 * 200 * block_rows)
+    for k in (1, 10, 40):
+        cold = mdl.refresh_neighborhoods(state, adj, features, k)
+        for previous in (cold, mdl.refresh_neighborhoods(other, adj, features, k)):
+            warm = mdl.refresh_neighborhoods(state, adj, features, k, previous)
+            for w, c in zip(warm, cold):
+                np.testing.assert_array_equal(w.user_neighbors, c.user_neighbors)
+                np.testing.assert_array_equal(w.item_neighbors, c.item_neighbors)
+
+
+def test_a_previous_neighbourhood_of_another_shape_is_refused():
+    adj, features, state = _wide_refresh_problem()
+    previous = mdl.refresh_neighborhoods(state, adj, features, 5)
+    with pytest.raises(ValueError, match="not a top-6 neighbourhood"):
+        mdl.refresh_neighborhoods(state, adj, features, 6, previous)

@@ -779,3 +779,96 @@ def test_steps_before_any_refresh_say_how_to_get_neighborhoods(call):
     args = (split.val, 5) if call == "evaluate" else ()
     with pytest.raises(ValueError, match=r"trainer\.neighborhoods via model\.refresh_neighborhoods"):
         getattr(trainer, call)(*args)
+
+
+# -- the previous neighbourhood bounds each refresh -----------------------------
+
+
+def _refresh_spy(monkeypatch, withhold: bool) -> list:
+    """Record whether each refresh got a previous neighbourhood; with
+    ``withhold``, every refresh runs cold."""
+    got = []
+    refresh = mdl.refresh_neighborhoods
+
+    def spy(state, adj, features, top_k, previous=None):
+        got.append(previous is not None)
+        return refresh(state, adj, features, top_k, None if withhold else previous)
+
+    monkeypatch.setattr(mdl, "refresh_neighborhoods", spy)
+    return got
+
+
+@pytest.mark.parametrize("refresh_every", [1, 2])
+@pytest.mark.parametrize("resume", [False, True])
+def test_training_is_bitwise_equal_with_and_without_the_previous_neighbourhood(
+    tmp_path, monkeypatch, refresh_every, resume
+):
+    spec = SyntheticSpec(num_users=60, num_items=40, modality_dims=(6, 5), seed=4)
+    graph, features, _ = generate_synthetic(spec)
+    split = split_edges(graph, (0.8, 0.1, 0.1), seed=4)
+
+    def run(label, epochs, resume_from=None):
+        cfg = TrainConfig(
+            seed=1, epochs=epochs, batch_size=8, steps_per_epoch=5, lr_gen=5e-2,
+            embed_dim=8, disc_hidden=8, patience=100,
+        )
+        ckpt, log = tmp_path / f"{label}.ckpt", tmp_path / f"{label}.ndjson"
+        fit(
+            cfg, EncoderConfig(top_k=3, refresh_every=refresh_every), AdvConfig(),
+            ObjectiveConfig(), EvalConfig(), graph, features, split,
+            checkpoint_path=ckpt, log_path=log, resume_from=resume_from,
+        )
+        return (*load_checkpoint(ckpt), log.read_text().splitlines())
+
+    runs = []
+    for withhold in (True, False):
+        with monkeypatch.context() as m:
+            warm = _refresh_spy(m, withhold)
+            label = "cold" if withhold else "warm"
+            if resume:  # one epoch, then two more from its checkpoint
+                run(f"{label}-mid", 1)
+                runs.append(run(label, 3, resume_from=tmp_path / f"{label}-mid.ckpt"))
+            else:
+                runs.append(run(label, 3))
+        assert warm == [False] + [True] * (len(warm) - 1) and len(warm) == (3 if refresh_every == 1 else 2)
+    _assert_runs_equal(*runs)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (1e9, r"nbr\.0\.users holds an id that is not a whole number in \[0, 10\)"),
+        (-3, r"nbr\.0\.users holds an id that is not a whole number"),
+        (np.nan, r"nbr\.0\.users holds an id that is not a whole number"),
+        (2.5, r"nbr\.0\.users holds an id that is not a whole number"),
+        ("repeat", r"nbr\.0\.users repeats an id within a row"),
+    ],
+)
+def test_restore_refuses_bad_neighbour_ids_and_changes_nothing(tmp_path, value, message):
+    ckpt = tmp_path / "full.ckpt"
+    run_tiny(epochs=2, checkpoint=str(ckpt))
+    arrays, meta = load_checkpoint(ckpt)
+    ids = arrays["nbr.0.users"].copy()
+    ids[0, 0] = ids[0, 1] if value == "repeat" else value
+    broken = tmp_path / "broken.ckpt"
+    save_checkpoint(broken, {**arrays, "nbr.0.users": ids}, meta)
+    trainer = build_trainer()
+    before, neighborhoods = trainer._snapshot_arrays(), trainer.neighborhoods
+    with pytest.raises(ValueError, match=message):
+        trainer.restore(broken)
+    after = trainer._snapshot_arrays()
+    assert all(np.array_equal(before[n], after[n]) for n in before)
+    assert trainer.neighborhoods is neighborhoods and trainer.epoch == 0
+
+
+def test_stored_neighborhoods_are_none_without_ids_and_exact_with_them(tmp_path):
+    ckpt = tmp_path / "full.ckpt"
+    run_tiny(epochs=2, checkpoint=str(ckpt))
+    arrays, _ = load_checkpoint(ckpt)
+    trainer = build_trainer()
+    assert trainer.stored_neighborhoods({n: a for n, a in arrays.items() if not n.startswith("nbr.")}) is None
+    stored = trainer.stored_neighborhoods(arrays)
+    for m, neigh in enumerate(stored):
+        assert neigh.user_neighbors.dtype == np.intp
+        np.testing.assert_array_equal(neigh.user_neighbors, arrays[f"nbr.{m}.users"])
+        np.testing.assert_array_equal(neigh.item_neighbors, arrays[f"nbr.{m}.items"])
