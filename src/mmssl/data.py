@@ -603,9 +603,13 @@ def generate_synthetic(
     else:
         planted_path = Path(planted_path)
         planted_path.parent.mkdir(parents=True, exist_ok=True)
-        with planted_path.open("wb") as fh:
-            fh.write(_feature_header(planted.shape))
-            edges = _draw_interactions(planted, spec.interactions_per_user, rng, fh)
+        try:
+            with planted_path.open("wb") as fh:
+                fh.write(_feature_header(planted.shape))
+                edges = _draw_interactions(planted, spec.interactions_per_user, rng, fh)
+        except BaseException:  # a failed draw leaves no partial table
+            planted_path.unlink(missing_ok=True)
+            raise
     graph = graph_from_edges(spec.num_users, spec.num_items, edges)
     return graph, features, planted
 

@@ -261,7 +261,8 @@ def neighbors_from_row_blocks(
     without it.  ``previous_users`` holds k distinct item ids per user, whose
     smallest entry bounds the user's k-th value from below.  ``item_floor``
     lies strictly below each item's k-th value, so from the first block on
-    an item takes only the entries above it and its k-th score.
+    an item reads only entries above the larger of its floor and its k-th
+    score so far.
     """
     if k <= 0:
         raise ValueError(f"top-k must be positive, got {k}")

@@ -591,6 +591,18 @@ def test_planted_file_is_the_float32_blocks_the_draws_read(rows, monkeypatch, tm
     assert graph.matrix.toarray().tobytes() == generate_synthetic(spec)[0].matrix.toarray().tobytes()
 
 
+def test_a_failed_draw_leaves_no_planted_file(monkeypatch, tmp_path):
+    def failing(planted, k, rng, sink):
+        sink.write(b"partial")
+        raise ValueError("user 3 has fewer than 4 items of non-zero probability")
+
+    monkeypatch.setattr(data, "_draw_interactions", failing)
+    spec = SyntheticSpec(num_users=12, num_items=10, latent_dim=3, interactions_per_user=4, seed=1)
+    with pytest.raises(ValueError, match="fewer than 4 items"):
+        generate_synthetic(spec, planted_path=tmp_path / "out" / "planted.dat")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_planted_rows_are_the_product_rows():
     # small integers: every product and sum is exact whatever the gemm order
     rng = np.random.default_rng(1)

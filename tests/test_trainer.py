@@ -860,15 +860,3 @@ def test_restore_refuses_bad_neighbour_ids_and_changes_nothing(tmp_path, value, 
     assert all(np.array_equal(before[n], after[n]) for n in before)
     assert trainer.neighborhoods is neighborhoods and trainer.epoch == 0
 
-
-def test_stored_neighborhoods_are_none_without_ids_and_exact_with_them(tmp_path):
-    ckpt = tmp_path / "full.ckpt"
-    run_tiny(epochs=2, checkpoint=str(ckpt))
-    arrays, _ = load_checkpoint(ckpt)
-    trainer = build_trainer()
-    assert trainer.stored_neighborhoods({n: a for n, a in arrays.items() if not n.startswith("nbr.")}) is None
-    stored = trainer.stored_neighborhoods(arrays)
-    for m, neigh in enumerate(stored):
-        assert neigh.user_neighbors.dtype == np.intp
-        np.testing.assert_array_equal(neigh.user_neighbors, arrays[f"nbr.{m}.users"])
-        np.testing.assert_array_equal(neigh.item_neighbors, arrays[f"nbr.{m}.items"])
