@@ -25,6 +25,7 @@ parameters; it only returns a gradient map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -148,10 +149,10 @@ class _Record:
     keeps only its outputs.  ``out`` is its output, or a tuple of outputs
     whose gradients the vjp takes as a tuple (None for an output that got
     none).  The vjp returns one partial per input: an array, None, or a
-    function that computes the array and is called only if that input
-    needs a gradient.  It is dropped once it has run; the op name and
-    output stay for the replay that names a failing op, so a failure
-    inside a segment names the segment."""
+    function that computes a new array, called only if that input needs a
+    gradient and just before the array is summed.  The vjp is dropped once
+    it has run; the op name and output stay for the replay that names a
+    failing op, so a failure inside a segment names the segment."""
 
     op: str
     out: Tensor | tuple[Tensor, ...]
@@ -167,23 +168,31 @@ def _keys(out: Tensor | tuple[Tensor, ...]) -> int | tuple[int, ...]:
 
 
 class _Sums:
-    """Summed gradients by tensor id, under the tape's copy-on-write rule:
-    a first partial is kept as it is, a second is added into a new array,
-    and later ones into that array in place."""
+    """Summed gradients by tensor id.  A partial that only this sum holds
+    is owned: a fresh, contiguous first partial from a deferred function,
+    or the copy a strided first partial gets, and later partials are added
+    into it in place.  Any other first partial, such as the ``g`` that
+    ``add`` hands to both its inputs, is kept as it is and never written:
+    the second partial is added into a new array, which is then owned.
+    Either way each sum is the same ``+`` in arrival order."""
 
     __slots__ = ("held", "owned")
 
     def __init__(self, held: dict[int, np.ndarray]):
         self.held = held
-        self.owned: set[int] = set()  # sums allocated here, safe to add into
+        self.owned: set[int] = set()  # sums that only this map holds, safe to add into
 
-    def add(self, key: int, g: np.ndarray) -> None:
+    def add(self, key: int, g: np.ndarray, fresh: bool = False) -> None:
+        """Add partial ``g``; ``fresh`` says a deferred function just made it."""
         held = self.held.get(key)
         if held is None:
-            # no copy, but a strided view is copied so that consumers see
-            # the layouts they saw when every first partial was
-            contiguous = g.flags.c_contiguous or g.flags.f_contiguous
-            self.held[key] = g if contiguous else np.array(g)
+            # a strided view is copied so that consumers see the layouts
+            # they saw when every first partial was
+            if not (g.flags.c_contiguous or g.flags.f_contiguous):
+                g, fresh = np.array(g), True
+            self.held[key] = g
+            if fresh and g.flags.owndata:
+                self.owned.add(key)
         elif key in self.owned:
             held += g
         else:
@@ -213,7 +222,7 @@ class GradientMap:
     def _accumulate(self, t: Tensor, g: np.ndarray) -> None:
         entry = self._grads.get(id(t))
         if entry is not None:
-            entry[1] = entry[1] + g
+            entry[1] += g  # into its own copy
         else:
             self._grads[id(t)] = [t, g.copy()]
 
@@ -284,12 +293,13 @@ class Tape:
                         requested = inp.requires_grad and (wanted is None or key in wanted)
                         if key not in produced and not requested:
                             continue  # a constant, or a leaf no one asked for: nothing to work out
-                        if callable(g_in):
+                        deferred = callable(g_in)
+                        if deferred:
                             g_in = g_in()
                         if g_in is None:
                             continue
                         if key in produced:
-                            sums.add(key, g_in)
+                            sums.add(key, g_in, deferred)
                         else:
                             grads._accumulate(inp, g_in)
             except FloatingPointError:
@@ -373,10 +383,11 @@ def segment(op: str, fn: Callable, *args):
                 if route < 0:
                     partials[~route] = g_in
                     continue
-                if callable(g_in):
+                deferred = callable(g_in)
+                if deferred:
                     g_in = g_in()
                 if g_in is not None:
-                    sums.add(route, g_in)
+                    sums.add(route, g_in, deferred)
         return partials
 
     _record(op, outs if len(outs) > 1 else outs[0], tuple(inputs), vjp)
@@ -767,6 +778,13 @@ def head_attention(
     key map, and each map once per view, so the tape sums their partials in
     the composed order and values and gradients are bitwise equal to it.
     Only the outputs are checked for non-finite values.
+
+    The record keeps the (n, M) weights of each target view and head, and
+    no projection: the vjp works out the projections again, a head at a
+    time, with the same matmul calls, so they have the same bits.  It holds
+    the projections' (n, d/H) gradients and returns every (n, d) partial as
+    a function that the tape calls just before it sums the result, so at
+    most one of them is alive at a time.
     """
     views = [_as_tensor(v) for v in views]
     n, d = views[0].shape
@@ -774,49 +792,57 @@ def head_attention(
     dh = d // heads
     c = float(1.0 / np.sqrt(dh))
     v = [t.data for t in views]
-    keys = [[x @ key[h].data for x in v] for h in range(heads)]
-    queries = [[x @ query[h].data for x in v] for h in range(heads)]
+    cols = [slice(h * dh, (h + 1) * dh) for h in range(heads)]
     alphas = {}
     vals = [np.empty((n, d)) for _ in range(num_m)]
-    for m in range(num_m):
-        for h in range(heads):
-            q, cols = queries[h][m], slice(h * dh, (h + 1) * dh)
-            scores = [(q * k).sum(axis=1, keepdims=True) * c for k in keys[h]]
+    for h in range(heads):
+        keys = [x @ key[h].data for x in v]
+        queries = [x @ query[h].data for x in v]
+        for m in range(num_m):
+            scores = [(queries[m] * k).sum(axis=1, keepdims=True) * c for k in keys]
             alpha = alphas[m, h] = _softmax_rows(np.concatenate(scores, axis=1))
-            block = vals[m][:, cols]
-            np.multiply(alpha[:, 0:1], v[0][:, cols], out=block)
+            block = vals[m][:, cols[h]]
+            np.multiply(alpha[:, 0:1], v[0][:, cols[h]], out=block)
             for mp in range(1, num_m):
-                block += alpha[:, mp : mp + 1] * v[mp][:, cols]
-        _check_finite(vals[m], "head_attention")
+                block += alpha[:, mp : mp + 1] * v[mp][:, cols[h]]
+        del keys, queries
+    for val in vals:
+        _check_finite(val, "head_attention")
     outs = [Tensor(val) for val in vals]
 
     def vjp(gs):
         gs = [np.zeros((n, d)) if g is None else g for g in gs]
         g_q = [[None] * num_m for _ in range(heads)]
         g_k = [[None] * num_m for _ in range(heads)]
-        mixes = []  # per target view, last first: one partial per view
-        for m in reversed(range(num_m)):
-            mix = [np.empty((n, d)) for _ in range(num_m)]
-            for h in reversed(range(heads)):
-                cols, alpha = slice(h * dh, (h + 1) * dh), alphas[m, h]
-                g_head = gs[m][:, cols]
+        for h in reversed(range(heads)):
+            keys = [x @ key[h].data for x in v]
+            queries = [x @ query[h].data for x in v]
+            for m in reversed(range(num_m)):
+                alpha, g_head = alphas[m, h], gs[m][:, cols[h]]
                 g_alpha = np.empty((n, num_m))
                 for mp in reversed(range(num_m)):
-                    g_alpha[:, mp] = (g_head * v[mp][:, cols]).sum(axis=1)
-                    np.multiply(g_head, alpha[:, mp : mp + 1], out=mix[mp][:, cols])
+                    g_alpha[:, mp] = (g_head * v[mp][:, cols[h]]).sum(axis=1)
                 g_scores = _softmax_rows_vjp(g_alpha, alpha)
                 for mp in reversed(range(num_m)):
                     g_s = g_scores[:, mp : mp + 1] * c
-                    g_q[h][m] = _add_partial(g_q[h][m], g_s * keys[h][mp])
-                    g_k[h][mp] = _add_partial(g_k[h][mp], g_s * queries[h][m])
-            mixes.extend(mix)
-        heads_down = range(heads - 1, -1, -1)
+                    g_q[h][m] = _add_partial(g_q[h][m], g_s * keys[mp])
+                    g_k[h][mp] = _add_partial(g_k[h][mp], g_s * queries[m])
+            del keys, queries
+
+        def mix(m, mp):  # the partial of view mp through the weights of target m
+            out = np.empty((n, d))
+            for h in reversed(range(heads)):
+                np.multiply(gs[m][:, cols[h]], alphas[m, h][:, mp : mp + 1], out=out[:, cols[h]])
+            return out
+
+        heads_down = [(h, m) for h in reversed(range(heads)) for m in range(num_m)]
+        heads_up = [(h, m) for h in range(heads) for m in reversed(range(num_m))]
         return (
-            *mixes,
-            *(g_q[h][m] @ query[h].data.T for h in heads_down for m in range(num_m)),
-            *(g_k[h][m] @ key[h].data.T for h in heads_down for m in range(num_m)),
-            *(v[m].T @ g_q[h][m] for h in range(heads) for m in reversed(range(num_m))),
-            *(v[m].T @ g_k[h][m] for h in range(heads) for m in reversed(range(num_m))),
+            *(partial(mix, m, mp) for m in reversed(range(num_m)) for mp in range(num_m)),
+            *(partial(np.matmul, g_q[h][m], query[h].data.T) for h, m in heads_down),
+            *(partial(np.matmul, g_k[h][m], key[h].data.T) for h, m in heads_down),
+            *(partial(np.matmul, v[m].T, g_q[h][m]) for h, m in heads_up),
+            *(partial(np.matmul, v[m].T, g_k[h][m]) for h, m in heads_up),
         )
 
     inputs = (

@@ -77,11 +77,6 @@ class InteractionGraph:
         bounds = self.matrix.indptr.tolist()
         return [self.matrix.indices[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Every (user, item) pair, in ascending order."""
-        users = np.repeat(np.arange(self.num_users), np.diff(self.matrix.indptr))
-        return list(zip(users.tolist(), self.matrix.indices.tolist()))
-
     def sparsity(self) -> float:
         cells = self.num_users * self.num_items
         if cells == 0:
@@ -241,8 +236,8 @@ def write_interactions(graph: InteractionGraph, path) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         fh.write(f"# users={graph.num_users} items={graph.num_items}\n")
-        for u, i in graph.edges():
-            fh.write(f"{u}\t{i}\n")
+        users = np.repeat(np.arange(graph.num_users), np.diff(graph.matrix.indptr))
+        fh.writelines(f"{u}\t{i}\n" for u, i in zip(users.tolist(), graph.matrix.indices.tolist()))
 
 
 def load_modality_features(path) -> "ModalityFeatureTable":
@@ -329,12 +324,13 @@ def split_edges(
     rng = np.random.default_rng(seed)
     indptr, indices = graph.matrix.indptr, graph.matrix.indices
     counts = np.diff(indptr)
-    # each interacting user's CSR positions, shuffled, in user order; as empty
-    # rows add nothing, the block of user u starts at indptr[u]
-    shuffled = np.concatenate(
-        [np.empty(0, dtype=np.int64)]
-        + [start + rng.permutation(n) for start, n in zip(indptr.tolist(), counts.tolist()) if n]
-    )
+    # each user's CSR positions shuffled in place, in user order: the same
+    # draws as start + rng.permutation(n), which shuffles np.arange(n)
+    shuffled = np.arange(indptr[-1], dtype=np.int64)
+    bounds = indptr.tolist()
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if stop - start > 1:
+            rng.shuffle(shuffled[start:stop])
     firsts = indptr[:-1][counts > 0]
     reserved, pool = shuffled[firsts], np.delete(shuffled, firsts)
     total = len(shuffled)

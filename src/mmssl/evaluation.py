@@ -134,9 +134,9 @@ class RankingReport:
 
 def _fill(block: np.ndarray, item_lists, users: np.ndarray, value) -> None:
     """Set ``block[r, i] = value`` for every item ``i`` listed for ``users[r]``."""
-    ids = [np.asarray(item_lists[u], dtype=np.intp) for u in users]
-    rows = np.repeat(np.arange(len(ids)), [len(i) for i in ids])
-    block[rows, np.concatenate(ids)] = value
+    lists = [item_lists[u] for u in users]
+    rows = np.repeat(np.arange(len(lists)), np.fromiter(map(len, lists), np.intp, len(lists)))
+    block[rows, np.concatenate(lists)] = value
 
 
 def _means(per_user: np.ndarray) -> dict[str, float]:

@@ -21,6 +21,12 @@ from mmssl.data import (
 )
 
 
+def edge_list(graph):
+    """Every (user, item) pair of ``graph``, in ascending order."""
+    users = np.repeat(np.arange(graph.num_users), np.diff(graph.matrix.indptr))
+    return list(zip(users.tolist(), graph.matrix.indices.tolist()))
+
+
 def test_load_interactions_counts(tmp_path):
     p = tmp_path / "i.txt"
     p.write_text("0\t0\n0\t1\n1\t2\n")
@@ -176,7 +182,7 @@ def test_plain_files_skip_the_line_reader(tmp_path, monkeypatch):
     p.write_bytes(b"# users=4 items=3\r\n3\t2\n0\t0\n00\t1")
     g = load_interactions(p)
     assert (g.num_users, g.num_items) == (4, 3)
-    assert g.edges() == [(0, 0), (0, 1), (3, 2)]
+    assert edge_list(g) == [(0, 0), (0, 1), (3, 2)]
     p.write_bytes(b"3\t123456789012345678\n")
     with pytest.raises(DataFormatError, match="ids imply users=4 items=123456789012345679;"):
         load_interactions(p)
@@ -187,7 +193,7 @@ def test_interactions_round_trip(tmp_path):
     p = tmp_path / "rt.txt"
     write_interactions(g, p)
     g2 = load_interactions(p)
-    assert g2.edges() == g.edges()
+    assert edge_list(g2) == edge_list(g)
     assert (g2.num_users, g2.num_items) == (3, 4)
     write_interactions(g2, tmp_path / "rt2.txt")
     assert (tmp_path / "rt.txt").read_bytes() == (tmp_path / "rt2.txt").read_bytes()
@@ -252,7 +258,7 @@ def test_split_sizes_and_disjointness():
     assert all(p.matrix.shape == g.matrix.shape for p in parts)
     assert sum(p.num_edges for p in parts) == 10
     assert tuple(p.num_edges for p in parts) == (8, 1, 1)
-    all_edges = split.train.edges() + split.val.edges() + split.test.edges()
+    all_edges = edge_list(split.train) + edge_list(split.val) + edge_list(split.test)
     assert len(set(all_edges)) == 10
 
 
@@ -261,15 +267,15 @@ def test_split_is_deterministic():
     a = split_edges(g, seed=3)
     b = split_edges(g, seed=3)
     for name in ("train", "val", "test"):
-        assert getattr(a, name).edges() == getattr(b, name).edges()
+        assert edge_list(getattr(a, name)) == edge_list(getattr(b, name))
 
 
 def test_split_keeps_every_user_in_train():
     g = graph_from_edges(4, 8, [(0, 0)] + [(u, i) for u in (1, 2, 3) for i in range(4)])
     split = split_edges(g, seed=0)
-    train_users = {u for u, _ in split.train.edges()}
+    train_users = {u for u, _ in edge_list(split.train)}
     assert train_users == {0, 1, 2, 3}
-    assert (0, 0) in split.train.edges()  # single-edge user goes wholly to train
+    assert (0, 0) in edge_list(split.train)  # single-edge user goes wholly to train
 
 
 def _ragged_graph():
@@ -282,11 +288,71 @@ def test_split_pins_exact_edges():
     # one permutation per interacting user in user order, then one over the
     # pool: these edges pin that RNG stream
     split = split_edges(_ragged_graph(), (0.6, 0.2, 0.2), seed=5)
-    assert split.train.edges() == [
+    assert edge_list(split.train) == [
         (0, 0), (0, 4), (1, 3), (3, 1), (3, 2), (3, 6), (4, 0), (4, 7), (5, 2), (5, 4), (5, 6),
     ]
-    assert split.val.edges() == [(0, 1), (0, 3), (5, 3)]
-    assert split.test.edges() == [(0, 2), (3, 5), (3, 7)]
+    assert edge_list(split.val) == [(0, 1), (0, 3), (5, 3)]
+    assert edge_list(split.test) == [(0, 2), (3, 5), (3, 7)]
+
+
+def _split_with_a_permutation_per_user(graph, ratios, seed):
+    """``split_edges`` drawing ``start + rng.permutation(n)`` for each
+    interacting user: the reference for its draws.  Returns the three edge
+    lists and the generator."""
+    rng = np.random.default_rng(seed)
+    indptr, indices = graph.matrix.indptr, graph.matrix.indices
+    counts = np.diff(indptr)
+    shuffled = np.concatenate(
+        [np.empty(0, dtype=np.int64)]
+        + [start + rng.permutation(n) for start, n in zip(indptr.tolist(), counts.tolist()) if n]
+    )
+    firsts = indptr[:-1][counts > 0]
+    reserved, pool = shuffled[firsts], np.delete(shuffled, firsts)
+    total = len(shuffled)
+    n_val = int(round(ratios[1] * total))
+    n_test = int(round(ratios[2] * total))
+    n_train = max(total - n_val - n_test, len(reserved))
+    n_val = min(n_val, total - n_train)
+    order = np.concatenate((reserved, pool[rng.permutation(len(pool))]))
+    users = np.repeat(np.arange(graph.num_users), counts)[order]
+    pairs = list(zip(users.tolist(), indices[order].tolist()))
+    parts = pairs[:n_train], pairs[n_train : n_train + n_val], pairs[n_train + n_val :]
+    return [sorted(p) for p in parts], rng
+
+
+RATIOS = [(0.8, 0.1, 0.1), (0.6, 0.2, 0.2), (0.1, 0.5, 0.4)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(RATIOS))
+def test_split_draws_equal_a_permutation_per_user(seed, ratios):
+    # empty rows, single-edge users and mixed degrees, as in real data
+    rng = np.random.default_rng(seed)
+    num_users, num_items = int(rng.integers(0, 40)), int(rng.integers(1, 15))
+    degrees = np.minimum(rng.choice([0, 1, 2, 3, num_items], size=num_users), num_items)
+    edges = [
+        (u, int(i))
+        for u in range(num_users)
+        for i in rng.choice(num_items, degrees[u], replace=False)
+    ]
+    graph = graph_from_edges(num_users, num_items, edges)
+    made = []
+    real = np.random.default_rng
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", lambda s: made.append(real(s)) or made[-1])
+        split = split_edges(graph, ratios, seed=seed)
+    want, want_rng = _split_with_a_permutation_per_user(graph, ratios, seed)
+    assert [edge_list(p) for p in (split.train, split.val, split.test)] == want
+    assert len(made) == 1 and made[0].bit_generator.state == want_rng.bit_generator.state
+
+
+def test_write_interactions_bytes_are_unchanged(tmp_path):
+    # the header, then one "user<TAB>item" line per edge in ascending order;
+    # user 2 has no edge and writes no line
+    write_interactions(_ragged_graph(), tmp_path / "i.txt")
+    want = "# users=6 items=8\n" + "".join(f"{u}\t{i}\n" for u, i in edge_list(_ragged_graph()))
+    assert (tmp_path / "i.txt").read_bytes() == want.encode()
+    assert want.startswith("# users=6 items=8\n0\t0\n0\t1\n") and "\n1\t3\n3\t1\n" in want
 
 
 def test_split_of_graph_without_edges():
@@ -310,8 +376,8 @@ def test_triplets_avoid_observed_pairs():
     batch = sample_bpr_triplets(split, g, 4, rng)
     assert len(batch.users) == 4
     for u, ip, ineg in zip(batch.users, batch.pos_items, batch.neg_items):
-        assert (int(u), int(ip)) in split.train.edges()
-        assert (int(u), int(ineg)) not in g.edges()
+        assert (int(u), int(ip)) in edge_list(split.train)
+        assert (int(u), int(ineg)) not in edge_list(g)
 
 
 def test_triplets_pin_exact_draws_across_empty_rows():
@@ -398,7 +464,7 @@ def test_graph_matches_its_edge_list(case):
     num_users, num_items, edges = case
     g = graph_from_edges(num_users, num_items, edges)
     assert (g.num_users, g.num_items, g.num_edges) == (num_users, num_items, len(edges))
-    assert g.edges() == sorted(set(edges))
+    assert edge_list(g) == sorted(set(edges))
     assert g.matrix.has_canonical_format
     assert len(g.user_items) == num_users
     for u in range(num_users):
@@ -454,7 +520,7 @@ def _first_edge_error(num_users, num_items, edges):
 def test_graph_errors_match_the_per_edge_loop(num_users, num_items, edges):
     expected = _first_edge_error(num_users, num_items, edges)
     if expected is None:
-        assert graph_from_edges(num_users, num_items, edges).edges() == sorted(edges)
+        assert edge_list(graph_from_edges(num_users, num_items, edges)) == sorted(edges)
         return
     with pytest.raises(DataFormatError) as err:
         graph_from_edges(num_users, num_items, edges)
@@ -666,7 +732,7 @@ def test_draw_errors_match_the_choice_loop():
 def test_synthetic_same_seed_identical():
     a = generate_synthetic(SyntheticSpec(seed=5))
     b = generate_synthetic(SyntheticSpec(seed=5))
-    assert a[0].edges() == b[0].edges()
+    assert edge_list(a[0]) == edge_list(b[0])
     for ta, tb in zip(a[1], b[1]):
         np.testing.assert_array_equal(ta.values, tb.values)
     np.testing.assert_array_equal(a[2], b[2])
