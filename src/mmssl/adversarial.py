@@ -10,20 +10,12 @@ a gradient penalty on interpolated rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import (
-    AffineLayer,
-    BatchNormLayer,
-    BatchNormState,
-    DropoutLayer,
-    LeakyReluLayer,
-    SigmoidLayer,
-    Tensor,
-)
+from .autodiff import BatchNormState, Tensor
 from .data import NormalizedAdjacency
 
 __all__ = [
@@ -36,6 +28,7 @@ __all__ = [
     "user_relation_rows",
     "gumbel_real_proxy",
     "discriminate",
+    "gradient_norms",
     "interpolate_rows",
     "loss_g",
     "loss_d",
@@ -245,19 +238,73 @@ class DiscriminatorParams:
             self.w3, self.b3,
         ]
 
-    def layers(self) -> list:
-        return [
-            AffineLayer(self.w1, self.b1),
-            LeakyReluLayer(self.slope),
-            BatchNormLayer(self.gamma1, self.beta1, self.bn1),
-            DropoutLayer(self.dropout_rate),
-            AffineLayer(self.w2, self.b2),
-            LeakyReluLayer(self.slope),
-            BatchNormLayer(self.gamma2, self.beta2, self.bn2),
-            DropoutLayer(self.dropout_rate),
-            AffineLayer(self.w3, self.b3),
-            SigmoidLayer(),
-        ]
+
+def _critic(
+    rows: Tensor,
+    disc: DiscriminatorParams,
+    train: bool,
+    rng: np.random.Generator | None,
+    factors: list | None = None,
+) -> Tensor:
+    """The critic's (n, 1) scores: two (affine, leaky-relu, batch-norm,
+    dropout) blocks, then an affine map and a sigmoid.
+
+    Given a ``factors`` list, the call also appends the factors whose
+    product, right to left, is d(score)/d(row), so that ``gradient_norms``
+    builds the gradient-penalty norm as an expression on the tape.  Plain
+    first-order backward then gives the norm's parameter gradients, and no
+    tape is taped.  The leaky-relu and dropout masks enter as constants:
+    they are piecewise constant, so their derivative is zero almost
+    everywhere.  The batch-norm statistics enter at their realized values
+    with respect to the input, but stay tape nodes, so the parameter
+    gradients still flow through them.  In train mode they are the taped
+    batch mean and variance with scale exp(-0.5 log(var + eps)).
+    """
+    collect = factors is not None
+    h = rows
+    blocks = (
+        (disc.w1, disc.b1, disc.gamma1, disc.beta1, disc.bn1),
+        (disc.w2, disc.b2, disc.gamma2, disc.beta2, disc.bn2),
+    )
+    for w, b, gamma, beta, bn in blocks:
+        h = ad.add(ad.matmul(h, w), b)
+        if collect:
+            slopes = np.where(h.data >= 0, 1.0, disc.slope)
+            factors += [("affine", w), ("mask", ad.constant(slopes))]
+        h = ad.leaky_relu(h, disc.slope)
+        if collect:
+            if train:
+                centered = ad.sub(h, ad.mean(h, axis=0))
+                var = ad.mean(ad.mul(centered, centered), axis=0)
+                eps = ad.constant(np.full(var.shape, ad.BN_EPS))
+                inv = ad.exp(ad.scale(ad.log(ad.add(var, eps)), -0.5))
+            else:
+                inv = ad.constant(1.0 / np.sqrt(bn.var + ad.BN_EPS))
+            factors.append(("mask", ad.mul(gamma, inv)))
+        h = ad.batch_norm(h, gamma, beta, bn, train)
+        if train and disc.dropout_rate > 0.0:
+            if rng is None:
+                raise ValueError("train-mode dropout needs a random generator")
+            rate = disc.dropout_rate
+            mask = ad.constant((rng.random(h.shape) >= rate) / (1.0 - rate))
+            h = ad.mul(h, mask)
+            if collect:
+                factors.append(("mask", mask))
+    s = ad.sigmoid(ad.add(ad.matmul(h, disc.w3), disc.b3))
+    if collect:
+        slope = ad.mul(s, ad.sub(ad.constant(np.ones(s.shape)), s))
+        factors += [("affine", disc.w3), ("mask", slope)]
+    return s
+
+
+def gradient_norms(factors: list, num_rows: int) -> Tensor:
+    """Per-row L2 norm of d(score)/d(row), from ``_critic``'s factors: an
+    ``("affine", w)`` factor multiplies by w transposed, a ``("mask", m)``
+    factor elementwise by m."""
+    v = ad.constant(np.ones((num_rows, 1)))
+    for kind, factor in reversed(factors):
+        v = ad.matmul(v, ad.transpose(factor)) if kind == "affine" else ad.mul(v, factor)
+    return ad.sqrt(ad.reduce_sum(ad.mul(v, v), axis=1))
 
 
 def discriminate(
@@ -270,8 +317,7 @@ def discriminate(
     rows = rows if isinstance(rows, Tensor) else ad.constant(rows)
     if rows.ndim != 2:
         raise ValueError("discriminate expects a 2-D batch of rows")
-    out = ad.forward_layers(disc.layers(), rows, train=train, rng=rng)
-    return ad.reshape(out, (rows.shape[0],))
+    return ad.reshape(_critic(rows, disc, train, rng), (rows.shape[0],))
 
 
 def interpolate_rows(
@@ -322,7 +368,9 @@ def loss_d(
     diff = ad.sub(ad.mean(real_scores), ad.mean(fake_scores))
     if negate_critic:
         diff = ad.scale(diff, -1.0)
-    _, norms = ad.input_gradient_norm(disc.layers(), gp_rows, train=train, rng=rng)
+    factors: list = []
+    _critic(ad.constant(gp_rows), disc, train, rng, factors)
+    norms = gradient_norms(factors, len(gp_rows))
     off = ad.sub(norms, ad.constant(np.ones(norms.shape)))
     penalty = ad.mean(ad.mul(off, off))
     return ad.add(diff, ad.scale(penalty, lam1))

@@ -24,9 +24,9 @@ parameters; it only returns a gradient map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,13 +66,7 @@ __all__ = [
     "dropout",
     "batch_norm",
     "BatchNormState",
-    "AffineLayer",
-    "LeakyReluLayer",
-    "BatchNormLayer",
-    "DropoutLayer",
-    "SigmoidLayer",
-    "forward_layers",
-    "input_gradient_norm",
+    "BN_EPS",
     "finite_difference_check",
 ]
 
@@ -214,26 +208,23 @@ class _Sums:
 
 
 class GradientMap:
-    """Parameter identity -> gradient array.  Absent entries mean zero."""
+    """Parameter identity -> gradient array.  Absent entries mean zero.
+    Each parameter's partials are summed under ``_Sums``' ownership rule."""
 
     def __init__(self):
-        self._grads: dict[int, list] = {}  # id -> [tensor, grad]
+        self._params: dict[int, Tensor] = {}
+        self._sums = _Sums({})
 
-    def _accumulate(self, t: Tensor, g: np.ndarray) -> None:
-        entry = self._grads.get(id(t))
-        if entry is not None:
-            entry[1] += g  # into its own copy
-        else:
-            self._grads[id(t)] = [t, g.copy()]
+    def _accumulate(self, t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+        self._params[id(t)] = t
+        self._sums.add(id(t), g, fresh)
 
     def get(self, t: Tensor) -> np.ndarray:
-        entry = self._grads.get(id(t))
-        if entry is None:
-            return np.zeros_like(t.data)
-        return entry[1]
+        g = self._sums.held.get(id(t))
+        return np.zeros_like(t.data) if g is None else g
 
     def __contains__(self, t: Tensor) -> bool:
-        return id(t) in self._grads
+        return id(t) in self._sums.held
 
 
 class Tape:
@@ -279,7 +270,7 @@ class Tape:
         sums = _Sums({id(loss): np.ones_like(loss.data)})
         grads = GradientMap()
         if loss.requires_grad and (wanted is None or id(loss) in wanted):
-            grads._accumulate(loss, np.ones_like(loss.data))
+            grads._accumulate(loss, np.ones_like(loss.data), fresh=True)
         # a vjp, or the sum of its partials, that makes a non-finite value
         # from finite ones raises a floating-point flag here
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -301,13 +292,13 @@ class Tape:
                         if key in produced:
                             sums.add(key, g_in, deferred)
                         else:
-                            grads._accumulate(inp, g_in)
+                            grads._accumulate(inp, g_in, deferred)
             except FloatingPointError:
                 raise NumericError(
                     self._blame(f"non-finite gradient from the vjp of '{rec.op}'")
                 ) from None
-        for t, g in grads._grads.values():
-            if not np.all(np.isfinite(g)):
+        for key, t in grads._params.items():
+            if not np.all(np.isfinite(grads._sums.held[key])):
                 raise NumericError(self._blame(f"non-finite gradient of '{t.name}'"))
         return grads
 
@@ -534,9 +525,12 @@ def gather_rows(a, idx) -> Tensor:
     shape = a.shape
 
     def vjp(g):
-        buf = np.zeros(shape)
-        np.add.at(buf, idx, g)
-        return (buf,)
+        def scatter():
+            buf = np.zeros(shape)
+            np.add.at(buf, idx, g)
+            return buf
+
+        return (scatter,)
 
     _record("gather_rows", out, (a,), vjp)
     return out
@@ -879,6 +873,10 @@ def dropout(a, rate: float, rng: np.random.Generator | None, train: bool) -> Ten
     return out
 
 
+# The batch-norm epsilon, added to the variance before its inverse square root.
+BN_EPS = 1e-5
+
+
 @dataclass
 class BatchNormState:
     """Running statistics, updated as a side effect of train-mode calls."""
@@ -898,7 +896,7 @@ def batch_norm(
     state: BatchNormState,
     train: bool,
     momentum: float = 0.1,
-    eps: float = 1e-5,
+    eps: float = BN_EPS,
 ) -> Tensor:
     """Per-feature batch normalization over axis 0.
 
@@ -943,118 +941,6 @@ def batch_norm(
 
     _record("batch_norm", out, (x, gamma, beta), vjp_eval)
     return out
-
-
-# --------------------------------------------------------------------------
-# Layered maps and the input-gradient norm
-# --------------------------------------------------------------------------
-#
-# The gradient penalty needs d(score)/d(input) as a differentiable quantity.
-# Rather than taping the tape, the layer walk below builds the input
-# gradient as an explicit product of per-layer factors, so plain first-order
-# backward over the expanded expression yields parameter gradients of the
-# norm.  Piecewise-constant factors (relu masks, dropout masks) enter as
-# constants: their almost-everywhere derivative is zero.  Normalization
-# statistics are taken at their realized values when differentiating with
-# respect to the input, while remaining tape nodes so parameter gradients
-# still flow through them.
-
-
-@dataclass
-class AffineLayer:
-    weight: Tensor  # (in, out)
-    bias: Tensor | None = None
-
-
-@dataclass
-class LeakyReluLayer:
-    slope: float = 0.2
-
-
-@dataclass
-class BatchNormLayer:
-    gamma: Tensor
-    beta: Tensor
-    state: BatchNormState
-    momentum: float = 0.1
-    eps: float = 1e-5
-
-
-@dataclass
-class DropoutLayer:
-    rate: float
-
-
-@dataclass
-class SigmoidLayer:
-    pass
-
-
-def _walk_layers(layers, x: Tensor, train: bool, rng) -> tuple[Tensor, list]:
-    """Run the layer stack, capturing the per-layer input-gradient factors."""
-    factors = []
-    h = x
-    for layer in layers:
-        if isinstance(layer, AffineLayer):
-            h = matmul(h, layer.weight)
-            if layer.bias is not None:
-                h = add(h, layer.bias)
-            factors.append(("affine", layer.weight))
-        elif isinstance(layer, LeakyReluLayer):
-            mask = constant(np.where(h.data >= 0, 1.0, layer.slope))
-            h = leaky_relu(h, layer.slope)
-            factors.append(("mask", mask))
-        elif isinstance(layer, BatchNormLayer):
-            if train:
-                mu = mean(h, axis=0)
-                centered = sub(h, mu)
-                var = mean(mul(centered, centered), axis=0)
-                inv = exp(scale(log(add(var, constant(np.full(var.shape, layer.eps)))), -0.5))
-            else:
-                inv = constant(1.0 / np.sqrt(layer.state.var + layer.eps))
-            sc = mul(layer.gamma, inv)
-            h = batch_norm(h, layer.gamma, layer.beta, layer.state, train, layer.momentum, layer.eps)
-            factors.append(("mask", sc))
-        elif isinstance(layer, DropoutLayer):
-            if train and layer.rate > 0.0:
-                if rng is None:
-                    raise ValueError("train-mode dropout needs a random generator")
-                m = constant((rng.random(h.shape) >= layer.rate) / (1.0 - layer.rate))
-                h = mul(h, m)
-                factors.append(("mask", m))
-        elif isinstance(layer, SigmoidLayer):
-            s = sigmoid(h)
-            sprime = mul(s, sub(constant(np.ones(s.shape)), s))
-            h = s
-            factors.append(("mask", sprime))
-        else:
-            raise TypeError(f"unsupported layer in differentiable map: {layer!r}")
-    return h, factors
-
-
-def forward_layers(layers, x, train: bool = False, rng=None) -> Tensor:
-    out, _ = _walk_layers(layers, _as_tensor(x), train, rng)
-    return out
-
-
-def input_gradient_norm(layers, x, train: bool = False, rng=None) -> tuple[Tensor, Tensor]:
-    """Return (scores, per-row L2 norm of d(score)/d(input row)).
-
-    The final layer must produce one column per row.  Both returned tensors
-    are differentiable with respect to the layer parameters.
-    """
-    x = _as_tensor(x)
-    out, factors = _walk_layers(layers, x, train, rng)
-    if out.ndim != 2 or out.shape[1] != 1:
-        raise ValueError("input_gradient_norm expects a map onto a single column")
-    v: Tensor = constant(np.ones((x.shape[0], 1)))
-    for kind, payload in reversed(factors):
-        if kind == "affine":
-            v = matmul(v, transpose(payload))
-        else:
-            v = mul(v, payload)
-    norms = sqrt(reduce_sum(mul(v, v), axis=1))
-    return reshape(out, (x.shape[0],)), norms
 
 
 # --------------------------------------------------------------------------

@@ -161,12 +161,77 @@ def test_gradient_penalty_zero_for_unit_norm_linear_map():
     rng = np.random.default_rng(6)
     w = rng.standard_normal((9, 1))
     w /= np.linalg.norm(w)
-    layers = [ad.AffineLayer(ad.Tensor(w), ad.Tensor(np.zeros(1)))]
+    factors = [("affine", ad.Tensor(w))]
     for batch in range(3):
+        # a linear map's input gradient is w at every row: the batch sets the row count
         x = np.random.default_rng(batch).standard_normal((8, 9)) * (batch + 1)
-        _, norms = ad.input_gradient_norm(layers, ad.Tensor(x), train=False, rng=None)
+        norms = adv.gradient_norms(factors, len(x))
         penalty = float(np.mean((norms.data - 1.0) ** 2))
         assert penalty < 1e-10
+
+
+def test_eval_penalty_norms_match_central_differences_of_the_critic():
+    # every factor kind: affine maps, leaky-relu masks, batch-norm scales
+    # from running statistics that are not the defaults, and the sigmoid
+    rng = np.random.default_rng(11)
+    disc = adv.DiscriminatorParams.create(4, 3, rng)
+    for p in disc.parameters():
+        p.data[:] = rng.standard_normal(p.shape)
+    for bn in (disc.bn1, disc.bn2):
+        bn.mean[:] = rng.standard_normal(3)
+        bn.var[:] = rng.uniform(0.25, 4.0, 3)
+    x = rng.standard_normal((5, 4))
+    factors = []
+    adv._critic(ad.constant(x), disc, False, None, factors)
+    norms = adv.gradient_norms(factors, len(x)).data
+
+    def score(row):
+        return adv.discriminate(row[None, :], disc, train=False).item()
+
+    eps = 1e-6
+    for r in range(5):
+        g = np.zeros(4)
+        for j in range(4):
+            hi, lo = x[r].copy(), x[r].copy()
+            hi[j] += eps
+            lo[j] -= eps
+            g[j] = (score(hi) - score(lo)) / (2 * eps)
+        assert abs(norms[r] - np.linalg.norm(g)) < 1e-6
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_train_mode_critic_loss_matches_central_differences(seed):
+    # batch statistics, dropout and the taped batch-norm scales of the
+    # penalty; a fresh generator per call draws the same dropout masks
+    rng = np.random.default_rng(seed)
+    disc = adv.DiscriminatorParams.create(9, 6, rng)
+    real = rng.random((7, 9))
+    fake = rng.uniform(-1.0, 1.0, (7, 9))
+    gp = adv.interpolate_rows(real, fake, rng)
+    params = disc.parameters()
+
+    def loss():
+        call_rng = np.random.default_rng(21)
+        s_real = adv.discriminate(real, disc, train=True, rng=call_rng)
+        s_fake = adv.discriminate(fake, disc, train=True, rng=call_rng)
+        return adv.loss_d(s_real, s_fake, gp, disc, train=True, rng=call_rng)
+
+    with ad.Tape() as tape:
+        out = loss()
+    grads = tape.backward(out, params=params)
+    eps = 1e-5
+    for p in params:
+        analytic = grads.get(p).ravel()
+        flat = p.data.ravel()
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + eps
+            up = loss().item()
+            flat[j] = orig - eps
+            down = loss().item()
+            flat[j] = orig
+            a, n = analytic[j], (up - down) / (2 * eps)
+            assert abs(a - n) <= 1e-4 * max(abs(a), abs(n)) + 1e-8, (p.name, j, a, n)
 
 
 def test_interpolation_stays_on_segment():

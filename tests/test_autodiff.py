@@ -339,57 +339,6 @@ def test_batch_norm_eval_uses_stored_statistics():
     np.testing.assert_array_equal(y, y2)
 
 
-def test_input_gradient_norm_linear_layer_equals_weight_norm():
-    rng = np.random.default_rng(5)
-    w = rng.standard_normal((7, 1))
-    layers = [ad.AffineLayer(ad.Tensor(w), ad.Tensor(np.zeros(1)))]
-    x = rng.standard_normal((9, 7))
-    _, norms = ad.input_gradient_norm(layers, ad.Tensor(x), train=False, rng=None)
-    np.testing.assert_allclose(norms.data, np.full(9, np.linalg.norm(w)), rtol=1e-12)
-
-
-def test_input_gradient_norm_sigmoid_at_zero():
-    # d sigmoid(w.x)/dx at x=0 has norm |w|/4
-    w = np.array([[2.0]])
-    layers = [
-        ad.AffineLayer(ad.Tensor(w), ad.Tensor(np.zeros(1))),
-        ad.SigmoidLayer(),
-    ]
-    _, norms = ad.input_gradient_norm(layers, ad.Tensor(np.zeros((1, 1))), train=False, rng=None)
-    np.testing.assert_allclose(norms.data, [0.5], rtol=1e-12)
-
-
-def test_input_gradient_norm_matches_finite_differences():
-    rng = np.random.default_rng(11)
-    w1 = rng.standard_normal((4, 3))
-    b1 = rng.standard_normal(3)
-    w2 = rng.standard_normal((3, 1))
-    b2 = rng.standard_normal(1)
-    layers = [
-        ad.AffineLayer(ad.Tensor(w1), ad.Tensor(b1)),
-        ad.LeakyReluLayer(0.2),
-        ad.AffineLayer(ad.Tensor(w2), ad.Tensor(b2)),
-        ad.SigmoidLayer(),
-    ]
-    x = rng.standard_normal((5, 4))
-
-    def score(row):
-        h = row @ w1 + b1
-        h = np.where(h >= 0, h, 0.2 * h)
-        return 1.0 / (1.0 + np.exp(-(h @ w2 + b2)))
-
-    eps = 1e-6
-    _, norms = ad.input_gradient_norm(layers, ad.Tensor(x), train=False, rng=None)
-    for r in range(5):
-        g = np.zeros(4)
-        for j in range(4):
-            hi, lo = x[r].copy(), x[r].copy()
-            hi[j] += eps
-            lo[j] -= eps
-            g[j] = (score(hi)[0] - score(lo)[0]) / (2 * eps)
-        assert abs(norms.data[r] - np.linalg.norm(g)) < 1e-6
-
-
 def test_finite_difference_check_flags_a_wrong_gradient():
     x = ad.parameter(np.array([[1.0, 2.0]]), "x")
 
@@ -430,8 +379,31 @@ def test_filtered_gradient_map_accepts_further_accumulation():
         loss = ad.add(ad.reduce_sum(ad.mul(x, x)), ad.reduce_sum(y))
     grads = tape.backward(loss, params=[x])
     assert y not in grads
+    owned = grads.get(x)  # made by a deferred mul partial, so the map adds into it
     grads._accumulate(x, np.ones_like(x.data))
     np.testing.assert_allclose(grads.get(x), 2 * x.data + 1)
+    assert grads.get(x) is owned
+
+    # add hands one array to both inputs: a further partial of one goes into
+    # a new array and leaves the other's gradient as it was
+    z = ad.parameter(np.array([[3.0, 4.0]]), "z")
+    with ad.Tape() as tape:
+        loss = ad.reduce_sum(ad.add(x, z))
+    grads = tape.backward(loss)
+    assert grads.get(x) is grads.get(z)
+    grads._accumulate(x, np.ones_like(x.data))
+    np.testing.assert_array_equal(grads.get(x), [[2.0, 2.0]])
+    np.testing.assert_array_equal(grads.get(z), [[1.0, 1.0]])
+
+    # a gathered table's scatter buffer is deferred, so the map owns it too
+    table = ad.parameter(np.arange(6.0).reshape(3, 2), "table")
+    with ad.Tape() as tape:
+        loss = ad.reduce_sum(ad.gather_rows(table, [0, 2, 0]))
+    grads = tape.backward(loss)
+    scattered = grads.get(table)
+    grads._accumulate(table, np.ones_like(table.data))
+    assert grads.get(table) is scattered
+    np.testing.assert_array_equal(scattered, [[3.0, 3.0], [1.0, 1.0], [2.0, 2.0]])
 
 
 def _bits(arr):

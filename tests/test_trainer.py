@@ -700,6 +700,33 @@ def test_no_trainer_attribute_holds_a_tape_after_a_step(monkeypatch):
     assert tapes_held(trainer) == []
 
 
+def dead_records(tape, loss):
+    """Ops of the tape's records whose outputs do not reach ``loss``."""
+    live, dead = {id(loss)}, []
+    for rec in reversed(tape._records):
+        if any(id(t) in live for t in rec.outputs()):
+            live.update(id(t) for t in rec.inputs)
+        else:
+            dead.append(rec.op)
+    return dead
+
+
+@pytest.mark.parametrize("disable_cl", [False, True])
+def test_every_record_of_both_step_tapes_reaches_the_loss(monkeypatch, disable_cl):
+    seen = []
+    backward = Tape.backward
+
+    def spy(tape, loss, params=None):
+        seen.append((len(tape), dead_records(tape, loss)))
+        return backward(tape, loss, params)
+
+    monkeypatch.setattr(Tape, "backward", spy)
+    trainer = build_trainer(d_steps=2, disable_cl=disable_cl)
+    trainer.train_step()
+    assert len(seen) == 3  # two critic tapes, then the generator's
+    assert [dead for _, dead in seen] == [[], [], []]
+
+
 def _reassign_neighborhoods(trainer, tmp_path):
     trainer.neighborhoods = list(trainer.neighborhoods)  # same arrays, another object
 
