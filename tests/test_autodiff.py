@@ -1,10 +1,11 @@
-"""Tape engine: primitive gradients, layer walking, input-gradient norms."""
+"""Tape engine: primitive gradients, segments, input-gradient norms."""
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mmssl.adversarial as adv
 import mmssl.autodiff as ad
 from mmssl.gradcheck import run_primitive_checks
 
@@ -337,6 +338,57 @@ def test_batch_norm_eval_uses_stored_statistics():
     # eval mode twice in a row gives the same answer: stats are not updated
     y2 = ad.batch_norm(ad.Tensor(x), gamma, beta, state, train=False).data
     np.testing.assert_array_equal(y, y2)
+
+
+def test_input_gradient_norm_linear_layer_equals_weight_norm():
+    rng = np.random.default_rng(5)
+    w = rng.standard_normal((7, 1))
+    norms = adv.gradient_norms([("affine", ad.Tensor(w))], 9)
+    np.testing.assert_allclose(norms.data, np.full(9, np.linalg.norm(w)), rtol=1e-12)
+
+
+def test_input_gradient_norm_sigmoid_at_zero():
+    # d sigmoid(w.x)/dx at x=0 has norm |w|/4
+    w = ad.Tensor(np.array([[2.0]]))
+    s = ad.sigmoid(ad.matmul(ad.constant(np.zeros((1, 1))), w))
+    slope = ad.mul(s, ad.sub(ad.constant(np.ones(s.shape)), s))
+    norms = adv.gradient_norms([("affine", w), ("mask", slope)], 1)
+    np.testing.assert_allclose(norms.data, [0.5], rtol=1e-12)
+
+
+def test_input_gradient_norm_matches_finite_differences():
+    # the factors of an affine, leaky-relu, affine, sigmoid stack, multiplied
+    # right to left, against per-row central differences of the stack
+    rng = np.random.default_rng(11)
+    w1 = rng.standard_normal((4, 3))
+    b1 = rng.standard_normal(3)
+    w2 = rng.standard_normal((3, 1))
+    b2 = rng.standard_normal(1)
+    x = rng.standard_normal((5, 4))
+
+    def score(row):
+        h = row @ w1 + b1
+        h = np.where(h >= 0, h, 0.2 * h)
+        return 1.0 / (1.0 + np.exp(-(h @ w2 + b2)))
+
+    pre = x @ w1 + b1
+    s = score(x)
+    factors = [
+        ("affine", ad.Tensor(w1)),
+        ("mask", ad.constant(np.where(pre >= 0, 1.0, 0.2))),
+        ("affine", ad.Tensor(w2)),
+        ("mask", ad.constant(s * (1.0 - s))),
+    ]
+    norms = adv.gradient_norms(factors, len(x))
+    eps = 1e-6
+    for r in range(5):
+        g = np.zeros(4)
+        for j in range(4):
+            hi, lo = x[r].copy(), x[r].copy()
+            hi[j] += eps
+            lo[j] -= eps
+            g[j] = (score(hi)[0] - score(lo)[0]) / (2 * eps)
+        assert abs(norms.data[r] - np.linalg.norm(g)) < 1e-6
 
 
 def test_finite_difference_check_flags_a_wrong_gradient():
