@@ -21,7 +21,6 @@ from .data import NormalizedAdjacency
 __all__ = [
     "GeneratorParams",
     "DiscriminatorParams",
-    "GumbelConfig",
     "modality_collab_embeddings",
     "generate_relations",
     "relation_rows",
@@ -41,7 +40,7 @@ class GeneratorParams:
 
     weights: list[Tensor]  # [m]: (raw_dim_m, d)
     biases: list[Tensor]  # [m]: (d,)
-    dropout_rate: float = 0.1
+    dropout_rate: float
 
     @classmethod
     def create(
@@ -49,7 +48,7 @@ class GeneratorParams:
         modality_dims: list[int],
         embed_dim: int,
         rng: np.random.Generator,
-        dropout_rate: float = 0.1,
+        dropout_rate: float,
     ) -> "GeneratorParams":
         weights, biases = [], []
         for m, dim in enumerate(modality_dims):
@@ -131,17 +130,12 @@ def generate_relations(f_user: Tensor, f_item: Tensor, block_rows: int = 0) -> T
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class GumbelConfig:
-    tau: float = 0.2
-    zeta: float = 100.0
-    disable: bool = False  # feed raw interaction rows as real samples
-
-
 def gumbel_real_proxy(
     a_rows: np.ndarray,
     rng: np.random.Generator,
-    cfg: GumbelConfig,
+    tau: float,
+    zeta: float,
+    disable: bool,
     h_user_rows: np.ndarray | None = None,
     h_item: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -149,11 +143,12 @@ def gumbel_real_proxy(
 
     Each row gets i.i.d. Gumbel noise ``g = -log(-log(u))``, a temperature
     softmax over items, and an augmentation term ``zeta * cos(h_u, h_i)``
-    built from the current final embeddings.  The output carries no
-    gradient: the proxy is a training target, not a trainable path.
+    built from the current final embeddings.  ``disable`` feeds the raw
+    interaction rows instead.  The output carries no gradient: the proxy is
+    a training target, not a trainable path.
     """
     a_rows = np.asarray(a_rows, dtype=np.float64)
-    if cfg.disable:
+    if disable:
         return a_rows.copy()
     # one (batch, I) buffer, worked in place in the order of
     # softmax((a + -log(-log(u))) / tau) + zeta * cos, so no value changes
@@ -161,17 +156,17 @@ def gumbel_real_proxy(
     np.negative(np.log(rows, out=rows), out=rows)
     np.negative(np.log(rows, out=rows), out=rows)
     rows += a_rows
-    rows /= cfg.tau
+    rows /= tau
     rows -= rows.max(axis=1, keepdims=True)
     np.exp(rows, out=rows)
     rows /= rows.sum(axis=1, keepdims=True)
-    if cfg.zeta != 0.0 and h_user_rows is not None and h_item is not None:
+    if zeta != 0.0 and h_user_rows is not None and h_item is not None:
         un = np.linalg.norm(h_user_rows, axis=1, keepdims=True)
         vn = np.linalg.norm(h_item, axis=1, keepdims=True)
         qu = np.divide(h_user_rows, un, out=np.zeros_like(h_user_rows), where=un > 0)
         qi = np.divide(h_item, vn, out=np.zeros_like(h_item), where=vn > 0)
         cos = qu @ qi.T
-        cos *= cfg.zeta
+        cos *= zeta
         rows += cos
     return rows
 
@@ -179,6 +174,9 @@ def gumbel_real_proxy(
 # --------------------------------------------------------------------------
 # Critic
 # --------------------------------------------------------------------------
+
+# negative-side slope of the critic's leaky relus
+LEAKY_SLOPE = 0.2
 
 
 @dataclass
@@ -198,8 +196,7 @@ class DiscriminatorParams:
     bn2: BatchNormState
     w3: Tensor
     b3: Tensor
-    slope: float = 0.2
-    dropout_rate: float = 0.1
+    dropout_rate: float
 
     @classmethod
     def create(
@@ -207,8 +204,7 @@ class DiscriminatorParams:
         num_items: int,
         hidden: int,
         rng: np.random.Generator,
-        slope: float = 0.2,
-        dropout_rate: float = 0.1,
+        dropout_rate: float,
     ) -> "DiscriminatorParams":
         def xavier(fan_in, fan_out, name):
             bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -227,7 +223,6 @@ class DiscriminatorParams:
             bn2=BatchNormState.create(hidden),
             w3=xavier(hidden, 1, "disc.w3"),
             b3=ad.parameter(np.zeros(1), "disc.b3"),
-            slope=slope,
             dropout_rate=dropout_rate,
         )
 
@@ -269,9 +264,9 @@ def _critic(
     for w, b, gamma, beta, bn in blocks:
         h = ad.add(ad.matmul(h, w), b)
         if collect:
-            slopes = np.where(h.data >= 0, 1.0, disc.slope)
+            slopes = np.where(h.data >= 0, 1.0, LEAKY_SLOPE)
             factors += [("affine", w), ("mask", ad.constant(slopes))]
-        h = ad.leaky_relu(h, disc.slope)
+        h = ad.leaky_relu(h, LEAKY_SLOPE)
         if collect:
             if train:
                 centered = ad.sub(h, ad.mean(h, axis=0))
@@ -353,10 +348,10 @@ def loss_d(
     fake_scores: Tensor,
     gp_rows: np.ndarray,
     disc: DiscriminatorParams,
-    lam1: float = 1.0,
+    lam1: float,
+    negate_critic: bool,
     train: bool = True,
     rng: np.random.Generator | None = None,
-    negate_critic: bool = False,
 ) -> Tensor:
     """Critic loss: E[D(real)] - E[D(fake)] plus the unit-norm penalty.
 

@@ -615,7 +615,7 @@ def softplus(a) -> Tensor:
     return out
 
 
-def leaky_relu(a, slope: float = 0.2) -> Tensor:
+def leaky_relu(a, slope: float) -> Tensor:
     a = _as_tensor(a)
     val = np.where(a.data >= 0, a.data, slope * a.data)
     out = Tensor(val)

@@ -4,7 +4,8 @@ Config files are JSON objects whose keys are dotted names such as
 ``train.epochs`` or ``adv.zeta``.  ``MMSSL_SEED`` overrides the training
 seed.  Every key, its default and its type come from a field of the
 config dataclasses: ``<prefix>.<field>``, with the prefixes of
-``_PREFIXES`` and the three renamed loss weights of ``_RENAMED``.
+``_PREFIXES``.  Those fields are the only defaults: the library functions
+the trainer calls take every configured value from their caller.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ from __future__ import annotations
 import json
 import numbers
 import os
-from dataclasses import dataclass, field, fields, is_dataclass
-from functools import reduce
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .data import check_bucket_boundaries
 from .encoder import EncoderConfig
 from .evaluation import EvalConfig
 from .trainer import AdvConfig, ObjectiveConfig, TrainConfig
@@ -39,30 +40,16 @@ class Settings:
 
 # Settings attribute -> key prefix
 _PREFIXES = {"train": "train", "enc": "enc", "adv": "adv", "objective": "loss", "eval": "eval"}
-# the only keys that differ from "<prefix>.<field path>"
-_RENAMED = {f"loss.weights.lam{n}": f"loss.lambda{n}" for n in (2, 3, 4)}
-
-
-def _leaves(config, key: str, path: tuple):
-    """(key, attribute path, default) of every leaf field under ``config``."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        sub_key, sub_path = f"{key}.{f.name}", (*path, f.name)
-        if is_dataclass(value):
-            yield from _leaves(value, sub_key, sub_path)
-        else:
-            yield _RENAMED.get(sub_key, sub_key), sub_path, value
-
-
+# key -> (Settings attribute, field name, default)
 _FIELDS = {
-    key: (path, default)
+    f"{prefix}.{f.name}": (attr, f.name, f.default)
     for attr, prefix in _PREFIXES.items()
-    for key, path, default in _leaves(getattr(Settings(), attr), prefix, (attr,))
+    for f in fields(getattr(Settings(), attr))
 }
 # the JSON form: tuples become lists
 DEFAULTS: dict = {
     key: list(default) if isinstance(default, tuple) else default
-    for key, (_, default) in _FIELDS.items()
+    for key, (_, _, default) in _FIELDS.items()
 }
 
 # key -> smallest allowed value
@@ -141,6 +128,10 @@ def _check_ranges(values: dict) -> None:
     for key in _DROPOUT:
         if not 0 <= values[key] < 1:
             raise ConfigError(f"{key} must be in [0, 1), got {values[key]}")
+    try:
+        check_bucket_boundaries(values["eval.buckets"])
+    except ValueError as e:
+        raise ConfigError(f"eval.buckets: {e}") from None
     if len(values["train.split"]) != 3:
         raise ConfigError(f"train.split needs three ratios, got {list(values['train.split'])}")
     if values["train.embed_dim"] % values["enc.heads"] != 0:
@@ -156,9 +147,9 @@ def resolve_settings(flat: dict) -> Settings:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     merged = {**DEFAULTS, **flat}
-    values = {key: _coerce(key, default, merged[key]) for key, (_, default) in _FIELDS.items()}
+    values = {key: _coerce(key, default, merged[key]) for key, (_, _, default) in _FIELDS.items()}
     _check_ranges(values)
     settings = Settings(flat=merged)
-    for key, ((*parents, name), _) in _FIELDS.items():
-        setattr(reduce(getattr, parents, settings), name, values[key])
+    for key, (attr, name, _) in _FIELDS.items():
+        setattr(getattr(settings, attr), name, values[key])
     return settings

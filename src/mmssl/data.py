@@ -308,8 +308,8 @@ class DataSplit:
 
 def split_edges(
     graph: InteractionGraph,
-    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
-    seed: int = 0,
+    ratios: tuple[float, float, float],
+    seed: int,
 ) -> DataSplit:
     """Deterministic per-user stratified split.
 
@@ -440,6 +440,16 @@ def bucket_labels(boundaries=DEFAULT_BUCKET_BOUNDARIES) -> list[str]:
     return [f"[{a},{b})" for a, b in zip(boundaries[:-1], boundaries[1:])]
 
 
+def check_bucket_boundaries(boundaries) -> None:
+    """Raise ``ValueError`` unless ``boundaries`` are at least two strictly
+    ascending values."""
+    bounds = list(boundaries)
+    if sorted(bounds) != bounds or len(set(bounds)) != len(bounds):
+        raise ValueError(f"bucket boundaries must be strictly ascending, got {bounds}")
+    if len(bounds) < 2:
+        raise ValueError(f"need at least two bucket boundaries, got {bounds}")
+
+
 def sparsity_buckets(
     degrees: np.ndarray,
     boundaries=DEFAULT_BUCKET_BOUNDARIES,
@@ -450,11 +460,8 @@ def sparsity_buckets(
     at or above the last boundary into the last, so the result is always a
     partition of all users.
     """
+    check_bucket_boundaries(boundaries)
     bounds = list(boundaries)
-    if sorted(bounds) != bounds or len(set(bounds)) != len(bounds):
-        raise ValueError(f"bucket boundaries must be strictly ascending, got {boundaries}")
-    if len(bounds) < 2:
-        raise ValueError("need at least two boundaries")
     degrees = np.asarray(degrees)
     labels = bucket_labels(bounds)
     edges = np.array(bounds[1:-1])

@@ -154,7 +154,7 @@ def evaluate_scores(
     scores: np.ndarray | ScoreRows,
     train_items: list[np.ndarray],
     relevant: list[np.ndarray],
-    k: int = 20,
+    k: int,
     boundaries=DEFAULT_BUCKET_BOUNDARIES,
 ) -> RankingReport:
     """Rank every item for every user and aggregate top-K metrics.

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adversarial, autodiff as ad, model as mdl, objectives as obj
-from .adversarial import GumbelConfig
 from .autodiff import Tensor
 from .data import (
     ModalityFeatureTable,
@@ -25,7 +24,6 @@ from .data import (
     split_edges,
 )
 from .encoder import AttentionParams, EncoderConfig
-from .objectives import LossWeights
 
 __all__ = ["CheckInstance", "build_check_instance", "run_loss_checks"]
 
@@ -39,7 +37,9 @@ class CheckInstance:
     enc_cfg: EncoderConfig
     omega: float
     tau_prime: float
-    weights: LossWeights
+    lam2: float
+    lam3: float
+    lam4: float
     lam1: float
     triplets: TripletBatch
     adv_users: np.ndarray
@@ -72,12 +72,16 @@ class CheckInstance:
         real = adversarial.discriminate(self.real_rows, self.state.disc, train=False)
         fake = adversarial.discriminate(self.fake_rows, self.state.disc, train=False)
         return adversarial.loss_d(
-            real, fake, self.gp_rows, self.state.disc, lam1=self.lam1, train=False
+            real, fake, self.gp_rows, self.state.disc, self.lam1, negate_critic=False, train=False
         )
 
     def loss_total(self) -> Tensor:
         return obj.total_loss(
-            *self.generator_losses(), self.state.generator_parameters(), self.weights
+            *self.generator_losses(),
+            self.state.generator_parameters(),
+            self.lam2,
+            self.lam3,
+            self.lam4,
         )
 
     def closures(self) -> dict:
@@ -116,7 +120,7 @@ def build_check_instance(
         seed=seed,
     )
     graph, features, _ = generate_synthetic(spec)
-    split = split_edges(graph, seed=seed)
+    split = split_edges(graph, (0.8, 0.1, 0.1), seed=seed)
     adj = build_norm_adjacency(split.train)
     rng = np.random.default_rng(seed)
     state = mdl.init_model(
@@ -127,6 +131,8 @@ def build_check_instance(
         heads,
         disc_hidden,
         rng,
+        gen_dropout=0.1,
+        disc_dropout=0.1,
     )
     enc_cfg = EncoderConfig(top_k=top_k, heads=heads, layers=layers)
     neighborhoods = mdl.refresh_neighborhoods(state, adj, features, top_k)
@@ -135,11 +141,7 @@ def build_check_instance(
     fwd = mdl.forward_embeddings(state, adj, features, neighborhoods, enc_cfg, 0.2)
     a_rows = split.train.dense_matrix()[adv_users]
     real = adversarial.gumbel_real_proxy(
-        a_rows,
-        rng,
-        GumbelConfig(tau=0.2, zeta=1.0),
-        fwd.h_users.data[adv_users],
-        fwd.h_items.data,
+        a_rows, rng, 0.2, 1.0, False, fwd.h_users.data[adv_users], fwd.h_items.data
     )
     f_u, f_i = fwd.prior_users[0], fwd.prior_items[0]
     fake = adversarial.user_relation_rows(f_u, f_i, adv_users).data
@@ -152,7 +154,9 @@ def build_check_instance(
         enc_cfg=enc_cfg,
         omega=0.2,
         tau_prime=0.085,
-        weights=LossWeights(lam2=0.1, lam3=0.1, lam4=1e-4),
+        lam2=0.1,
+        lam3=0.1,
+        lam4=1e-4,
         lam1=1.0,
         triplets=triplets,
         adv_users=adv_users,

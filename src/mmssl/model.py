@@ -57,8 +57,8 @@ def init_model(
     heads: int,
     disc_hidden: int,
     rng: np.random.Generator,
-    gen_dropout: float = 0.1,
-    disc_dropout: float = 0.1,
+    gen_dropout: float,
+    disc_dropout: float,
 ) -> ModelState:
     return ModelState(
         gen=GeneratorParams.create(modality_dims, embed_dim, rng, gen_dropout),

@@ -6,15 +6,12 @@ the test suite (finite differences for gradients, closed forms for values).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 
 __all__ = [
-    "LossWeights",
     "fuse_final",
     "predict",
     "bpr_loss",
@@ -26,17 +23,10 @@ __all__ = [
 ]
 
 
-@dataclass
-class LossWeights:
-    lam2: float = 0.03  # contrastive
-    lam3: float = 0.01  # generator adversarial
-    lam4: float = 0.0  # explicit L2 (decoupled decay lives in the optimizer)
-
-
 def fuse_final(
     propagated: Tensor,
     modality_priors: list[Tensor],
-    omega: float = 0.2,
+    omega: float,
 ) -> Tensor:
     """Final embeddings: propagated id embeddings plus row-normalized
     modality priors scaled by omega.  Zero-norm prior rows contribute
@@ -72,8 +62,8 @@ def bpr_loss(pos_scores: Tensor, neg_scores: Tensor) -> Tensor:
 def infonce_loss(
     h_users: Tensor,
     modality_views: list[Tensor],
-    tau: float = 0.085,
-    paper_sign: bool = False,
+    tau: float,
+    paper_sign: bool,
 ) -> Tensor:
     """Cross-view contrastive loss between final user embeddings and each
     modality view.
@@ -155,7 +145,9 @@ def total_loss(
     contrastive: Tensor | None,
     generator: Tensor | None,
     params: list[Tensor],
-    weights: LossWeights,
+    lam2: float,
+    lam3: float,
+    lam4: float,
 ) -> Tensor:
     """Multi-task objective: BPR + lam2*CL + lam3*G + lam4*||params||^2.
 
@@ -163,10 +155,10 @@ def total_loss(
     the fully ablated objective is literally BPR plus the L2 term.
     """
     loss = bpr
-    if contrastive is not None and weights.lam2 != 0.0:
-        loss = ad.add(loss, ad.scale(contrastive, weights.lam2))
-    if generator is not None and weights.lam3 != 0.0:
-        loss = ad.add(loss, ad.scale(generator, weights.lam3))
-    if weights.lam4 != 0.0:
-        loss = ad.add(loss, ad.scale(l2_penalty(params), weights.lam4))
+    if contrastive is not None and lam2 != 0.0:
+        loss = ad.add(loss, ad.scale(contrastive, lam2))
+    if generator is not None and lam3 != 0.0:
+        loss = ad.add(loss, ad.scale(generator, lam3))
+    if lam4 != 0.0:
+        loss = ad.add(loss, ad.scale(l2_penalty(params), lam4))
     return loss

@@ -14,13 +14,12 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import adversarial, autodiff as ad, model as mdl, objectives as obj
-from .adversarial import GumbelConfig
 from .autodiff import GradientMap, NumericError, Tensor
 from .data import (
     DataSplit,
@@ -33,7 +32,6 @@ from .data import (
 from .encoder import EncoderConfig, SemanticNeighborhood
 from .evaluation import EvalConfig, RankingReport, evaluate_scores
 from .model import ModelState
-from .objectives import LossWeights
 
 __all__ = [
     "TrainConfig",
@@ -78,13 +76,12 @@ class AdvConfig:
     lam1: float = 1.0
     negate_critic: bool = False
 
-    def gumbel(self, disable: bool) -> GumbelConfig:
-        return GumbelConfig(tau=self.tau, zeta=self.zeta, disable=disable)
-
 
 @dataclass
 class ObjectiveConfig:
-    weights: LossWeights = field(default_factory=LossWeights)
+    lambda2: float = 0.03  # contrastive
+    lambda3: float = 0.01  # generator adversarial
+    lambda4: float = 0.0  # explicit L2 (decoupled decay lives in the optimizer)
     tau_prime: float = 0.085
     omega: float = 0.2
     paper_sign: bool = False
@@ -343,9 +340,8 @@ class Trainer:
         """
         cfg = self.cfg
         batch_users = self.rng_adv.integers(0, self.graph.num_users, size=cfg.batch_size)
-        gumbel_cfg = self.adv_cfg.gumbel(cfg.disable_gumbel)
         fwd = h_u = h_i = None
-        if not gumbel_cfg.disable and gumbel_cfg.zeta != 0.0:
+        if not cfg.disable_gumbel and self.adv_cfg.zeta != 0.0:
             chain_tape, chain = taped or self._record_chain()
             # taped ops skip their own finiteness checks; check what is read
             for t in (chain.prop_users, chain.prop_items):
@@ -353,7 +349,8 @@ class Trainer:
             fwd = self._eval_forward(chain)
             h_u, h_i = fwd.h_users.data[batch_users], fwd.h_items.data
         real = adversarial.gumbel_real_proxy(
-            self.split.train.matrix[batch_users].toarray(), self.rng_adv, gumbel_cfg, h_u, h_i
+            self.split.train.matrix[batch_users].toarray(), self.rng_adv,
+            self.adv_cfg.tau, self.adv_cfg.zeta, cfg.disable_gumbel, h_u, h_i,
         )
         fake = np.empty((len(batch_users), self.graph.num_items))
         assignment = self.rng_adv.integers(0, len(self.features), size=len(batch_users))
@@ -419,7 +416,8 @@ class Trainer:
                 contrastive=not cfg.disable_cl,
             )
             loss = obj.total_loss(
-                l_bpr, l_cl, l_g, self.state.generator_parameters(), self.obj_cfg.weights
+                l_bpr, l_cl, l_g, self.state.generator_parameters(),
+                self.obj_cfg.lambda2, self.obj_cfg.lambda3, self.obj_cfg.lambda4,
             )
         grads = tape.backward(loss, params=self.state.generator_parameters())
         self.opt_gen.step(grads)

@@ -27,7 +27,6 @@ from mmssl.data import (
 from mmssl.encoder import EncoderConfig
 from mmssl.evaluation import EvalConfig
 from mmssl.gradcheck import run_loss_checks
-from mmssl.objectives import LossWeights
 from mmssl.trainer import AdvConfig, ObjectiveConfig, TrainConfig, fit
 
 
@@ -66,7 +65,7 @@ def test_criterion_2_gradient_penalty_exact_for_unit_norm_critic():
 def test_criterion_3_gumbel_rows_normalized_and_zero_noise_point():
     rng = np.random.default_rng(3)
     a = (rng.random((1000, 40)) < 0.1).astype(float)
-    rows = adv.gumbel_real_proxy(a, rng, adv.GumbelConfig(tau=0.2, zeta=0.0))
+    rows = adv.gumbel_real_proxy(a, rng, tau=0.2, zeta=0.0, disable=False)
     sums = rows.sum(axis=1)
     max_err = float(np.abs(sums - 1.0).max())
 
@@ -78,7 +77,7 @@ def test_criterion_3_gumbel_rows_normalized_and_zero_noise_point():
     g = -np.log(-np.log(np.full((3, 4), np.exp(-1.0))))
     noise_exact = np.array_equal(g, np.zeros_like(g))
     a_small = np.eye(4, 6)
-    got = adv.gumbel_real_proxy(a_small, FixedRng(), adv.GumbelConfig(tau=0.5, zeta=0.0))
+    got = adv.gumbel_real_proxy(a_small, FixedRng(), tau=0.5, zeta=0.0, disable=False)
     logits = a_small / 0.5
     want = np.exp(logits - logits.max(axis=1, keepdims=True))
     want /= want.sum(axis=1, keepdims=True)
@@ -214,7 +213,7 @@ def test_criterion_7_ablation_ordering_on_planted_data():
                 disable_asl=no_asl,
                 disable_cl=no_cl,
             )
-            obj_cfg = ObjectiveConfig(weights=LossWeights(lam2=0.5, lam3=0.01), omega=0.1)
+            obj_cfg = ObjectiveConfig(lambda2=0.5, lambda3=0.01, omega=0.1)
             res = fit(
                 cfg,
                 EncoderConfig(top_k=5),
@@ -270,7 +269,7 @@ def test_criterion_8_determinism_and_checkpoint_fidelity(tmp_path):
             cfg,
             EncoderConfig(top_k=3),
             AdvConfig(),
-            ObjectiveConfig(weights=LossWeights(lam2=0.1, lam3=0.01)),
+            ObjectiveConfig(lambda2=0.1, lambda3=0.01),
             EvalConfig(),
             graph,
             features,

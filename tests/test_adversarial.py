@@ -21,7 +21,7 @@ from mmssl.data import (
 def _collab(seed=0, train=False, rng=None):
     g, features, _ = generate_synthetic(SyntheticSpec(seed=seed, interactions_per_user=4))
     adj = build_norm_adjacency(g)
-    gen = adv.GeneratorParams.create([t.dim for t in features], 8, np.random.default_rng(seed))
+    gen = adv.GeneratorParams.create([t.dim for t in features], 8, np.random.default_rng(seed), 0.1)
     f_u, f_i = adv.modality_collab_embeddings(adj, features[0].as_float64(), gen, 0, train=train, rng=rng)
     return g, adj, features, gen, f_u, f_i
 
@@ -63,7 +63,7 @@ def test_blockwise_equals_dense(block_rows):
 def test_gumbel_rows_sum_to_one():
     rng = np.random.default_rng(0)
     a = (rng.random((1000, 23)) < 0.2).astype(float)
-    rows = adv.gumbel_real_proxy(a, rng, adv.GumbelConfig(tau=0.2, zeta=0.0, disable=False))
+    rows = adv.gumbel_real_proxy(a, rng, tau=0.2, zeta=0.0, disable=False)
     np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -78,7 +78,7 @@ def test_gumbel_noise_zero_at_fixed_point():
             return np.full(size, np.exp(-1.0))
 
     a = np.eye(4, 6)
-    rows = adv.gumbel_real_proxy(a, FixedRng(), adv.GumbelConfig(tau=0.5, zeta=0.0, disable=False))
+    rows = adv.gumbel_real_proxy(a, FixedRng(), tau=0.5, zeta=0.0, disable=False)
     logits = a / 0.5
     expected = np.exp(logits - logits.max(axis=1, keepdims=True))
     expected /= expected.sum(axis=1, keepdims=True)
@@ -88,7 +88,7 @@ def test_gumbel_noise_zero_at_fixed_point():
 def test_gumbel_disable_returns_raw_rows():
     rng = np.random.default_rng(1)
     a = (rng.random((5, 7)) < 0.3).astype(float)
-    rows = adv.gumbel_real_proxy(a, rng, adv.GumbelConfig(tau=0.2, zeta=100.0, disable=True))
+    rows = adv.gumbel_real_proxy(a, rng, tau=0.2, zeta=100.0, disable=True)
     np.testing.assert_array_equal(rows, a)
     assert rows is not a  # caller may mutate freely
 
@@ -98,8 +98,8 @@ def test_gumbel_zeta_adds_detached_cosine():
     a = np.eye(3, 5)
     h_u = rng.standard_normal((3, 4))
     h_i = rng.standard_normal((5, 4))
-    base = adv.gumbel_real_proxy(a, np.random.default_rng(7), adv.GumbelConfig(0.2, 0.0, False))
-    with_cos = adv.gumbel_real_proxy(a, np.random.default_rng(7), adv.GumbelConfig(0.2, 2.5, False), h_u, h_i)
+    base = adv.gumbel_real_proxy(a, np.random.default_rng(7), 0.2, 0.0, False)
+    with_cos = adv.gumbel_real_proxy(a, np.random.default_rng(7), 0.2, 2.5, False, h_u, h_i)
     hu = h_u / np.linalg.norm(h_u, axis=1, keepdims=True)
     hi = h_i / np.linalg.norm(h_i, axis=1, keepdims=True)
     np.testing.assert_allclose(with_cos - base, 2.5 * hu @ hi.T, rtol=1e-10)
@@ -110,7 +110,7 @@ def test_gumbel_proxy_in_place_equals_the_plain_expression_bitwise():
     a = (rng.random((6, 9)) < 0.3).astype(float)
     h_u, h_i = rng.standard_normal((6, 4)), rng.standard_normal((9, 4))
     h_u[2], h_i[5] = 0.0, 0.0  # zero rows have a zero cosine
-    rows = adv.gumbel_real_proxy(a, np.random.default_rng(8), adv.GumbelConfig(0.2, 2.5, False), h_u, h_i)
+    rows = adv.gumbel_real_proxy(a, np.random.default_rng(8), 0.2, 2.5, False, h_u, h_i)
     shifted = (a - np.log(-np.log(np.random.default_rng(8).random(a.shape)))) / 0.2
     e = np.exp(shifted - shifted.max(axis=1, keepdims=True))
     un, vn = np.linalg.norm(h_u, axis=1, keepdims=True), np.linalg.norm(h_i, axis=1, keepdims=True)
@@ -122,7 +122,7 @@ def test_gumbel_proxy_in_place_equals_the_plain_expression_bitwise():
 
 def test_discriminator_output_shape_and_range():
     rng = np.random.default_rng(3)
-    disc = adv.DiscriminatorParams.create(10, 16, rng)
+    disc = adv.DiscriminatorParams.create(10, 16, rng, 0.1)
     scores = adv.discriminate(np.random.default_rng(0).standard_normal((6, 10)), disc, train=False)
     assert scores.shape == (6,)
     assert (scores.data > 0).all() and (scores.data < 1).all()
@@ -130,29 +130,29 @@ def test_discriminator_output_shape_and_range():
 
 def test_loss_d_antisymmetric_without_penalty():
     rng = np.random.default_rng(4)
-    disc = adv.DiscriminatorParams.create(8, 12, rng)
+    disc = adv.DiscriminatorParams.create(8, 12, rng, 0.1)
     real = rng.standard_normal((5, 8))
     fake = rng.standard_normal((5, 8))
     gp = adv.interpolate_rows(real, fake, rng)
     s_real = adv.discriminate(real, disc, train=False)
     s_fake = adv.discriminate(fake, disc, train=False)
-    fwd = adv.loss_d(s_real, s_fake, gp, disc, lam1=0.0, train=False)
-    rev = adv.loss_d(s_fake, s_real, gp, disc, lam1=0.0, train=False)
+    fwd = adv.loss_d(s_real, s_fake, gp, disc, lam1=0.0, train=False, negate_critic=False)
+    rev = adv.loss_d(s_fake, s_real, gp, disc, lam1=0.0, train=False, negate_critic=False)
     np.testing.assert_allclose(fwd.data, -rev.data, rtol=1e-12)
 
 
 def test_negate_critic_flips_difference_only():
     rng = np.random.default_rng(5)
-    disc = adv.DiscriminatorParams.create(8, 12, rng)
+    disc = adv.DiscriminatorParams.create(8, 12, rng, 0.1)
     real = rng.standard_normal((5, 8))
     fake = rng.standard_normal((5, 8))
     gp = adv.interpolate_rows(real, fake, rng)
     s_real = adv.discriminate(real, disc, train=False)
     s_fake = adv.discriminate(fake, disc, train=False)
-    plain = adv.loss_d(s_real, s_fake, gp, disc, lam1=0.0, train=False).data
+    plain = adv.loss_d(s_real, s_fake, gp, disc, lam1=0.0, train=False, negate_critic=False).data
     flipped = adv.loss_d(s_real, s_fake, gp, disc, lam1=0.0, train=False, negate_critic=True).data
     np.testing.assert_allclose(flipped, -plain, rtol=1e-12)
-    with_pen = adv.loss_d(s_real, s_fake, gp, disc, lam1=1.0, train=False).data
+    with_pen = adv.loss_d(s_real, s_fake, gp, disc, lam1=1.0, train=False, negate_critic=False).data
     with_pen_neg = adv.loss_d(s_real, s_fake, gp, disc, lam1=1.0, train=False, negate_critic=True).data
     np.testing.assert_allclose(with_pen - plain, with_pen_neg - flipped, rtol=1e-10)
 
@@ -174,7 +174,7 @@ def test_eval_penalty_norms_match_central_differences_of_the_critic():
     # every factor kind: affine maps, leaky-relu masks, batch-norm scales
     # from running statistics that are not the defaults, and the sigmoid
     rng = np.random.default_rng(11)
-    disc = adv.DiscriminatorParams.create(4, 3, rng)
+    disc = adv.DiscriminatorParams.create(4, 3, rng, 0.1)
     for p in disc.parameters():
         p.data[:] = rng.standard_normal(p.shape)
     for bn in (disc.bn1, disc.bn2):
@@ -204,7 +204,7 @@ def test_train_mode_critic_loss_matches_central_differences(seed):
     # batch statistics, dropout and the taped batch-norm scales of the
     # penalty; a fresh generator per call draws the same dropout masks
     rng = np.random.default_rng(seed)
-    disc = adv.DiscriminatorParams.create(9, 6, rng)
+    disc = adv.DiscriminatorParams.create(9, 6, rng, 0.1)
     real = rng.random((7, 9))
     fake = rng.uniform(-1.0, 1.0, (7, 9))
     gp = adv.interpolate_rows(real, fake, rng)
@@ -214,7 +214,7 @@ def test_train_mode_critic_loss_matches_central_differences(seed):
         call_rng = np.random.default_rng(21)
         s_real = adv.discriminate(real, disc, train=True, rng=call_rng)
         s_fake = adv.discriminate(fake, disc, train=True, rng=call_rng)
-        return adv.loss_d(s_real, s_fake, gp, disc, train=True, rng=call_rng)
+        return adv.loss_d(s_real, s_fake, gp, disc, lam1=1.0, negate_critic=False, train=True, rng=call_rng)
 
     with ad.Tape() as tape:
         out = loss()
@@ -247,7 +247,7 @@ def test_interpolation_stays_on_segment():
 
 def test_loss_g_is_negated_mean_score():
     rng = np.random.default_rng(8)
-    disc = adv.DiscriminatorParams.create(6, 8, rng)
+    disc = adv.DiscriminatorParams.create(6, 8, rng, 0.1)
     rows = [rng.standard_normal((4, 6)), rng.standard_normal((4, 6))]
     scores = [adv.discriminate(r, disc, train=False) for r in rows]
     total = adv.loss_g(scores)
@@ -278,7 +278,7 @@ def _refresh_problem():
         ModalityFeatureTable(f"m{m}", rng.standard_normal((10, dim)).astype(np.float32))
         for m, dim in enumerate((6, 4))
     ]
-    state = mdl.init_model(13, 10, [6, 4], 5, 1, 4, np.random.default_rng(12))
+    state = mdl.init_model(13, 10, [6, 4], 5, 1, 4, np.random.default_rng(12), 0.1, 0.1)
     return build_norm_adjacency(g), features, state
 
 
@@ -303,7 +303,7 @@ def test_refresh_block_rows_default_is_about_32_mib(monkeypatch):
         num_users=2100, num_items=4000, modality_dims=(2,), interactions_per_user=1, seed=5
     )
     g, features, _ = generate_synthetic(spec)
-    state = mdl.init_model(2100, 4000, [2], 2, 1, 2, np.random.default_rng(0))
+    state = mdl.init_model(2100, 4000, [2], 2, 1, 2, np.random.default_rng(0), 0.1, 0.1)
     monkeypatch.setattr(
         enc, "neighbors_from_row_blocks", lambda blocks, k: [b.shape for b in blocks]
     )
@@ -321,7 +321,7 @@ def test_streamed_refresh_peak_memory_below_half_a_dense_matrix(monkeypatch):
     )
     g, features, _ = generate_synthetic(spec)
     adj = build_norm_adjacency(g)
-    state = mdl.init_model(1200, 900, [16], 8, 1, 4, np.random.default_rng(0))
+    state = mdl.init_model(1200, 900, [16], 8, 1, 4, np.random.default_rng(0), 0.1, 0.1)
     monkeypatch.setattr(mdl, "REFRESH_BLOCK_BYTES", 8 * 900 * 64)
     tracemalloc.start()
     try:
@@ -338,10 +338,10 @@ def test_warm_refresh_peak_memory_below_half_a_dense_matrix(monkeypatch):
     )
     g, features, _ = generate_synthetic(spec)
     adj = build_norm_adjacency(g)
-    state = mdl.init_model(1200, 900, [16], 8, 1, 4, np.random.default_rng(0))
+    state = mdl.init_model(1200, 900, [16], 8, 1, 4, np.random.default_rng(0), 0.1, 0.1)
     monkeypatch.setattr(mdl, "REFRESH_BLOCK_BYTES", 8 * 900 * 64)
     previous = mdl.refresh_neighborhoods(
-        mdl.init_model(1200, 900, [16], 8, 1, 4, np.random.default_rng(1)), adj, features, 10
+        mdl.init_model(1200, 900, [16], 8, 1, 4, np.random.default_rng(1), 0.1, 0.1), adj, features, 10
     )
     tracemalloc.start()
     try:

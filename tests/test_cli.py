@@ -266,6 +266,19 @@ def test_train_rejects_zero_heads_without_traceback(data_dir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("buckets", [[5, 3], [0, 4, 4, 9], [7]])
+def test_train_rejects_bad_buckets_before_any_epoch(data_dir, tmp_path, capsys, buckets):
+    config = tmp_path / "buckets.json"
+    config.write_text(json.dumps({"eval.buckets": buckets}))
+    out = tmp_path / "out"
+    code = main(["train", "--data", str(data_dir), "--out", str(out), "--config", str(config)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "eval.buckets" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [("train.disable_cl", "false"), ("train.epochs", 2.9)])
 def test_train_rejects_wrongly_typed_config(data_dir, tmp_path, capsys, key, value):
     config = tmp_path / "typed.json"

@@ -1,10 +1,12 @@
 """Configuration loading, env overrides, and validation."""
 
+import inspect
 import json
 from dataclasses import fields, is_dataclass
 
 import pytest
 
+from mmssl import adversarial, autodiff, data, evaluation, model, objectives
 from mmssl.config import DEFAULTS, ConfigError, apply_env, load_config, resolve_settings
 from mmssl.encoder import EncoderConfig
 from mmssl.evaluation import EvalConfig
@@ -37,7 +39,7 @@ def test_defaults_resolve_to_dataclass_defaults():
     assert settings.train.split == (0.8, 0.1, 0.1)
     assert settings.enc.top_k == 10
     assert settings.adv.zeta == 100.0
-    assert settings.objective.weights.lam2 == 0.03
+    assert settings.objective.lambda2 == 0.03
     assert settings.objective.tau_prime == 0.085
     assert settings.eval.k == 20
     assert settings.eval.buckets == (0, 4, 6, 9, 13, 100)
@@ -46,6 +48,76 @@ def test_defaults_resolve_to_dataclass_defaults():
     assert empty.train == TrainConfig() and empty.enc == EncoderConfig()
     assert empty.adv == AdvConfig() and empty.objective == ObjectiveConfig()
     assert empty.eval == EvalConfig() and empty.flat == DEFAULTS
+
+
+# every key with its value and JSON type, in DEFAULTS' order
+PINNED_DEFAULTS = [
+    ("train.seed", 0),
+    ("train.epochs", 50),
+    ("train.batch_size", 128),
+    ("train.steps_per_epoch", 0),
+    ("train.d_steps", 1),
+    ("train.lr_gen", 0.0005),
+    ("train.lr_disc", 0.0003),
+    ("train.weight_decay", 0.014),
+    ("train.lr_decay", 0.98),
+    ("train.patience", 10),
+    ("train.embed_dim", 64),
+    ("train.disc_hidden", 64),
+    ("train.gen_dropout", 0.1),
+    ("train.disc_dropout", 0.1),
+    ("train.split", [0.8, 0.1, 0.1]),
+    ("train.disable_asl", False),
+    ("train.disable_cl", False),
+    ("train.disable_gumbel", False),
+    ("enc.top_k", 10),
+    ("enc.heads", 2),
+    ("enc.layers", 2),
+    ("enc.eta", 0.5),
+    ("enc.refresh_every", 1),
+    ("adv.tau", 0.2),
+    ("adv.zeta", 100.0),
+    ("adv.lam1", 1.0),
+    ("adv.negate_critic", False),
+    ("loss.lambda2", 0.03),
+    ("loss.lambda3", 0.01),
+    ("loss.lambda4", 0.0),
+    ("loss.tau_prime", 0.085),
+    ("loss.omega", 0.2),
+    ("loss.paper_sign", False),
+    ("eval.k", 20),
+    ("eval.buckets", [0, 4, 6, 9, 13, 100]),
+]
+
+
+def test_defaults_are_pinned():
+    assert json.dumps(DEFAULTS) == json.dumps(dict(PINNED_DEFAULTS))
+
+
+# library parameters whose values come from a config field (or, for the
+# leaky slope, the critic's one constant)
+CONFIG_BACKED = [
+    (objectives.infonce_loss, ("tau", "paper_sign")),
+    (objectives.fuse_final, ("omega",)),
+    (objectives.total_loss, ("lam2", "lam3", "lam4")),
+    (adversarial.gumbel_real_proxy, ("tau", "zeta", "disable")),
+    (adversarial.loss_d, ("lam1", "negate_critic")),
+    (evaluation.evaluate_scores, ("k",)),
+    (data.split_edges, ("ratios", "seed")),
+    (model.init_model, ("gen_dropout", "disc_dropout")),
+    (adversarial.GeneratorParams, ("dropout_rate",)),
+    (adversarial.GeneratorParams.create, ("dropout_rate",)),
+    (adversarial.DiscriminatorParams, ("dropout_rate",)),
+    (adversarial.DiscriminatorParams.create, ("dropout_rate",)),
+    (autodiff.leaky_relu, ("slope",)),
+]
+
+
+@pytest.mark.parametrize("fn, names", CONFIG_BACKED, ids=[fn.__qualname__ for fn, _ in CONFIG_BACKED])
+def test_config_backed_parameters_declare_no_default(fn, names):
+    # the config dataclass field is the only default; a second one could drift from it
+    params = inspect.signature(fn).parameters
+    assert [n for n in names if params[n].default is not inspect.Parameter.empty] == []
 
 
 def test_default_fingerprint_is_pinned():
@@ -60,8 +132,8 @@ def test_default_fingerprint_is_pinned():
 def changed_value(value):
     if isinstance(value, bool):
         return not value
-    if isinstance(value, list):
-        return value[::-1]
+    if isinstance(value, list):  # element-wise, so eval.buckets stays ascending
+        return [changed_value(x) for x in value]
     return value + (2 if isinstance(value, int) else 0.25)
 
 
@@ -169,6 +241,10 @@ def test_eval_k_positive():
         ("train.disc_dropout", -0.1),
         ("train.epochs", None),
         ("train.split", 5),
+        ("eval.buckets", [5, 3]),
+        ("eval.buckets", [0, 4, 4, 9]),
+        ("eval.buckets", [7]),
+        ("eval.buckets", []),
     ],
 )
 def test_out_of_range_values_rejected(key, value):

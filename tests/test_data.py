@@ -264,15 +264,15 @@ def test_split_sizes_and_disjointness():
 
 def test_split_is_deterministic():
     g = graph_from_edges(6, 6, [(u, i) for u in range(6) for i in range(3)])
-    a = split_edges(g, seed=3)
-    b = split_edges(g, seed=3)
+    a = split_edges(g, (0.8, 0.1, 0.1), seed=3)
+    b = split_edges(g, (0.8, 0.1, 0.1), seed=3)
     for name in ("train", "val", "test"):
         assert edge_list(getattr(a, name)) == edge_list(getattr(b, name))
 
 
 def test_split_keeps_every_user_in_train():
     g = graph_from_edges(4, 8, [(0, 0)] + [(u, i) for u in (1, 2, 3) for i in range(4)])
-    split = split_edges(g, seed=0)
+    split = split_edges(g, (0.8, 0.1, 0.1), seed=0)
     train_users = {u for u, _ in edge_list(split.train)}
     assert train_users == {0, 1, 2, 3}
     assert (0, 0) in edge_list(split.train)  # single-edge user goes wholly to train
@@ -356,7 +356,7 @@ def test_write_interactions_bytes_are_unchanged(tmp_path):
 
 
 def test_split_of_graph_without_edges():
-    split = split_edges(graph_from_edges(3, 2, []), seed=0)
+    split = split_edges(graph_from_edges(3, 2, []), (0.8, 0.1, 0.1), seed=0)
     assert [p.num_edges for p in (split.train, split.val, split.test)] == [0, 0, 0]
     assert split.train.matrix.shape == (3, 2)
 
@@ -364,14 +364,14 @@ def test_split_of_graph_without_edges():
 def test_split_rejects_bad_ratios():
     g = graph_from_edges(2, 2, [(0, 0), (1, 1)])
     with pytest.raises(ValueError):
-        split_edges(g, (0.5, 0.4, 0.2))
+        split_edges(g, (0.5, 0.4, 0.2), seed=0)
     with pytest.raises(ValueError, match="negative"):
-        split_edges(g, (0.8, 0.3, -0.1))  # sums to 1
+        split_edges(g, (0.8, 0.3, -0.1), seed=0)  # sums to 1
 
 
 def test_triplets_avoid_observed_pairs():
     g = graph_from_edges(2, 3, [(0, 0), (1, 1)])
-    split = split_edges(g, seed=0)
+    split = split_edges(g, (0.8, 0.1, 0.1), seed=0)
     rng = np.random.default_rng(0)
     batch = sample_bpr_triplets(split, g, 4, rng)
     assert len(batch.users) == 4
@@ -403,7 +403,7 @@ def test_triplets_draw_every_train_edge_with_empty_first_and_last_rows():
 def test_triplets_deterministic_per_seed():
     spec = SyntheticSpec(seed=1)
     g, _, _ = generate_synthetic(spec)
-    split = split_edges(g, seed=1)
+    split = split_edges(g, (0.8, 0.1, 0.1), seed=1)
     a = sample_bpr_triplets(split, g, 16, np.random.default_rng(9))
     b = sample_bpr_triplets(split, g, 16, np.random.default_rng(9))
     np.testing.assert_array_equal(a.users, b.users)
@@ -420,7 +420,7 @@ def test_triplets_error_when_no_negative_exists():
 def test_triplets_error_on_empty_train_split():
     g = graph_from_edges(2, 2, [])
     with pytest.raises(ValueError, match="empty train split"):
-        sample_bpr_triplets(split_edges(g, seed=0), g, 2, np.random.default_rng(0))
+        sample_bpr_triplets(split_edges(g, (0.8, 0.1, 0.1), seed=0), g, 2, np.random.default_rng(0))
 
 
 def test_norm_adjacency_values_and_row_norms():
@@ -548,6 +548,12 @@ def test_buckets_partition_users(degrees):
     groups = sparsity_buckets(np.array(degrees))
     ids = np.concatenate(list(groups.values()))
     assert sorted(ids.tolist()) == list(range(len(degrees)))
+
+
+@pytest.mark.parametrize("boundaries", [(5, 3), (0, 4, 4, 9), (7,), ()])
+def test_buckets_reject_bad_boundaries(boundaries):
+    with pytest.raises(ValueError, match="bucket boundaries"):
+        sparsity_buckets(np.array([1, 2]), boundaries)
 
 
 def test_buckets_all_zero_degree():

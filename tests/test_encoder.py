@@ -419,7 +419,7 @@ def _wide_refresh_problem():
         ModalityFeatureTable(f"m{m}", rng.standard_normal((200, dim)).astype(np.float32))
         for m, dim in enumerate((6, 4))
     ]
-    state = mdl.init_model(300, 200, [6, 4], 5, 1, 4, np.random.default_rng(6))
+    state = mdl.init_model(300, 200, [6, 4], 5, 1, 4, np.random.default_rng(6), 0.1, 0.1)
     return build_norm_adjacency(g), features, state
 
 
@@ -496,7 +496,7 @@ def test_selection_matrices_are_built_once_per_refresh(monkeypatch):
     spec = SyntheticSpec(num_users=30, num_items=20, modality_dims=(4, 3), interactions_per_user=3, seed=2)
     g, features, _ = generate_synthetic(spec)
     adj = build_norm_adjacency(g)
-    state = mdl.init_model(30, 20, [4, 3], 8, 2, 4, np.random.default_rng(0))
+    state = mdl.init_model(30, 20, [4, 3], 8, 2, 4, np.random.default_rng(0), 0.1, 0.1)
     built = []
     selection_matrix = enc._selection_matrix
 
@@ -642,7 +642,7 @@ def test_the_item_floor_lies_below_near_tied_relations():
 @pytest.mark.parametrize("block_rows", [1, 7, 64, 130, 0])
 def test_a_warm_refresh_equals_the_cold_refresh(monkeypatch, block_rows):
     adj, features, state = _wide_refresh_problem()
-    other = mdl.init_model(300, 200, [6, 4], 5, 1, 4, np.random.default_rng(60))
+    other = mdl.init_model(300, 200, [6, 4], 5, 1, 4, np.random.default_rng(60), 0.1, 0.1)
     if block_rows:  # 0 keeps the default size: one block of all 300 users
         monkeypatch.setattr(mdl, "REFRESH_BLOCK_BYTES", 8 * 200 * block_rows)
     for k in (1, 10, 40):

@@ -5,7 +5,6 @@ import pytest
 
 from mmssl import autodiff as ad
 from mmssl import objectives as obj
-from mmssl.objectives import LossWeights
 
 
 def test_bpr_matches_softplus_closed_form():
@@ -44,7 +43,7 @@ def test_infonce_single_user_self_view_is_log2():
     # one user whose view equals its embedding: the positive cancels the
     # matching denominator term and the view-view term doubles it
     h = np.array([[0.3, -1.2, 0.5]])
-    loss = obj.infonce_loss(ad.constant(h), [ad.constant(h.copy())], tau=0.085)
+    loss = obj.infonce_loss(ad.constant(h), [ad.constant(h.copy())], tau=0.085, paper_sign=False)
     np.testing.assert_allclose(loss.data, np.log(2.0), rtol=1e-12)
 
 
@@ -52,11 +51,11 @@ def test_infonce_row_rescaling_invariance():
     rng = np.random.default_rng(5)
     h = rng.standard_normal((6, 5))
     v = rng.standard_normal((6, 5))
-    base = obj.infonce_loss(ad.constant(h), [ad.constant(v)], tau=0.2).data
+    base = obj.infonce_loss(ad.constant(h), [ad.constant(v)], tau=0.2, paper_sign=False).data
     s_h = rng.uniform(0.2, 3.0, size=(6, 1))
     s_v = rng.uniform(0.2, 3.0, size=(6, 1))
     scaled = obj.infonce_loss(
-        ad.constant(h * s_h), [ad.constant(v * s_v)], tau=0.2
+        ad.constant(h * s_h), [ad.constant(v * s_v)], tau=0.2, paper_sign=False
     ).data
     np.testing.assert_allclose(scaled, base, atol=1e-9)
 
@@ -65,7 +64,7 @@ def test_infonce_positive_and_sign_switch():
     rng = np.random.default_rng(6)
     h = ad.constant(rng.standard_normal((7, 4)))
     views = [ad.constant(rng.standard_normal((7, 4))) for _ in range(2)]
-    loss = obj.infonce_loss(h, views, tau=0.1)
+    loss = obj.infonce_loss(h, views, tau=0.1, paper_sign=False)
     flipped = obj.infonce_loss(h, views, tau=0.1, paper_sign=True)
     # denominator strictly exceeds exp(positive), so -log ratio > 0
     assert loss.data.item() > 0
@@ -77,7 +76,7 @@ def test_infonce_brute_force_oracle():
     n, d = 5, 3
     h = rng.standard_normal((n, d))
     views = [rng.standard_normal((n, d)) for _ in range(2)]
-    loss = obj.infonce_loss(ad.constant(h), [ad.constant(v) for v in views], tau=0.3)
+    loss = obj.infonce_loss(ad.constant(h), [ad.constant(v) for v in views], tau=0.3, paper_sign=False)
 
     def unit(a):
         return a / np.linalg.norm(a)
@@ -145,9 +144,9 @@ def test_infonce_row_block_size_moves_no_bit(monkeypatch, rows):
 def test_infonce_validation():
     h = ad.constant(np.ones((2, 2)))
     with pytest.raises(ValueError, match="temperature"):
-        obj.infonce_loss(h, [h], tau=0.0)
+        obj.infonce_loss(h, [h], tau=0.0, paper_sign=False)
     with pytest.raises(ValueError, match="modality"):
-        obj.infonce_loss(h, [])
+        obj.infonce_loss(h, [], tau=0.085, paper_sign=False)
 
 
 def test_hard_negative_profile_values_and_validation():
@@ -260,13 +259,12 @@ def test_total_loss_weighted_sum_and_ablation():
     cl = ad.constant(0.3)
     gen = ad.constant(-1.1)
     params = [ad.constant(np.array([2.0]))]
-    weights = LossWeights(lam2=0.5, lam3=0.2, lam4=0.01)
-    full = obj.total_loss(bpr, cl, gen, params, weights)
+    full = obj.total_loss(bpr, cl, gen, params, lam2=0.5, lam3=0.2, lam4=0.01)
     np.testing.assert_allclose(
         full.data, 0.7 + 0.5 * 0.3 + 0.2 * -1.1 + 0.01 * 4.0, rtol=1e-12
     )
     # disabled terms contribute exactly nothing
-    ablated = obj.total_loss(bpr, None, None, params, LossWeights(lam4=0.0))
+    ablated = obj.total_loss(bpr, None, None, params, lam2=0.03, lam3=0.01, lam4=0.0)
     assert ablated.data.item() == 0.7
 
 
@@ -277,8 +275,8 @@ def test_total_loss_gradients_flow_to_all_terms():
         pos = ad.reduce_sum(ad.mul(p, p), axis=1)
         neg = ad.scale(pos, 0.5)
         bpr = obj.bpr_loss(pos, neg)
-        cl = obj.infonce_loss(p, [ad.constant(rng.standard_normal((4, 3)))])
-        loss = obj.total_loss(bpr, cl, None, [p], LossWeights(lam2=1.0, lam4=0.1))
+        cl = obj.infonce_loss(p, [ad.constant(rng.standard_normal((4, 3)))], tau=0.085, paper_sign=False)
+        loss = obj.total_loss(bpr, cl, None, [p], lam2=1.0, lam3=0.01, lam4=0.1)
     grads = tape.backward(loss, params=[p])
     g = grads.get(p)
     assert g is not None and np.isfinite(g).all() and np.any(g != 0)

@@ -16,7 +16,6 @@ from mmssl.autodiff import GradientMap, NumericError, Tape
 from mmssl.data import SyntheticSpec, generate_synthetic, split_edges
 from mmssl.encoder import EncoderConfig
 from mmssl.evaluation import EvalConfig
-from mmssl.objectives import LossWeights
 from mmssl.trainer import (
     AdamOptimizer,
     AdvConfig,
@@ -59,7 +58,7 @@ def tiny_configs(epochs=3, **overrides):
         cfg,
         EncoderConfig(top_k=3),
         AdvConfig(),
-        ObjectiveConfig(weights=LossWeights(lam2=0.1, lam3=0.01)),
+        ObjectiveConfig(lambda2=0.1, lambda3=0.01),
         EvalConfig(),
     )
 
@@ -193,7 +192,7 @@ def test_split_of_another_graph_rejected():
     fewer = generate_synthetic(SyntheticSpec(num_users=11, num_items=10, modality_dims=(6, 5)))[0]
     for other in (wider, fewer):
         with pytest.raises(ValueError, match=r"split.train is not of the graph.s shape"):
-            Trainer(cfg, enc, adv, objc, evc, graph, features, split_edges(other, seed=0))
+            Trainer(cfg, enc, adv, objc, evc, graph, features, split_edges(other, (0.8, 0.1, 0.1), seed=0))
 
 
 @pytest.mark.parametrize("num_users", [5, 40])
