@@ -344,8 +344,8 @@ def loss_g(fake_scores_per_modality: list[Tensor]) -> Tensor:
 
 
 def loss_d(
-    real_scores: Tensor,
-    fake_scores: Tensor,
+    real: np.ndarray,
+    fake: np.ndarray,
     gp_rows: np.ndarray,
     disc: DiscriminatorParams,
     lam1: float,
@@ -355,11 +355,15 @@ def loss_d(
 ) -> Tensor:
     """Critic loss: E[D(real)] - E[D(fake)] plus the unit-norm penalty.
 
-    The penalty differentiates each interpolated row through the critic and
+    The critic scores the real rows, then the fake rows, then the penalty's
+    interpolated rows, all in the given mode with draws from ``rng``.  The
+    penalty differentiates each interpolated row through the critic and
     pushes the gradient norm toward one.  ``negate_critic`` flips the sign
     of the score difference for the conventional critic direction while
     keeping the penalty positive.
     """
+    real_scores = discriminate(real, disc, train, rng)
+    fake_scores = discriminate(fake, disc, train, rng)
     diff = ad.sub(ad.mean(real_scores), ad.mean(fake_scores))
     if negate_critic:
         diff = ad.scale(diff, -1.0)

@@ -138,7 +138,9 @@ def _cmd_eval(args) -> int:
     if args.k is not None and args.k < 1:
         raise CliError(f"--k must be at least 1, got {args.k}")
     arrays, meta = load_checkpoint(args.checkpoint)
-    flat = dict(meta.get("config", {}))
+    flat = meta.get("config", {})
+    if not isinstance(flat, dict):
+        raise CliError(f"{Path(args.checkpoint).name}: checkpoint config is not a JSON object")
     # older checkpoints store these retired keys; neither ever changed a
     # result, so dropping them is safe
     for key in ("eval.threads", "adv.block_rows"):

@@ -436,7 +436,7 @@ def build_norm_adjacency(graph: InteractionGraph) -> NormalizedAdjacency:
 DEFAULT_BUCKET_BOUNDARIES = (0, 4, 6, 9, 13, 100)
 
 
-def bucket_labels(boundaries=DEFAULT_BUCKET_BOUNDARIES) -> list[str]:
+def bucket_labels(boundaries) -> list[str]:
     return [f"[{a},{b})" for a, b in zip(boundaries[:-1], boundaries[1:])]
 
 
@@ -450,10 +450,7 @@ def check_bucket_boundaries(boundaries) -> None:
         raise ValueError(f"need at least two bucket boundaries, got {bounds}")
 
 
-def sparsity_buckets(
-    degrees: np.ndarray,
-    boundaries=DEFAULT_BUCKET_BOUNDARIES,
-) -> dict[str, np.ndarray]:
+def sparsity_buckets(degrees: np.ndarray, boundaries) -> dict[str, np.ndarray]:
     """Partition users into half-open interaction-count ranges.
 
     Degrees below the first boundary fall into the first bucket and degrees

@@ -69,10 +69,9 @@ class CheckInstance:
         )
 
     def loss_d(self) -> Tensor:
-        real = adversarial.discriminate(self.real_rows, self.state.disc, train=False)
-        fake = adversarial.discriminate(self.fake_rows, self.state.disc, train=False)
         return adversarial.loss_d(
-            real, fake, self.gp_rows, self.state.disc, self.lam1, negate_critic=False, train=False
+            self.real_rows, self.fake_rows, self.gp_rows, self.state.disc, self.lam1,
+            negate_critic=False, train=False,
         )
 
     def loss_total(self) -> Tensor:

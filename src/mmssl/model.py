@@ -75,17 +75,15 @@ class ForwardResult:
     prior_users: list[Tensor]  # modality collaborative embeddings, user side
     prior_items: list[Tensor]
     views_users: list[Tensor]  # semantic-neighbor modality views, user side
-    views_items: list[Tensor]
 
 
 @dataclass
 class SemanticChain:
-    """Propagated embeddings and the modality views they were built from."""
+    """Propagated embeddings and the user-side modality views InfoNCE reads."""
 
     prop_users: Tensor
     prop_items: Tensor
     views_users: list[Tensor]
-    views_items: list[Tensor]
 
 
 def semantic_embeddings(
@@ -116,7 +114,7 @@ def semantic_embeddings(
     prop_u, prop_i = enc.propagate_high_order(
         adj, state.ids.users, state.ids.items, summary_u, summary_i, cfg.layers, cfg.eta
     )
-    return SemanticChain(prop_u, prop_i, views_u, views_i)
+    return SemanticChain(prop_u, prop_i, views_u)
 
 
 def forward_embeddings(
@@ -152,7 +150,6 @@ def forward_embeddings(
         prior_users=prior_u,
         prior_items=prior_i,
         views_users=semantic.views_users,
-        views_items=semantic.views_items,
     )
 
 

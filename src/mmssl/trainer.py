@@ -203,6 +203,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         meta = json.loads(blob[offset : offset + meta_len].decode("utf-8"))
     except (struct.error, UnicodeDecodeError, json.JSONDecodeError, ValueError) as e:
         raise ValueError(f"{path.name}: corrupt checkpoint payload: {e}") from e
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path.name}: checkpoint metadata is not a JSON object")
     return arrays, meta
 
 
@@ -332,68 +334,47 @@ class Trainer:
         d_steps = 0 if self.cfg.disable_asl else self.cfg.d_steps
         return [self.d_step(taped) for _ in range(d_steps)], self.g_step(taped)
 
-    def d_step(self, taped: tuple[ad.Tape, mdl.SemanticChain] | None = None) -> float:
-        """One critic update on frozen generator outputs.
-
-        With the Gumbel proxy's augmentation on, the eval-mode forward reads
-        the ``(tape, chain)`` pair ``taped``, or a chain of its own.
-        """
+    def d_step(self, taped: tuple[ad.Tape, mdl.SemanticChain]) -> float:
+        """One critic update on frozen generator outputs: the eval-mode
+        forward of the step's ``(tape, chain)`` pair ``taped``."""
         cfg = self.cfg
         batch_users = self.rng_adv.integers(0, self.graph.num_users, size=cfg.batch_size)
-        fwd = h_u = h_i = None
-        if not cfg.disable_gumbel and self.adv_cfg.zeta != 0.0:
-            chain_tape, chain = taped or self._record_chain()
-            # taped ops skip their own finiteness checks; check what is read
-            for t in (chain.prop_users, chain.prop_items):
-                chain_tape.require_finite(t, "non-finite semantic embeddings")
-            fwd = self._eval_forward(chain)
-            h_u, h_i = fwd.h_users.data[batch_users], fwd.h_items.data
+        chain_tape, chain = taped
+        # taped ops skip their own finiteness checks; check what is read
+        for t in (chain.prop_users, chain.prop_items):
+            chain_tape.require_finite(t, "non-finite semantic embeddings")
+        fwd = self._eval_forward(chain)
         real = adversarial.gumbel_real_proxy(
             self.split.train.matrix[batch_users].toarray(), self.rng_adv,
-            self.adv_cfg.tau, self.adv_cfg.zeta, cfg.disable_gumbel, h_u, h_i,
+            self.adv_cfg.tau, self.adv_cfg.zeta, cfg.disable_gumbel,
+            fwd.h_users.data[batch_users], fwd.h_items.data,
         )
         fake = np.empty((len(batch_users), self.graph.num_items))
         assignment = self.rng_adv.integers(0, len(self.features), size=len(batch_users))
-        for m, table in enumerate(self.features):
+        for m, (f_u, f_i) in enumerate(zip(fwd.prior_users, fwd.prior_items)):
             rows = np.flatnonzero(assignment == m)
-            if rows.size == 0:
-                continue
-            if fwd is not None:  # the same eval-mode embeddings, already computed
-                f_u, f_i = fwd.prior_users[m], fwd.prior_items[m]
-            else:
-                f_u, f_i = adversarial.modality_collab_embeddings(
-                    self.adj, table.as_float64(), self.state.gen, m, train=False
-                )
-            fake[rows] = adversarial.user_relation_rows(f_u, f_i, batch_users[rows]).data
+            if rows.size:
+                fake[rows] = adversarial.user_relation_rows(f_u, f_i, batch_users[rows]).data
         del fwd  # the critic's tape needs none of the forward's arrays
         gp_rows = adversarial.interpolate_rows(real, fake, self.rng_adv)
         with ad.Tape() as tape:
-            real_scores = adversarial.discriminate(real, self.state.disc, train=True, rng=self.rng_adv)
-            fake_scores = adversarial.discriminate(fake, self.state.disc, train=True, rng=self.rng_adv)
             loss = adversarial.loss_d(
-                real_scores,
-                fake_scores,
-                gp_rows,
-                self.state.disc,
-                lam1=self.adv_cfg.lam1,
-                train=True,
-                rng=self.rng_adv,
-                negate_critic=self.adv_cfg.negate_critic,
+                real, fake, gp_rows, self.state.disc, lam1=self.adv_cfg.lam1,
+                negate_critic=self.adv_cfg.negate_critic, train=True, rng=self.rng_adv,
             )
         grads = tape.backward(loss, params=self.state.discriminator_parameters())
         self.opt_disc.step(grads)
         return loss.item()
 
-    def g_step(self, taped: tuple[ad.Tape, mdl.SemanticChain] | None = None) -> dict[str, float]:
+    def g_step(self, taped: tuple[ad.Tape, mdl.SemanticChain]) -> dict[str, float]:
         """One generator-side update over every non-critic parameter, which
-        differentiates the ``(tape, chain)`` pair ``taped``, or a chain of
-        its own."""
+        differentiates the step's ``(tape, chain)`` pair ``taped``."""
         cfg = self.cfg
         triplets = sample_bpr_triplets(self.split, self.graph, cfg.batch_size, self.rng)
         adv_users = None
         if not cfg.disable_asl:
             adv_users = self.rng_adv.integers(0, self.graph.num_users, size=cfg.batch_size)
-        tape, chain = taped or self._record_chain()
+        tape, chain = taped
         with tape:
             fwd = mdl.forward_embeddings(
                 self.state,

@@ -134,10 +134,8 @@ def test_loss_d_antisymmetric_without_penalty():
     real = rng.standard_normal((5, 8))
     fake = rng.standard_normal((5, 8))
     gp = adv.interpolate_rows(real, fake, rng)
-    s_real = adv.discriminate(real, disc, train=False)
-    s_fake = adv.discriminate(fake, disc, train=False)
-    fwd = adv.loss_d(s_real, s_fake, gp, disc, lam1=0.0, train=False, negate_critic=False)
-    rev = adv.loss_d(s_fake, s_real, gp, disc, lam1=0.0, train=False, negate_critic=False)
+    fwd = adv.loss_d(real, fake, gp, disc, lam1=0.0, train=False, negate_critic=False)
+    rev = adv.loss_d(fake, real, gp, disc, lam1=0.0, train=False, negate_critic=False)
     np.testing.assert_allclose(fwd.data, -rev.data, rtol=1e-12)
 
 
@@ -147,13 +145,11 @@ def test_negate_critic_flips_difference_only():
     real = rng.standard_normal((5, 8))
     fake = rng.standard_normal((5, 8))
     gp = adv.interpolate_rows(real, fake, rng)
-    s_real = adv.discriminate(real, disc, train=False)
-    s_fake = adv.discriminate(fake, disc, train=False)
-    plain = adv.loss_d(s_real, s_fake, gp, disc, lam1=0.0, train=False, negate_critic=False).data
-    flipped = adv.loss_d(s_real, s_fake, gp, disc, lam1=0.0, train=False, negate_critic=True).data
+    plain = adv.loss_d(real, fake, gp, disc, lam1=0.0, train=False, negate_critic=False).data
+    flipped = adv.loss_d(real, fake, gp, disc, lam1=0.0, train=False, negate_critic=True).data
     np.testing.assert_allclose(flipped, -plain, rtol=1e-12)
-    with_pen = adv.loss_d(s_real, s_fake, gp, disc, lam1=1.0, train=False, negate_critic=False).data
-    with_pen_neg = adv.loss_d(s_real, s_fake, gp, disc, lam1=1.0, train=False, negate_critic=True).data
+    with_pen = adv.loss_d(real, fake, gp, disc, lam1=1.0, train=False, negate_critic=False).data
+    with_pen_neg = adv.loss_d(real, fake, gp, disc, lam1=1.0, train=False, negate_critic=True).data
     np.testing.assert_allclose(with_pen - plain, with_pen_neg - flipped, rtol=1e-10)
 
 
@@ -212,9 +208,7 @@ def test_train_mode_critic_loss_matches_central_differences(seed):
 
     def loss():
         call_rng = np.random.default_rng(21)
-        s_real = adv.discriminate(real, disc, train=True, rng=call_rng)
-        s_fake = adv.discriminate(fake, disc, train=True, rng=call_rng)
-        return adv.loss_d(s_real, s_fake, gp, disc, lam1=1.0, negate_critic=False, train=True, rng=call_rng)
+        return adv.loss_d(real, fake, gp, disc, lam1=1.0, negate_critic=False, train=True, rng=call_rng)
 
     with ad.Tape() as tape:
         out = loss()

@@ -402,6 +402,30 @@ def test_eval_rejects_truncated_checkpoint_header(data_dir, tmp_path, capsys):
     assert "truncated checkpoint header" in err and "Traceback" not in err
 
 
+def test_non_object_checkpoint_metadata_exits_one_naming_the_file(data_dir, train_dir, tmp_path, capsys):
+    arrays, _ = load_checkpoint(train_dir / "final.ckpt")
+    broken = tmp_path / "listed.ckpt"
+    save_checkpoint(broken, arrays, [1, 2])
+    resume = [
+        "train", "--data", str(data_dir), "--out", str(tmp_path / "out"),
+        "--config", str(train_dir / "config.json"), "--resume", str(broken),
+    ]
+    for argv in (["eval", "--checkpoint", str(broken), "--data", str(data_dir)], resume):
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "listed.ckpt: checkpoint metadata is not a JSON object" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_rejects_a_checkpoint_config_that_is_not_an_object(data_dir, train_dir, tmp_path, capsys):
+    arrays, meta = load_checkpoint(train_dir / "final.ckpt")
+    broken = tmp_path / "listed.ckpt"
+    save_checkpoint(broken, arrays, {**meta, "config": [1, 2]})
+    assert main(["eval", "--checkpoint", str(broken), "--data", str(data_dir)]) == 1
+    assert "listed.ckpt: checkpoint config is not a JSON object" in capsys.readouterr().err
+
+
 def test_report_reads_eval_json_output(data_dir, train_dir, tmp_path, capsys):
     args = ["--checkpoint", str(train_dir / "best.ckpt"), "--data", str(data_dir)]
     assert main(["eval", *args, "--format", "json"]) == 0

@@ -103,6 +103,8 @@ CONFIG_BACKED = [
     (adversarial.gumbel_real_proxy, ("tau", "zeta", "disable")),
     (adversarial.loss_d, ("lam1", "negate_critic")),
     (evaluation.evaluate_scores, ("k",)),
+    (data.sparsity_buckets, ("boundaries",)),
+    (data.bucket_labels, ("boundaries",)),
     (data.split_edges, ("ratios", "seed")),
     (model.init_model, ("gen_dropout", "disc_dropout")),
     (adversarial.GeneratorParams, ("dropout_rate",)),

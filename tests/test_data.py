@@ -527,8 +527,11 @@ def test_graph_errors_match_the_per_edge_loop(num_users, num_items, edges):
     assert str(err.value) == expected
 
 
+PAPER_BUCKETS = (0, 4, 6, 9, 13, 100)
+
+
 def test_bucket_labels_match_report_header():
-    assert bucket_labels((0, 4, 6, 9, 13, 100)) == [
+    assert bucket_labels(PAPER_BUCKETS) == [
         "[0,4)",
         "[4,6)",
         "[6,9)",
@@ -538,14 +541,14 @@ def test_bucket_labels_match_report_header():
 
 
 def test_buckets_example_from_degrees():
-    groups = sparsity_buckets(np.array([2, 5, 7]))
-    assert [len(groups[b]) for b in bucket_labels()] == [1, 1, 1, 0, 0]
+    groups = sparsity_buckets(np.array([2, 5, 7]), PAPER_BUCKETS)
+    assert [len(groups[b]) for b in bucket_labels(PAPER_BUCKETS)] == [1, 1, 1, 0, 0]
 
 
 @settings(deadline=None, max_examples=30)
 @given(st.lists(st.integers(0, 99), min_size=1, max_size=60))
 def test_buckets_partition_users(degrees):
-    groups = sparsity_buckets(np.array(degrees))
+    groups = sparsity_buckets(np.array(degrees), PAPER_BUCKETS)
     ids = np.concatenate(list(groups.values()))
     assert sorted(ids.tolist()) == list(range(len(degrees)))
 
@@ -557,7 +560,7 @@ def test_buckets_reject_bad_boundaries(boundaries):
 
 
 def test_buckets_all_zero_degree():
-    groups = sparsity_buckets(np.zeros(5, dtype=int))
+    groups = sparsity_buckets(np.zeros(5, dtype=int), PAPER_BUCKETS)
     assert len(groups["[0,4)"]) == 5
 
 

@@ -12,7 +12,7 @@ from mmssl import adversarial, encoder
 from mmssl import autodiff as ad
 from mmssl import model as mdl
 from mmssl import objectives as obj
-from mmssl.autodiff import GradientMap, NumericError, Tape
+from mmssl.autodiff import NumericError, Tape
 from mmssl.data import SyntheticSpec, generate_synthetic, split_edges
 from mmssl.encoder import EncoderConfig
 from mmssl.evaluation import EvalConfig
@@ -125,13 +125,13 @@ def test_step_parameter_partition():
 
     gen_before = snapshot(gen_params)
     disc_before = snapshot(disc_params)
-    trainer.d_step()
+    trainer.d_step(trainer._record_chain())
     assert changed(gen_before, gen_params) == set()
     assert changed(disc_before, disc_params)  # critic actually moved
 
     disc_before = snapshot(disc_params)
     gen_before = snapshot(gen_params)
-    trainer.g_step()
+    trainer.g_step(trainer._record_chain())
     assert changed(disc_before, disc_params) == set()
     moved = changed(gen_before, gen_params)
     assert "id.users" in moved and "id.items" in moved
@@ -501,7 +501,7 @@ def _g_step_peak(**overrides):
     )
     tracemalloc.start()
     try:
-        trainer.g_step()
+        trainer.g_step(trainer._record_chain())
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -603,15 +603,6 @@ def count_chains(monkeypatch):
     return calls
 
 
-def step_losses(trainer, steps):
-    losses = []
-    for _ in range(steps):
-        for _ in range(trainer.cfg.d_steps):
-            losses.append(trainer.d_step())
-        losses.extend(trainer.g_step().values())
-    return losses
-
-
 def train_step_losses(trainer, steps):
     losses = []
     for _ in range(steps):
@@ -630,24 +621,7 @@ def tapes_held(trainer):
     ]
 
 
-def test_train_step_shares_one_chain_bitwise_like_standalone_steps(monkeypatch):
-    calls = count_chains(monkeypatch)
-    shared = build_trainer(d_steps=2)
-    assert shared.cfg.disable_cl is False and shared.cfg.disable_gumbel is False
-    shared_losses = train_step_losses(shared, 3)
-    assert len(calls) == 3  # one chain per step: both critic steps and the g_step share it
-
-    del calls[:]
-    standalone = build_trainer(d_steps=2)
-    standalone_losses = step_losses(standalone, 3)
-    assert len(calls) == 9  # each standalone step records its own chain
-    assert shared_losses == standalone_losses  # exact float equality
-    assert shared.opt_gen.t == standalone.opt_gen.t == 3
-    want, got = standalone._snapshot_arrays(), shared._snapshot_arrays()
-    assert [n for n in want if not np.array_equal(want[n], got[n])] == []
-
-
-def test_step_losses_match_the_values_pinned_before_the_chain_was_shared():
+def test_step_losses_match_the_values_pinned_before_the_chain_was_shared(monkeypatch):
     # d, d, then (l_bpr, l_cl, l_g) of three steps, printed at the commit
     # that computed the chain twice per step; rel 1e-12 leaves room for
     # another BLAS build's rounding, a stale or misplaced chain moves far more
@@ -659,8 +633,50 @@ def test_step_losses_match_the_values_pinned_before_the_chain_was_shared():
         0.9354192892677626, 0.8445184652030161,
         0.42638665601096337, 3.983123742062702, -0.5483857060434666,
     ]
-    assert step_losses(build_trainer(d_steps=2), 3) == pytest.approx(pinned, rel=1e-12, abs=0)
-    assert train_step_losses(build_trainer(d_steps=2), 3) == pytest.approx(pinned, rel=1e-12, abs=0)
+    calls = count_chains(monkeypatch)
+    trainer = build_trainer(d_steps=2)
+    assert trainer.cfg.disable_cl is False and trainer.cfg.disable_gumbel is False
+    assert train_step_losses(trainer, 3) == pytest.approx(pinned, rel=1e-12, abs=0)
+    assert len(calls) == 3  # one chain per step: both critic steps and the g_step share it
+
+
+@pytest.mark.parametrize(
+    "setting, pinned",
+    [
+        (
+            "disable_gumbel",
+            [
+                0.6526063987458883, 0.41148244699889486,
+                0.23643154023144114, 3.9570947018490754, -0.9539924627629072,
+                1.1756309294360863, 0.6185843853423817,
+                0.34500921227247416, 4.029222286921767, -0.9973393751425328,
+                0.7219397663776932, 0.2643780191145102,
+                0.42638839721325905, 3.9830985826556606, -0.8695911490527553,
+            ],
+        ),
+        (
+            "zeta=0",
+            [
+                3.3601049008037727, 0.032069208867389704,
+                0.23643154023144114, 3.9570947018490754, -0.9531451684812047,
+                0.4030933654167852, 0.23740383693891604,
+                0.34500921238725246, 4.029222285789133, -1.0316625599198748,
+                0.1083786804801368, 0.6086700562279732,
+                0.4263887634701323, 3.9830998103210797, -0.9581495937828484,
+            ],
+        ),
+    ],
+)
+def test_step_losses_without_the_gumbel_augmentation_match_pinned_values(setting, pinned):
+    # d, d, then (l_bpr, l_cl, l_g) of three train_steps, printed at the commit
+    # whose critic step took its fake rows from a second modality pass when
+    # the augmentation was off; the critic now reads the step's one forward
+    if setting == "disable_gumbel":
+        trainer = build_trainer(d_steps=2, disable_gumbel=True)
+    else:
+        trainer = build_trainer(d_steps=2)
+        trainer.adv_cfg.zeta = 0.0
+    assert train_step_losses(trainer, 3) == pytest.approx(pinned, rel=1e-12, abs=0)
 
 
 def test_epoch_log_matches_the_values_pinned_before_train_step():
@@ -673,15 +689,6 @@ def test_epoch_log_matches_the_values_pinned_before_train_step():
     log = run_tiny(epochs=2, d_steps=2).log
     got = [[record[k] for k in ("l_d", "l_bpr", "l_cl", "l_g")] for record in log]
     assert got == [pytest.approx(row, rel=1e-12, abs=0) for row in pinned]
-
-
-def test_a_hand_edit_between_the_steps_reaches_the_next_g_step():
-    edited, twin = build_trainer(), build_trainer()
-    for trainer in (edited, twin):
-        trainer.d_step()
-        trainer.state.ids.users.data *= 1.5
-    twin._restore_arrays(twin._snapshot_arrays())  # no chain from before a restore is read
-    assert edited.g_step() == twin.g_step()
 
 
 def test_no_trainer_attribute_holds_a_tape_after_a_step(monkeypatch):
@@ -725,63 +732,16 @@ def test_every_record_of_both_step_tapes_reaches_the_loss(monkeypatch, disable_c
     assert seen == [[], [], []]  # two critic tapes, then the generator's
 
 
-def _reassign_neighborhoods(trainer, tmp_path):
-    trainer.neighborhoods = list(trainer.neighborhoods)  # same arrays, another object
-
-
-def _restore(trainer, tmp_path):
-    trainer.restore(tmp_path / "saved.ckpt")
-
-
-def _restore_arrays(trainer, tmp_path):
-    trainer._restore_arrays(trainer._snapshot_arrays())
-
-
-def _generator_update(trainer, tmp_path):
-    trainer.opt_gen.step(GradientMap())  # zero gradients, but weight decay moves every parameter
-
-
-@pytest.mark.parametrize(
-    "between", [_reassign_neighborhoods, _restore, _restore_arrays, _generator_update]
-)
-def test_held_chain_is_rebuilt_after_a_change_between_the_steps(tmp_path, monkeypatch, between):
-    trainer = build_trainer()
-    trainer.save(tmp_path / "saved.ckpt")
-    calls = count_chains(monkeypatch)
-    trainer.d_step()
-    between(trainer, tmp_path)
-    trainer.g_step()
-    assert len(calls) == 2
-
-
-def test_held_chain_is_dropped_by_a_g_step_that_raised(monkeypatch):
-    trainer = build_trainer()
-    calls = count_chains(monkeypatch)
-    trainer.d_step()
-
-    def fail(*args, **kwargs):
-        raise RuntimeError("loss assembly failed")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(mdl, "generator_losses", fail)
-        with pytest.raises(RuntimeError, match="loss assembly failed"):
-            trainer.g_step()
-    assert tapes_held(trainer) == []
-    losses = trainer.g_step()
-    # each standalone step records its own chain
-    assert len(calls) == 3 and all(np.isfinite(v) for v in losses.values())
-
-
 def test_non_finite_id_row_names_the_op_in_both_steps():
     # the critic step's chain is taped, so its ops skip their own checks;
     # the step checks what it reads and names the op, as an untaped forward did
     trainer = build_trainer()
     trainer.state.ids.users.data[3] = np.nan
     with pytest.raises(NumericError, match="non-finite value produced by 'sparse_matmul'"):
-        trainer.d_step()
+        trainer.d_step(trainer._record_chain())
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericError, match="non-finite value produced by 'sparse_matmul'"):
-            trainer.g_step()
+            trainer.g_step(trainer._record_chain())
 
 
 def test_an_inf_made_inside_propagation_names_the_segment():
@@ -792,7 +752,7 @@ def test_an_inf_made_inside_propagation_names_the_segment():
     trainer.adj.item_from_user.data *= 1e200
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match="non-finite value produced by 'propagate'"):
-            trainer.d_step()  # checks the chain it reads with Tape.require_finite
+            trainer.d_step(trainer._record_chain())  # checks the chain it reads with Tape.require_finite
         tape, chain = trainer._record_chain()
         with tape:
             loss = ad.reduce_sum(ad.add(chain.prop_users, ad.reduce_sum(chain.prop_items)))
@@ -800,7 +760,7 @@ def test_an_inf_made_inside_propagation_names_the_segment():
             tape.backward(loss, params=trainer.state.generator_parameters())
 
 
-@pytest.mark.parametrize("call", ["train_step", "d_step", "g_step", "evaluate"])
+@pytest.mark.parametrize("call", ["train_step", "evaluate"])
 def test_steps_before_any_refresh_say_how_to_get_neighborhoods(call):
     graph, features, split = tiny_problem()
     trainer = Trainer(*tiny_configs(), graph, features, split)
