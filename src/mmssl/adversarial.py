@@ -52,10 +52,7 @@ class GeneratorParams:
     ) -> "GeneratorParams":
         weights, biases = [], []
         for m, dim in enumerate(modality_dims):
-            bound = np.sqrt(6.0 / (dim + embed_dim))
-            weights.append(
-                ad.parameter(rng.uniform(-bound, bound, size=(dim, embed_dim)), f"gen.w{m}")
-            )
+            weights.append(ad.xavier_parameter(rng, dim, embed_dim, f"gen.w{m}"))
             biases.append(ad.parameter(np.zeros(embed_dim), f"gen.b{m}"))
         return cls(weights=weights, biases=biases, dropout_rate=dropout_rate)
 
@@ -87,8 +84,8 @@ def modality_collab_embeddings(
             gen.biases[modality],
         )
         feats = ad.dropout(feats, gen.dropout_rate, rng, train)
-        f_user = ad.sparse_matmul(adj.user_from_item, feats, lambda: adj.user_from_item_t)
-        f_item = ad.sparse_matmul(adj.item_from_user, f_user, lambda: adj.item_from_user_t)
+        f_user = ad.sparse_matmul(adj.user_from_item, feats)
+        f_item = ad.sparse_matmul(adj.item_from_user, f_user)
         return f_user, f_item
 
     return ad.segment("modality_collab_embeddings", collab)
@@ -206,22 +203,18 @@ class DiscriminatorParams:
         rng: np.random.Generator,
         dropout_rate: float,
     ) -> "DiscriminatorParams":
-        def xavier(fan_in, fan_out, name):
-            bound = np.sqrt(6.0 / (fan_in + fan_out))
-            return ad.parameter(rng.uniform(-bound, bound, size=(fan_in, fan_out)), name)
-
         return cls(
-            w1=xavier(num_items, hidden, "disc.w1"),
+            w1=ad.xavier_parameter(rng, num_items, hidden, "disc.w1"),
             b1=ad.parameter(np.zeros(hidden), "disc.b1"),
             gamma1=ad.parameter(np.ones(hidden), "disc.gamma1"),
             beta1=ad.parameter(np.zeros(hidden), "disc.beta1"),
             bn1=BatchNormState.create(hidden),
-            w2=xavier(hidden, hidden, "disc.w2"),
+            w2=ad.xavier_parameter(rng, hidden, hidden, "disc.w2"),
             b2=ad.parameter(np.zeros(hidden), "disc.b2"),
             gamma2=ad.parameter(np.ones(hidden), "disc.gamma2"),
             beta2=ad.parameter(np.zeros(hidden), "disc.beta2"),
             bn2=BatchNormState.create(hidden),
-            w3=xavier(hidden, 1, "disc.w3"),
+            w3=ad.xavier_parameter(rng, hidden, 1, "disc.w3"),
             b3=ad.parameter(np.zeros(1), "disc.b3"),
             dropout_rate=dropout_rate,
         )

@@ -38,6 +38,7 @@ __all__ = [
     "GradientMap",
     "segment",
     "parameter",
+    "xavier_parameter",
     "constant",
     "add",
     "sub",
@@ -118,6 +119,12 @@ class Tensor:
 
 def parameter(data, name: str) -> Tensor:
     return Tensor(data, requires_grad=True, name=name)
+
+
+def xavier_parameter(rng: np.random.Generator, fan_in: int, fan_out: int, name: str) -> Tensor:
+    """A (fan_in, fan_out) parameter drawn from ``rng``, Xavier-uniform."""
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    return parameter(rng.uniform(-bound, bound, size=(fan_in, fan_out)), name)
 
 
 def constant(data) -> Tensor:
@@ -453,21 +460,17 @@ def matmul(a, b) -> Tensor:
     return out
 
 
-def sparse_matmul(
-    s: sp.spmatrix, x, transpose: Callable[[], sp.csr_matrix] | None = None
-) -> Tensor:
-    """Multiply a constant sparse matrix against a dense tensor.
+def sparse_matmul(s: sp.csr_matrix, x) -> Tensor:
+    """Multiply a constant CSR matrix against a dense tensor.
 
-    The vjp multiplies by the CSR transpose of ``s``.  ``transpose``, if
-    given, returns it (an owner builds it once and keeps it); otherwise it is
-    built here.  Either way it is asked for only while a tape records.
+    The vjp multiplies by ``s.T``, the CSC view of ``s``, which copies
+    nothing.  It adds each output row's terms in the order a CSR transpose
+    would store them, so its bits equal a product with that transpose.
     """
     x = _as_tensor(x)
     out = Tensor(np.asarray(s @ x.data))
     _check_finite(out.data, "sparse_matmul")
-    if _ACTIVE is not None:
-        st = transpose() if transpose is not None else s.T.tocsr()
-        _record("sparse_matmul", out, (x,), lambda g: (np.asarray(st @ g),))
+    _record("sparse_matmul", out, (x,), lambda g: (np.asarray(s.T @ g),))
     return out
 
 

@@ -398,20 +398,10 @@ class NormalizedAdjacency:
 
     ``user_from_item[u, i] = 1/sqrt(|N_u|)`` on observed edges, so a row's
     squared entries sum to one; ``item_from_user`` is the item-side analog.
-    The CSR transposes, which only backward passes use, are built on first
-    use and kept.
     """
 
     user_from_item: sp.csr_matrix  # (U, I)
     item_from_user: sp.csr_matrix  # (I, U)
-
-    @cached_property
-    def user_from_item_t(self) -> sp.csr_matrix:
-        return self.user_from_item.T.tocsr()
-
-    @cached_property
-    def item_from_user_t(self) -> sp.csr_matrix:
-        return self.item_from_user.T.tocsr()
 
 
 def _inverse_sqrt_degree_rows(m: sp.csr_matrix) -> sp.csr_matrix:

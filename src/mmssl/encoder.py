@@ -42,11 +42,10 @@ class IdEmbeddings:
 
     @classmethod
     def create(cls, num_users: int, num_items: int, dim: int, rng: np.random.Generator):
-        def xavier(rows, cols, name):
-            bound = np.sqrt(6.0 / (rows + cols))
-            return ad.parameter(rng.uniform(-bound, bound, size=(rows, cols)), name)
-
-        return cls(users=xavier(num_users, dim, "id.users"), items=xavier(num_items, dim, "id.items"))
+        return cls(
+            users=ad.xavier_parameter(rng, num_users, dim, "id.users"),
+            items=ad.xavier_parameter(rng, num_items, dim, "id.items"),
+        )
 
     def parameters(self) -> list[Tensor]:
         return [self.users, self.items]
@@ -64,14 +63,9 @@ class AttentionParams:
         if dim % heads != 0:
             raise ValueError(f"embedding dim {dim} not divisible by {heads} heads")
         dh = dim // heads
-        bound = np.sqrt(6.0 / (dim + dh))
-
-        def xavier(name):
-            return ad.parameter(rng.uniform(-bound, bound, size=(dim, dh)), name)
-
         return cls(
-            query=[xavier(f"attn.q{h}") for h in range(heads)],
-            key=[xavier(f"attn.k{h}") for h in range(heads)],
+            query=[ad.xavier_parameter(rng, dim, dh, f"attn.q{h}") for h in range(heads)],
+            key=[ad.xavier_parameter(rng, dim, dh, f"attn.k{h}") for h in range(heads)],
         )
 
     @property
@@ -100,9 +94,8 @@ class EncoderConfig:
 class SemanticNeighborhood:
     """Top-k ids per row of one relation matrix, both directions.
 
-    The ids never change after construction, so each selection matrix and
-    its CSR transpose (which only backward passes use) is built on first
-    use and kept."""
+    The ids never change after construction, so each selection matrix is
+    built on first use and kept."""
 
     user_neighbors: np.ndarray  # (U, k_u) item ids
     item_neighbors: np.ndarray  # (I, k_i) user ids
@@ -116,14 +109,6 @@ class SemanticNeighborhood:
     def item_select(self) -> sp.csr_matrix:
         """(I, U) weights of each item's neighbour users."""
         return _selection_matrix(self.item_neighbors, self.user_neighbors.shape[0])
-
-    @cached_property
-    def user_select_t(self) -> sp.csr_matrix:
-        return self.user_select.T.tocsr()
-
-    @cached_property
-    def item_select_t(self) -> sp.csr_matrix:
-        return self.item_select.T.tocsr()
 
 
 # A row at least this wide is pruned before its exact top-k: the maxima of
@@ -398,8 +383,8 @@ def modality_view(
     items (and symmetrically for items), so the gradient flows into the id
     tables while the neighbor choice itself stays fixed.
     """
-    e_user = ad.sparse_matmul(neigh.user_select, ids.items, lambda: neigh.user_select_t)
-    e_item = ad.sparse_matmul(neigh.item_select, ids.users, lambda: neigh.item_select_t)
+    e_user = ad.sparse_matmul(neigh.user_select, ids.items)
+    e_item = ad.sparse_matmul(neigh.item_select, ids.users)
     return e_user, e_item
 
 
@@ -466,12 +451,8 @@ def propagate_high_order(
             # both sides advance from layer l together, the block form of the
             # joint recursion over the stacked bipartite adjacency
             prev_u, prev_i = layers_u[-1], layers_i[-1]
-            layers_u.append(
-                ad.sparse_matmul(adj.user_from_item, prev_i, lambda: adj.user_from_item_t)
-            )
-            layers_i.append(
-                ad.sparse_matmul(adj.item_from_user, prev_u, lambda: adj.item_from_user_t)
-            )
+            layers_u.append(ad.sparse_matmul(adj.user_from_item, prev_i))
+            layers_i.append(ad.sparse_matmul(adj.item_from_user, prev_u))
         inv = 1.0 / (layers + 1)
         total_u, total_i = layers_u[0], layers_i[0]
         for lu, li in zip(layers_u[1:], layers_i[1:]):

@@ -212,9 +212,12 @@ def _rng_state(rng: np.random.Generator) -> dict:
     return rng.bit_generator.state
 
 
-def _restore_rng(state: dict) -> np.random.Generator:
+def _restore_rng(meta: dict, key: str) -> np.random.Generator:
     rng = np.random.default_rng(0)
-    rng.bit_generator.state = state
+    try:
+        rng.bit_generator.state = meta[key]
+    except (KeyError, OverflowError, TypeError, ValueError) as e:
+        raise ValueError(f"checkpoint metadata {key} is not a generator state: {e!r}") from e
     return rng
 
 
@@ -512,6 +515,16 @@ class Trainer:
         missing = sorted(set(self.checkpoint_meta()) - set(meta))
         if missing:
             raise ValueError(f"checkpoint metadata is missing {missing[0]}")
+        # a bool is an int, but not a count; best_epoch is -1 until a validation
+        counters = {"epoch": 0, "best_epoch": -1, "bad_epochs": 0, "opt_gen_t": 0, "opt_disc_t": 0}
+        for key, least in counters.items():
+            value = meta[key]
+            if type(value) is not int or value < least:
+                raise ValueError(f"checkpoint metadata {key} is not an integer >= {least}: {value!r}")
+        recall = meta["best_recall"]
+        if type(recall) not in (int, float):
+            raise ValueError(f"checkpoint metadata best_recall is not a number: {recall!r}")
+        rng, rng_adv = _restore_rng(meta, "rng"), _restore_rng(meta, "rng_adv")
         neighborhoods = self.stored_neighborhoods(arrays)
         if neighborhoods is None:
             raise ValueError("checkpoint is missing array nbr.0.users")
@@ -527,8 +540,7 @@ class Trainer:
         self.neighborhoods = neighborhoods
         self.opt_gen.t = meta["opt_gen_t"]
         self.opt_disc.t = meta["opt_disc_t"]
-        self.rng = _restore_rng(meta["rng"])
-        self.rng_adv = _restore_rng(meta["rng_adv"])
+        self.rng, self.rng_adv = rng, rng_adv
         # run() increments epoch before writing, so the stored value is
         # already the index of the next epoch to execute
         self.epoch = meta["epoch"]

@@ -3,7 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.sparse as sp
+from hypothesis import example, given, settings, strategies as st
 
 import mmssl.adversarial as adv
 import mmssl.autodiff as ad
@@ -264,23 +265,35 @@ def test_backward_works_out_partials_only_for_inputs_that_need_them(op):
     assert w in grads and other not in grads
 
 
-def test_sparse_matmul_asks_for_the_transpose_only_while_taping():
-    import scipy.sparse as sp
+@st.composite
+def csr_matrices(draw):
+    """Raw CSR matrices: empty rows and columns, unsorted and repeated entries."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    lengths = draw(st.lists(st.integers(0, 2 * cols), min_size=rows, max_size=rows))
+    nnz = sum(lengths)
+    indices = draw(st.lists(st.integers(0, cols - 1), min_size=nnz, max_size=nnz))
+    data = np.random.default_rng(draw(st.integers(0, 2**31 - 1))).standard_normal(nnz)
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    return sp.csr_matrix((data, np.array(indices, dtype=np.int32), indptr), shape=(rows, cols))
 
-    mat = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]))
-    asked = []
 
-    def transpose():
-        asked.append(1)
-        return mat.T.tocsr()
-
-    x = ad.parameter(np.arange(6.0).reshape(3, 2), "x")
-    ad.sparse_matmul(mat, x, transpose)
-    assert asked == []
+@settings(deadline=None, max_examples=200)
+@given(csr_matrices(), st.integers(1, 4), st.integers(0, 2**31 - 1), st.booleans(), st.booleans())
+@example(sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])), 2, 0, True, False)
+def test_sparse_matmul_gradient_is_the_csr_transpose_product_bitwise(mat, d, seed, ones, f_order):
+    rng = np.random.default_rng(seed)
+    x = ad.parameter(rng.standard_normal((mat.shape[1], d)), "x")
+    g = np.ones((mat.shape[0], d)) if ones else rng.standard_normal((mat.shape[0], d))
     with ad.Tape() as tape:
-        loss = ad.reduce_sum(ad.sparse_matmul(mat, x, transpose))
-    assert asked == [1]
-    np.testing.assert_array_equal(tape.backward(loss, params=[x]).get(x), mat.T @ np.ones((2, 2)))
+        y = ad.sparse_matmul(mat, x)
+        if f_order:  # the gradient reaches the vjp as an F-ordered array
+            loss = ad.reduce_sum(ad.mul(ad.transpose(y), ad.constant(g.T)))
+        else:
+            loss = ad.reduce_sum(ad.mul(y, ad.constant(g)))
+    got = tape.backward(loss, params=[x]).get(x)
+    assert got.tobytes() == np.asarray(mat.T.tocsr() @ g).tobytes()
+    if ones:
+        np.testing.assert_array_equal(got, mat.T @ g)
 
 
 @settings(deadline=None, max_examples=30)
@@ -410,8 +423,6 @@ def test_finite_difference_check_flags_a_wrong_gradient():
 
 
 def test_sparse_matmul_matches_dense():
-    import scipy.sparse as sp
-
     rng = np.random.default_rng(3)
     dense = rng.random((6, 4)) * (rng.random((6, 4)) < 0.4)
     mat = sp.csr_matrix(dense)

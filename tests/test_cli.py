@@ -418,6 +418,35 @@ def test_non_object_checkpoint_metadata_exits_one_naming_the_file(data_dir, trai
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("epoch", "1"),
+        ("rng", {"bit_generator": "PCG64", "state": {}}),
+        ("opt_gen_t", "2"),
+        ("best_recall", "x"),
+        ("bad_epochs", None),
+        ("best_epoch", True),
+        ("epoch", -3),
+        ("opt_disc_t", -1),
+    ],
+)
+def test_resume_rejects_malformed_metadata_naming_the_key(data_dir, train_dir, tmp_path, capsys, key, value):
+    arrays, meta = load_checkpoint(train_dir / "final.ckpt")
+    broken = tmp_path / "malformed.ckpt"
+    save_checkpoint(broken, arrays, {**meta, key: value})
+    code = main(
+        [
+            "train", "--data", str(data_dir), "--out", str(tmp_path / "out"),
+            "--config", str(train_dir / "config.json"), "--resume", str(broken),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"checkpoint metadata {key} is not" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_rejects_a_checkpoint_config_that_is_not_an_object(data_dir, train_dir, tmp_path, capsys):
     arrays, meta = load_checkpoint(train_dir / "final.ckpt")
     broken = tmp_path / "listed.ckpt"

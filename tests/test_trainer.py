@@ -562,6 +562,10 @@ def _without(prefix):
             lambda arrays, meta: (arrays, {k: v for k, v in meta.items() if k != "opt_gen_t"}),
             "metadata is missing opt_gen_t",
         ),
+        (
+            lambda arrays, meta: (arrays, {**meta, "rng_adv": {"bit_generator": "PCG64", "state": {}}}),
+            "metadata rng_adv is not a generator state",
+        ),
     ],
 )
 def test_restore_of_a_bad_checkpoint_changes_nothing(tmp_path, edit, message):
@@ -578,12 +582,12 @@ def test_restore_of_a_bad_checkpoint_changes_nothing(tmp_path, edit, message):
             **{f"d{n}": a.copy() for n, a in trainer.opt_disc.state_arrays("optd").items()},
         }
 
-    before, neighborhoods = state(), trainer.neighborhoods
+    before, neighborhoods, rng = state(), trainer.neighborhoods, trainer.rng
     with pytest.raises(ValueError, match=message):
         trainer.restore(broken)
     after = state()
     assert all(np.array_equal(before[n], after[n]) for n in before)
-    assert trainer.neighborhoods is neighborhoods
+    assert trainer.neighborhoods is neighborhoods and trainer.rng is rng
     assert trainer.epoch == 0 and trainer.opt_gen.t == 0
 
 
