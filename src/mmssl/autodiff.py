@@ -68,6 +68,8 @@ __all__ = [
     "batch_norm",
     "BatchNormState",
     "BN_EPS",
+    "BN_MOMENTUM",
+    "FD_EPS",
     "finite_difference_check",
 ]
 
@@ -876,8 +878,10 @@ def dropout(a, rate: float, rng: np.random.Generator | None, train: bool) -> Ten
     return out
 
 
-# The batch-norm epsilon, added to the variance before its inverse square root.
+# The batch-norm epsilon, added to the variance before its inverse square root,
+# and the weight of a train-mode batch's statistics in the running state.
 BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
 
 
 @dataclass
@@ -898,8 +902,6 @@ def batch_norm(
     beta: Tensor,
     state: BatchNormState,
     train: bool,
-    momentum: float = 0.1,
-    eps: float = BN_EPS,
 ) -> Tensor:
     """Per-feature batch normalization over axis 0.
 
@@ -915,7 +917,7 @@ def batch_norm(
         mu = x.data.mean(axis=0)
         xc = x.data - mu
         var = (xc * xc).mean(axis=0)
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat = xc * inv
         val = gamma.data * xhat + beta.data
         _require_finite(val, "batch_norm")
@@ -930,10 +932,10 @@ def batch_norm(
 
         _record("batch_norm", out, (x, gamma, beta), vjp)
         unbiased = var * n / (n - 1) if n > 1 else var
-        state.mean[:] = (1.0 - momentum) * state.mean + momentum * mu
-        state.var[:] = (1.0 - momentum) * state.var + momentum * unbiased
+        state.mean[:] = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mu
+        state.var[:] = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * unbiased
         return out
-    inv = 1.0 / np.sqrt(state.var + eps)
+    inv = 1.0 / np.sqrt(state.var + BN_EPS)
     xhat = (x.data - state.mean) * inv
     val = gamma.data * xhat + beta.data
     _require_finite(val, "batch_norm")
@@ -951,40 +953,33 @@ def batch_norm(
 # --------------------------------------------------------------------------
 
 
-def finite_difference_check(
-    f: Callable[[], Tensor],
-    params: Sequence[Tensor],
-    eps: float = 1e-5,
-    detail: bool = False,
-):
+# The central-difference step of finite_difference_check.
+FD_EPS = 1e-5
+
+
+def finite_difference_check(f: Callable[[], Tensor], params: Sequence[Tensor]):
     """Compare tape gradients of ``f`` against central finite differences.
 
     ``f`` must be a deterministic scalar map of the current parameter
     values (fix any dropout masks and use eval-mode statistics).  Relative
     error uses denominator max(|analytic|, |numeric|, 1e-8).  Returns the
-    maximum relative error, or a per-parameter dict when ``detail`` is set.
+    maximum relative error over all ``params``.
     """
     with Tape() as tape:
         loss = f()
     analytic = tape.backward(loss, params=params)
-    per_param: dict[str, float] = {}
     worst = 0.0
     for p in params:
         a = analytic.get(p).ravel()
         flat = p.data.ravel()
-        err = 0.0
         for j in range(flat.size):
             orig = flat[j]
-            flat[j] = orig + eps
+            flat[j] = orig + FD_EPS
             fp = f().item()
-            flat[j] = orig - eps
+            flat[j] = orig - FD_EPS
             fm = f().item()
             flat[j] = orig
-            numeric = (fp - fm) / (2.0 * eps)
+            numeric = (fp - fm) / (2.0 * FD_EPS)
             denom = max(abs(a[j]), abs(numeric), 1e-8)
-            err = max(err, abs(a[j] - numeric) / denom)
-        per_param[p.name or f"param{id(p)}"] = err
-        worst = max(worst, err)
-    if detail:
-        return worst, per_param
+            worst = max(worst, abs(a[j] - numeric) / denom)
     return worst

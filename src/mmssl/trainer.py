@@ -88,20 +88,12 @@ class ObjectiveConfig:
 
 
 class AdamOptimizer:
-    """Adaptive-moment update with weight decay decoupled from the moments."""
+    """Adaptive-moment update with weight decay decoupled from the moments,
+    at betas (0.9, 0.999) and eps 1e-8."""
 
-    def __init__(
-        self,
-        params: list[Tensor],
-        lr: float,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, params: list[Tensor], lr: float, weight_decay: float = 0.0):
         self.params = list(params)
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {p.name: np.zeros_like(p.data) for p in self.params}
@@ -109,7 +101,7 @@ class AdamOptimizer:
 
     def step(self, grads: GradientMap) -> None:
         self.t += 1
-        b1, b2 = self.betas
+        b1, b2 = 0.9, 0.999
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for p in self.params:
@@ -122,7 +114,7 @@ class AdamOptimizer:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
 
     def state_arrays(self, prefix: str) -> dict[str, np.ndarray]:
         out = {}
@@ -206,10 +198,6 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     if not isinstance(meta, dict):
         raise ValueError(f"{path.name}: checkpoint metadata is not a JSON object")
     return arrays, meta
-
-
-def _rng_state(rng: np.random.Generator) -> dict:
-    return rng.bit_generator.state
 
 
 def _restore_rng(meta: dict, key: str) -> np.random.Generator:
@@ -448,7 +436,19 @@ class Trainer:
 
     def _restore_arrays(self, arrays: dict[str, np.ndarray], buffers=None) -> None:
         """Copy ``arrays`` into ``buffers`` (default: the model state), after
-        checking that none is missing, so a bad checkpoint changes nothing."""
+        checking that none is missing and that ``arrays`` holds no parameter,
+        statistic, optimizer or ``nbr.`` array this model lacks (one from a
+        run with more modalities), so a bad checkpoint changes nothing.
+        ``best.`` snapshots are not checked here."""
+        known = {
+            *self._state_buffers(),
+            *self.opt_gen.state_arrays("optg"),
+            *self.opt_disc.state_arrays("optd"),
+            *(f"nbr.{m}.{side}" for m in range(len(self.features)) for side in ("users", "items")),
+        }
+        extra = sorted(name for name in arrays if name not in known and not name.startswith("best."))
+        if extra:
+            raise ValueError(f"checkpoint holds array {extra[0]}, which this model does not have")
         buffers = self._state_buffers() if buffers is None else buffers
         for name in sorted(buffers):
             if name not in arrays:
@@ -494,8 +494,8 @@ class Trainer:
     def checkpoint_meta(self) -> dict:
         return {
             "epoch": self.epoch,
-            "rng": _jsonable(_rng_state(self.rng)),
-            "rng_adv": _jsonable(_rng_state(self.rng_adv)),
+            "rng": self.rng.bit_generator.state,
+            "rng_adv": self.rng_adv.bit_generator.state,
             "opt_gen_t": self.opt_gen.t,
             "opt_disc_t": self.opt_disc.t,
             "best_epoch": self.best_epoch,
@@ -649,8 +649,3 @@ def _stored_ids(arrays: dict[str, np.ndarray], name: str, shape: tuple, width: i
     if (ordered[:, 1:] == ordered[:, :-1]).any():
         raise ValueError(f"checkpoint array {name} repeats an id within a row")
     return ids
-
-
-def _jsonable(state: dict):
-    """numpy rng states hold plain ints and strings already; deep-copy via json."""
-    return json.loads(json.dumps(state, default=int))

@@ -1,6 +1,7 @@
 """End-to-end command-line workflows on a throwaway dataset."""
 
 import json
+import re
 import shutil
 
 import pytest
@@ -160,6 +161,15 @@ def test_gradcheck_substrate_passes(capsys):
     assert main(["gradcheck", "--module", "substrate"]) == 0
     out = capsys.readouterr().out
     assert "substrate/" in out and "FAIL" not in out
+
+
+def test_gradcheck_losses_prints_the_five_losses_in_order(capsys):
+    assert main(["gradcheck", "--module", "losses"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        f"losses/{name}" for name in ("l_bpr", "l_cl", "l_g", "l_d", "l_total")
+    ]
+    assert all(re.fullmatch(r"losses/\w+: max_rel_err=\S+ ok", line) for line in lines)
 
 
 def test_gradcheck_impossible_tolerance_fails(capsys):
@@ -635,3 +645,36 @@ def test_eval_reads_stored_ids_as_a_bound_only(between_refreshes, tmp_path, caps
         reports.append(capsys.readouterr().out)
     assert bounded == [True, False, False]  # best.ckpt stores no ids: a cold scan, as before
     assert reports[0] == reports[1]
+
+
+@pytest.fixture(scope="module")
+def three_modalities(tmp_path_factory):
+    """A 2-epoch run on three 16-wide modalities, and its data directory
+    without ``modality1.mmf``."""
+    root = tmp_path_factory.mktemp("three")
+    spec = {"num_users": 120, "num_items": 90, "modality_dims": [16, 16, 16], "seed": 2}
+    (root / "spec.json").write_text(json.dumps(spec))
+    assert main(["synth", "--out", str(root / "data"), "--spec", str(root / "spec.json")]) == 0
+    (root / "config.json").write_text(json.dumps({"train.epochs": 2, "train.steps_per_epoch": 3}))
+    args = ["--data", str(root / "data"), "--config", str(root / "config.json")]
+    assert main(["train", "--out", str(root / "out"), *args]) == 0
+    shutil.copytree(root / "data", root / "two")
+    (root / "two" / "modality1.mmf").unlink()
+    return root
+
+
+@pytest.mark.parametrize("command", ["eval", "resume"])
+def test_checkpoint_with_more_modalities_than_the_data_exits_1(three_modalities, tmp_path, capsys, command):
+    root = three_modalities
+    ckpt = str(root / "out" / "final.ckpt")
+    data = ["--data", str(root / "two")]
+    if command == "eval":
+        argv = ["eval", "--checkpoint", ckpt, "--split", "val", *data]
+    else:
+        config = str(root / "config.json")
+        argv = ["train", "--out", str(tmp_path / "out"), "--config", config, "--resume", ckpt, *data]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "checkpoint holds array gen.b2," in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
