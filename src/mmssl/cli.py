@@ -29,7 +29,7 @@ from .data import (
 from .evaluation import RankingReport
 from .evaluation import evaluate_scores  # noqa: F401  (perfbench's wrapper test binds it here)
 from .gradcheck import run_loss_checks, run_primitive_checks
-from .trainer import Trainer, load_checkpoint, save_checkpoint
+from .trainer import Trainer, load_checkpoint
 
 __all__ = ["main"]
 
@@ -118,9 +118,7 @@ def _cmd_train(args) -> int:
         checkpoint_path=out / "final.ckpt", log_path=out / "metrics.ndjson"
     )
     if result.best_arrays:
-        best_meta = trainer.checkpoint_meta()
-        best_meta["epoch"] = result.best_epoch
-        save_checkpoint(out / "best.ckpt", {**result.best_arrays}, best_meta)
+        trainer.save_best(out / "best.ckpt")
     if result.aborted:
         print("training aborted on a non-finite loss; last finished epoch kept", file=sys.stderr)
         return 2
@@ -147,10 +145,10 @@ def _cmd_eval(args) -> int:
         flat.pop(key, None)
     settings = resolve_settings(flat)
     trainer = _build_trainer(settings, args.data)
-    previous = trainer.stored_neighborhoods(arrays)  # a bound only; best.ckpt has none
-    trainer._restore_arrays(arrays)
+    trainer.load_arrays(arrays)
+    # stored ids are a bound only; best.ckpt has none
     trainer.neighborhoods = mdl.refresh_neighborhoods(
-        trainer.state, trainer.adj, trainer.features, settings.enc.top_k, previous
+        trainer.state, trainer.adj, trainer.features, settings.enc.top_k, trainer.neighborhoods
     )
     report = trainer.evaluate(
         trainer.split.test if args.split == "test" else trainer.split.val,

@@ -116,13 +116,6 @@ class AdamOptimizer:
             v += (1.0 - b2) * g * g
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
 
-    def state_arrays(self, prefix: str) -> dict[str, np.ndarray]:
-        out = {}
-        for p in self.params:
-            out[f"{prefix}.m.{p.name}"] = self.m[p.name]
-            out[f"{prefix}.v.{p.name}"] = self.v[p.name]
-        return out
-
 
 # --------------------------------------------------------------------------
 # Checkpoint container
@@ -422,74 +415,74 @@ class Trainer:
         report = self.evaluate(self.split.val, self.eval_cfg.k)
         return {key: report.overall[key] for key in ("recall", "ndcg", "precision")}
 
-    def _state_buffers(self) -> dict[str, np.ndarray]:
-        """Checkpoint name -> live buffer of every parameter and BN statistic."""
-        buffers = {name: p.data for name, p in self.state.named_parameters().items()}
+    def _layout(self) -> dict[str, dict[str, tuple[tuple[int, ...], np.ndarray | None]]]:
+        """The checkpoint layout: array group -> checkpoint name -> (shape,
+        held value), the value None while the group holds none.
+
+        ``live`` is every parameter and BN statistic, all that ``best.ckpt``
+        holds; ``optg`` and ``optd`` are the two optimizers' moments; ``nbr``
+        is the semantic neighbour ids, held from the first refresh on (exact
+        in float64: a resume between refreshes must train on the same
+        neighbours); ``best`` is the snapshot of ``live`` at the best
+        validation, held from the first one on.
+        """
+        live = {name: p.data for name, p in self.state.named_parameters().items()}
         for layer in ("bn1", "bn2"):
             stats = getattr(self.state.disc, layer)
-            buffers[f"bn.disc.{layer}.mean"] = stats.mean
-            buffers[f"bn.disc.{layer}.var"] = stats.var
-        return buffers
+            live[f"bn.disc.{layer}.mean"] = stats.mean
+            live[f"bn.disc.{layer}.var"] = stats.var
+        users, items, k = self.graph.num_users, self.graph.num_items, self.enc_cfg.top_k
+        layout = {"live": {name: (buf.shape, buf) for name, buf in live.items()}}
+        for prefix, opt in (("optg", self.opt_gen), ("optd", self.opt_disc)):
+            layout[prefix] = {
+                f"{prefix}.{moment}.{name}": (buf.shape, buf)
+                for moment in ("m", "v")
+                for name, buf in getattr(opt, moment).items()
+            }
+        held_ids = [(n.user_neighbors, n.item_neighbors) for n in self.neighborhoods or ()]
+        layout["nbr"] = {}
+        for m, (user_ids, item_ids) in enumerate(held_ids or [(None, None)] * len(self.features)):
+            layout["nbr"][f"nbr.{m}.users"] = ((users, min(k, items)), user_ids)
+            layout["nbr"][f"nbr.{m}.items"] = ((items, min(k, users)), item_ids)
+        layout["best"] = {f"best.{name}": (buf.shape, self.best_arrays.get(name)) for name, buf in live.items()}
+        return layout
 
-    def _snapshot_arrays(self) -> dict[str, np.ndarray]:
-        return {name: buf.copy() for name, buf in self._state_buffers().items()}
-
-    def _restore_arrays(self, arrays: dict[str, np.ndarray], buffers=None) -> None:
-        """Copy ``arrays`` into ``buffers`` (default: the model state), after
-        checking that none is missing and that ``arrays`` holds no parameter,
-        statistic, optimizer or ``nbr.`` array this model lacks (one from a
-        run with more modalities), so a bad checkpoint changes nothing.
-        ``best.`` snapshots are not checked here."""
-        known = {
-            *self._state_buffers(),
-            *self.opt_gen.state_arrays("optg"),
-            *self.opt_disc.state_arrays("optd"),
-            *(f"nbr.{m}.{side}" for m in range(len(self.features)) for side in ("users", "items")),
-        }
-        extra = sorted(name for name in arrays if name not in known and not name.startswith("best."))
-        if extra:
-            raise ValueError(f"checkpoint holds array {extra[0]}, which this model does not have")
-        buffers = self._state_buffers() if buffers is None else buffers
-        for name in sorted(buffers):
-            if name not in arrays:
-                raise ValueError(f"checkpoint is missing array {name}")
-            if arrays[name].shape != buffers[name].shape:
-                raise ValueError(f"checkpoint array {name} has shape {arrays[name].shape}")
-        for name, buf in buffers.items():
-            buf[:] = arrays[name]
-
-    def checkpoint_arrays(self) -> dict[str, np.ndarray]:
-        arrays = self._snapshot_arrays()
-        arrays.update(self.opt_gen.state_arrays("optg"))
-        arrays.update(self.opt_disc.state_arrays("optd"))
-        for name, arr in self.best_arrays.items():
-            arrays[f"best.{name}"] = arr
-        # neighbour ids are exact in float64; a resume between refreshes
-        # (enc.refresh_every > 1) must train on the same neighbours
-        for m, neigh in enumerate(self.neighborhoods or ()):
-            arrays[f"nbr.{m}.users"] = neigh.user_neighbors
-            arrays[f"nbr.{m}.items"] = neigh.item_neighbors
-        return arrays
-
-    def stored_neighborhoods(self, arrays: dict[str, np.ndarray]) -> list[SemanticNeighborhood] | None:
-        """The neighbour ids stored as ``nbr.{m}.users`` and ``nbr.{m}.items``,
-        or None when ``arrays`` holds no ``nbr.`` array (a ``best.ckpt``).
-
-        Each id must be a whole number in range, and no row may repeat one:
-        the ids index the relation matrices, and a refresh reads a row's ids
-        as k distinct entries.  Anything else is a ``ValueError`` naming the
-        array.
-        """
-        if not any(name.startswith("nbr.") for name in arrays):
-            return None
-        num_users, num_items, k = self.graph.num_users, self.graph.num_items, self.enc_cfg.top_k
-        return [
-            SemanticNeighborhood(
-                _stored_ids(arrays, f"nbr.{m}.users", (num_users, min(k, num_items)), num_items),
-                _stored_ids(arrays, f"nbr.{m}.items", (num_items, min(k, num_users)), num_users),
-            )
-            for m in range(len(self.features))
+    def load_arrays(self, arrays: dict[str, np.ndarray], need: tuple[str, ...] = ("live",)) -> None:
+        """Load every group of the layout that ``arrays`` holds, after one
+        check that changes nothing if it fails: each array belongs to a group
+        of this model (not one from a run with more modalities), each group
+        in ``need`` is held, each held group is complete and shaped as the
+        layout says, and each neighbour id is a whole number in range that no
+        other id of its row repeats (the ids index the relation matrices, and
+        a refresh reads a row's ids as k distinct entries).  Anything else is
+        a ``ValueError`` naming the array."""
+        layout = self._layout()
+        # a name belongs to the group its first part names, else to live
+        group_of = {name: name.split(".")[0] if name.split(".")[0] in layout else "live" for name in arrays}
+        held = {group for group, slots in layout.items() if group in need or slots.keys() & arrays.keys()}
+        for group, slots in layout.items():
+            extra = sorted(name for name in arrays if group_of[name] == group and name not in slots)
+            if extra:
+                raise ValueError(f"checkpoint holds array {extra[0]}, which this model does not have")
+            if group not in held:
+                continue
+            for name, (shape, _) in sorted(slots.items()):
+                if name not in arrays:
+                    raise ValueError(f"checkpoint is missing array {name}")
+                if arrays[name].shape != shape:
+                    raise ValueError(f"checkpoint array {name} has shape {arrays[name].shape}")
+        ids = [
+            _stored_ids(name, arrays[name], self.graph.num_items if name.endswith("users") else self.graph.num_users)
+            for name in layout["nbr"]
+            if name in arrays
         ]
+        for group in held & {"live", "optg", "optd"}:
+            for name, (_, buf) in layout[group].items():
+                buf[:] = arrays[name]
+        if ids:
+            self.neighborhoods = [SemanticNeighborhood(*ids[i : i + 2]) for i in range(0, len(ids), 2)]
+        if "best" in held:
+            self.best_arrays = {name: arrays[best] for name, best in zip(layout["live"], layout["best"])}
 
     def checkpoint_meta(self) -> dict:
         return {
@@ -506,7 +499,15 @@ class Trainer:
         }
 
     def save(self, path) -> None:
-        save_checkpoint(path, self.checkpoint_arrays(), self.checkpoint_meta())
+        """Write every held array of the layout, from the live buffers."""
+        layout = self._layout().values()
+        arrays = {name: value for group in layout for name, (_, value) in group.items() if value is not None}
+        save_checkpoint(path, arrays, self.checkpoint_meta())
+
+    def save_best(self, path) -> None:
+        """Write ``best.ckpt``: the ``best`` snapshot under its ``live`` names,
+        stamped with the best epoch."""
+        save_checkpoint(path, self.best_arrays, {**self.checkpoint_meta(), "epoch": self.best_epoch})
 
     def restore(self, path) -> None:
         arrays, meta = load_checkpoint(path)
@@ -522,22 +523,11 @@ class Trainer:
             if type(value) is not int or value < least:
                 raise ValueError(f"checkpoint metadata {key} is not an integer >= {least}: {value!r}")
         recall = meta["best_recall"]
-        if type(recall) not in (int, float):
-            raise ValueError(f"checkpoint metadata best_recall is not a number: {recall!r}")
+        # -1 until a validation, a recall after; NaN fails both comparisons
+        if type(recall) not in (int, float) or not (recall == -1 or 0 <= recall <= 1):
+            raise ValueError(f"checkpoint metadata best_recall is not -1 or a number in [0, 1]: {recall!r}")
         rng, rng_adv = _restore_rng(meta, "rng"), _restore_rng(meta, "rng_adv")
-        neighborhoods = self.stored_neighborhoods(arrays)
-        if neighborhoods is None:
-            raise ValueError("checkpoint is missing array nbr.0.users")
-        # the optimizer state arrays are the optimizers' live moment buffers
-        self._restore_arrays(
-            arrays,
-            {
-                **self._state_buffers(),
-                **self.opt_gen.state_arrays("optg"),
-                **self.opt_disc.state_arrays("optd"),
-            },
-        )
-        self.neighborhoods = neighborhoods
+        self.load_arrays(arrays, need=("live", "optg", "optd", "nbr"))
         self.opt_gen.t = meta["opt_gen_t"]
         self.opt_disc.t = meta["opt_disc_t"]
         self.rng, self.rng_adv = rng, rng_adv
@@ -547,9 +537,6 @@ class Trainer:
         self.best_epoch = meta["best_epoch"]
         self.best_recall = meta["best_recall"]
         self.bad_epochs = meta["bad_epochs"]
-        self.best_arrays = {
-            name[len("best.") :]: arr for name, arr in arrays.items() if name.startswith("best.")
-        }
 
     # -- main loop ----------------------------------------------------------
 
@@ -591,7 +578,7 @@ class Trainer:
                 if record["recall"] > self.best_recall:
                     self.best_recall = record["recall"]
                     self.best_epoch = epoch
-                    self.best_arrays = self._snapshot_arrays()
+                    self.best_arrays = {name: buf.copy() for name, (_, buf) in self._layout()["live"].items()}
                     self.bad_epochs = 0
                 else:
                     self.bad_epochs += 1
@@ -635,12 +622,7 @@ def fit(
     return trainer.run(checkpoint_path=checkpoint_path, log_path=log_path)
 
 
-def _stored_ids(arrays: dict[str, np.ndarray], name: str, shape: tuple, width: int) -> np.ndarray:
-    if name not in arrays:
-        raise ValueError(f"checkpoint is missing array {name}")
-    ids = np.asarray(arrays[name], dtype=np.float64)
-    if ids.shape != shape:
-        raise ValueError(f"checkpoint array {name} has shape {ids.shape}")
+def _stored_ids(name: str, ids: np.ndarray, width: int) -> np.ndarray:
     # NaN fails every comparison
     if not ((ids >= 0) & (ids < width) & (ids == np.floor(ids))).all():
         raise ValueError(f"checkpoint array {name} holds an id that is not a whole number in [0, {width})")

@@ -4,6 +4,7 @@ import json
 import re
 import shutil
 
+import numpy as np
 import pytest
 
 from mmssl.cli import main
@@ -302,28 +303,59 @@ def test_train_rejects_wrongly_typed_config(data_dir, tmp_path, capsys, key, val
     assert "Traceback" not in err
 
 
-def test_resume_rejects_checkpoint_without_optimizer_state(data_dir, train_dir, tmp_path, capsys):
+def _edited(arrays, drop=None, put=()):
+    """``arrays`` without the names that start with ``drop``, and with zeros
+    of the given shape under each name of ``put``."""
+    kept = {name: arr for name, arr in arrays.items() if drop is None or not name.startswith(drop)}
+    return {**kept, **{name: np.zeros(shape) for name, shape in dict(put).items()}}
+
+
+@pytest.mark.parametrize(
+    "drop, put, message, commands",
+    [
+        # eval reads no optimizer state, so only a resume needs it
+        pytest.param("optg.", (), "missing array optg.", ("resume",), id="optg-absent"),
+        pytest.param("id.users", (), "missing array id.users", ("resume", "eval"), id="live-missing"),
+        pytest.param(None, {"id.users": (3, 3)}, "array id.users has shape (3, 3)", ("resume", "eval"), id="live-shape"),
+        pytest.param("optg.v.gen.w0", (), "missing array optg.v.gen.w0", ("resume", "eval"), id="optg-missing"),
+        pytest.param(
+            None, {"optg.m.gen.w0": (3, 3)}, "array optg.m.gen.w0 has shape (3, 3)", ("resume", "eval"), id="optg-shape"
+        ),
+        pytest.param("nbr.1.items", (), "missing array nbr.1.items", ("resume", "eval"), id="nbr-missing"),
+        pytest.param(
+            None, {"nbr.0.users": (3, 3)}, "array nbr.0.users has shape (3, 3)", ("resume", "eval"), id="nbr-shape"
+        ),
+        pytest.param("best.id.users", (), "missing array best.id.users", ("resume", "eval"), id="best-missing"),
+        pytest.param(
+            None, {"best.gen.w0": (3, 3)}, "array best.gen.w0 has shape (3, 3)", ("resume", "eval"), id="best-shape"
+        ),
+    ],
+)
+def test_resume_rejects_checkpoint_without_optimizer_state(
+    data_dir, train_dir, tmp_path, capsys, drop, put, message, commands
+):
     arrays, meta = load_checkpoint(train_dir / "final.ckpt")
-    kept = {name: arr for name, arr in arrays.items() if not name.startswith("optg.")}
-    broken = tmp_path / "no_opt.ckpt"
-    save_checkpoint(broken, kept, meta)
-    code = main(
-        [
-            "train",
-            "--data",
-            str(data_dir),
-            "--out",
-            str(tmp_path / "out"),
-            "--config",
-            str(train_dir / "config.json"),
-            "--resume",
-            str(broken),
-        ]
-    )
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "missing array optg." in err
-    assert "Traceback" not in err
+    broken = tmp_path / "broken.ckpt"
+    save_checkpoint(broken, _edited(arrays, drop, put), meta)
+    argv = {
+        "resume": [
+            "train", "--data", str(data_dir), "--out", str(tmp_path / "out"),
+            "--config", str(train_dir / "config.json"), "--resume", str(broken),
+        ],
+        "eval": ["eval", "--checkpoint", str(broken), "--data", str(data_dir)],
+    }
+    for command in commands:
+        capsys.readouterr()
+        assert main(argv[command]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_checkpoints_survive_a_load_and_a_save_byte_for_byte(train_dir, tmp_path):
+    for name in ("final.ckpt", "best.ckpt"):
+        save_checkpoint(tmp_path / name, *load_checkpoint(train_dir / name))
+        assert (tmp_path / name).read_bytes() == (train_dir / name).read_bytes()
 
 
 def _retired_key_evaluates_but_cannot_resume(data_dir, train_dir, tmp_path, capsys, key, value):
@@ -439,6 +471,10 @@ def test_non_object_checkpoint_metadata_exits_one_naming_the_file(data_dir, trai
         ("best_epoch", True),
         ("epoch", -3),
         ("opt_disc_t", -1),
+        ("best_recall", float("nan")),
+        ("best_recall", float("inf")),
+        ("best_recall", 1.5),
+        ("best_recall", -0.5),
     ],
 )
 def test_resume_rejects_malformed_metadata_naming_the_key(data_dir, train_dir, tmp_path, capsys, key, value):
@@ -663,11 +699,33 @@ def three_modalities(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("command", ["eval", "resume"])
-def test_checkpoint_with_more_modalities_than_the_data_exits_1(three_modalities, tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command, put, message",
+    [
+        pytest.param("eval", (), "gen.b2", id="eval"),
+        pytest.param("resume", (), "gen.b2", id="resume"),
+        *(
+            pytest.param(command, {name: (2,)}, name, id=f"{command}-{name}")
+            for name in ("gen.bogus", "optg.m.bogus", "nbr.3.users", "best.bogus")
+            for command in ("eval", "resume")
+        ),
+        # a best snapshot that is both misshapen and foreign
+        *(
+            pytest.param(command, {"best.gen.w0": (3, 3), "best.bogus": (2,)}, "best.bogus", id=f"{command}-best")
+            for command in ("eval", "resume")
+        ),
+    ],
+)
+def test_checkpoint_with_more_modalities_than_the_data_exits_1(three_modalities, tmp_path, capsys, command, put, message):
+    """Without ``put``, the three-modality checkpoint on the data directory
+    of two; with it, the checkpoint plus those arrays on its own data."""
     root = three_modalities
     ckpt = str(root / "out" / "final.ckpt")
-    data = ["--data", str(root / "two")]
+    data = ["--data", str(root / ("data" if put else "two"))]
+    if put:
+        arrays, meta = load_checkpoint(ckpt)
+        ckpt = str(tmp_path / "extra.ckpt")
+        save_checkpoint(ckpt, _edited(arrays, put=put), meta)
     if command == "eval":
         argv = ["eval", "--checkpoint", ckpt, "--split", "val", *data]
     else:
@@ -676,5 +734,5 @@ def test_checkpoint_with_more_modalities_than_the_data_exits_1(three_modalities,
     capsys.readouterr()
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert "checkpoint holds array gen.b2," in err and "Traceback" not in err
+    assert f"checkpoint holds array {message}," in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmssl import adversarial, encoder
 from mmssl import autodiff as ad
@@ -94,6 +95,58 @@ def test_resume_matches_uninterrupted(tmp_path):
     assert first.log == straight.log[:3]
     assert resumed.best_recall == straight.best_recall
     assert resumed.best_epoch == straight.best_epoch
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    disable_asl=st.booleans(),
+    disable_cl=st.booleans(),
+    disable_gumbel=st.booleans(),
+    d_steps=st.integers(1, 2),
+    negate_critic=st.booleans(),
+    refresh_every=st.integers(1, 3),
+    layers=st.integers(1, 2),
+    gen_dropout=st.sampled_from([0.0, 0.3]),
+    disc_dropout=st.sampled_from([0.0, 0.3]),
+    lr_decay=st.sampled_from([1.0, 0.5]),
+    patience=st.integers(1, 3),
+    split_at=st.integers(1, 3),
+)
+def test_resume_equals_an_uninterrupted_run_across_the_config_space(
+    tmp_path_factory, negate_critic, refresh_every, layers, split_at, **train
+):
+    spec = SyntheticSpec(num_users=40, num_items=30, modality_dims=(6, 5), latent_dim=3, seed=2)
+    graph, features, _ = generate_synthetic(spec)
+    split = split_edges(graph, (0.8, 0.1, 0.1), seed=2)
+    root = tmp_path_factory.mktemp("resume")
+
+    def trainer(epochs):
+        cfg = TrainConfig(
+            seed=1, epochs=epochs, batch_size=16, steps_per_epoch=2, embed_dim=8, disc_hidden=8, **train
+        )
+        enc = EncoderConfig(top_k=3, layers=layers, refresh_every=refresh_every)
+        adv = AdvConfig(negate_critic=negate_critic)
+        return Trainer(cfg, enc, adv, ObjectiveConfig(), EvalConfig(), graph, features, split)
+
+    straight = trainer(4).run(checkpoint_path=root / "straight.ckpt")
+    # a run stopped early by patience continues when resumed: split before its end
+    split_at = min(split_at, len(straight.log) - 1)
+    trainer(split_at).run(checkpoint_path=root / "first.ckpt")
+    second = trainer(4)
+    second.restore(root / "first.ckpt")
+    resumed = second.run(checkpoint_path=root / "resumed.ckpt")
+    assert resumed.log == straight.log[split_at:]
+    # parameters, moments, neighbour ids, best snapshot, RNG states and counters
+    assert (root / "resumed.ckpt").read_bytes() == (root / "straight.ckpt").read_bytes()
+
+
+def test_restore_then_save_reproduces_the_checkpoint(tmp_path):
+    ckpt, again = tmp_path / "final.ckpt", tmp_path / "again.ckpt"
+    run_tiny(epochs=2, checkpoint=str(ckpt))
+    trainer = build_trainer()
+    trainer.restore(ckpt)
+    trainer.save(again)
+    assert again.read_bytes() == ckpt.read_bytes()
 
 
 def build_trainer(**overrides):
@@ -540,6 +593,12 @@ def test_sparse_train_rows_equal_dense_rows():
     assert gathered.tobytes() == dense.tobytes()
 
 
+def held_arrays(trainer):
+    """Copies of the trainer's parameters, BN statistics and optimizer moments."""
+    layout = trainer._layout()
+    return {name: value.copy() for group in ("live", "optg", "optd") for name, (_, value) in layout[group].items()}
+
+
 def _without(prefix):
     return lambda arrays, meta: (
         {n: a for n, a in arrays.items() if not n.startswith(prefix)},
@@ -574,20 +633,12 @@ def test_restore_of_a_bad_checkpoint_changes_nothing(tmp_path, edit, message):
     broken = tmp_path / "broken.ckpt"
     save_checkpoint(broken, *edit(*load_checkpoint(ckpt)))
     trainer = build_trainer()
-
-    def state():
-        return {
-            **trainer._snapshot_arrays(),
-            **{f"g{n}": a.copy() for n, a in trainer.opt_gen.state_arrays("optg").items()},
-            **{f"d{n}": a.copy() for n, a in trainer.opt_disc.state_arrays("optd").items()},
-        }
-
-    before, neighborhoods, rng = state(), trainer.neighborhoods, trainer.rng
+    before, neighborhoods, rng = held_arrays(trainer), trainer.neighborhoods, trainer.rng
     with pytest.raises(ValueError, match=message):
         trainer.restore(broken)
-    after = state()
+    after = held_arrays(trainer)
     assert all(np.array_equal(before[n], after[n]) for n in before)
-    assert trainer.neighborhoods is neighborhoods and trainer.rng is rng
+    assert trainer.neighborhoods is neighborhoods and trainer.rng is rng and not trainer.best_arrays
     assert trainer.epoch == 0 and trainer.opt_gen.t == 0
 
 
@@ -845,10 +896,10 @@ def test_restore_refuses_bad_neighbour_ids_and_changes_nothing(tmp_path, value, 
     broken = tmp_path / "broken.ckpt"
     save_checkpoint(broken, {**arrays, "nbr.0.users": ids}, meta)
     trainer = build_trainer()
-    before, neighborhoods = trainer._snapshot_arrays(), trainer.neighborhoods
+    before, neighborhoods = held_arrays(trainer), trainer.neighborhoods
     with pytest.raises(ValueError, match=message):
         trainer.restore(broken)
-    after = trainer._snapshot_arrays()
+    after = held_arrays(trainer)
     assert all(np.array_equal(before[n], after[n]) for n in before)
     assert trainer.neighborhoods is neighborhoods and trainer.epoch == 0
 
