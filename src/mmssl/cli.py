@@ -114,21 +114,20 @@ def _cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(settings.flat, sort_keys=True, indent=2))
-    result = trainer.run(
-        checkpoint_path=out / "final.ckpt", log_path=out / "metrics.ndjson"
-    )
-    if result.best_arrays:
+    trainer.run(checkpoint_path=out / "final.ckpt", log_path=out / "metrics.ndjson")
+    if trainer.best_epoch >= 0:
         trainer.save_best(out / "best.ckpt")
-    if result.aborted:
+    if trainer.aborted:
         print("training aborted on a non-finite loss; last finished epoch kept", file=sys.stderr)
         return 2
-    last = result.log[-1] if result.log else {}
-    print(
-        f"trained {len(result.log)} epochs; "
-        f"best recall@{settings.eval.k} {result.best_recall:.5f} at epoch {result.best_epoch}"
+    best = (
+        f"best recall@{settings.eval.k} {trainer.best_recall:.5f} at epoch {trainer.best_epoch}"
+        if trainer.best_epoch >= 0
+        else "no validation ran, so no best epoch"
     )
-    if last:
-        print(json.dumps(last, sort_keys=True))
+    print(f"trained {len(trainer.log)} epochs; {best}")
+    if trainer.log:
+        print(json.dumps(trainer.log[-1], sort_keys=True))
     return 0
 
 

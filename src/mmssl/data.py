@@ -508,6 +508,8 @@ class SyntheticSpec:
             raise DataFormatError("synthetic spec needs positive user/item counts")
         if spec.latent_dim <= 0:
             raise DataFormatError(f"latent_dim must be positive, got {spec.latent_dim}")
+        if not spec.modality_dims:
+            raise DataFormatError("modality_dims must name at least one modality, got []")
         if any(d <= 0 for d in spec.modality_dims):
             raise DataFormatError(f"modality_dims must be positive, got {list(spec.modality_dims)}")
         if not 0 <= spec.interactions_per_user <= spec.num_items:

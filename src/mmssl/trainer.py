@@ -31,14 +31,12 @@ from .data import (
 )
 from .encoder import EncoderConfig, SemanticNeighborhood
 from .evaluation import EvalConfig, RankingReport, evaluate_scores
-from .model import ModelState
 
 __all__ = [
     "TrainConfig",
     "AdvConfig",
     "AdamOptimizer",
     "Trainer",
-    "TrainResult",
     "fit",
     "save_checkpoint",
     "load_checkpoint",
@@ -219,16 +217,6 @@ def _config_fingerprint(flat: dict) -> str:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class TrainResult:
-    state: ModelState
-    log: list[dict]
-    best_epoch: int
-    best_recall: float
-    best_arrays: dict[str, np.ndarray]
-    aborted: bool = False
-
-
 class Trainer:
     def __init__(
         self,
@@ -288,6 +276,7 @@ class Trainer:
         self.best_arrays: dict[str, np.ndarray] = {}
         self.bad_epochs = 0
         self.log: list[dict] = []
+        self.aborted = False  # whether the last run() stopped on a non-finite loss
 
     # -- single steps -----------------------------------------------------
 
@@ -522,28 +511,35 @@ class Trainer:
             value = meta[key]
             if type(value) is not int or value < least:
                 raise ValueError(f"checkpoint metadata {key} is not an integer >= {least}: {value!r}")
-        recall = meta["best_recall"]
-        # -1 until a validation, a recall after; NaN fails both comparisons
-        if type(recall) not in (int, float) or not (recall == -1 or 0 <= recall <= 1):
-            raise ValueError(f"checkpoint metadata best_recall is not -1 or a number in [0, 1]: {recall!r}")
+        # the best epoch, its recall and the best snapshot are one fact: all
+        # -1 or absent until a validation, all held after; NaN fails every comparison
+        best_epoch, recall = meta["best_epoch"], meta["best_recall"]
+        if type(recall) not in (int, float) or not (0 <= recall <= 1 if best_epoch >= 0 else recall == -1):
+            want = "a number in [0, 1]" if best_epoch >= 0 else "-1"
+            raise ValueError(f"checkpoint metadata best_recall is not {want} under best_epoch {best_epoch}: {recall!r}")
+        snapshot = sorted(name for name in arrays if name.startswith("best."))
+        if best_epoch == -1 and snapshot:
+            raise ValueError(f"checkpoint metadata best_epoch is -1, yet the checkpoint holds array {snapshot[0]}")
         rng, rng_adv = _restore_rng(meta, "rng"), _restore_rng(meta, "rng_adv")
-        self.load_arrays(arrays, need=("live", "optg", "optd", "nbr"))
+        self.load_arrays(arrays, need=("live", "optg", "optd", "nbr") + (("best",) if best_epoch >= 0 else ()))
         self.opt_gen.t = meta["opt_gen_t"]
         self.opt_disc.t = meta["opt_disc_t"]
         self.rng, self.rng_adv = rng, rng_adv
         # run() increments epoch before writing, so the stored value is
         # already the index of the next epoch to execute
         self.epoch = meta["epoch"]
-        self.best_epoch = meta["best_epoch"]
-        self.best_recall = meta["best_recall"]
+        self.best_epoch, self.best_recall = best_epoch, recall
         self.bad_epochs = meta["bad_epochs"]
 
     # -- main loop ----------------------------------------------------------
 
-    def run(self, checkpoint_path=None, log_path=None) -> TrainResult:
+    def run(self, checkpoint_path=None, log_path=None) -> Trainer:
+        """Train up to ``cfg.epochs`` and return this trainer, the run's one
+        record: its ``state``, ``log``, ``best_epoch``, ``best_recall``,
+        ``best_arrays`` and ``aborted``."""
         cfg = self.cfg
         steps = cfg.steps_per_epoch or max(1, -(-self.split.train.num_edges // cfg.batch_size))
-        aborted = False
+        self.aborted = False
         log_fh = open(log_path, "a", encoding="utf-8") if log_path else None
         try:
             while self.epoch < cfg.epochs:
@@ -563,7 +559,7 @@ class Trainer:
                         for key, value in g_losses.items():
                             sums[key] += value
                 except NumericError:
-                    aborted = True
+                    self.aborted = True
                     break
                 record = {"epoch": epoch}
                 record.update(
@@ -590,14 +586,7 @@ class Trainer:
         finally:
             if log_fh:
                 log_fh.close()
-        return TrainResult(
-            state=self.state,
-            log=self.log,
-            best_epoch=self.best_epoch,
-            best_recall=self.best_recall,
-            best_arrays=self.best_arrays,
-            aborted=aborted,
-        )
+        return self
 
 
 def fit(
@@ -613,7 +602,7 @@ def fit(
     log_path=None,
     resume_from=None,
     config_flat: dict | None = None,
-) -> TrainResult:
+) -> Trainer:
     trainer = Trainer(
         cfg, enc_cfg, adv_cfg, obj_cfg, eval_cfg, graph, features, split, config_flat
     )

@@ -329,6 +329,9 @@ def _edited(arrays, drop=None, put=()):
         pytest.param(
             None, {"best.gen.w0": (3, 3)}, "array best.gen.w0 has shape (3, 3)", ("resume", "eval"), id="best-shape"
         ),
+        # the metadata names a best epoch, so a resume needs its snapshot;
+        # eval reads no best state
+        pytest.param("best.", (), "missing array best.", ("resume",), id="best-absent"),
     ],
 )
 def test_resume_rejects_checkpoint_without_optimizer_state(
@@ -350,6 +353,65 @@ def test_resume_rejects_checkpoint_without_optimizer_state(
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "drop, edit, message",
+    [
+        pytest.param(
+            None, {"best_epoch": -1, "best_recall": -1},
+            "checkpoint metadata best_epoch is -1, yet the checkpoint holds array best.", id="snapshot-without-epoch",
+        ),
+        pytest.param(
+            "best.", {"best_epoch": -1},
+            "checkpoint metadata best_recall is not -1 under best_epoch -1", id="recall-without-epoch",
+        ),
+        pytest.param(
+            None, {"best_recall": -1},
+            "checkpoint metadata best_recall is not a number in [0, 1] under best_epoch", id="epoch-without-recall",
+        ),
+    ],
+)
+def test_resume_refuses_a_best_state_that_disagrees_naming_the_key(
+    data_dir, train_dir, tmp_path, capsys, drop, edit, message
+):
+    # best_epoch -1, best_recall -1 and no best. group go together
+    arrays, meta = load_checkpoint(train_dir / "final.ckpt")
+    assert meta["best_epoch"] >= 0
+    broken = tmp_path / "broken.ckpt"
+    save_checkpoint(broken, _edited(arrays, drop), {**meta, **edit})
+    code = main(
+        [
+            "train", "--data", str(data_dir), "--out", str(tmp_path / "out"),
+            "--config", str(train_dir / "config.json"), "--resume", str(broken),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_resume_from_best_ckpt_is_refused_for_its_missing_optimizer_moments(data_dir, train_dir, tmp_path, capsys):
+    code = main(
+        [
+            "train", "--data", str(data_dir), "--out", str(tmp_path / "out"),
+            "--config", str(train_dir / "config.json"), "--resume", str(train_dir / "best.ckpt"),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: checkpoint is missing array optg.m.attn.k0\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_that_finishes_no_epoch_says_no_validation_ran(data_dir, tmp_path, capsys):
+    config = tmp_path / "none.json"
+    config.write_text(json.dumps({"train.epochs": 0}))
+    out = tmp_path / "out"
+    assert main(["train", "--data", str(data_dir), "--out", str(out), "--config", str(config)]) == 0
+    assert capsys.readouterr().out == "trained 0 epochs; no validation ran, so no best epoch\n"
+    assert not (out / "best.ckpt").exists() and not (out / "final.ckpt").exists()
 
 
 def test_checkpoints_survive_a_load_and_a_save_byte_for_byte(train_dir, tmp_path):
@@ -558,6 +620,7 @@ def test_report_rejects_json_that_is_not_a_record(tmp_path, capsys, text, messag
         ("modality_dims", [8, 2.0], "modality_dims must be a whole number"),
         ("modality_dims", 8, "modality_dims must be a list"),
         ("latent_dim", 0, "latent_dim must be positive"),
+        ("modality_dims", [], "modality_dims must name at least one modality"),
     ],
 )
 def test_synth_rejects_bad_spec_fields(tmp_path, capsys, field, value, message):

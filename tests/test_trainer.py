@@ -200,6 +200,30 @@ def test_disabled_adversarial_leaves_critic_untouched():
     assert all(r["l_d"] == 0.0 and r["l_g"] == 0.0 for r in result.log)
 
 
+def test_run_returns_the_trainer_as_the_record_of_every_run_so_far():
+    trainer = build_trainer(epochs=2)
+    assert trainer.run() is trainer and not trainer.aborted
+    trainer.cfg.epochs = 4
+    trainer.run()
+    assert [r["epoch"] for r in trainer.log] == [0, 1, 2, 3]
+    best = max(range(4), key=lambda epoch: (trainer.log[epoch]["recall"], -epoch))  # the first best
+    assert (trainer.best_epoch, trainer.best_recall) == (best, trainer.log[best]["recall"])
+    assert trainer.best_arrays.keys() == trainer._layout()["live"].keys()
+
+
+def test_aborted_describes_the_last_run(monkeypatch):
+    trainer = build_trainer(epochs=1)
+
+    def non_finite():
+        raise NumericError("non-finite loss")
+
+    monkeypatch.setattr(trainer, "train_step", non_finite)
+    assert trainer.run().aborted
+    assert trainer.log == [] and trainer.best_epoch == -1 and not trainer.best_arrays
+    monkeypatch.undo()
+    assert not trainer.run().aborted and len(trainer.log) == 1 and trainer.best_epoch == 0
+
+
 def test_losses_logged_and_finite():
     res = run_tiny()
     keys = {"epoch", "l_bpr", "l_cl", "l_g", "l_d", "recall", "ndcg", "precision"}
@@ -584,6 +608,48 @@ def test_g_step_peak_memory_without_infonce_below_47_user_by_dim_arrays():
     assert peak < 47 * user_by_dim, f"g_step peaked at {peak / user_by_dim:.1f} (U, d) arrays"
 
 
+def test_training_without_infonce_peaks_below_half_a_user_by_item_array_per_call(monkeypatch):
+    # the north star's memory contract with InfoNCE off (its (U, U) arrays
+    # are the one exception left): no refresh, training step or validation
+    # builds a dense (U, I) array.  The size must not shrink: a refresh
+    # scores one block of model.REFRESH_BLOCK_BYTES (32 MiB) at a time, so a
+    # cold one peaks near 70 MiB at any size past one block, and the bound
+    # means something only where U * I exceeds about 18 million (at
+    # 3000 x 2500 a cold refresh reads 2.3 times it).  Measured: refreshes
+    # 68.9 (cold) and 52.5 MiB, train_step at most 29.8, validation at most 22.7
+    spec = SyntheticSpec(num_users=5000, num_items=4000, modality_dims=(32, 16), seed=5)
+    graph, features, _ = generate_synthetic(spec)
+    split = split_edges(graph, (0.8, 0.1, 0.1), seed=5)
+    cfg = TrainConfig(
+        seed=1, epochs=2, steps_per_epoch=2, batch_size=64, embed_dim=16, disc_hidden=16, disable_cl=True
+    )
+    trainer = Trainer(cfg, EncoderConfig(), AdvConfig(), ObjectiveConfig(), EvalConfig(), graph, features, split)
+    peaks = []
+
+    def traced(kind, fn):
+        def call(*args, **kwargs):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = fn(*args, **kwargs)
+            peaks.append((kind, tracemalloc.get_traced_memory()[1] - start))
+            return out
+
+        return call
+
+    monkeypatch.setattr(mdl, "refresh_neighborhoods", traced("refresh", mdl.refresh_neighborhoods))
+    monkeypatch.setattr(trainer, "train_step", traced("train_step", trainer.train_step))
+    monkeypatch.setattr(trainer, "_validate", traced("validate", trainer._validate))
+    tracemalloc.start()
+    try:
+        trainer.run()
+    finally:
+        tracemalloc.stop()
+    assert [kind for kind, _ in peaks] == ["refresh", "train_step", "train_step", "validate"] * 2
+    half = 5000 * 4000 * 8 / 2
+    over = [(kind, round(peak / 2**20, 1)) for kind, peak in peaks if peak >= half]
+    assert not over, f"calls peaking at or above {half / 2**20:.1f} MiB: {over}"
+
+
 def test_sparse_train_rows_equal_dense_rows():
     trainer = build_trainer()
     users = np.array([0, 5, 5, 11, 0, 3, 3, 3])  # repeated users, as d_step draws them
@@ -624,6 +690,11 @@ def _without(prefix):
         (
             lambda arrays, meta: (arrays, {**meta, "rng_adv": {"bit_generator": "PCG64", "state": {}}}),
             "metadata rng_adv is not a generator state",
+        ),
+        (_without("best."), "missing array best."),
+        (
+            lambda arrays, meta: (arrays, {**meta, "best_epoch": -1, "best_recall": -1}),
+            "metadata best_epoch is -1, yet the checkpoint holds array best.",
         ),
     ],
 )
