@@ -1,12 +1,12 @@
 """Reverse-mode differentiation over an explicitly recorded operation tape.
 
 All buffers are 64-bit floats.  Operations compute eagerly with numpy and,
-when a tape is active, append a record holding the op name, the output, the
+when a tape is active, append a record holding the op name, the outputs, the
 input tensors and a vector-Jacobian closure, which keeps only what it reads.
-``Tape.backward`` walks the records in reverse; creation order is a
-topological order by construction, so no sort is needed.  A ``segment``
-collapses the records a function makes into one record that keeps only the
-function's outputs.
+``Tape.backward`` walks the records in reverse and sums every tensor's
+partials in one ``GradientMap``; creation order is a topological order by
+construction, so no sort is needed.  A ``segment`` collapses the records a
+function makes into one record that keeps only the function's outputs.
 
 Non-finite values raise ``NumericError`` naming the op that produced them.
 A call made with no tape active checks its own output.  A taped step is
@@ -149,91 +149,79 @@ _ACTIVE: "Tape | None" = None  # the tape recording right now, if any
 @dataclass(slots=True)
 class _Record:
     """One primitive application, or one segment (see ``segment``), which
-    keeps only its outputs.  ``out`` is its output, or a tuple of outputs
-    whose gradients the vjp takes as a tuple (None for an output that got
-    none).  The vjp returns one partial per input: an array, None, or a
-    function that computes a new array, called only if that input needs a
-    gradient and just before the array is summed.  The vjp is dropped once
-    it has run; the op name and output stay for the replay that names a
-    failing op, so a failure inside a segment names the segment."""
+    keeps only its outputs.  ``out`` is the tuple of its outputs, whose
+    gradients the vjp takes as a tuple (None for an output that got none).
+    The vjp returns one partial per input, in the forms ``GradientMap.add``
+    takes.  It is dropped once it has run; the op name and outputs stay for
+    the replay that names a failing op, so a failure inside a segment names
+    the segment."""
 
     op: str
-    out: Tensor | tuple[Tensor, ...]
+    out: tuple[Tensor, ...]
     inputs: tuple[Tensor, ...]
     vjp: Callable | None
 
-    def outputs(self) -> tuple[Tensor, ...]:
-        return self.out if isinstance(self.out, tuple) else (self.out,)
 
+class GradientMap:
+    """Tensor identity -> the sum of its partials; absent entries mean zero.
 
-def _keys(out: Tensor | tuple[Tensor, ...]) -> int | tuple[int, ...]:
-    return tuple(id(t) for t in out) if isinstance(out, tuple) else id(out)
+    Backward sums every tensor's partials in one map: a produced tensor's
+    sum leaves it as its record runs, so what ``Tape.backward`` returns
+    holds only the requested parameters' gradients.  A partial that only
+    the map holds is owned: a fresh, contiguous first partial from a
+    deferred function, or the copy a strided first partial gets, and later
+    partials are added into it in place.  Any other first partial, such as
+    the ``g`` that ``add`` hands to both its inputs, is kept as it is and
+    never written: the second partial is added into a new array, which is
+    then owned.  Either way each sum is the same ``+`` in arrival order."""
 
+    __slots__ = ("_held", "_owned")
 
-class _Sums:
-    """Summed gradients by tensor id.  A partial that only this sum holds
-    is owned: a fresh, contiguous first partial from a deferred function,
-    or the copy a strided first partial gets, and later partials are added
-    into it in place.  Any other first partial, such as the ``g`` that
-    ``add`` hands to both its inputs, is kept as it is and never written:
-    the second partial is added into a new array, which is then owned.
-    Either way each sum is the same ``+`` in arrival order."""
+    def __init__(self):
+        self._held: dict[int, np.ndarray] = {}
+        self._owned: set[int] = set()  # sums that only this map holds, safe to add into
 
-    __slots__ = ("held", "owned")
-
-    def __init__(self, held: dict[int, np.ndarray]):
-        self.held = held
-        self.owned: set[int] = set()  # sums that only this map holds, safe to add into
-
-    def add(self, key: int, g: np.ndarray, fresh: bool = False) -> None:
-        """Add partial ``g``; ``fresh`` says a deferred function just made it."""
-        held = self.held.get(key)
+    def add(self, key: int, g) -> None:
+        """Add partial ``g`` to the sum keyed ``key``: an array; None, which
+        adds nothing; or a deferred function, called here, whose new array
+        the map may own."""
+        fresh = callable(g)
+        if fresh:
+            g = g()
+        if g is None:
+            return
+        held = self._held.get(key)
         if held is None:
             # a strided view is copied so that consumers see the layouts
             # they saw when every first partial was
             if not (g.flags.c_contiguous or g.flags.f_contiguous):
                 g, fresh = np.array(g), True
-            self.held[key] = g
+            self._held[key] = g
             if fresh and g.flags.owndata:
-                self.owned.add(key)
-        elif key in self.owned:
+                self._owned.add(key)
+        elif key in self._owned:
             held += g
         else:
-            self.held[key] = np.add(held, g, out=np.empty_like(held))
-            self.owned.add(key)
+            self._held[key] = np.add(held, g, out=np.empty_like(held))
+            self._owned.add(key)
 
-    def run(self, vjp: Callable, out: int | tuple[int, ...]):
-        """``vjp``'s partials for the sums of the outputs keyed ``out``,
-        which leave the buffer; None when no output got a gradient."""
-        if isinstance(out, tuple):
-            g_out = tuple(self.held.pop(key, None) for key in out)
-            if all(g is None for g in g_out):
-                return None
-        else:
-            g_out = self.held.pop(out, None)
-            if g_out is None:
-                return None
-        return vjp(g_out)
-
-
-class GradientMap:
-    """Parameter identity -> gradient array.  Absent entries mean zero.
-    Each parameter's partials are summed under ``_Sums``' ownership rule."""
-
-    def __init__(self):
-        self._params: dict[int, Tensor] = {}
-        self._sums = _Sums({})
-
-    def _accumulate(self, t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
-        self._params[id(t)] = t
-        self._sums.add(id(t), g, fresh)
+    def run(self, vjp: Callable, keys) -> Sequence | None:
+        """``vjp``'s partials for the sums keyed ``keys``, which leave the
+        map; None when none of them got a partial."""
+        g_out = []
+        for key in keys:
+            g_out.append(self._held.pop(key, None))
+            self._owned.discard(key)
+        if all(g is None for g in g_out):
+            return None
+        return vjp(tuple(g_out))
 
     def get(self, t: Tensor) -> np.ndarray:
-        g = self._sums.held.get(id(t))
+        g = self._held.get(id(t))
         return np.zeros_like(t.data) if g is None else g
 
     def __contains__(self, t: Tensor) -> bool:
-        return id(t) in self._sums.held
+        return id(t) in self._held
 
 
 class Tape:
@@ -257,16 +245,18 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def backward(self, loss: Tensor, params: Sequence[Tensor] | None = None) -> GradientMap:
-        """Accumulate d(loss)/d(param) for every parameter reachable on this tape.
+    def backward(self, loss: Tensor, params: Sequence[Tensor]) -> GradientMap:
+        """d(loss)/d(p) for each parameter ``p`` of ``params`` that the loss reaches.
 
-        ``loss`` must be scalar (size one).  When ``params`` is given only
-        those tensors receive gradients; a partial that only a constant or
-        another leaf would receive is not worked out where its primitive
-        defers it.  Each vjp is dropped once it has run, which frees the
-        arrays it holds (a vjp may also overwrite them), so a tape is
-        differentiated once: a second call raises ``ValueError``.  Raises
-        ``NumericError`` if the loss or a returned gradient is not finite.
+        ``loss`` must be scalar (size one).  Only the parameters among
+        ``params`` (``requires_grad``) receive gradients; a partial that only
+        a constant or another leaf would receive is not worked out where its
+        primitive defers it.  Every tensor's partials are summed in one
+        ``GradientMap``, which is returned.  Each vjp is dropped once it has
+        run, which frees the arrays it holds (a vjp may also overwrite them),
+        so a tape is differentiated once: a second call raises
+        ``ValueError``.  Raises ``NumericError`` if the loss or a returned
+        gradient is not finite.
         """
         if loss.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -274,41 +264,29 @@ class Tape:
         if self._spent:
             raise ValueError("this tape was already differentiated; record the forward again")
         self._spent = True
-        wanted = None if params is None else {id(p) for p in params}
-        produced = {id(t) for rec in self._records for t in rec.outputs()}
-        sums = _Sums({id(loss): np.ones_like(loss.data)})
+        requested = {id(p): p for p in params if p.requires_grad}
+        wanted = requested.keys() | {id(t) for rec in self._records for t in rec.out}
         grads = GradientMap()
-        if loss.requires_grad and (wanted is None or id(loss) in wanted):
-            grads._accumulate(loss, np.ones_like(loss.data), fresh=True)
+        if id(loss) in wanted:
+            grads.add(id(loss), np.ones_like(loss.data))
         # a vjp, or the sum of its partials, that makes a non-finite value
         # from finite ones raises a floating-point flag here
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             try:
                 for rec in reversed(self._records):
                     vjp, rec.vjp = rec.vjp, None
-                    partials = sums.run(vjp, _keys(rec.out))
+                    partials = grads.run(vjp, map(id, rec.out))
                     del vjp  # frees what the closure holds before the partials are summed
                     for inp, g_in in zip(rec.inputs, partials or ()):
-                        key = id(inp)
-                        requested = inp.requires_grad and (wanted is None or key in wanted)
-                        if key not in produced and not requested:
-                            continue  # a constant, or a leaf no one asked for: nothing to work out
-                        deferred = callable(g_in)
-                        if deferred:
-                            g_in = g_in()
-                        if g_in is None:
-                            continue
-                        if key in produced:
-                            sums.add(key, g_in, deferred)
-                        else:
-                            grads._accumulate(inp, g_in, deferred)
+                        if id(inp) in wanted:  # else a constant, or a leaf no one asked for
+                            grads.add(id(inp), g_in)
             except FloatingPointError:
                 raise NumericError(
                     self._blame(f"non-finite gradient from the vjp of '{rec.op}'")
                 ) from None
-        for key, t in grads._params.items():
-            if not np.all(np.isfinite(grads._sums.held[key])):
-                raise NumericError(self._blame(f"non-finite gradient of '{t.name}'"))
+        for key, g in grads._held.items():
+            if not np.all(np.isfinite(g)):
+                raise NumericError(self._blame(f"non-finite gradient of '{requested[key].name}'"))
         return grads
 
     def require_finite(self, t: Tensor, otherwise: str) -> None:
@@ -320,14 +298,16 @@ class Tape:
     def _blame(self, otherwise: str) -> str:
         """Replay the records: name the first op with a non-finite output."""
         for rec in self._records:
-            if any(not np.all(np.isfinite(t.data)) for t in rec.outputs()):
+            if any(not np.all(np.isfinite(t.data)) for t in rec.out):
                 return f"non-finite value produced by '{rec.op}'"
         return otherwise
 
 
-def _record(op: str, out: Tensor | tuple[Tensor, ...], inputs: tuple[Tensor, ...], vjp) -> None:
+def _record(op: str, out: Tensor, inputs: tuple[Tensor, ...], vjp: Callable) -> None:
+    """Record a one-output primitive on the active tape, if any.  ``vjp``
+    takes the output's gradient; the record's vjp takes it as a 1-tuple."""
     if _ACTIVE is not None:
-        _ACTIVE._records.append(_Record(op, out, inputs, vjp))
+        _ACTIVE._records.append(_Record(op, (out,), inputs, lambda g_out: vjp(*g_out)))
 
 
 def segment(op: str, fn: Callable, *args):
@@ -338,13 +318,14 @@ def segment(op: str, fn: Callable, *args):
     returned tensor made outside is passed through.  Its inputs are the
     outside tensors the inner records read, listed once per partial in the
     order backward delivers them.  Its vjp runs the inner vjps in reverse
-    and sums their partials with the tape's own rule, so values and
-    gradients are bitwise equal to the records it replaces, and an output
-    that gets no gradient skips the records that made it, as on the tape.
-    The inner outputs are not kept, so a non-finite value made inside is
-    named by ``op``.  Only the returned tensors may be read afterwards.
-    With no tape active this is ``fn(*args)``, per-op checks included; with
-    no returned tensor made inside, the records stay as they are.
+    and sums their partials in a ``GradientMap``, as the tape does, so
+    values and gradients are bitwise equal to the records it replaces, and
+    an output that gets no gradient skips the records that made it, as on
+    the tape.  The inner outputs are not kept, so a non-finite value made
+    inside is named by ``op``.  Only the returned tensors may be read
+    afterwards.  With no tape active this is ``fn(*args)``, per-op checks
+    included; with no returned tensor made inside, the records stay as they
+    are.
     """
     tape = _ACTIVE
     if tape is None:
@@ -352,7 +333,7 @@ def segment(op: str, fn: Callable, *args):
     start = len(tape._records)
     result = fn(*args)
     inner = tape._records[start:]
-    made = {id(t) for rec in inner for t in rec.outputs()}
+    made = {id(t) for rec in inner for t in rec.out}
     outs = tuple(t for t in (result if isinstance(result, tuple) else (result,)) if id(t) in made)
     if not outs:
         return result
@@ -367,30 +348,26 @@ def segment(op: str, fn: Callable, *args):
             else:  # the ~position of its partial among the segment's inputs
                 routes.append(~len(inputs))
                 inputs.append(t)
-        steps.append((rec.vjp, _keys(rec.out), routes))
+        steps.append((rec.vjp, tuple(map(id, rec.out)), routes))
     steps.reverse()  # pop() takes the last record first
-    out_keys = _keys(outs)
 
     def vjp(g_out):
-        g_out = g_out if len(outs) > 1 else (g_out,)
-        sums = _Sums({key: g for key, g in zip(out_keys, g_out) if g is not None})
+        sums = GradientMap()
+        for key, g in zip(map(id, outs), g_out):
+            sums.add(key, g)
         partials = [None] * len(inputs)
         while steps:
-            step_vjp, out, routes = steps.pop()
-            step_partials = sums.run(step_vjp, out) or ()
+            step_vjp, keys, routes = steps.pop()
+            step_partials = sums.run(step_vjp, keys) or ()
             del step_vjp
             for route, g_in in zip(routes, step_partials):
                 if route < 0:
                     partials[~route] = g_in
-                    continue
-                deferred = callable(g_in)
-                if deferred:
-                    g_in = g_in()
-                if g_in is not None:
-                    sums.add(route, g_in, deferred)
+                else:
+                    sums.add(route, g_in)
         return partials
 
-    _record(op, outs if len(outs) > 1 else outs[0], tuple(inputs), vjp)
+    tape._records.append(_Record(op, outs, tuple(inputs), vjp))
     return result
 
 
@@ -851,7 +828,8 @@ def head_attention(
         *(query[h] for h in range(heads) for _ in range(num_m)),
         *(key[h] for h in range(heads) for _ in range(num_m)),
     )
-    _record("head_attention", tuple(outs), inputs, vjp)
+    if _ACTIVE is not None:
+        _ACTIVE._records.append(_Record("head_attention", tuple(outs), inputs, vjp))
     return outs
 
 

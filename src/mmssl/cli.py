@@ -138,6 +138,8 @@ def _cmd_eval(args) -> int:
     flat = meta.get("config", {})
     if not isinstance(flat, dict):
         raise CliError(f"{Path(args.checkpoint).name}: checkpoint config is not a JSON object")
+    if not flat:  # a Trainer built without config_flat records none
+        raise CliError(f"{Path(args.checkpoint).name}: checkpoint records no config to rebuild its model under")
     # older checkpoints store these retired keys; neither ever changed a
     # result, so dropping them is safe
     for key in ("eval.threads", "adv.block_rows"):

@@ -37,7 +37,6 @@ __all__ = [
     "AdvConfig",
     "AdamOptimizer",
     "Trainer",
-    "fit",
     "save_checkpoint",
     "load_checkpoint",
     "CHECKPOINT_MAGIC",
@@ -274,7 +273,6 @@ class Trainer:
         self.best_epoch = -1
         self.best_recall = -1.0
         self.best_arrays: dict[str, np.ndarray] = {}
-        self.bad_epochs = 0
         self.log: list[dict] = []
         self.aborted = False  # whether the last run() stopped on a non-finite loss
 
@@ -482,7 +480,6 @@ class Trainer:
             "opt_disc_t": self.opt_disc.t,
             "best_epoch": self.best_epoch,
             "best_recall": self.best_recall,
-            "bad_epochs": self.bad_epochs,
             "config": self.config_flat,
             "config_hash": _config_fingerprint(self.config_flat),
         }
@@ -506,14 +503,17 @@ class Trainer:
         if missing:
             raise ValueError(f"checkpoint metadata is missing {missing[0]}")
         # a bool is an int, but not a count; best_epoch is -1 until a validation
-        counters = {"epoch": 0, "best_epoch": -1, "bad_epochs": 0, "opt_gen_t": 0, "opt_disc_t": 0}
+        counters = {"epoch": 0, "best_epoch": -1, "opt_gen_t": 0, "opt_disc_t": 0}
         for key, least in counters.items():
             value = meta[key]
             if type(value) is not int or value < least:
                 raise ValueError(f"checkpoint metadata {key} is not an integer >= {least}: {value!r}")
+        # best.ckpt stamps epoch with the best epoch; final.ckpt's best epoch is earlier
+        best_epoch, recall = meta["best_epoch"], meta["best_recall"]
+        if best_epoch > meta["epoch"]:
+            raise ValueError(f"checkpoint metadata best_epoch is not at most epoch {meta['epoch']}: {best_epoch!r}")
         # the best epoch, its recall and the best snapshot are one fact: all
         # -1 or absent until a validation, all held after; NaN fails every comparison
-        best_epoch, recall = meta["best_epoch"], meta["best_recall"]
         if type(recall) not in (int, float) or not (0 <= recall <= 1 if best_epoch >= 0 else recall == -1):
             want = "a number in [0, 1]" if best_epoch >= 0 else "-1"
             raise ValueError(f"checkpoint metadata best_recall is not {want} under best_epoch {best_epoch}: {recall!r}")
@@ -529,7 +529,6 @@ class Trainer:
         # already the index of the next epoch to execute
         self.epoch = meta["epoch"]
         self.best_epoch, self.best_recall = best_epoch, recall
-        self.bad_epochs = meta["bad_epochs"]
 
     # -- main loop ----------------------------------------------------------
 
@@ -575,40 +574,15 @@ class Trainer:
                     self.best_recall = record["recall"]
                     self.best_epoch = epoch
                     self.best_arrays = {name: buf.copy() for name, (_, buf) in self._layout()["live"].items()}
-                    self.bad_epochs = 0
-                else:
-                    self.bad_epochs += 1
                 self.epoch += 1
                 if checkpoint_path is not None:
                     self.save(checkpoint_path)
-                if self.bad_epochs >= cfg.patience:
+                if self.epoch - 1 - self.best_epoch >= cfg.patience:  # epochs since the best
                     break
         finally:
             if log_fh:
                 log_fh.close()
         return self
-
-
-def fit(
-    cfg: TrainConfig,
-    enc_cfg: EncoderConfig,
-    adv_cfg: AdvConfig,
-    obj_cfg: ObjectiveConfig,
-    eval_cfg: EvalConfig,
-    graph: InteractionGraph,
-    features: list[ModalityFeatureTable],
-    split: DataSplit,
-    checkpoint_path=None,
-    log_path=None,
-    resume_from=None,
-    config_flat: dict | None = None,
-) -> Trainer:
-    trainer = Trainer(
-        cfg, enc_cfg, adv_cfg, obj_cfg, eval_cfg, graph, features, split, config_flat
-    )
-    if resume_from is not None:
-        trainer.restore(resume_from)
-    return trainer.run(checkpoint_path=checkpoint_path, log_path=log_path)
 
 
 def _stored_ids(name: str, ids: np.ndarray, width: int) -> np.ndarray:

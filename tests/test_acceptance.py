@@ -27,7 +27,7 @@ from mmssl.data import (
 from mmssl.encoder import EncoderConfig
 from mmssl.evaluation import EvalConfig
 from mmssl.gradcheck import run_loss_checks
-from mmssl.trainer import AdvConfig, ObjectiveConfig, TrainConfig, fit
+from mmssl.trainer import AdvConfig, ObjectiveConfig, TrainConfig, Trainer
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -214,7 +214,7 @@ def test_criterion_7_ablation_ordering_on_planted_data():
                 disable_cl=no_cl,
             )
             obj_cfg = ObjectiveConfig(lambda2=0.5, lambda3=0.01, omega=0.1)
-            res = fit(
+            res = Trainer(
                 cfg,
                 EncoderConfig(top_k=5),
                 AdvConfig(),
@@ -223,7 +223,7 @@ def test_criterion_7_ablation_ordering_on_planted_data():
                 graph,
                 features,
                 split,
-            )
+            ).run()
             finals[name].append(res.log[-1]["recall"])
     elapsed = time.time() - start
     means = {v: float(np.mean(r)) for v, r in finals.items()}
@@ -265,7 +265,7 @@ def test_criterion_8_determinism_and_checkpoint_fidelity(tmp_path):
             disc_hidden=8,
             patience=100,
         )
-        return fit(
+        trainer = Trainer(
             cfg,
             EncoderConfig(top_k=3),
             AdvConfig(),
@@ -274,9 +274,10 @@ def test_criterion_8_determinism_and_checkpoint_fidelity(tmp_path):
             graph,
             features,
             split,
-            checkpoint_path=checkpoint,
-            resume_from=resume,
         )
+        if resume is not None:
+            trainer.restore(resume)
+        return trainer.run(checkpoint_path=checkpoint)
 
     twice = [run(3), run(3)]
     identical = all(ra == rb for ra, rb in zip(twice[0].log, twice[1].log))

@@ -529,7 +529,7 @@ def test_non_object_checkpoint_metadata_exits_one_naming_the_file(data_dir, trai
         ("rng", {"bit_generator": "PCG64", "state": {}}),
         ("opt_gen_t", "2"),
         ("best_recall", "x"),
-        ("bad_epochs", None),
+        ("best_epoch", 7),
         ("best_epoch", True),
         ("epoch", -3),
         ("opt_disc_t", -1),
@@ -561,6 +561,19 @@ def test_eval_rejects_a_checkpoint_config_that_is_not_an_object(data_dir, train_
     save_checkpoint(broken, arrays, {**meta, "config": [1, 2]})
     assert main(["eval", "--checkpoint", str(broken), "--data", str(data_dir)]) == 1
     assert "listed.ckpt: checkpoint config is not a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [{}, None], ids=["empty", "absent"])
+def test_eval_rejects_a_checkpoint_that_records_no_config(data_dir, train_dir, tmp_path, capsys, config):
+    # a Trainer built without config_flat stores {}; the default config
+    # would rebuild another model from it and report that model's numbers
+    arrays, meta = load_checkpoint(train_dir / "final.ckpt")
+    meta.pop("config")
+    broken = tmp_path / "bare.ckpt"
+    save_checkpoint(broken, arrays, meta if config is None else {**meta, "config": config})
+    assert main(["eval", "--checkpoint", str(broken), "--data", str(data_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "bare.ckpt: checkpoint records no config" in err and "Traceback" not in err
 
 
 def test_report_reads_eval_json_output(data_dir, train_dir, tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Training loop: determinism, checkpoints, optimizer math, side effects."""
 
 import errno
+import functools
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -23,7 +25,6 @@ from mmssl.trainer import (
     ObjectiveConfig,
     TrainConfig,
     Trainer,
-    fit,
     load_checkpoint,
     save_checkpoint,
 )
@@ -66,12 +67,10 @@ def tiny_configs(epochs=3, **overrides):
 
 def run_tiny(epochs=3, checkpoint=None, log_path=None, resume=None, config_flat=None, **ov):
     graph, features, split = tiny_problem()
-    cfg, enc, adv, objc, evc = tiny_configs(epochs=epochs, **ov)
-    return fit(
-        cfg, enc, adv, objc, evc, graph, features, split,
-        checkpoint_path=checkpoint, log_path=log_path,
-        resume_from=resume, config_flat=config_flat,
-    )
+    trainer = Trainer(*tiny_configs(epochs=epochs, **ov), graph, features, split, config_flat=config_flat)
+    if resume is not None:
+        trainer.restore(resume)
+    return trainer.run(checkpoint_path=checkpoint, log_path=log_path)
 
 
 def test_same_seed_bitwise_identical():
@@ -138,6 +137,18 @@ def test_resume_equals_an_uninterrupted_run_across_the_config_space(
     assert resumed.log == straight.log[split_at:]
     # parameters, moments, neighbour ids, best snapshot, RNG states and counters
     assert (root / "resumed.ckpt").read_bytes() == (root / "straight.ckpt").read_bytes()
+
+
+def test_a_stored_bad_epoch_count_is_ignored_on_resume(tmp_path):
+    # patience reads epoch - 1 - best_epoch; an older checkpoint's count,
+    # even a wrong one, must not stop the resumed run early
+    straight = run_tiny(epochs=4)
+    ckpt = tmp_path / "mid.ckpt"
+    run_tiny(epochs=2, checkpoint=str(ckpt))
+    arrays, meta = load_checkpoint(ckpt)
+    assert "bad_epochs" not in meta
+    save_checkpoint(ckpt, arrays, {**meta, "bad_epochs": 99})
+    assert run_tiny(epochs=4, resume=str(ckpt)).log == straight.log[2:]
 
 
 def test_restore_then_save_reproduces_the_checkpoint(tmp_path):
@@ -445,11 +456,13 @@ def test_resume_between_refreshes_matches_uninterrupted(tmp_path):
             seed=1, epochs=epochs, batch_size=8, steps_per_epoch=20, lr_gen=5e-2,
             embed_dim=8, disc_hidden=8, patience=100,
         )
-        return fit(
+        trainer = Trainer(
             cfg, EncoderConfig(top_k=3, refresh_every=2), AdvConfig(), ObjectiveConfig(),
             EvalConfig(), graph, features, split,
-            checkpoint_path=checkpoint, resume_from=resume,
         )
+        if resume is not None:
+            trainer.restore(resume)
+        return trainer.run(checkpoint_path=checkpoint)
 
     straight = run(3, tmp_path / "straight.ckpt")
     run(1, tmp_path / "mid.ckpt")
@@ -836,7 +849,7 @@ def dead_records(tape, loss):
     """Ops of the tape's records whose outputs do not reach ``loss``."""
     live, dead = {id(loss)}, []
     for rec in reversed(tape._records):
-        if any(id(t) in live for t in rec.outputs()):
+        if any(id(t) in live for t in rec.out):
             live.update(id(t) for t in rec.inputs)
         else:
             dead.append(rec.op)
@@ -848,7 +861,7 @@ def test_every_record_of_both_step_tapes_reaches_the_loss(monkeypatch, disable_c
     seen = []
     backward = Tape.backward
 
-    def spy(tape, loss, params=None):
+    def spy(tape, loss, params):
         seen.append(dead_records(tape, loss))
         return backward(tape, loss, params)
 
@@ -856,6 +869,50 @@ def test_every_record_of_both_step_tapes_reaches_the_loss(monkeypatch, disable_c
     trainer = build_trainer(d_steps=2, disable_cl=disable_cl)
     trainer.train_step()
     assert seen == [[], [], []]  # two critic tapes, then the generator's
+
+
+def list_backward(tape, loss, params):
+    """A reverse pass written apart from ``Tape.backward``: each tensor's
+    partials wait in a list, a deferred one is called, None is skipped, and
+    the list is summed left to right with ``np.add``, never in place."""
+    partials = {id(loss): [np.ones_like(loss.data)]}
+    for rec in reversed(tape._records):
+        g_out = tuple(functools.reduce(np.add, partials.pop(id(t), [None])) for t in rec.out)
+        vjp, rec.vjp = rec.vjp, None
+        if any(g is not None for g in g_out):
+            for inp, g in zip(rec.inputs, vjp(g_out)):
+                g = g() if callable(g) else g
+                if g is not None:
+                    partials.setdefault(id(inp), []).append(g)
+    return FixedGrads((p, functools.reduce(np.add, partials.get(id(p), [np.zeros_like(p.data)]))) for p in params)
+
+
+def test_a_step_is_bitwise_equal_under_an_independent_reverse_pass(monkeypatch):
+    # the gradient map adds into the partials it owns and only those; a
+    # reverse pass that never adds in place must give the same bits
+    def step(backward):
+        spec = SyntheticSpec(num_users=40, num_items=30, modality_dims=(6, 5), seed=3)
+        graph, features, _ = generate_synthetic(spec)
+        trainer = Trainer(*tiny_configs(d_steps=2), graph, features, split_edges(graph, (0.8, 0.1, 0.1), seed=3))
+        trainer.neighborhoods = mdl.refresh_neighborhoods(trainer.state, trainer.adj, trainer.features, 3)
+        with monkeypatch.context() as m:
+            m.setattr(Tape, "backward", backward)
+            losses = trainer.train_step()
+        return losses, held_arrays(trainer)
+
+    (want_losses, want), (got_losses, got) = step(Tape.backward), step(list_backward)
+    assert got_losses == want_losses and want_losses[1]["l_cl"] > 0  # InfoNCE was on
+    assert sorted(got) == sorted(want)
+    assert [n for n in want if want[n].tobytes() != got[n].tobytes()] == []
+
+
+def test_the_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library use\n\n```python\n(.*?)^```", readme, re.S | re.M)
+    assert block, "README.md has no python block under '## Library use'"
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    recall, best_epoch = capsys.readouterr().out.split()
+    assert 0.0 <= float(recall) <= 1.0 and int(best_epoch) >= 0
 
 
 def test_non_finite_id_row_names_the_op_in_both_steps():
@@ -927,11 +984,13 @@ def test_training_is_bitwise_equal_with_and_without_the_previous_neighbourhood(
             embed_dim=8, disc_hidden=8, patience=100,
         )
         ckpt, log = tmp_path / f"{label}.ckpt", tmp_path / f"{label}.ndjson"
-        fit(
+        trainer = Trainer(
             cfg, EncoderConfig(top_k=3, refresh_every=refresh_every), AdvConfig(),
             ObjectiveConfig(), EvalConfig(), graph, features, split,
-            checkpoint_path=ckpt, log_path=log, resume_from=resume_from,
         )
+        if resume_from is not None:
+            trainer.restore(resume_from)
+        trainer.run(checkpoint_path=ckpt, log_path=log)
         return (*load_checkpoint(ckpt), log.read_text().splitlines())
 
     runs = []
