@@ -5,16 +5,21 @@ when a tape is active, append a record holding the op name, the outputs, the
 input tensors and a vector-Jacobian closure, which keeps only what it reads.
 ``Tape.backward`` walks the records in reverse and sums every tensor's
 partials in one ``GradientMap``; creation order is a topological order by
-construction, so no sort is needed.  A ``segment`` collapses the records a
-function makes into one record that keeps only the function's outputs.
+construction, so no sort is needed.  Once a record's vjp has run, the record
+lets go of its outputs and inputs, so a forward tensor is freed as soon as
+the last record that reads it has been differentiated (unless the caller
+still holds it).  A ``segment`` collapses the records a function makes into
+one record that keeps only the function's outputs.
 
 Non-finite values raise ``NumericError`` naming the op that produced them.
 A call made with no tape active checks its own output.  A taped step is
-checked once: ``Tape.backward`` checks the loss and every gradient it
-returns, and on failure replays the records to name the first op with a
-non-finite output, or the op whose vjp went non-finite; a failure inside a
-segment names the segment.  ``batch_norm`` checks every call, so a failing
-step never writes a non-finite running statistic.
+checked once: ``Tape.backward`` checks the loss before any record lets go,
+and on failure replays the records to name the first op with a non-finite
+output.  A vjp that goes non-finite is named, after a replay of the records
+up to it, which are still whole.  The gradients it returns are checked after
+every record has let go, so a failure there names the parameter.  A failure
+inside a segment names the segment.  ``batch_norm`` checks every call, so a
+failing step never writes a non-finite running statistic.
 
 At most one tape records at a time.  A tape may be entered again after it
 was left: its records then continue in order, so a forward recorded in
@@ -152,9 +157,10 @@ class _Record:
     keeps only its outputs.  ``out`` is the tuple of its outputs, whose
     gradients the vjp takes as a tuple (None for an output that got none).
     The vjp returns one partial per input, in the forms ``GradientMap.add``
-    takes.  It is dropped once it has run; the op name and outputs stay for
-    the replay that names a failing op, so a failure inside a segment names
-    the segment."""
+    takes.  Backward drops the vjp once it has run and, once its partials
+    are summed, sets ``out`` and ``inputs`` to ``()``; only the op name
+    stays.  Until then the outputs serve the replay that names a failing
+    op, so a failure inside a segment names the segment."""
 
     op: str
     out: tuple[Tensor, ...]
@@ -254,9 +260,16 @@ class Tape:
         primitive defers it.  Every tensor's partials are summed in one
         ``GradientMap``, which is returned.  Each vjp is dropped once it has
         run, which frees the arrays it holds (a vjp may also overwrite them),
-        so a tape is differentiated once: a second call raises
-        ``ValueError``.  Raises ``NumericError`` if the loss or a returned
-        gradient is not finite.
+        and once its partials are summed the record lets go of its outputs
+        and inputs, keeping only its op name; so a tape is differentiated
+        once: a second call raises ``ValueError``.
+
+        Raises ``NumericError`` if the loss, a vjp or a returned gradient is
+        not finite.  The loss is checked, and the records replayed to name
+        the first op with a non-finite output, before any record lets go.
+        A vjp that raises a floating-point flag replays the records up to
+        its own, which are still whole.  A non-finite returned gradient is
+        found after every record has let go, so it is named by parameter.
         """
         if loss.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -265,6 +278,8 @@ class Tape:
             raise ValueError("this tape was already differentiated; record the forward again")
         self._spent = True
         requested = {id(p): p for p in params if p.requires_grad}
+        # a released tensor's id may be reused, but never by a tensor a
+        # record names: those were all alive together when backward began
         wanted = requested.keys() | {id(t) for rec in self._records for t in rec.out}
         grads = GradientMap()
         if id(loss) in wanted:
@@ -280,6 +295,7 @@ class Tape:
                     for inp, g_in in zip(rec.inputs, partials or ()):
                         if id(inp) in wanted:  # else a constant, or a leaf no one asked for
                             grads.add(id(inp), g_in)
+                    rec.out = rec.inputs = ()
             except FloatingPointError:
                 raise NumericError(
                     self._blame(f"non-finite gradient from the vjp of '{rec.op}'")
@@ -296,7 +312,8 @@ class Tape:
             raise NumericError(self._blame(otherwise))
 
     def _blame(self, otherwise: str) -> str:
-        """Replay the records: name the first op with a non-finite output."""
+        """Replay the records: name the first op with a non-finite output.
+        A record that has let go of its outputs is passed over."""
         for rec in self._records:
             if any(not np.all(np.isfinite(t.data)) for t in rec.out):
                 return f"non-finite value produced by '{rec.op}'"

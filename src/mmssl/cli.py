@@ -3,13 +3,16 @@
 Subcommands: ``train``, ``eval``, ``synth``, ``gradcheck``, ``report``.
 Exit status 0 on success, 1 on a validation problem (bad flags, missing or
 malformed files, inconsistent configuration, sizes too large to allocate),
-2 on a numeric failure.
+2 on a numeric failure, 141 (128 + SIGPIPE, as a shell reports a writer
+stopped by SIGPIPE) when standard output was closed by its reader, such as
+``mmssl train ... | head -1``; whatever the command wrote to disk stays.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -259,7 +262,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        # point stdout at the null device, so the exit flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -1,5 +1,6 @@
 """Tape engine: primitive gradients, segments, input-gradient norms."""
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -113,6 +114,44 @@ def test_backward_frees_each_vjp_and_keeps_the_records():
     assert len(tape) == 3
     assert [rec.op for rec in tape._records] == ["exp", "mul", "reduce_sum"]
     assert all(rec.vjp is None for rec in tape._records)
+
+
+def test_backward_lets_go_of_each_records_tensors():
+    rng = np.random.default_rng(5)
+    x = ad.constant(rng.standard_normal((2, 3)))
+    w = ad.parameter(rng.standard_normal((3, 4)), "w")
+    with ad.Tape() as tape:
+        loss = ad.reduce_sum(ad.matmul(x, w))
+    product = weakref.ref(tape._records[0].out[0].data)  # read only by reduce_sum
+    tape.backward(loss, params=[w])
+    assert [rec.op for rec in tape._records] == ["matmul", "reduce_sum"]
+    assert all(rec.out == () and rec.inputs == () for rec in tape._records)
+    assert product() is None
+
+
+def test_a_vjp_that_goes_non_finite_mid_backward_is_named_with_earlier_records_intact():
+    # sqrt(0) is finite, its derivative is not; the records after sqrt have
+    # already let go of their tensors when its vjp fails
+    x = ad.parameter(np.array([[0.0, 0.0], [1.0, 2.0]]), "x")
+    with ad.Tape() as tape:
+        r = ad.sqrt(ad.reduce_sum(ad.mul(x, x), axis=1))
+        loss = ad.reduce_sum(ad.exp(ad.scale(r, 0.5)))
+    assert [rec.op for rec in tape._records] == ["mul", "reduce_sum", "sqrt", "scale", "exp", "reduce_sum"]
+    with pytest.raises(ad.NumericError, match="non-finite gradient from the vjp of 'sqrt'"):
+        tape.backward(loss, params=[x])
+    assert [bool(rec.out) for rec in tape._records] == [True, True, True, False, False, False]
+
+
+def test_a_non_finite_gradient_after_a_finished_backward_names_the_parameter():
+    # the records have let go of their outputs, so the NaN that log made is
+    # not replayed: the check names the parameter whose gradient it reached
+    x = ad.parameter(np.array([[1.0, -1.0]]), "x")
+    with ad.Tape() as tape:
+        y = ad.log(x)  # log(-1) is NaN, which slice_cols leaves out of the loss
+        loss = ad.reduce_sum(ad.slice_cols(y, 0, 1))
+    tape._records[0].vjp = lambda g_out: (np.full((1, 2), np.inf),)  # adds no flag
+    with pytest.raises(ad.NumericError, match="non-finite gradient of 'x'"):
+        tape.backward(loss, params=[x])
 
 
 def test_a_spent_tape_refuses_a_second_backward():
@@ -492,7 +531,7 @@ def _segment_body(x, w, k):
     return b, ad.mul(c, k), unused
 
 
-def _segment_run(segmented, nested=False):
+def _segment_forward(segmented, nested=False):
     p = ad.parameter(np.array([[0.3, -1.2, 0.0], [2.0, -0.5, 1.1]]), "p")
     w = ad.parameter(np.array([[1.5, 0.0, -0.7], [-2.0, 0.4, 0.9]]), "w")
     k = ad.constant(np.array([[1.0, -0.0, 2.0], [-0.0, -3.0, -0.0]]))
@@ -506,8 +545,13 @@ def _segment_run(segmented, nested=False):
         x = ad.exp(p)
         b, c, unused = body(x, w, k)
         loss = ad.reduce_sum(ad.add(ad.mul(b, k), ad.mul(c, x)))
+    return tape, loss, (p, w), [loss.data, b.data, c.data, unused.data]
+
+
+def _segment_run(segmented, nested=False):
+    tape, loss, (p, w), values = _segment_forward(segmented, nested)
     grads = tape.backward(loss, params=[p, w])
-    return tape, [loss.data, b.data, c.data, unused.data, grads.get(p), grads.get(w)]
+    return tape, [*values, grads.get(p), grads.get(w)]
 
 
 @pytest.mark.parametrize("nested", [False, True])
@@ -525,7 +569,7 @@ def test_a_segment_is_bitwise_equal_to_its_records(nested):
 def test_a_segment_keeps_only_its_outputs_and_outside_inputs():
     # inputs in the order backward delivers partials: k from mul(c, k), x
     # from mul(a, x), then x and w from mul(x, w); no inner tensor is kept
-    tape, _ = _segment_run(segmented=True)
+    tape, *_ = _segment_forward(segmented=True)
     (x,), rec = tape._records[0].out, tape._records[1]
     assert len(rec.out) == 3
     k, x1, x2, w = rec.inputs

@@ -1,8 +1,12 @@
 """End-to-end command-line workflows on a throwaway dataset."""
 
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -412,6 +416,36 @@ def test_train_that_finishes_no_epoch_says_no_validation_ran(data_dir, tmp_path,
     assert main(["train", "--data", str(data_dir), "--out", str(out), "--config", str(config)]) == 0
     assert capsys.readouterr().out == "trained 0 epochs; no validation ran, so no best epoch\n"
     assert not (out / "best.ckpt").exists() and not (out / "final.ckpt").exists()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("command", ["report", "train"])
+def test_a_closed_stdout_exits_141_silently_and_keeps_what_was_written(
+    data_dir, train_dir, tmp_path, command, unbuffered
+):
+    # a reader that has gone (`mmssl train ... | head -1`): a buffered stdout
+    # fails in the exit flush, an unbuffered one in the first print
+    config = tmp_path / "two_steps.json"
+    config.write_text(json.dumps({"train.epochs": 1, "train.steps_per_epoch": 2, "train.batch_size": 8,
+                                  "train.embed_dim": 8, "train.disc_hidden": 8, "enc.top_k": 3}))
+    argv = {
+        "report": ["report", "--log", str(train_dir / "metrics.ndjson")],
+        "train": ["train", "--data", str(data_dir), "--out", str(tmp_path / "out"), "--config", str(config)],
+    }[command]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mmssl.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+    if command == "train":
+        assert (tmp_path / "out" / "final.ckpt").is_file() and (tmp_path / "out" / "best.ckpt").is_file()
 
 
 def test_checkpoints_survive_a_load_and_a_save_byte_for_byte(train_dir, tmp_path):

@@ -911,8 +911,8 @@ def test_the_readme_library_example_runs(capsys):
     block = re.search(r"^## Library use\n\n```python\n(.*?)^```", readme, re.S | re.M)
     assert block, "README.md has no python block under '## Library use'"
     exec(compile(block.group(1), "README.md", "exec"), {})
-    recall, best_epoch = capsys.readouterr().out.split()
-    assert 0.0 <= float(recall) <= 1.0 and int(best_epoch) >= 0
+    first, last, best_epoch = capsys.readouterr().out.split()
+    assert 0.0 <= float(first) < float(last) <= 1.0 and int(best_epoch) >= 0  # the run learns
 
 
 def test_non_finite_id_row_names_the_op_in_both_steps():
