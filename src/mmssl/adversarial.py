@@ -158,10 +158,8 @@ def gumbel_real_proxy(
     np.exp(rows, out=rows)
     rows /= rows.sum(axis=1, keepdims=True)
     if zeta != 0.0 and h_user_rows is not None and h_item is not None:
-        un = np.linalg.norm(h_user_rows, axis=1, keepdims=True)
-        vn = np.linalg.norm(h_item, axis=1, keepdims=True)
-        qu = np.divide(h_user_rows, un, out=np.zeros_like(h_user_rows), where=un > 0)
-        qi = np.divide(h_item, vn, out=np.zeros_like(h_item), where=vn > 0)
+        qu = ad.l2_normalize_rows(h_user_rows).data
+        qi = ad.l2_normalize_rows(h_item).data
         cos = qu @ qi.T
         cos *= zeta
         rows += cos

@@ -1,15 +1,16 @@
 """Reverse-mode differentiation over an explicitly recorded operation tape.
 
-All buffers are 64-bit floats.  Operations compute eagerly with numpy and,
-when a tape is active, append a record holding the op name, the outputs, the
-input tensors and a vector-Jacobian closure, which keeps only what it reads.
-``Tape.backward`` walks the records in reverse and sums every tensor's
-partials in one ``GradientMap``; creation order is a topological order by
-construction, so no sort is needed.  Once a record's vjp has run, the record
-lets go of its outputs and inputs, so a forward tensor is freed as soon as
-the last record that reads it has been differentiated (unless the caller
-still holds it).  A ``segment`` collapses the records a function makes into
-one record that keeps only the function's outputs.
+All buffers are 64-bit floats.  Every tensor gets a key that no other
+tensor ever gets.  Operations compute eagerly with numpy and, when a tape
+is active, append a record holding the op name, the outputs, their keys,
+the input keys and a vector-Jacobian closure, which keeps only what it
+reads.  ``Tape.backward`` walks the records in reverse and sums every
+tensor's partials by key in one ``GradientMap``; creation order is a
+topological order by construction, so no sort is needed.  Once a record's
+vjp has run, the record lets go of its outputs, so a forward tensor is
+freed as soon as the last record that reads it has been differentiated
+(unless the caller still holds it).  A ``segment`` renames the records a
+function makes, which keep only the function's outputs.
 
 Non-finite values raise ``NumericError`` naming the op that produced them.
 A call made with no tape active checks its own output.  A taped step is
@@ -29,6 +30,7 @@ parameters; it only returns a gradient map.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -94,14 +96,17 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         _require_finite(arr, op)
 
 
+_KEYS = itertools.count()  # unlike an object's identity, a key is never reused
+
+
 class Tensor:
-    """A 64-bit dense buffer, optionally marked as a trainable parameter."""
+    """A 64-bit dense buffer with a key of its own; a parameter has a name."""
 
-    __slots__ = ("data", "requires_grad", "name")
+    __slots__ = ("data", "key", "name")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, name: str | None = None):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
-        self.requires_grad = requires_grad
+        self.key = next(_KEYS)
         self.name = name
 
     @property
@@ -120,12 +125,11 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def __repr__(self) -> str:
-        tag = self.name or ("param" if self.requires_grad else "tensor")
-        return f"Tensor({tag}, shape={self.shape})"
+        return f"Tensor({self.name or 'tensor'}, shape={self.shape})"
 
 
 def parameter(data, name: str) -> Tensor:
-    return Tensor(data, requires_grad=True, name=name)
+    return Tensor(data, name=name)
 
 
 def xavier_parameter(rng: np.random.Generator, fan_in: int, fan_out: int, name: str) -> Tensor:
@@ -153,23 +157,24 @@ _ACTIVE: "Tape | None" = None  # the tape recording right now, if any
 
 @dataclass(slots=True)
 class _Record:
-    """One primitive application, or one segment (see ``segment``), which
-    keeps only its outputs.  ``out`` is the tuple of its outputs, whose
-    gradients the vjp takes as a tuple (None for an output that got none).
-    The vjp returns one partial per input, in the forms ``GradientMap.add``
-    takes.  Backward drops the vjp once it has run and, once its partials
-    are summed, sets ``out`` and ``inputs`` to ``()``; only the op name
-    stays.  Until then the outputs serve the replay that names a failing
-    op, so a failure inside a segment names the segment."""
+    """One primitive application.  ``out`` is the tuple of its outputs and
+    ``keys`` their keys; the vjp takes the outputs' gradients as a tuple
+    (None for an output that got none) and returns one partial per key of
+    ``inputs``, in the forms ``GradientMap.add`` takes.  Backward drops the
+    vjp once it has run and, once its partials are summed, sets ``out`` to
+    ``()``; the op name and the keys stay.  Until then the outputs serve the
+    replay that names a failing op.  A record made inside a segment bears
+    the segment's name and keeps only the outputs the segment returns."""
 
     op: str
     out: tuple[Tensor, ...]
-    inputs: tuple[Tensor, ...]
+    keys: tuple[int, ...]
+    inputs: tuple[int, ...]
     vjp: Callable | None
 
 
 class GradientMap:
-    """Tensor identity -> the sum of its partials; absent entries mean zero.
+    """Tensor key -> the sum of its partials; absent entries mean zero.
 
     Backward sums every tensor's partials in one map: a produced tensor's
     sum leaves it as its record runs, so what ``Tape.backward`` returns
@@ -211,23 +216,17 @@ class GradientMap:
             self._held[key] = np.add(held, g, out=np.empty_like(held))
             self._owned.add(key)
 
-    def run(self, vjp: Callable, keys) -> Sequence | None:
-        """``vjp``'s partials for the sums keyed ``keys``, which leave the
-        map; None when none of them got a partial."""
-        g_out = []
-        for key in keys:
-            g_out.append(self._held.pop(key, None))
-            self._owned.discard(key)
-        if all(g is None for g in g_out):
-            return None
-        return vjp(tuple(g_out))
+    def pop(self, key: int) -> np.ndarray | None:
+        """The sum keyed ``key``, which leaves the map; None if it got no partial."""
+        self._owned.discard(key)
+        return self._held.pop(key, None)
 
     def get(self, t: Tensor) -> np.ndarray:
-        g = self._held.get(id(t))
+        g = self._held.get(t.key)
         return np.zeros_like(t.data) if g is None else g
 
     def __contains__(self, t: Tensor) -> bool:
-        return id(t) in self._held
+        return t.key in self._held
 
 
 class Tape:
@@ -254,15 +253,15 @@ class Tape:
     def backward(self, loss: Tensor, params: Sequence[Tensor]) -> GradientMap:
         """d(loss)/d(p) for each parameter ``p`` of ``params`` that the loss reaches.
 
-        ``loss`` must be scalar (size one).  Only the parameters among
-        ``params`` (``requires_grad``) receive gradients; a partial that only
-        a constant or another leaf would receive is not worked out where its
-        primitive defers it.  Every tensor's partials are summed in one
+        ``loss`` must be scalar (size one).  Only the tensors among
+        ``params`` receive gradients; a partial that only a constant or
+        another leaf would receive is not worked out where its primitive
+        defers it.  Every tensor's partials are summed by key in one
         ``GradientMap``, which is returned.  Each vjp is dropped once it has
         run, which frees the arrays it holds (a vjp may also overwrite them),
-        and once its partials are summed the record lets go of its outputs
-        and inputs, keeping only its op name; so a tape is differentiated
-        once: a second call raises ``ValueError``.
+        and once its partials are summed the record lets go of its outputs,
+        keeping its op name and keys; so a tape is differentiated once: a
+        second call raises ``ValueError``.
 
         Raises ``NumericError`` if the loss, a vjp or a returned gradient is
         not finite.  The loss is checked, and the records replayed to name
@@ -277,25 +276,24 @@ class Tape:
         if self._spent:
             raise ValueError("this tape was already differentiated; record the forward again")
         self._spent = True
-        requested = {id(p): p for p in params if p.requires_grad}
-        # a released tensor's id may be reused, but never by a tensor a
-        # record names: those were all alive together when backward began
-        wanted = requested.keys() | {id(t) for rec in self._records for t in rec.out}
+        requested = {p.key: p for p in params}
+        wanted = requested.keys() | {key for rec in self._records for key in rec.keys}
         grads = GradientMap()
-        if id(loss) in wanted:
-            grads.add(id(loss), np.ones_like(loss.data))
+        if loss.key in wanted:
+            grads.add(loss.key, np.ones_like(loss.data))
         # a vjp, or the sum of its partials, that makes a non-finite value
         # from finite ones raises a floating-point flag here
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             try:
                 for rec in reversed(self._records):
                     vjp, rec.vjp = rec.vjp, None
-                    partials = grads.run(vjp, map(id, rec.out))
-                    del vjp  # frees what the closure holds before the partials are summed
-                    for inp, g_in in zip(rec.inputs, partials or ()):
-                        if id(inp) in wanted:  # else a constant, or a leaf no one asked for
-                            grads.add(id(inp), g_in)
-                    rec.out = rec.inputs = ()
+                    g_out = tuple(map(grads.pop, rec.keys))
+                    partials = vjp(g_out) if any(g is not None for g in g_out) else ()
+                    del vjp, g_out  # frees what they hold before the partials are summed
+                    for key, g_in in zip(rec.inputs, partials):
+                        if key in wanted:  # else a constant, or a leaf no one asked for
+                            grads.add(key, g_in)
+                    rec.out = ()
             except FloatingPointError:
                 raise NumericError(
                     self._blame(f"non-finite gradient from the vjp of '{rec.op}'")
@@ -320,71 +318,39 @@ class Tape:
         return otherwise
 
 
+def _append(op: str, out: tuple[Tensor, ...], inputs: Sequence[Tensor], vjp: Callable) -> None:
+    """Append a record of ``out`` made from ``inputs`` to the active tape, if any."""
+    if _ACTIVE is not None:
+        keys = tuple(t.key for t in out)
+        _ACTIVE._records.append(_Record(op, out, keys, tuple(t.key for t in inputs), vjp))
+
+
 def _record(op: str, out: Tensor, inputs: tuple[Tensor, ...], vjp: Callable) -> None:
     """Record a one-output primitive on the active tape, if any.  ``vjp``
     takes the output's gradient; the record's vjp takes it as a 1-tuple."""
-    if _ACTIVE is not None:
-        _ACTIVE._records.append(_Record(op, (out,), inputs, lambda g_out: vjp(*g_out)))
+    _append(op, (out,), inputs, lambda g_out: vjp(*g_out))
 
 
 def segment(op: str, fn: Callable, *args):
-    """``fn(*args)``, a Tensor or a tuple of them, recorded as one record.
+    """``fn(*args)``, a Tensor or a tuple of them, with its records named ``op``.
 
-    With a tape active, the records ``fn`` makes collapse into one record
-    named ``op``.  Its outputs are the returned tensors made inside; a
-    returned tensor made outside is passed through.  Its inputs are the
-    outside tensors the inner records read, listed once per partial in the
-    order backward delivers them.  Its vjp runs the inner vjps in reverse
-    and sums their partials in a ``GradientMap``, as the tape does, so
-    values and gradients are bitwise equal to the records it replaces, and
-    an output that gets no gradient skips the records that made it, as on
-    the tape.  The inner outputs are not kept, so a non-finite value made
-    inside is named by ``op``.  Only the returned tensors may be read
-    afterwards.  With no tape active this is ``fn(*args)``, per-op checks
-    included; with no returned tensor made inside, the records stay as they
-    are.
+    With a tape active, every record ``fn`` appends takes the name ``op``
+    and drops from ``out`` every tensor that ``fn`` does not return, so
+    only the returned tensors may be read afterwards.  Backward runs these
+    records like any others, so values and gradients are those of ``fn``
+    unsegmented.  A non-finite value made inside reaches a returned output,
+    so the replay names ``op``.  With no tape active this is ``fn(*args)``,
+    per-op checks included.
     """
-    tape = _ACTIVE
-    if tape is None:
+    if _ACTIVE is None:
         return fn(*args)
-    start = len(tape._records)
+    records = _ACTIVE._records
+    start = len(records)
     result = fn(*args)
-    inner = tape._records[start:]
-    made = {id(t) for rec in inner for t in rec.out}
-    outs = tuple(t for t in (result if isinstance(result, tuple) else (result,)) if id(t) in made)
-    if not outs:
-        return result
-    del tape._records[start:]
-    inputs: list[Tensor] = []
-    steps = []  # (vjp, output keys, one route per input) per record
-    for rec in reversed(inner):
-        routes = []
-        for t in rec.inputs:
-            if id(t) in made:
-                routes.append(id(t))
-            else:  # the ~position of its partial among the segment's inputs
-                routes.append(~len(inputs))
-                inputs.append(t)
-        steps.append((rec.vjp, tuple(map(id, rec.out)), routes))
-    steps.reverse()  # pop() takes the last record first
-
-    def vjp(g_out):
-        sums = GradientMap()
-        for key, g in zip(map(id, outs), g_out):
-            sums.add(key, g)
-        partials = [None] * len(inputs)
-        while steps:
-            step_vjp, keys, routes = steps.pop()
-            step_partials = sums.run(step_vjp, keys) or ()
-            del step_vjp
-            for route, g_in in zip(routes, step_partials):
-                if route < 0:
-                    partials[~route] = g_in
-                else:
-                    sums.add(route, g_in)
-        return partials
-
-    tape._records.append(_Record(op, outs, tuple(inputs), vjp))
+    returned = {t.key for t in (result if isinstance(result, tuple) else (result,))}
+    for rec in records[start:]:
+        rec.op = op
+        rec.out = tuple(t for t in rec.out if t.key in returned)
     return result
 
 
@@ -845,8 +811,7 @@ def head_attention(
         *(query[h] for h in range(heads) for _ in range(num_m)),
         *(key[h] for h in range(heads) for _ in range(num_m)),
     )
-    if _ACTIVE is not None:
-        _ACTIVE._records.append(_Record("head_attention", tuple(outs), inputs, vjp))
+    _append("head_attention", tuple(outs), inputs, vjp)
     return outs
 
 

@@ -54,6 +54,7 @@ DEFAULTS: dict = {
 
 # key -> smallest allowed value
 _AT_LEAST = {
+    "train.seed": 0,
     "train.batch_size": 1,
     "train.d_steps": 1,
     "train.steps_per_epoch": 0,

@@ -535,7 +535,9 @@ class Trainer:
     def run(self, checkpoint_path=None, log_path=None) -> Trainer:
         """Train up to ``cfg.epochs`` and return this trainer, the run's one
         record: its ``state``, ``log``, ``best_epoch``, ``best_recall``,
-        ``best_arrays`` and ``aborted``."""
+        ``best_arrays`` and ``aborted``.  Patience counts the epochs since
+        the best.  With no validation edges no epoch is validated: the log
+        records no metrics, no epoch is best, and patience never stops the run."""
         cfg = self.cfg
         steps = cfg.steps_per_epoch or max(1, -(-self.split.train.num_edges // cfg.batch_size))
         self.aborted = False
@@ -565,19 +567,20 @@ class Trainer:
                     {k: sums[k] / steps for k in ("l_bpr", "l_cl", "l_g")}
                 )
                 record["l_d"] = sums["l_d"] / (steps * cfg.d_steps) if not cfg.disable_asl else 0.0
-                record.update(self._validate())
+                if self.split.val.num_edges:  # else no epoch is validated, and none is best
+                    record.update(self._validate())
                 self.log.append(record)
                 if log_fh:
                     log_fh.write(json.dumps(record, sort_keys=True) + "\n")
                     log_fh.flush()
-                if record["recall"] > self.best_recall:
+                if "recall" in record and record["recall"] > self.best_recall:
                     self.best_recall = record["recall"]
                     self.best_epoch = epoch
                     self.best_arrays = {name: buf.copy() for name, (_, buf) in self._layout()["live"].items()}
                 self.epoch += 1
                 if checkpoint_path is not None:
                     self.save(checkpoint_path)
-                if self.epoch - 1 - self.best_epoch >= cfg.patience:  # epochs since the best
+                if self.best_epoch >= 0 and self.epoch - 1 - self.best_epoch >= cfg.patience:
                     break
         finally:
             if log_fh:

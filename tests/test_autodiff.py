@@ -1,4 +1,5 @@
 """Tape engine: primitive gradients, segments, input-gradient norms."""
+import inspect
 import tracemalloc
 import weakref
 
@@ -16,6 +17,19 @@ def test_every_primitive_matches_finite_differences():
     errs = run_primitive_checks()
     worst = max(errs.values())
     assert worst <= 1e-4, f"worst primitive {max(errs, key=errs.get)}: {worst:.3e}"
+
+
+def test_every_differentiable_primitive_has_a_finite_difference_case():
+    # a case named after its primitive, or after it and an underscore
+    # (``reduce_sum_axis0``, ``batch_norm_train``), checks it
+    not_primitives = {"segment", "parameter", "xavier_parameter", "constant", "finite_difference_check"}
+    primitives = {
+        name for name in ad.__all__
+        if inspect.isfunction(getattr(ad, name)) and name not in not_primitives
+    }
+    cases = run_primitive_checks()
+    unchecked = [p for p in sorted(primitives) if not any(c == p or c.startswith(p + "_") for c in cases)]
+    assert {"add", "infonce_terms", "head_attention", "batch_norm"} <= primitives and unchecked == []
 
 
 def test_tensor_is_float64_and_contiguous():
@@ -123,9 +137,11 @@ def test_backward_lets_go_of_each_records_tensors():
     with ad.Tape() as tape:
         loss = ad.reduce_sum(ad.matmul(x, w))
     product = weakref.ref(tape._records[0].out[0].data)  # read only by reduce_sum
+    (key,) = tape._records[0].keys
     tape.backward(loss, params=[w])
     assert [rec.op for rec in tape._records] == ["matmul", "reduce_sum"]
-    assert all(rec.out == () and rec.inputs == () for rec in tape._records)
+    assert [rec.inputs for rec in tape._records] == [(x.key, w.key), (key,)]  # keys, not tensors
+    assert all(rec.out == () for rec in tape._records)
     assert product() is None
 
 
@@ -229,27 +245,27 @@ def test_sums_add_into_an_owned_partial_in_place_and_never_into_a_passed_one():
 
     fresh = parts[0].copy()  # as a deferred function returns it
     sums = ad.GradientMap()
-    sums.add(id(t), lambda: fresh)
+    sums.add(t.key, lambda: fresh)
     for g in parts[1:]:
-        sums.add(id(t), g)
+        sums.add(t.key, g)
     assert sums.get(t) is fresh and _bits(fresh) == _bits(want)
 
     passed = parts[0].copy()  # as add hands the same g to both its inputs
     sums = ad.GradientMap()
-    sums.add(id(t), passed)
+    sums.add(t.key, passed)
     for g in parts[1:]:
-        sums.add(id(t), lambda g=g: g.copy())
+        sums.add(t.key, lambda g=g: g.copy())
     assert _bits(passed) == _bits(parts[0]) and _bits(sums.get(t)) == _bits(want)
 
     base = parts[0].copy()  # a view is not fresh, even from a deferred function
     sums = ad.GradientMap()
-    sums.add(id(t), lambda: base[:])
-    sums.add(id(t), parts[1])
+    sums.add(t.key, lambda: base[:])
+    sums.add(t.key, parts[1])
     assert _bits(base) == _bits(parts[0]) and _bits(sums.get(t)) == _bits(parts[0] + parts[1])
 
     sums = ad.GradientMap()  # a None partial, or a deferred one that makes None, adds nothing
-    sums.add(id(t), None)
-    sums.add(id(t), lambda: None)
+    sums.add(t.key, None)
+    sums.add(t.key, lambda: None)
     assert t not in sums
 
 
@@ -295,14 +311,14 @@ def test_backward_works_out_partials_only_for_inputs_that_need_them(op):
     with ad.Tape() as tape:
         inner = op(const, w)
         loss = ad.reduce_sum(op(inner, other))
-    label = {id(const): "const", id(w): "w", id(other): "other", id(inner): "inner"}
+    label = {const.key: "const", w.key: "w", other.key: "other", inner.key: "inner"}
     worked_out = []
     for rec in tape._records[:2]:
 
         def spy(g, vjp=rec.vjp, inputs=rec.inputs):
             return tuple(
-                lambda part=part, key=id(inp): worked_out.append(label[key]) or part()
-                for part, inp in zip(vjp(g), inputs)
+                lambda part=part, key=key: worked_out.append(label[key]) or part()
+                for part, key in zip(vjp(g), inputs)
             )
 
         rec.vjp = spy
@@ -489,7 +505,7 @@ def test_filtered_gradient_map_accepts_further_accumulation():
     grads = tape.backward(loss, params=[x])
     assert y not in grads
     owned = grads.get(x)  # made by a deferred mul partial, so the map adds into it
-    grads.add(id(x), np.ones_like(x.data))
+    grads.add(x.key, np.ones_like(x.data))
     np.testing.assert_allclose(grads.get(x), 2 * x.data + 1)
     assert grads.get(x) is owned
 
@@ -500,7 +516,7 @@ def test_filtered_gradient_map_accepts_further_accumulation():
         loss = ad.reduce_sum(ad.add(x, z))
     grads = tape.backward(loss, params=[x, z])
     assert grads.get(x) is grads.get(z)
-    grads.add(id(x), np.ones_like(x.data))
+    grads.add(x.key, np.ones_like(x.data))
     np.testing.assert_array_equal(grads.get(x), [[2.0, 2.0]])
     np.testing.assert_array_equal(grads.get(z), [[1.0, 1.0]])
 
@@ -510,7 +526,7 @@ def test_filtered_gradient_map_accepts_further_accumulation():
         loss = ad.reduce_sum(ad.gather_rows(table, [0, 2, 0]))
     grads = tape.backward(loss, params=[table])
     scattered = grads.get(table)
-    grads.add(id(table), np.ones_like(table.data))
+    grads.add(table.key, np.ones_like(table.data))
     assert grads.get(table) is scattered
     np.testing.assert_array_equal(scattered, [[3.0, 3.0], [1.0, 1.0], [2.0, 2.0]])
 
@@ -560,20 +576,37 @@ def test_a_segment_is_bitwise_equal_to_its_records(nested):
     tape, got = _segment_run(segmented=True, nested=nested)
     assert (np.signbit(plain[5]) & (plain[5] == 0)).any()  # w's gradient has a -0.0
     assert [_bits(v) for v in got] == [_bits(v) for v in plain]
-    assert [rec.op for rec in tape._records] == ["exp", "outer" if nested else "seg", *(
-        rec.op for rec in plain_tape._records[-4:]
-    )]
-    assert len(plain_tape) == 13 and len(tape) == 6
+    # the segment's eight records are the plain ones, renamed
+    assert [rec.op for rec in tape._records] == [
+        "exp", *["outer" if nested else "seg"] * 8, *(rec.op for rec in plain_tape._records[-4:])
+    ]
+    assert len(plain_tape) == len(tape) == 13
 
 
-def test_a_segment_keeps_only_its_outputs_and_outside_inputs():
-    # inputs in the order backward delivers partials: k from mul(c, k), x
-    # from mul(a, x), then x and w from mul(x, w); no inner tensor is kept
-    tape, *_ = _segment_forward(segmented=True)
-    (x,), rec = tape._records[0].out, tape._records[1]
-    assert len(rec.out) == 3
-    k, x1, x2, w = rec.inputs
-    assert x1 is x and x2 is x and w.name == "w" and not k.requires_grad
+def test_a_segment_keeps_only_its_outputs_and_no_record_holds_an_input():
+    # add makes b, sqrt makes `unused` and the last mul makes the second
+    # output; no other inner output is kept, and inputs are keys
+    tape, _, (_, w), (_, b, c, unused) = _segment_forward(segmented=True)
+    (x,), inner = tape._records[0].out, tape._records[1:9]
+    assert [rec.op for rec in inner] == ["seg"] * 8
+    kept = {i: rec.out for i, rec in enumerate(inner) if rec.out}
+    assert list(kept) == [3, 6, 7]
+    assert all(out.data is value for (out,), value in zip(kept.values(), [b, unused, c]))
+    assert inner[0].inputs == (x.key, w.key)
+    assert all(type(key) is int for rec in tape._records for key in rec.inputs)
+
+
+def test_a_constant_read_only_by_add_is_freed_once_the_forward_ends():
+    # add's vjp keeps shapes and its record keeps input keys, so nothing on
+    # the tape holds the constant's data
+    x = ad.parameter(np.ones((2, 3)), "x")
+    data = np.arange(6.0).reshape(2, 3)
+    held = weakref.ref(data)
+    with ad.Tape() as tape:
+        loss = ad.reduce_sum(ad.add(x, ad.constant(data)))
+    del data
+    assert held() is None
+    np.testing.assert_array_equal(tape.backward(loss, params=[x]).get(x), np.ones((2, 3)))
 
 
 def test_pass_through_outputs_and_empty_segments_add_no_record():

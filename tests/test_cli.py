@@ -418,6 +418,36 @@ def test_train_that_finishes_no_epoch_says_no_validation_ran(data_dir, tmp_path,
     assert not (out / "best.ckpt").exists() and not (out / "final.ckpt").exists()
 
 
+def test_train_without_validation_edges_runs_every_epoch_and_writes_no_best(data_dir, tmp_path, capsys):
+    # round(0.0 x edges) is 0: no epoch is validated, so none is best and
+    # patience (10 by default) never stops the run
+    config = tmp_path / "no_val.json"
+    config.write_text(json.dumps({
+        "train.split": [0.9, 0.0, 0.1], "train.epochs": 15, "train.steps_per_epoch": 1,
+        "train.batch_size": 8, "train.embed_dim": 8, "train.disc_hidden": 8, "enc.top_k": 3,
+    }))
+    out = tmp_path / "out"
+    assert main(["train", "--data", str(data_dir), "--out", str(out), "--config", str(config)]) == 0
+    assert capsys.readouterr().out.startswith("trained 15 epochs; no validation ran, so no best epoch\n")
+    records = [json.loads(line) for line in (out / "metrics.ndjson").read_text().splitlines()]
+    assert [r["epoch"] for r in records] == list(range(15))
+    assert all(set(r) == {"epoch", "l_bpr", "l_cl", "l_g", "l_d"} for r in records)
+    assert (out / "final.ckpt").is_file() and not (out / "best.ckpt").exists()
+    assert main(["report", "--log", str(out / "metrics.ndjson")]) == 0  # the metric cells are blank
+
+
+def test_a_negative_seed_exits_one_naming_its_key(data_dir, tmp_path, capsys, monkeypatch):
+    config = tmp_path / "seed.json"
+    config.write_text(json.dumps({"train.seed": -1}))
+    out = tmp_path / "out"
+    assert main(["train", "--data", str(data_dir), "--out", str(out), "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "error: train.seed must be at least 0, got -1\n"
+    monkeypatch.setenv("MMSSL_SEED", "-5")
+    assert main(["train", "--data", str(data_dir), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: train.seed must be at least 0, got -5\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("command", ["report", "train"])
 def test_a_closed_stdout_exits_141_silently_and_keeps_what_was_written(

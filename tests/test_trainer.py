@@ -541,8 +541,9 @@ def test_training_is_bitwise_equal_with_composed_attention(tmp_path, monkeypatch
 
 @pytest.mark.parametrize("d_steps", [1, 2])
 def test_training_is_bitwise_equal_with_segments_as_plain_calls(tmp_path, monkeypatch, d_steps):
-    # a segment only merges records: with every segment's records left on the
-    # tape as they are, no trained value may move
+    # a segment only renames records and drops their unreturned outputs:
+    # with every segment's records left on the tape as they are, no trained
+    # value may move
     fused, composed = _fused_and_composed_runs(
         tmp_path, monkeypatch, ad, "segment", lambda op, fn, *args: fn(*args), d_steps=d_steps
     )
@@ -847,10 +848,10 @@ def test_no_trainer_attribute_holds_a_tape_after_a_step(monkeypatch):
 
 def dead_records(tape, loss):
     """Ops of the tape's records whose outputs do not reach ``loss``."""
-    live, dead = {id(loss)}, []
+    live, dead = {loss.key}, []
     for rec in reversed(tape._records):
-        if any(id(t) in live for t in rec.out):
-            live.update(id(t) for t in rec.inputs)
+        if any(key in live for key in rec.keys):
+            live.update(rec.inputs)
         else:
             dead.append(rec.op)
     return dead
@@ -875,16 +876,16 @@ def list_backward(tape, loss, params):
     """A reverse pass written apart from ``Tape.backward``: each tensor's
     partials wait in a list, a deferred one is called, None is skipped, and
     the list is summed left to right with ``np.add``, never in place."""
-    partials = {id(loss): [np.ones_like(loss.data)]}
+    partials = {loss.key: [np.ones_like(loss.data)]}
     for rec in reversed(tape._records):
-        g_out = tuple(functools.reduce(np.add, partials.pop(id(t), [None])) for t in rec.out)
+        g_out = tuple(functools.reduce(np.add, partials.pop(key, [None])) for key in rec.keys)
         vjp, rec.vjp = rec.vjp, None
         if any(g is not None for g in g_out):
-            for inp, g in zip(rec.inputs, vjp(g_out)):
+            for key, g in zip(rec.inputs, vjp(g_out)):
                 g = g() if callable(g) else g
                 if g is not None:
-                    partials.setdefault(id(inp), []).append(g)
-    return FixedGrads((p, functools.reduce(np.add, partials.get(id(p), [np.zeros_like(p.data)]))) for p in params)
+                    partials.setdefault(key, []).append(g)
+    return FixedGrads((p, functools.reduce(np.add, partials.get(p.key, [np.zeros_like(p.data)]))) for p in params)
 
 
 def test_a_step_is_bitwise_equal_under_an_independent_reverse_pass(monkeypatch):
