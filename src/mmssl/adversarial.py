@@ -290,7 +290,7 @@ def gradient_norms(factors: list, num_rows: int) -> Tensor:
     v = ad.constant(np.ones((num_rows, 1)))
     for kind, factor in reversed(factors):
         v = ad.matmul(v, ad.transpose(factor)) if kind == "affine" else ad.mul(v, factor)
-    return ad.sqrt(ad.reduce_sum(ad.mul(v, v), axis=1))
+    return ad.sqrt(ad.row_sq_norms(v))
 
 
 def discriminate(
@@ -315,7 +315,9 @@ def interpolate_rows(
     if real.shape != fake.shape:
         raise ValueError(f"shape mismatch: real {real.shape} vs fake {fake.shape}")
     eps = rng.random((real.shape[0], 1))
-    return eps * real + (1.0 - eps) * fake
+    mix = eps * real  # one (batch, I) temporary: the same products and sum
+    mix += (1.0 - eps) * fake
+    return mix
 
 
 # --------------------------------------------------------------------------

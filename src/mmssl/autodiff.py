@@ -69,6 +69,7 @@ __all__ = [
     "row_softmax",
     "l2_normalize_rows",
     "divide_rows_by_sq_norm",
+    "row_sq_norms",
     "infonce_terms",
     "head_attention",
     "dropout",
@@ -647,6 +648,26 @@ def divide_rows_by_sq_norm(a) -> Tensor:
         return (d,)
 
     _record("divide_rows_by_sq_norm", out, (a,), vjp)
+    return out
+
+
+def row_sq_norms(a) -> Tensor:
+    """Each row's squared L2 norm, as one tape record.
+
+    The forward runs the numpy operations of ``reduce_sum(mul(a, a),
+    axis=1)``.  The vjp returns one partial, ``2 g[:, None] * a``, which
+    is bitwise the sum of ``mul``'s two equal partials while no product
+    is subnormal (doubling is exact), so backward makes one array of
+    ``a``'s shape here where the composition makes three.
+    """
+    a = _as_tensor(a)
+    if a.ndim != 2:
+        raise ValueError("row_sq_norms expects a 2-D tensor")
+    with np.errstate(over="ignore"):
+        val = (a.data * a.data).sum(axis=1)
+    _check_finite(val, "row_sq_norms")
+    out = Tensor(val)
+    _record("row_sq_norms", out, (a,), lambda g: (lambda: (2.0 * g)[:, None] * a.data,))
     return out
 
 

@@ -147,6 +147,7 @@ def run_primitive_checks() -> dict[str, float]:
         lambda: ad.reduce_sum(ad.mul(ad.divide_rows_by_sq_norm(a), w)),
         [a],
     )
+    check("row_sq_norms", lambda: ad.reduce_sum(ad.mul(ad.row_sq_norms(a), w4)), [a])
     check(
         "infonce_terms",
         lambda: ad.reduce_sum(ad.mul(ad.infonce_terms(a, b, 0.7), w4)),

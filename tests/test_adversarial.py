@@ -228,6 +228,89 @@ def test_train_mode_critic_loss_matches_central_differences(seed):
             assert abs(a - n) <= 1e-4 * max(abs(a), abs(n)) + 1e-8, (p.name, j, a, n)
 
 
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("negate_critic", [False, True])
+def test_loss_d_is_bitwise_the_composed_penalty(monkeypatch, train, negate_critic):
+    # the penalty's squared norms as one record against reduce_sum(mul(v, v)):
+    # the loss and every critic gradient have the same bytes
+    rng = np.random.default_rng(12)
+    real, fake = rng.random((6, 9)), rng.uniform(-1.0, 1.0, (6, 9))
+    gp = adv.interpolate_rows(real, fake, rng)
+
+    def run():
+        disc = adv.DiscriminatorParams.create(9, 5, np.random.default_rng(3), 0.1)
+        with ad.Tape() as tape:
+            loss = adv.loss_d(real, fake, gp, disc, 1.0, negate_critic, train, np.random.default_rng(21))
+        grads = tape.backward(loss, params=disc.parameters())
+        return [loss.data.tobytes()] + [grads.get(p).tobytes() for p in disc.parameters()]
+
+    fused = run()
+    monkeypatch.setattr(ad, "row_sq_norms", lambda v: ad.reduce_sum(ad.mul(v, v), axis=1))
+    assert run() == fused
+
+
+def _loss_d_on_zero_rows(disc):
+    # zero rows keep every score finite whatever the first layer's scale,
+    # while the input-gradient rows grow with w1 and gamma1
+    zeros = np.zeros((5, disc.w1.shape[0]))
+    with np.errstate(over="ignore", invalid="ignore"), ad.Tape() as tape:
+        loss = adv.loss_d(zeros, zeros, zeros, disc, 1.0, negate_critic=False, train=False)
+    return tape, loss
+
+
+def test_an_overflow_in_the_penalty_square_is_named_row_sq_norms():
+    # gradient rows near 1e199 are finite, their squares are not (named
+    # 'mul' while the square was reduce_sum(mul(v, v)))
+    disc = adv.DiscriminatorParams.create(6, 4, np.random.default_rng(13), 0.0)
+    disc.w1.data *= 1e200
+    tape, loss = _loss_d_on_zero_rows(disc)
+    with pytest.raises(ad.NumericError, match="^non-finite value produced by 'row_sq_norms'$"):
+        tape.backward(loss, params=disc.parameters())
+
+
+def test_non_finite_gradient_rows_are_blamed_on_the_product_that_made_them():
+    # d(score)/d(hidden) near 1e11 against a w1 of 1e300 overflows the
+    # last product of the gradient rows; the square then only passes it on
+    disc = adv.DiscriminatorParams.create(6, 4, np.random.default_rng(13), 0.0)
+    disc.w1.data[:] = 1e300
+    disc.gamma1.data[:] = 1e12
+    tape, loss = _loss_d_on_zero_rows(disc)
+    square = next(rec for rec in tape._records if rec.op == "row_sq_norms")
+    rows = next(rec.out[0].data for rec in tape._records if rec.keys == square.inputs)
+    assert not np.isfinite(rows).any()
+    with pytest.raises(ad.NumericError, match="^non-finite value produced by 'matmul'$"):
+        tape.backward(loss, params=disc.parameters())
+
+
+def test_critic_backward_holds_one_gradient_row_partial_above_the_forward():
+    batch, items = 256, 2000
+    rng = np.random.default_rng(14)
+    disc = adv.DiscriminatorParams.create(items, 64, rng, 0.1)
+    real, fake = rng.random((batch, items)), rng.uniform(-1.0, 1.0, (batch, items))
+    gp = adv.interpolate_rows(real, fake, rng)
+    rows = batch * items * 8
+    tracemalloc.start()
+    try:
+        with ad.Tape() as tape:
+            loss = adv.loss_d(real, fake, gp, disc, 1.0, False, train=True, rng=rng)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tape.backward(loss, params=disc.parameters())
+        growth = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    # the penalty's one (batch, I) partial and the (hidden, I) w1 partials,
+    # 1.28 (batch, I) arrays; the composed square made 3.0
+    assert growth < 1.5 * rows, f"backward grew {growth / rows:.2f} (batch, I) arrays"
+
+
+def test_interpolation_is_bitwise_the_two_product_expression():
+    real, fake = (np.random.default_rng(seed).standard_normal((9, 7)) for seed in (1, 2))
+    mix = adv.interpolate_rows(real, fake, np.random.default_rng(3))
+    eps = np.random.default_rng(3).random((9, 1))
+    assert mix.tobytes() == (eps * real + (1.0 - eps) * fake).tobytes()
+
+
 def test_interpolation_stays_on_segment():
     rng = np.random.default_rng(7)
     real = np.zeros((20, 4))

@@ -1,5 +1,4 @@
 """Tape engine: primitive gradients, segments, input-gradient norms."""
-import inspect
 import tracemalloc
 import weakref
 
@@ -19,17 +18,8 @@ def test_every_primitive_matches_finite_differences():
     assert worst <= 1e-4, f"worst primitive {max(errs, key=errs.get)}: {worst:.3e}"
 
 
-def test_every_differentiable_primitive_has_a_finite_difference_case():
-    # a case named after its primitive, or after it and an underscore
-    # (``reduce_sum_axis0``, ``batch_norm_train``), checks it
-    not_primitives = {"segment", "parameter", "xavier_parameter", "constant", "finite_difference_check"}
-    primitives = {
-        name for name in ad.__all__
-        if inspect.isfunction(getattr(ad, name)) and name not in not_primitives
-    }
-    cases = run_primitive_checks()
-    unchecked = [p for p in sorted(primitives) if not any(c == p or c.startswith(p + "_") for c in cases)]
-    assert {"add", "infonce_terms", "head_attention", "batch_norm"} <= primitives and unchecked == []
+def test_every_differentiable_primitive_has_a_finite_difference_case(unchecked_primitives):
+    assert unchecked_primitives(run_primitive_checks()) == []
 
 
 def test_tensor_is_float64_and_contiguous():
@@ -86,6 +76,37 @@ def test_infonce_terms_overflow_names_the_primitive():
     q = np.eye(3)  # unit rows: exp(1 / 1e-3) overflows
     with pytest.raises(ad.NumericError, match="infonce_terms"):
         ad.infonce_terms(q, q, 1e-3)
+
+
+def test_row_sq_norms_checks_its_shape_and_names_an_overflow():
+    with pytest.raises(ValueError, match="2-D"):
+        ad.row_sq_norms(np.ones(3))
+    with pytest.raises(ad.NumericError, match="^non-finite value produced by 'row_sq_norms'$"):
+        ad.row_sq_norms(np.full((2, 3), 1e200))  # finite entries, overflowing squares
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(1, 6), st.integers(1, 6), st.floats(-5.0, 4.0), st.integers(0, 2**31 - 1), st.booleans()
+)
+@example(1, 1, 0.0, 0, False)
+@example(4, 1, -5.0, 1, True)
+@example(1, 6, 4.0, 2, True)
+def test_row_sq_norms_is_bitwise_the_composed_square_and_sum(n, m, log_scale, seed, zero_rows):
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((n, m)) * 10.0**log_scale
+    if zero_rows:
+        data[::2] = 0.0
+    w = ad.constant(rng.standard_normal(n))
+
+    def run(sq_norms):
+        x = ad.parameter(data.copy(), "x")
+        with ad.Tape() as tape:
+            y = sq_norms(x)
+            loss = ad.reduce_sum(ad.mul(y, w))
+        return _bits(y.data), _bits(tape.backward(loss, params=[x]).get(x))
+
+    assert run(ad.row_sq_norms) == run(lambda x: ad.reduce_sum(ad.mul(x, x), axis=1))
 
 
 def test_taped_forward_defers_the_finite_check_to_backward():

@@ -162,10 +162,12 @@ def test_report_missing_and_corrupt_files(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
-def test_gradcheck_substrate_passes(capsys):
+def test_gradcheck_substrate_passes(capsys, unchecked_primitives):
     assert main(["gradcheck", "--module", "substrate"]) == 0
-    out = capsys.readouterr().out
-    assert "substrate/" in out and "FAIL" not in out
+    lines = capsys.readouterr().out.splitlines()
+    assert all(re.fullmatch(r"substrate/\w+: max_rel_err=\S+ ok", line) for line in lines)
+    cases = [line.split(":")[0].removeprefix("substrate/") for line in lines]
+    assert "row_sq_norms" in cases and unchecked_primitives(cases) == []
 
 
 def test_gradcheck_losses_prints_the_five_losses_in_order(capsys):
