@@ -10,7 +10,7 @@ a gradient penalty on interpolated rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -223,6 +223,11 @@ class DiscriminatorParams:
             self.w2, self.b2, self.gamma2, self.beta2,
             self.w3, self.b3,
         ]
+
+    def as_constants(self) -> "DiscriminatorParams":
+        """This critic with each weight a constant over the same buffer, for
+        a loss that differentiates only the scored rows."""
+        return replace(self, **{p.name.removeprefix("disc."): ad.constant(p.data) for p in self.parameters()})
 
 
 def _critic(

@@ -19,8 +19,8 @@ and on failure replays the records to name the first op with a non-finite
 output.  A vjp that goes non-finite is named, after a replay of the records
 up to it, which are still whole.  The gradients it returns are checked after
 every record has let go, so a failure there names the parameter.  A failure
-inside a segment names the segment.  ``batch_norm`` checks every call, so a
-failing step never writes a non-finite running statistic.
+inside a segment names the segment.  A train-mode ``batch_norm`` checks
+every call, so a failing step never writes a non-finite running statistic.
 
 At most one tape records at a time.  A tape may be entered again after it
 was left: its records then continue in order, so a forward recorded in
@@ -235,6 +235,7 @@ class Tape:
 
     def __init__(self):
         self._records: list[_Record] = []
+        self._made: set[int] = set()  # the keys of every record's outputs
         self._spent = False  # backward ran: the vjps are gone
 
     def __enter__(self) -> "Tape":
@@ -254,7 +255,9 @@ class Tape:
     def backward(self, loss: Tensor, params: Sequence[Tensor]) -> GradientMap:
         """d(loss)/d(p) for each parameter ``p`` of ``params`` that the loss reaches.
 
-        ``loss`` must be scalar (size one).  Only the tensors among
+        ``loss`` must be scalar (size one), and every tensor of ``params`` a
+        parameter (named): ``matmul`` keeps no operand for a constant's
+        partial, so no constant may be requested.  Only the tensors among
         ``params`` receive gradients; a partial that only a constant or
         another leaf would receive is not worked out where its primitive
         defers it.  Every tensor's partials are summed by key in one
@@ -276,9 +279,12 @@ class Tape:
         self.require_finite(loss, "non-finite loss")
         if self._spent:
             raise ValueError("this tape was already differentiated; record the forward again")
+        unnamed = [p for p in params if p.name is None]
+        if unnamed:
+            raise ValueError(f"backward differentiates parameters, which have names, not {unnamed[0]!r}")
         self._spent = True
         requested = {p.key: p for p in params}
-        wanted = requested.keys() | {key for rec in self._records for key in rec.keys}
+        wanted = requested.keys() | self._made
         grads = GradientMap()
         if loss.key in wanted:
             grads.add(loss.key, np.ones_like(loss.data))
@@ -324,6 +330,14 @@ def _append(op: str, out: tuple[Tensor, ...], inputs: Sequence[Tensor], vjp: Cal
     if _ACTIVE is not None:
         keys = tuple(t.key for t in out)
         _ACTIVE._records.append(_Record(op, out, keys, tuple(t.key for t in inputs), vjp))
+        _ACTIVE._made.update(keys)
+
+
+def _may_be_requested(t: Tensor) -> bool:
+    """Whether backward on the active tape may work out ``t``'s partial: it
+    does for a parameter (a named tensor) and for a record's output, and
+    never for a constant, whose partial no call can request."""
+    return t.name is not None or (_ACTIVE is not None and t.key in _ACTIVE._made)
 
 
 def _record(op: str, out: Tensor, inputs: tuple[Tensor, ...], vjp: Callable) -> None:
@@ -419,7 +433,20 @@ def matmul(a, b) -> Tensor:
         raise ValueError("matmul expects 2-D operands")
     out = Tensor(a.data @ b.data)
     _check_finite(out.data, "matmul")
-    _record("matmul", out, (a, b), lambda g: (lambda: g @ b.data.T, lambda: a.data.T @ g))
+    # each operand is read only by the other's partial, so it is kept only
+    # when that partial may be requested: scoring rows with constant weights
+    # keeps no row
+    kept_a = a.data if _may_be_requested(b) else None
+    kept_b = b.data if _may_be_requested(a) else None
+    _record(
+        "matmul",
+        out,
+        (a, b),
+        lambda g: (
+            None if kept_b is None else lambda: g @ kept_b.T,
+            None if kept_a is None else lambda: kept_a.T @ g,
+        ),
+    )
     return out
 
 
@@ -888,7 +915,10 @@ def batch_norm(
 
     Train mode normalizes with batch statistics and folds them into the
     running state (unbiased variance for the running update, population
-    variance in the normalizer).  Eval mode applies the running affine map.
+    variance in the normalizer), and checks every call, so that a failing
+    step never writes a non-finite running statistic.  Eval mode applies the
+    running affine map and writes nothing, so a taped call is checked by
+    backward, which names the op that first went non-finite.
     """
     x = _as_tensor(x)
     if x.ndim != 2:
@@ -919,7 +949,7 @@ def batch_norm(
     inv = 1.0 / np.sqrt(state.var + BN_EPS)
     xhat = (x.data - state.mean) * inv
     val = gamma.data * xhat + beta.data
-    _require_finite(val, "batch_norm")
+    _check_finite(val, "batch_norm")
     out = Tensor(val)
 
     def vjp_eval(g):

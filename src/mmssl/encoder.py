@@ -31,6 +31,7 @@ __all__ = [
     "modality_view",
     "cross_modal_attention",
     "fuse_modalities",
+    "modality_summary",
     "propagate_high_order",
 ]
 
@@ -410,15 +411,22 @@ def cross_modal_attention(views: list[Tensor], attn: AttentionParams) -> list[Te
 
 
 def fuse_modalities(mixed_views: list[Tensor]) -> Tensor:
-    """Mean over modalities, as one tape segment."""
+    """Mean over modalities."""
+    total = None
+    for v in mixed_views:
+        total = v if total is None else ad.add(total, v)
+    return ad.scale(total, 1.0 / len(mixed_views))
 
-    def mean():
-        total = None
-        for v in mixed_views:
-            total = v if total is None else ad.add(total, v)
-        return ad.scale(total, 1.0 / len(mixed_views))
 
-    return ad.segment("fuse_modalities", mean)
+def modality_summary(views: list[Tensor], attn: AttentionParams) -> Tensor:
+    """The fused modality summary that propagation injects: cross-modal
+    attention, then the mean over modalities, as one tape segment,
+    ``'modality_summary'``.  Only the mean reads the mixed views, and its
+    vjp needs none of them, so no record keeps them: once the mean is made
+    they are freed, and a non-finite value made inside names the segment."""
+    return ad.segment(
+        "modality_summary", lambda: fuse_modalities(cross_modal_attention(views, attn))
+    )
 
 
 # --------------------------------------------------------------------------

@@ -109,8 +109,8 @@ def semantic_embeddings(
         e_u, e_i = enc.modality_view(neigh, state.ids)
         views_u.append(e_u)
         views_i.append(e_i)
-    summary_u = enc.fuse_modalities(enc.cross_modal_attention(views_u, state.attn))
-    summary_i = enc.fuse_modalities(enc.cross_modal_attention(views_i, state.attn))
+    summary_u = enc.modality_summary(views_u, state.attn)
+    summary_i = enc.modality_summary(views_i, state.attn)
     prop_u, prop_i = enc.propagate_high_order(
         adj, state.ids.users, state.ids.items, summary_u, summary_i, cfg.layers, cfg.eta
     )
@@ -177,11 +177,19 @@ def generator_losses(
         l_cl = obj.infonce_loss(fwd.h_users, fwd.views_users, tau=tau, paper_sign=paper_sign)
     l_g = None
     if adv_users is not None:
+        # the step differentiates the rows alone, so the critic's weights
+        # enter as constants and its first product keeps no row
+        # (autodiff.matmul); the segment keeps only the scores, so each
+        # modality's (batch, I) rows are freed once they are scored
+        critic = disc.as_constants()
+
+        def relation_scores(f_u, f_i):
+            rows = adversarial.user_relation_rows(f_u, f_i, adv_users)
+            return adversarial.discriminate(rows, critic, train=False)
+
         l_g = adversarial.loss_g(
             [
-                adversarial.discriminate(
-                    adversarial.user_relation_rows(f_u, f_i, adv_users), disc, train=False
-                )
+                ad.segment("relation_scores", relation_scores, f_u, f_i)
                 for f_u, f_i in zip(fwd.prior_users, fwd.prior_items)
             ]
         )

@@ -1,5 +1,6 @@
 """Fixtures shared by more than one test module."""
 import inspect
+import tracemalloc
 
 import pytest
 
@@ -22,3 +23,28 @@ def unchecked_primitives():
     )
     assert {"add", "row_sq_norms", "infonce_terms", "head_attention", "batch_norm"} <= set(primitives)
     return lambda cases: [p for p in primitives if not any(c == p or c.startswith(p + "_") for c in cases)]
+
+
+@pytest.fixture
+def peak_above_held():
+    """A function ``peak(fn, *args, **kwargs)`` that returns ``fn``'s result
+    and the peak of the memory tracemalloc traced while ``fn`` ran, in bytes,
+    above what was traced as it began.  The outermost call starts tracing and
+    stops it in ``finally``, so calls nest: an inner call measures a stage
+    of the outer one against what the stages before it still hold (and
+    leaves the outer call's own figure meaningless)."""
+
+    def peak(fn, *args, **kwargs):
+        outermost = not tracemalloc.is_tracing()
+        if outermost:
+            tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = fn(*args, **kwargs)
+            return result, tracemalloc.get_traced_memory()[1] - held
+        finally:
+            if outermost:
+                tracemalloc.stop()
+
+    return peak

@@ -1,5 +1,5 @@
 """Relation generation, Gumbel proxy, discriminator, minimax losses."""
-import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ import mmssl.model as mdl
 from mmssl.data import (
     ModalityFeatureTable,
     SyntheticSpec,
+    TripletBatch,
     build_norm_adjacency,
     generate_synthetic,
     graph_from_edges,
@@ -282,23 +283,20 @@ def test_non_finite_gradient_rows_are_blamed_on_the_product_that_made_them():
         tape.backward(loss, params=disc.parameters())
 
 
-def test_critic_backward_holds_one_gradient_row_partial_above_the_forward():
+def test_critic_backward_holds_one_gradient_row_partial_above_the_forward(peak_above_held):
     batch, items = 256, 2000
     rng = np.random.default_rng(14)
     disc = adv.DiscriminatorParams.create(items, 64, rng, 0.1)
     real, fake = rng.random((batch, items)), rng.uniform(-1.0, 1.0, (batch, items))
     gp = adv.interpolate_rows(real, fake, rng)
     rows = batch * items * 8
-    tracemalloc.start()
-    try:
+
+    def forward_then_backward():
         with ad.Tape() as tape:
             loss = adv.loss_d(real, fake, gp, disc, 1.0, False, train=True, rng=rng)
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        tape.backward(loss, params=disc.parameters())
-        growth = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
+        return peak_above_held(tape.backward, loss, params=disc.parameters())[1]
+
+    growth, _ = peak_above_held(forward_then_backward)
     # the penalty's one (batch, I) partial and the (hidden, I) w1 partials,
     # 1.28 (batch, I) arrays; the composed square made 3.0
     assert growth < 1.5 * rows, f"backward grew {growth / rows:.2f} (batch, I) arrays"
@@ -320,6 +318,52 @@ def test_interpolation_stays_on_segment():
     # per-row epsilon: every row is constant but rows differ
     assert np.ptp(mix, axis=1).max() < 1e-12
     assert np.ptp(mix[:, 0]) > 0
+
+
+def test_generator_adversarial_backward_starts_with_no_relation_rows_alive(monkeypatch, peak_above_held):
+    # at a (batch, I)-dominated shape the generator step's adversarial loss
+    # scores each modality's rows with constant critic weights inside a
+    # segment: neither the product that made them nor the critic's first
+    # product keeps them, so each is freed once it is scored
+    batch, users, items = 256, 40, 2000
+    spec = SyntheticSpec(num_users=users, num_items=items, modality_dims=(6, 5), interactions_per_user=3, seed=4)
+    graph, features, _ = generate_synthetic(spec)
+    adj = build_norm_adjacency(graph)
+    state = mdl.init_model(users, items, [6, 5], 8, 1, 16, np.random.default_rng(4), 0.1, 0.1)
+    enc_cfg = enc.EncoderConfig(top_k=3, heads=1)
+    neighborhoods = mdl.refresh_neighborhoods(state, adj, features, enc_cfg.top_k)
+    rng = np.random.default_rng(5)
+    triplets = TripletBatch(*(rng.integers(0, n, size=8) for n in (users, items, items)))
+    adv_users = rng.integers(0, users, size=batch)
+    rows_made = []
+    user_relation_rows = adv.user_relation_rows
+
+    def spy(*args):
+        rows = user_relation_rows(*args)
+        rows_made.append(weakref.ref(rows.data))
+        return rows
+
+    monkeypatch.setattr(adv, "user_relation_rows", spy)
+
+    def loss_g_then_backward(tape, fwd):
+        with tape:
+            l_g = mdl.generator_losses(fwd, state.disc, triplets, adv_users, 0.1, False, False)[2]
+        alive = [ref() is not None for ref in rows_made]
+        tape.backward(l_g, params=state.generator_parameters())
+        return alive
+
+    def step():
+        with ad.Tape() as tape:
+            fwd = mdl.forward_embeddings(state, adj, features, neighborhoods, enc_cfg, 0.2, train=True, rng=rng)
+        return peak_above_held(loss_g_then_backward, tape, fwd)
+
+    (alive, peak), _ = peak_above_held(step)
+    assert alive == [False, False]
+    rows = batch * items * 8
+    # above the forward: one modality's rows at a time, then one (batch, I)
+    # gradient, 1.29 (batch, I) arrays; with both modalities' rows held
+    # until the backward it was 3.29
+    assert peak < 1.5 * rows, f"loss_g and its backward peaked at {peak / rows:.2f} (batch, I) arrays"
 
 
 def test_loss_g_is_negated_mean_score():
@@ -392,7 +436,7 @@ def test_refresh_block_rows_default_is_about_32_mib(monkeypatch):
     assert mdl.refresh_neighborhoods(state, adj, features, 10)[0][:2] == [(1, 4000)] * 2
 
 
-def test_streamed_refresh_peak_memory_below_half_a_dense_matrix(monkeypatch):
+def test_streamed_refresh_peak_memory_below_half_a_dense_matrix(monkeypatch, peak_above_held):
     spec = SyntheticSpec(
         num_users=1200, num_items=900, modality_dims=(16,), interactions_per_user=3, seed=3
     )
@@ -400,16 +444,11 @@ def test_streamed_refresh_peak_memory_below_half_a_dense_matrix(monkeypatch):
     adj = build_norm_adjacency(g)
     state = mdl.init_model(1200, 900, [16], 8, 1, 4, np.random.default_rng(0), 0.1, 0.1)
     monkeypatch.setattr(mdl, "REFRESH_BLOCK_BYTES", 8 * 900 * 64)
-    tracemalloc.start()
-    try:
-        mdl.refresh_neighborhoods(state, adj, features, 10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_above_held(mdl.refresh_neighborhoods, state, adj, features, 10)
     assert peak < 0.5 * 1200 * 900 * 8, f"refresh peaked at {peak / 2**20:.1f} MiB"
 
 
-def test_warm_refresh_peak_memory_below_half_a_dense_matrix(monkeypatch):
+def test_warm_refresh_peak_memory_below_half_a_dense_matrix(monkeypatch, peak_above_held):
     spec = SyntheticSpec(
         num_users=1200, num_items=900, modality_dims=(16,), interactions_per_user=3, seed=3
     )
@@ -420,19 +459,14 @@ def test_warm_refresh_peak_memory_below_half_a_dense_matrix(monkeypatch):
     previous = mdl.refresh_neighborhoods(
         mdl.init_model(1200, 900, [16], 8, 1, 4, np.random.default_rng(1), 0.1, 0.1), adj, features, 10
     )
-    tracemalloc.start()
-    try:
-        warm = mdl.refresh_neighborhoods(state, adj, features, 10, previous)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    warm, peak = peak_above_held(mdl.refresh_neighborhoods, state, adj, features, 10, previous)
     assert peak < 0.5 * 1200 * 900 * 8, f"warm refresh peaked at {peak / 2**20:.1f} MiB"
     cold = mdl.refresh_neighborhoods(state, adj, features, 10)
     np.testing.assert_array_equal(warm[0].user_neighbors, cold[0].user_neighbors)
     np.testing.assert_array_equal(warm[0].item_neighbors, cold[0].item_neighbors)
 
 
-def test_item_floor_gathers_a_refresh_block_of_user_rows_at_a_time(monkeypatch):
+def test_item_floor_gathers_a_refresh_block_of_user_rows_at_a_time(monkeypatch, peak_above_held):
     rng = np.random.default_rng(2)
     qu, qi = rng.standard_normal((1200, 64)), rng.standard_normal((900, 64))
     qu /= np.linalg.norm(qu, axis=1, keepdims=True)
@@ -440,12 +474,7 @@ def test_item_floor_gathers_a_refresh_block_of_user_rows_at_a_time(monkeypatch):
     users = np.argsort(rng.random((900, 1200)), axis=1)[:, :10]
     whole = mdl._item_floor(qu, qi, users)  # one (900, 10, 64) gather: 4.4 MiB
     monkeypatch.setattr(mdl, "REFRESH_BLOCK_BYTES", 64 << 10)
-    tracemalloc.start()
-    try:
-        chunked = mdl._item_floor(qu, qi, users)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    chunked, peak = peak_above_held(mdl._item_floor, qu, qi, users)
     assert peak < 3 * (64 << 10), f"item floor peaked at {peak / 2**10:.0f} KiB"
     np.testing.assert_array_equal(chunked, whole)
     assert (chunked < np.take_along_axis(qi @ qu.T, users, axis=1).min(axis=1)).all()

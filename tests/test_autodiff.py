@@ -166,6 +166,41 @@ def test_backward_lets_go_of_each_records_tensors():
     assert product() is None
 
 
+@pytest.mark.parametrize("weights", ["constant", "parameter"])
+def test_matmul_keeps_an_operand_only_for_a_partial_that_may_be_requested(weights):
+    # the rows are read only by the weights' partial: scored with constant
+    # weights inside a segment, which keeps only the score, no one holds them
+    rng = np.random.default_rng(21)
+    p = ad.parameter(rng.standard_normal((6, 4)), "p")
+    w = rng.standard_normal((4, 3))
+    w_tensor = ad.constant(w) if weights == "constant" else ad.parameter(w, "w")
+    alive = []
+
+    def score():
+        rows = ad.scale(p, 2.0)  # whose vjp keeps only the factor
+        alive.append(weakref.ref(rows.data))
+        return ad.reduce_sum(ad.matmul(rows, w_tensor))
+
+    with ad.Tape() as tape:
+        loss = ad.segment("score", score)
+    assert (alive[0]() is None) == (weights == "constant")
+    grads = tape.backward(loss, params=[p])
+    assert grads.get(p).tobytes() == (np.ones((6, 3)) @ w.T * 2.0).tobytes()
+
+
+def test_backward_refuses_to_differentiate_a_tensor_without_a_name():
+    # a product keeps no operand for a constant's partial, so a constant's
+    # gradient cannot be asked for; the refusal leaves the tape unspent
+    rng = np.random.default_rng(22)
+    x = ad.constant(rng.standard_normal((2, 3)))
+    w = ad.parameter(rng.standard_normal((3, 4)), "w")
+    with ad.Tape() as tape:
+        loss = ad.reduce_sum(ad.matmul(x, w))
+    with pytest.raises(ValueError, match="differentiates parameters, which have names"):
+        tape.backward(loss, params=[w, x])
+    assert tape.backward(loss, params=[w]).get(w).tobytes() == (x.data.T @ np.ones((2, 4))).tobytes()
+
+
 def test_a_vjp_that_goes_non_finite_mid_backward_is_named_with_earlier_records_intact():
     # sqrt(0) is finite, its derivative is not; the records after sqrt have
     # already let go of their tensors when its vjp fails
@@ -204,28 +239,28 @@ def test_a_spent_tape_refuses_a_second_backward():
         tape.backward(loss, params=[h, v])
 
 
-def test_infonce_record_holds_two_user_by_user_arrays_and_its_vjp_makes_none():
+def test_infonce_record_holds_two_user_by_user_arrays_and_its_vjp_makes_none(peak_above_held):
     n = 1000
     rng = np.random.default_rng(4)
     h, v = (ad.parameter(rng.standard_normal((n, 16)), name) for name in "hv")
     user_by_user = n * n * 8
-    tracemalloc.start()
-    try:
+
+    def forward():
         with ad.Tape() as tape:
             loss = ad.mean(ad.infonce_terms(h, v, 0.5))
-        forward_peak = tracemalloc.get_traced_memory()[1]
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        tape.backward(loss, params=[h, v])
-        backward_growth = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
+        return tape, loss
+
+    def forward_then_backward():
+        (tape, loss), forward_peak = peak_above_held(forward)
+        return forward_peak, peak_above_held(tape.backward, loss, params=[h, v])[1]
+
+    (forward_peak, backward_growth), _ = peak_above_held(forward_then_backward)
     # the rest is (n, d) partials and one row block, 0.05 to 0.1 of a (n, n) array
     assert forward_peak < 2.25 * user_by_user, f"forward peaked at {forward_peak / user_by_user:.2f}"
     assert backward_growth < 0.5 * user_by_user, f"backward grew {backward_growth / user_by_user:.2f}"
 
 
-def test_attention_record_keeps_its_weights_and_backward_one_partial_at_a_time():
+def test_attention_record_keeps_its_weights_and_backward_one_partial_at_a_time(peak_above_held):
     n, d, heads, num_m = 2000, 64, 2, 2
     rng = np.random.default_rng(6)
     bases = [ad.parameter(rng.standard_normal((n, d)), f"base{m}") for m in range(num_m)]
@@ -233,20 +268,17 @@ def test_attention_record_keeps_its_weights_and_backward_one_partial_at_a_time()
     key = [ad.parameter(rng.standard_normal((d, d // heads)) / 8, f"k{h}") for h in range(heads)]
     weights = [ad.constant(rng.standard_normal((n, d))) for _ in range(num_m)]
     n_by_d = n * d * 8
-    tracemalloc.start()
-    try:
+
+    def forward_then_backward():
         with ad.Tape() as tape:
             views = [ad.scale(b, 1.0) for b in bases]
             before = tracemalloc.get_traced_memory()[0]
             mixed = ad.head_attention(views, query, key)
             held = tracemalloc.get_traced_memory()[0] - before
             loss = ad.add(*(ad.reduce_sum(ad.mul(x, w)) for x, w in zip(mixed, weights)))
-        start = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        tape.backward(loss, params=bases + query + key)
-        growth = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+        return held, peak_above_held(tape.backward, loss, params=bases + query + key)[1]
+
+    (held, growth), _ = peak_above_held(forward_then_backward)
     # the record keeps its two outputs and the (n, M) weights, near 2.1 (n, d)
     # arrays; keeping the projections made it 6.1.  Backward peaks near 9.6
     # while the vjp holds the projections' gradients and one head's

@@ -4,7 +4,7 @@ import errno
 import functools
 import json
 import re
-import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -551,7 +551,7 @@ def test_training_is_bitwise_equal_with_segments_as_plain_calls(tmp_path, monkey
     _assert_runs_equal(fused, composed)
 
 
-def test_evaluate_peak_memory_below_half_a_user_by_item_array():
+def test_evaluate_peak_memory_below_half_a_user_by_item_array(peak_above_held):
     # validation and `mmssl eval` rank score rows block by block; the
     # (U, I) score matrix is never built
     spec = SyntheticSpec(
@@ -566,17 +566,12 @@ def test_evaluate_peak_memory_below_half_a_user_by_item_array():
     trainer.neighborhoods = mdl.refresh_neighborhoods(
         trainer.state, trainer.adj, trainer.features, trainer.enc_cfg.top_k
     )
-    tracemalloc.start()
-    try:
-        trainer.evaluate(split.val, 20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_above_held(trainer.evaluate, split.val, 20)
     user_by_item = 4000 * 3000 * 8
     assert peak < user_by_item / 2, f"evaluate peaked at {peak / user_by_item:.2f} (U, I) arrays"
 
 
-def _g_step_peak(**overrides):
+def _g_step_peak(peak_above_held, **overrides):
     """Traced peak allocation of one ``g_step`` at U = 1500, I = 1000, d = 64."""
     spec = SyntheticSpec(
         num_users=1500, num_items=1000, modality_dims=(16, 8), interactions_per_user=3, seed=5
@@ -590,39 +585,37 @@ def _g_step_peak(**overrides):
     trainer.neighborhoods = mdl.refresh_neighborhoods(
         trainer.state, trainer.adj, trainer.features, trainer.enc_cfg.top_k
     )
-    tracemalloc.start()
-    try:
-        trainer.g_step(trainer._record_chain())
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return peak_above_held(lambda: trainer.g_step(trainer._record_chain()))[1]
 
 
-def test_g_step_peak_memory_below_six_and_a_fifth_user_by_user_arrays():
+def test_g_step_peak_memory_below_six_and_a_fifth_user_by_user_arrays(peak_above_held):
     # the full model (InfoNCE, adversarial, Gumbel): the InfoNCE record keeps
     # two (U, U) exponentials per view and builds no other (U, U) array; its
     # vjp overwrites them with their partials.  Backward frees each record's
     # arrays once its vjp ran, copies no first partial and adds into a first
-    # partial that only the sum holds; the propagation and fusion segments
-    # keep only their outputs, and add, sub and the routing ops keep shapes,
-    # not inputs.  The peak is near 6.03 (U, U) arrays, where a second
-    # partial always going into a new array made it 6.31
+    # partial that only the sum holds; the propagation, modality-summary
+    # and relation-scoring segments keep only their outputs, and add, sub and
+    # the routing ops keep shapes, not inputs.  The peak is near 5.40 (U, U)
+    # arrays; keeping the relation rows and the mixed attention views until
+    # the backward made it 5.78, and a second partial always going into a
+    # new array 6.31
     user_by_user = 1500 * 1500 * 8
-    peak = _g_step_peak()
+    peak = _g_step_peak(peak_above_held)
     assert peak < 6.2 * user_by_user, f"g_step peaked at {peak / user_by_user:.2f} (U, U) arrays"
 
 
-def test_g_step_peak_memory_without_infonce_below_47_user_by_dim_arrays():
+def test_g_step_peak_memory_without_infonce_below_47_user_by_dim_arrays(peak_above_held):
     # with InfoNCE off no (U, U) array exists; the tape's (n, d) arrays set
-    # the peak, near 43 (U, d) arrays.  Keeping every record's output made it
-    # 80, and the attention record returning all its partials at once and
-    # keeping its projections made it 54
+    # the peak, near 27.7 (U, d) arrays.  Keeping the relation rows and the
+    # mixed attention views until the backward made it 36.4, keeping every
+    # record's output 80, and the attention record returning all its
+    # partials at once and keeping its projections 54
     user_by_dim = 1500 * 64 * 8
-    peak = _g_step_peak(disable_cl=True)
+    peak = _g_step_peak(peak_above_held, disable_cl=True)
     assert peak < 47 * user_by_dim, f"g_step peaked at {peak / user_by_dim:.1f} (U, d) arrays"
 
 
-def test_training_without_infonce_peaks_below_half_a_user_by_item_array_per_call(monkeypatch):
+def test_training_without_infonce_peaks_below_half_a_user_by_item_array_per_call(monkeypatch, peak_above_held):
     # the north star's memory contract with InfoNCE off (its (U, U) arrays
     # are the one exception left): no refresh, training step or validation
     # builds a dense (U, I) array.  The size must not shrink: a refresh
@@ -642,10 +635,8 @@ def test_training_without_infonce_peaks_below_half_a_user_by_item_array_per_call
 
     def traced(kind, fn):
         def call(*args, **kwargs):
-            start = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = fn(*args, **kwargs)
-            peaks.append((kind, tracemalloc.get_traced_memory()[1] - start))
+            out, peak = peak_above_held(fn, *args, **kwargs)
+            peaks.append((kind, peak))
             return out
 
         return call
@@ -653,11 +644,7 @@ def test_training_without_infonce_peaks_below_half_a_user_by_item_array_per_call
     monkeypatch.setattr(mdl, "refresh_neighborhoods", traced("refresh", mdl.refresh_neighborhoods))
     monkeypatch.setattr(trainer, "train_step", traced("train_step", trainer.train_step))
     monkeypatch.setattr(trainer, "_validate", traced("validate", trainer._validate))
-    tracemalloc.start()
-    try:
-        trainer.run()
-    finally:
-        tracemalloc.stop()
+    peak_above_held(trainer.run)
     assert [kind for kind, _ in peaks] == ["refresh", "train_step", "train_step", "validate"] * 2
     half = 5000 * 4000 * 8 / 2
     over = [(kind, round(peak / 2**20, 1)) for kind, peak in peaks if peak >= half]
@@ -942,6 +929,64 @@ def test_an_inf_made_inside_propagation_names_the_segment():
             loss = ad.reduce_sum(ad.add(chain.prop_users, ad.reduce_sum(chain.prop_items)))
         with pytest.raises(NumericError, match="non-finite value produced by 'propagate'"):
             tape.backward(loss, params=trainer.state.generator_parameters())
+
+
+def test_a_nan_made_inside_the_attention_names_the_modality_summary_in_both_steps():
+    trainer = build_trainer()
+    trainer.state.attn.query[0].data[:] = np.nan
+    with np.errstate(invalid="ignore"):
+        for step in (trainer.d_step, trainer.g_step):
+            with pytest.raises(NumericError, match="^non-finite value produced by 'modality_summary'$"):
+                step(trainer._record_chain())
+
+
+@pytest.mark.parametrize(
+    "where, named",
+    [("gen.w0", "modality_collab_embeddings"), ("disc.w1", "relation_scores")],
+)
+def test_a_nan_in_the_generator_steps_adversarial_scoring_names_its_stage(where, named):
+    # a non-finite prior is named by the stage that made it; one made while
+    # the critic scores the relation rows, by that segment.  An eval-mode
+    # batch norm leaves a taped call to backward's check, which replays
+    trainer = build_trainer()
+    trainer.state.named_parameters()[where].data[0] = np.nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericError, match=f"^non-finite value produced by '{named}'$"):
+            trainer.g_step(trainer._record_chain())
+
+
+def test_the_chain_keeps_no_mixed_view_and_a_step_keeps_its_bits(monkeypatch):
+    # the mean is the one reader of the attention's mixed views, and the
+    # segment over both keeps only the mean: once the chain is recorded no
+    # mixed view is alive.  Against the step with every record keeping its
+    # outputs, every product both operands and the critic's weights as
+    # parameters, no loss or trained value moves
+    mixed = []
+    attend = ad.head_attention
+
+    def spy(*args):
+        outs = attend(*args)
+        mixed.extend(weakref.ref(t.data) for t in outs)
+        return outs
+
+    def step(trainer):
+        return trainer.train_step(), held_arrays(trainer)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ad, "head_attention", spy)
+        trainer = build_trainer(d_steps=2)
+        taped = trainer._record_chain()
+        assert len(mixed) == 4 and all(ref() is None for ref in mixed)  # two modalities, two sides
+        del taped
+        got = step(trainer)
+    with monkeypatch.context() as patch:
+        patch.setattr(ad, "segment", lambda op, fn, *args: fn(*args))
+        patch.setattr(ad, "_may_be_requested", lambda t: True)
+        patch.setattr(adversarial.DiscriminatorParams, "as_constants", lambda disc: disc)
+        want = step(build_trainer(d_steps=2))
+    assert got[0] == want[0] and want[0][1]["l_cl"] > 0 and want[0][1]["l_g"] != 0
+    assert sorted(got[1]) == sorted(want[1])
+    assert [n for n in want[1] if want[1][n].tobytes() != got[1][n].tobytes()] == []
 
 
 @pytest.mark.parametrize("call", ["train_step", "evaluate"])
