@@ -22,6 +22,7 @@ from .config import ConfigError, apply_env, load_config, resolve_settings
 from .data import (
     DataFormatError,
     SyntheticSpec,
+    build_norm_adjacency,
     generate_synthetic,
     load_interactions,
     load_modality_features,
@@ -32,7 +33,7 @@ from .data import (
 from .evaluation import RankingReport
 from .evaluation import evaluate_scores  # noqa: F401  (perfbench's wrapper test binds it here)
 from .gradcheck import run_loss_checks, run_primitive_checks
-from .trainer import Trainer, load_checkpoint
+from .trainer import Trainer, check_inputs, evaluate_model, load_checkpoint, load_model
 
 __all__ = ["main"]
 
@@ -93,18 +94,19 @@ def _load_data_dir(data_dir: str):
     return graph, [load_modality_features(p) for p in feature_paths]
 
 
-def _build_trainer(settings, data_dir: str) -> Trainer:
+def _load_split(settings, data_dir: str):
     graph, features = _load_data_dir(data_dir)
-    split = split_edges(graph, settings.train.split, seed=settings.train.seed)
+    return graph, features, split_edges(graph, settings.train.split, seed=settings.train.seed)
+
+
+def _build_trainer(settings, data_dir: str) -> Trainer:
     return Trainer(
         settings.train,
         settings.enc,
         settings.adv,
         settings.objective,
         settings.eval,
-        graph,
-        features,
-        split,
+        *_load_split(settings, data_dir),
         config_flat=settings.flat,
     )
 
@@ -148,15 +150,18 @@ def _cmd_eval(args) -> int:
     for key in ("eval.threads", "adv.block_rows"):
         flat.pop(key, None)
     settings = resolve_settings(flat)
-    trainer = _build_trainer(settings, args.data)
-    trainer.load_arrays(arrays)
+    graph, features, split = _load_split(settings, args.data)
+    check_inputs(graph, features, split)
+    state, stored = load_model(arrays, settings.train, settings.enc, graph, features)
+    del arrays  # nothing below reads the optimizer moments or the best snapshot
+    adj = build_norm_adjacency(split.train)
     # stored ids are a bound only; best.ckpt has none
-    trainer.neighborhoods = mdl.refresh_neighborhoods(
-        trainer.state, trainer.adj, trainer.features, settings.enc.top_k, trainer.neighborhoods
-    )
-    report = trainer.evaluate(
-        trainer.split.test if args.split == "test" else trainer.split.val,
+    neighborhoods = mdl.refresh_neighborhoods(state, adj, features, settings.enc.top_k, stored)
+    report = evaluate_model(
+        state, adj, features, neighborhoods, settings.enc, settings.objective.omega, split.train,
+        split.test if args.split == "test" else split.val,
         settings.eval.k if args.k is None else args.k,
+        settings.eval.buckets,
     )
     print(report.to_json() if args.format == "json" else report.to_text())
     return 0

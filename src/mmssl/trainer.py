@@ -12,6 +12,7 @@ early stopping watches validation recall.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from .data import (
     DataSplit,
     InteractionGraph,
     ModalityFeatureTable,
+    NormalizedAdjacency,
     ScoreRows,
     build_norm_adjacency,
     sample_bpr_triplets,
@@ -39,6 +41,9 @@ __all__ = [
     "Trainer",
     "save_checkpoint",
     "load_checkpoint",
+    "check_inputs",
+    "load_model",
+    "evaluate_model",
     "CHECKPOINT_MAGIC",
     "CHECKPOINT_VERSION",
 ]
@@ -153,38 +158,53 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+    """The arrays and metadata ``save_checkpoint`` wrote to ``path``.
+
+    Each array is read straight into its own buffer, so a load holds the
+    file's bytes once.  A length that runs past the end of the file (checked
+    before its buffer is allocated), a name table out of strictly ascending
+    order (a repeated name is one) and bytes after the metadata are refused
+    as corrupt."""
     path = Path(path)
-    blob = path.read_bytes()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path.name}: bad checkpoint magic {blob[:4]!r}")
-    if len(blob) < 12:
-        raise ValueError(f"{path.name}: truncated checkpoint header")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path.name}: unsupported checkpoint version {version}")
-    offset = 8
-    (count,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    arrays: dict[str, np.ndarray] = {}
-    try:
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            name = blob[offset : offset + name_len].decode("utf-8")
-            offset += name_len
-            (ndim,) = struct.unpack_from("<B", blob, offset)
-            offset += 1
-            shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-            offset += 4 * ndim
-            size = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).reshape(shape)
-            offset += size * 8
-            arrays[name] = arr.copy()
-        (meta_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        meta = json.loads(blob[offset : offset + meta_len].decode("utf-8"))
-    except (struct.error, UnicodeDecodeError, json.JSONDecodeError, ValueError) as e:
-        raise ValueError(f"{path.name}: corrupt checkpoint payload: {e}") from e
+    with path.open("rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if head[:4] != CHECKPOINT_MAGIC:
+            raise ValueError(f"{path.name}: bad checkpoint magic {head[:4]!r}")
+        if len(head) < 12:
+            raise ValueError(f"{path.name}: truncated checkpoint header")
+        version, count = struct.unpack("<2I", head[4:])
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"{path.name}: unsupported checkpoint version {version}")
+
+        def room(size: int) -> int:
+            left = end - fh.tell()
+            if size > left:
+                raise ValueError(f"{size} bytes wanted at byte {fh.tell()}, {left} left in the file")
+            return size
+
+        arrays: dict[str, np.ndarray] = {}
+        try:
+            for _ in range(count):
+                (name_len,) = struct.unpack("<H", fh.read(room(2)))
+                name = fh.read(room(name_len)).decode("utf-8")
+                if arrays and name <= last:
+                    raise ValueError(f"array {name} follows {last}; names must be strictly ascending")
+                last = name
+                (ndim,) = struct.unpack("<B", fh.read(room(1)))
+                shape = struct.unpack(f"<{ndim}I", fh.read(room(4 * ndim)))
+                arr = np.empty(room(8 * math.prod(shape)) // 8, dtype="<f8")
+                if fh.readinto(arr) != arr.nbytes:
+                    raise ValueError(f"file ended inside array {name}")
+                arrays[name] = arr.reshape(shape)
+            (meta_len,) = struct.unpack("<I", fh.read(room(4)))
+            meta = json.loads(fh.read(room(meta_len)).decode("utf-8"))
+            if end > fh.tell():
+                raise ValueError(f"{end - fh.tell()} bytes after the metadata")
+        except (struct.error, RecursionError, ValueError) as e:
+            # JSON and UTF-8 decoding errors are ValueErrors; metadata nested
+            # deeper than the JSON decoder recurses raises RecursionError
+            raise ValueError(f"{path.name}: corrupt checkpoint payload: {e}") from e
     if not isinstance(meta, dict):
         raise ValueError(f"{path.name}: checkpoint metadata is not a JSON object")
     return arrays, meta
@@ -212,6 +232,166 @@ def _config_fingerprint(flat: dict) -> str:
 
 
 # --------------------------------------------------------------------------
+# The model: its inputs, its checkpoint layout and its evaluation
+# --------------------------------------------------------------------------
+
+
+def check_inputs(graph: InteractionGraph, features: list[ModalityFeatureTable], split: DataSplit) -> None:
+    """Refuse feature tables or a split that do not cover ``graph``."""
+    for table in features:
+        if table.num_items != graph.num_items:
+            raise ValueError(
+                f"feature table '{table.name}' covers {table.num_items} items, "
+                f"graph has {graph.num_items}"
+            )
+    for name in ("train", "val", "test"):
+        if getattr(split, name).matrix.shape != graph.matrix.shape:
+            raise ValueError(f"split.{name} is not of the graph's shape {graph.matrix.shape}")
+
+
+def _init_state(
+    cfg: TrainConfig, enc_cfg: EncoderConfig, graph: InteractionGraph, features: list[ModalityFeatureTable]
+) -> mdl.ModelState:
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
+    return mdl.init_model(
+        graph.num_users,
+        graph.num_items,
+        [t.dim for t in features],
+        cfg.embed_dim,
+        enc_cfg.heads,
+        cfg.disc_hidden,
+        rng,
+        gen_dropout=cfg.gen_dropout,
+        disc_dropout=cfg.disc_dropout,
+    )
+
+
+def _live_arrays(state: mdl.ModelState) -> dict[str, np.ndarray]:
+    """Every parameter and BN statistic of ``state``, by checkpoint name."""
+    live = {name: p.data for name, p in state.named_parameters().items()}
+    for layer in ("bn1", "bn2"):
+        stats = getattr(state.disc, layer)
+        live[f"bn.disc.{layer}.mean"] = stats.mean
+        live[f"bn.disc.{layer}.var"] = stats.var
+    return live
+
+
+def _checkpoint_shapes(
+    state: mdl.ModelState, graph: InteractionGraph, modalities: int, top_k: int
+) -> dict[str, dict[str, tuple[int, ...]]]:
+    """The checkpoint layout, read off the model: array group -> checkpoint
+    name -> shape.
+
+    ``live`` is every parameter and BN statistic, all that ``best.ckpt``
+    holds; ``optg`` and ``optd`` are the two optimizers' moments, each shaped
+    like its parameter; ``nbr`` is the semantic neighbour ids, held from the
+    first refresh on (exact in float64: a resume between refreshes must
+    train on the same neighbours); ``best`` is the snapshot of ``live`` at
+    the best validation, held from the first one on.
+    """
+    live = {name: buf.shape for name, buf in _live_arrays(state).items()}
+    shapes = {"live": live}
+    for prefix, params in (("optg", state.generator_parameters()), ("optd", state.discriminator_parameters())):
+        shapes[prefix] = {f"{prefix}.{moment}.{p.name}": p.data.shape for moment in ("m", "v") for p in params}
+    users, items = graph.num_users, graph.num_items
+    shapes["nbr"] = {}
+    for m in range(modalities):
+        shapes["nbr"][f"nbr.{m}.users"] = (users, min(top_k, items))
+        shapes["nbr"][f"nbr.{m}.items"] = (items, min(top_k, users))
+    shapes["best"] = {f"best.{name}": shape for name, shape in live.items()}
+    return shapes
+
+
+def _check_arrays(
+    arrays: dict[str, np.ndarray],
+    state: mdl.ModelState,
+    graph: InteractionGraph,
+    modalities: int,
+    top_k: int,
+    need: tuple[str, ...],
+) -> tuple[set[str], list[SemanticNeighborhood] | None]:
+    """The groups of the model's checkpoint layout that ``arrays`` holds,
+    and the neighbour ids they store (None without them), after one check:
+    each array belongs to a group of this model (not one from a run with
+    more modalities), each group in ``need`` is held, each held group is
+    complete and shaped as the layout says, and each neighbour id is a whole
+    number in range that no other id of its row repeats (the ids index the
+    relation matrices, and a refresh reads a row's ids as k distinct
+    entries).  Anything else is a ``ValueError`` naming the array."""
+    layout = _checkpoint_shapes(state, graph, modalities, top_k)
+    # a name belongs to the group its first part names, else to live
+    group_of = {name: name.split(".")[0] if name.split(".")[0] in layout else "live" for name in arrays}
+    held = {group for group, slots in layout.items() if group in need or slots.keys() & arrays.keys()}
+    for group, slots in layout.items():
+        extra = sorted(name for name in arrays if group_of[name] == group and name not in slots)
+        if extra:
+            raise ValueError(f"checkpoint holds array {extra[0]}, which this model does not have")
+        if group not in held:
+            continue
+        for name, shape in sorted(slots.items()):
+            if name not in arrays:
+                raise ValueError(f"checkpoint is missing array {name}")
+            if arrays[name].shape != shape:
+                raise ValueError(f"checkpoint array {name} has shape {arrays[name].shape}")
+    ids = [
+        _stored_ids(name, arrays[name], graph.num_items if name.endswith("users") else graph.num_users)
+        for name in layout["nbr"]
+        if name in arrays
+    ]
+    return held, [SemanticNeighborhood(*ids[i : i + 2]) for i in range(0, len(ids), 2)] or None
+
+
+def load_model(
+    arrays: dict[str, np.ndarray],
+    cfg: TrainConfig,
+    enc_cfg: EncoderConfig,
+    graph: InteractionGraph,
+    features: list[ModalityFeatureTable],
+) -> tuple[mdl.ModelState, list[SemanticNeighborhood] | None]:
+    """The model that ``arrays`` (a checkpoint's) hold, under ``cfg`` and
+    ``enc_cfg`` on this data, and the neighbour ids they store.
+
+    The check is ``Trainer.load_arrays``' with only the live group needed:
+    the optimizer moments and the best snapshot are checked by shape where
+    held, and never copied.  No optimizer or training random stream is
+    built."""
+    state = _init_state(cfg, enc_cfg, graph, features)
+    _, neighborhoods = _check_arrays(arrays, state, graph, len(features), enc_cfg.top_k, ("live",))
+    for name, buf in _live_arrays(state).items():
+        buf[:] = arrays[name]
+    return state, neighborhoods
+
+
+def evaluate_model(
+    state: mdl.ModelState,
+    adj: NormalizedAdjacency,
+    features: list[ModalityFeatureTable],
+    neighborhoods: list[SemanticNeighborhood] | None,
+    enc_cfg: EncoderConfig,
+    omega: float,
+    train_graph: InteractionGraph,
+    held_out: InteractionGraph,
+    k: int,
+    boundaries: tuple[int, ...],
+) -> RankingReport:
+    """Rank every item for each user (eval mode, ``train_graph``'s items
+    excluded) and score the top ``k`` against the ``held_out`` edges."""
+    if held_out.matrix.shape != train_graph.matrix.shape:
+        raise ValueError(
+            f"held-out graph has shape {held_out.matrix.shape}, "
+            f"the model {train_graph.matrix.shape}"
+        )
+    fwd = mdl.forward_embeddings(state, adj, features, neighborhoods, enc_cfg, omega, train=False)
+    return evaluate_scores(
+        ScoreRows(fwd.h_users.data, fwd.h_items.data),
+        train_items=train_graph.user_items,
+        relevant=held_out.user_items,
+        k=k,
+        boundaries=boundaries,
+    )
+
+
+# --------------------------------------------------------------------------
 # Trainer
 # --------------------------------------------------------------------------
 
@@ -229,15 +409,7 @@ class Trainer:
         split: DataSplit,
         config_flat: dict | None = None,
     ):
-        for table in features:
-            if table.num_items != graph.num_items:
-                raise ValueError(
-                    f"feature table '{table.name}' covers {table.num_items} items, "
-                    f"graph has {graph.num_items}"
-                )
-        for name in ("train", "val", "test"):
-            if getattr(split, name).matrix.shape != graph.matrix.shape:
-                raise ValueError(f"split.{name} is not of the graph's shape {graph.matrix.shape}")
+        check_inputs(graph, features, split)
         self.cfg = cfg
         self.enc_cfg = enc_cfg
         self.adv_cfg = adv_cfg
@@ -248,18 +420,7 @@ class Trainer:
         self.split = split
         self.config_flat = dict(config_flat or {})
         self.adj = build_norm_adjacency(split.train)
-        init_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
-        self.state = mdl.init_model(
-            graph.num_users,
-            graph.num_items,
-            [t.dim for t in features],
-            cfg.embed_dim,
-            enc_cfg.heads,
-            cfg.disc_hidden,
-            init_rng,
-            gen_dropout=cfg.gen_dropout,
-            disc_dropout=cfg.disc_dropout,
-        )
+        self.state = _init_state(cfg, enc_cfg, graph, features)
         self.rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
         # separate stream: toggling the adversarial task must not shift
         # triplet sampling or dropout draws on the main path
@@ -277,18 +438,6 @@ class Trainer:
         self.aborted = False  # whether the last run() stopped on a non-finite loss
 
     # -- single steps -----------------------------------------------------
-
-    def _eval_forward(self, semantic: mdl.SemanticChain | None = None) -> mdl.ForwardResult:
-        return mdl.forward_embeddings(
-            self.state,
-            self.adj,
-            self.features,
-            self.neighborhoods,
-            self.enc_cfg,
-            self.obj_cfg.omega,
-            train=False,
-            semantic=semantic,
-        )
 
     def _record_chain(self) -> tuple[ad.Tape, mdl.SemanticChain]:
         """The generator's semantic chain, recorded on a fresh tape."""
@@ -314,7 +463,10 @@ class Trainer:
         # taped ops skip their own finiteness checks; check what is read
         for t in (chain.prop_users, chain.prop_items):
             chain_tape.require_finite(t, "non-finite semantic embeddings")
-        fwd = self._eval_forward(chain)
+        fwd = mdl.forward_embeddings(
+            self.state, self.adj, self.features, self.neighborhoods, self.enc_cfg, self.obj_cfg.omega,
+            train=False, semantic=chain,
+        )
         real = adversarial.gumbel_real_proxy(
             self.split.train.matrix[batch_users].toarray(), self.rng_adv,
             self.adv_cfg.tau, self.adv_cfg.zeta, cfg.disable_gumbel,
@@ -382,20 +534,10 @@ class Trainer:
     # -- evaluation and state management -----------------------------------
 
     def evaluate(self, held_out: InteractionGraph, k: int) -> RankingReport:
-        """Rank every item for each user (eval mode, training items
-        excluded) and score the top ``k`` against the ``held_out`` edges."""
-        if held_out.matrix.shape != self.graph.matrix.shape:
-            raise ValueError(
-                f"held-out graph has shape {held_out.matrix.shape}, "
-                f"the model {self.graph.matrix.shape}"
-            )
-        fwd = self._eval_forward()
-        return evaluate_scores(
-            ScoreRows(fwd.h_users.data, fwd.h_items.data),
-            train_items=self.split.train.user_items,
-            relevant=held_out.user_items,
-            k=k,
-            boundaries=self.eval_cfg.buckets,
+        """``evaluate_model`` on this trainer's model and training edges."""
+        return evaluate_model(
+            self.state, self.adj, self.features, self.neighborhoods, self.enc_cfg, self.obj_cfg.omega,
+            self.split.train, held_out, k, self.eval_cfg.buckets,
         )
 
     def _validate(self) -> dict[str, float]:
@@ -403,71 +545,40 @@ class Trainer:
         return {key: report.overall[key] for key in ("recall", "ndcg", "precision")}
 
     def _layout(self) -> dict[str, dict[str, tuple[tuple[int, ...], np.ndarray | None]]]:
-        """The checkpoint layout: array group -> checkpoint name -> (shape,
-        held value), the value None while the group holds none.
-
-        ``live`` is every parameter and BN statistic, all that ``best.ckpt``
-        holds; ``optg`` and ``optd`` are the two optimizers' moments; ``nbr``
-        is the semantic neighbour ids, held from the first refresh on (exact
-        in float64: a resume between refreshes must train on the same
-        neighbours); ``best`` is the snapshot of ``live`` at the best
-        validation, held from the first one on.
-        """
-        live = {name: p.data for name, p in self.state.named_parameters().items()}
-        for layer in ("bn1", "bn2"):
-            stats = getattr(self.state.disc, layer)
-            live[f"bn.disc.{layer}.mean"] = stats.mean
-            live[f"bn.disc.{layer}.var"] = stats.var
-        users, items, k = self.graph.num_users, self.graph.num_items, self.enc_cfg.top_k
-        layout = {"live": {name: (buf.shape, buf) for name, buf in live.items()}}
+        """The checkpoint layout (``_checkpoint_shapes``) with the buffer
+        this trainer holds under each name: array group -> checkpoint name ->
+        (shape, held value), the value None while the group holds none."""
+        held = {
+            "live": _live_arrays(self.state),
+            "nbr": {
+                f"nbr.{m}.{side}": ids
+                for m, n in enumerate(self.neighborhoods or ())
+                for side, ids in (("users", n.user_neighbors), ("items", n.item_neighbors))
+            },
+            "best": {f"best.{name}": buf for name, buf in self.best_arrays.items()},
+        }
         for prefix, opt in (("optg", self.opt_gen), ("optd", self.opt_disc)):
-            layout[prefix] = {
-                f"{prefix}.{moment}.{name}": (buf.shape, buf)
-                for moment in ("m", "v")
-                for name, buf in getattr(opt, moment).items()
+            held[prefix] = {
+                f"{prefix}.{moment}.{name}": buf for moment in ("m", "v") for name, buf in getattr(opt, moment).items()
             }
-        held_ids = [(n.user_neighbors, n.item_neighbors) for n in self.neighborhoods or ()]
-        layout["nbr"] = {}
-        for m, (user_ids, item_ids) in enumerate(held_ids or [(None, None)] * len(self.features)):
-            layout["nbr"][f"nbr.{m}.users"] = ((users, min(k, items)), user_ids)
-            layout["nbr"][f"nbr.{m}.items"] = ((items, min(k, users)), item_ids)
-        layout["best"] = {f"best.{name}": (buf.shape, self.best_arrays.get(name)) for name, buf in live.items()}
-        return layout
+        shapes = _checkpoint_shapes(self.state, self.graph, len(self.features), self.enc_cfg.top_k)
+        return {
+            group: {name: (shape, held[group].get(name)) for name, shape in slots.items()}
+            for group, slots in shapes.items()
+        }
 
     def load_arrays(self, arrays: dict[str, np.ndarray], need: tuple[str, ...] = ("live",)) -> None:
-        """Load every group of the layout that ``arrays`` holds, after one
-        check that changes nothing if it fails: each array belongs to a group
-        of this model (not one from a run with more modalities), each group
-        in ``need`` is held, each held group is complete and shaped as the
-        layout says, and each neighbour id is a whole number in range that no
-        other id of its row repeats (the ids index the relation matrices, and
-        a refresh reads a row's ids as k distinct entries).  Anything else is
-        a ``ValueError`` naming the array."""
+        """Load every group of the layout that ``arrays`` holds, after the
+        one check of ``_check_arrays``, which changes nothing if it fails."""
+        held, neighborhoods = _check_arrays(
+            arrays, self.state, self.graph, len(self.features), self.enc_cfg.top_k, need
+        )
         layout = self._layout()
-        # a name belongs to the group its first part names, else to live
-        group_of = {name: name.split(".")[0] if name.split(".")[0] in layout else "live" for name in arrays}
-        held = {group for group, slots in layout.items() if group in need or slots.keys() & arrays.keys()}
-        for group, slots in layout.items():
-            extra = sorted(name for name in arrays if group_of[name] == group and name not in slots)
-            if extra:
-                raise ValueError(f"checkpoint holds array {extra[0]}, which this model does not have")
-            if group not in held:
-                continue
-            for name, (shape, _) in sorted(slots.items()):
-                if name not in arrays:
-                    raise ValueError(f"checkpoint is missing array {name}")
-                if arrays[name].shape != shape:
-                    raise ValueError(f"checkpoint array {name} has shape {arrays[name].shape}")
-        ids = [
-            _stored_ids(name, arrays[name], self.graph.num_items if name.endswith("users") else self.graph.num_users)
-            for name in layout["nbr"]
-            if name in arrays
-        ]
         for group in held & {"live", "optg", "optd"}:
             for name, (_, buf) in layout[group].items():
                 buf[:] = arrays[name]
-        if ids:
-            self.neighborhoods = [SemanticNeighborhood(*ids[i : i + 2]) for i in range(0, len(ids), 2)]
+        if neighborhoods:
+            self.neighborhoods = neighborhoods
         if "best" in held:
             self.best_arrays = {name: arrays[best] for name, best in zip(layout["live"], layout["best"])}
 
@@ -576,7 +687,7 @@ class Trainer:
                 if "recall" in record and record["recall"] > self.best_recall:
                     self.best_recall = record["recall"]
                     self.best_epoch = epoch
-                    self.best_arrays = {name: buf.copy() for name, (_, buf) in self._layout()["live"].items()}
+                    self.best_arrays = {name: buf.copy() for name, buf in _live_arrays(self.state).items()}
                 self.epoch += 1
                 if checkpoint_path is not None:
                     self.save(checkpoint_path)

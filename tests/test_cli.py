@@ -1,9 +1,11 @@
 """End-to-end command-line workflows on a throwaway dataset."""
 
 import json
+import math
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmssl.cli import main
+from mmssl import model as mdl, trainer
+from mmssl.cli import _build_trainer, main
+from mmssl.config import apply_env, load_config, resolve_settings
 from mmssl.data import load_modality_features, write_modality_features
 from mmssl.trainer import _config_fingerprint, load_checkpoint, save_checkpoint
 
@@ -878,3 +882,100 @@ def test_checkpoint_with_more_modalities_than_the_data_exits_1(three_modalities,
     err = capsys.readouterr().err
     assert f"checkpoint holds array {message}," in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def _first_array_twice(blob: bytes) -> bytes:
+    """A checkpoint's bytes with its first array listed a second time, right after the first."""
+    (count,) = struct.unpack_from("<I", blob, 8)
+    (name_len,) = struct.unpack_from("<H", blob, 12)
+    ndim = blob[14 + name_len]
+    shape = struct.unpack_from(f"<{ndim}I", blob, 15 + name_len)
+    end = 15 + name_len + 4 * ndim + 8 * math.prod(shape)
+    return blob[:8] + struct.pack("<I", count + 1) + blob[12:end] + blob[12:end] + blob[end:]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(_first_array_twice, "array attn.k0 follows attn.k0", id="repeated-name"),
+        pytest.param(lambda blob: blob + b"\x00" * 7, "7 bytes after the metadata", id="trailing-bytes"),
+    ],
+)
+def test_a_corrupt_checkpoint_table_exits_1_on_eval_and_resume(data_dir, train_dir, tmp_path, capsys, edit, message):
+    broken = tmp_path / "odd.ckpt"
+    broken.write_bytes(edit((train_dir / "final.ckpt").read_bytes()))
+    resume = [
+        "train", "--data", str(data_dir), "--out", str(tmp_path / "out"),
+        "--config", str(train_dir / "config.json"), "--resume", str(broken),
+    ]
+    for argv in (["eval", "--checkpoint", str(broken), "--data", str(data_dir)], resume):
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"odd.ckpt: corrupt checkpoint payload: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_builds_no_optimizer(data_dir, train_dir, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mmssl eval built an optimizer")
+
+    monkeypatch.setattr(trainer, "AdamOptimizer", refuse)
+    for name in ("final.ckpt", "best.ckpt"):
+        assert main(["eval", "--checkpoint", str(train_dir / name), "--data", str(data_dir)]) == 0
+        assert "recall" in capsys.readouterr().out
+
+
+def test_eval_equals_trainer_evaluate_after_the_same_warm_refresh(between_refreshes, capsys):
+    # the stored ids bound both refreshes; both ranking passes are evaluate_model
+    root = between_refreshes
+    settings = resolve_settings(apply_env(load_config(root / "config.json")))
+    run = _build_trainer(settings, root / "data")
+    run.restore(root / "out" / "final.ckpt")
+    assert run.neighborhoods is not None
+    run.neighborhoods = mdl.refresh_neighborhoods(run.state, run.adj, run.features, settings.enc.top_k, run.neighborhoods)
+    for name in ("val", "test"):
+        want = run.evaluate(getattr(run.split, name), settings.eval.k).to_json()
+        argv = ["eval", "--checkpoint", str(root / "out" / "final.ckpt"), "--data", str(root / "data")]
+        assert main([*argv, "--split", name, "--format", "json"]) == 0
+        assert capsys.readouterr().out == want + "\n"
+
+
+@pytest.fixture(scope="module")
+def refresh_sized(tmp_path_factory):
+    """A one-epoch run on 1500 users by 1000 items at perfbench's feature
+    widths, where one refresh block (here all U x I relations) outweighs
+    the model, and the model's checkpoint."""
+    root = tmp_path_factory.mktemp("refresh_sized")
+    spec = {
+        "num_users": 1500,
+        "num_items": 1000,
+        "modality_dims": [128, 64],
+        "latent_dim": 16,
+        "interactions_per_user": 8,
+        "seed": 1,
+    }
+    (root / "spec.json").write_text(json.dumps(spec))
+    assert main(["synth", "--out", str(root / "data"), "--spec", str(root / "spec.json")]) == 0
+    config = {"train.epochs": 1, "train.steps_per_epoch": 2, "train.batch_size": 256, "train.disable_cl": True}
+    (root / "config.json").write_text(json.dumps(config))
+    args = ["--data", str(root / "data"), "--config", str(root / "config.json")]
+    assert main(["train", "--out", str(root / "out"), *args]) == 0
+    return root, spec
+
+
+def test_an_eval_pass_peaks_below_one_and_a_half_refresh_blocks_plus_the_checkpoint(
+    refresh_sized, capsys, peak_above_held
+):
+    # the pass holds the model, the data and the ids across the refresh, not
+    # the checkpoint's optimizer moments and best snapshot, so the refresh's
+    # own block sets its peak
+    root, spec = refresh_sized
+    users, items = spec["num_users"], spec["num_items"]
+    block = min(users, mdl.REFRESH_BLOCK_BYTES // (8 * items)) * items * 8
+    ckpt = root / "out" / "final.ckpt"
+    argv = ["eval", "--checkpoint", str(ckpt), "--data", str(root / "data"), "--split", "val"]
+    assert main(argv) == 0  # lazy imports and first-use caches are not the pass's
+    code, peak = peak_above_held(main, argv)
+    assert code == 0 and "recall" in capsys.readouterr().out
+    assert peak < 1.5 * block + ckpt.stat().st_size

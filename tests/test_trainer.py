@@ -4,6 +4,7 @@ import errno
 import functools
 import json
 import re
+import struct
 import weakref
 from pathlib import Path
 
@@ -24,6 +25,8 @@ from mmssl.trainer import (
     AdvConfig,
     ObjectiveConfig,
     TrainConfig,
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     Trainer,
     load_checkpoint,
     save_checkpoint,
@@ -442,6 +445,70 @@ def test_checkpoint_rejects_truncation(tmp_path):
     path.write_bytes(blob[: len(blob) - 30])
     with pytest.raises(ValueError, match="corrupt"):
         load_checkpoint(path)
+
+
+def write_table(path, entries, tail=b""):
+    """A checkpoint listing ``entries``, (name, shape, values) triples, in
+    the order given, then the metadata ``{}`` and the bytes ``tail``."""
+    table = b"".join(
+        struct.pack("<H", len(name)) + name.encode() + struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+        + np.asarray(values, dtype="<f8").tobytes()
+        for name, shape, values in entries
+    )
+    head = CHECKPOINT_MAGIC + struct.pack("<2I", CHECKPOINT_VERSION, len(entries))
+    path.write_bytes(head + table + struct.pack("<I", 2) + b"{}" + tail)
+
+
+@pytest.mark.parametrize(
+    "entries, tail, message",
+    [
+        pytest.param([("a", (2,), [1, 2]), ("a", (2,), [3, 4])], b"", "array a follows a", id="repeated"),
+        pytest.param([("b", (2,), [1, 2]), ("a", (2,), [3, 4])], b"", "array a follows b", id="descending"),
+        pytest.param([("a", (2,), [1, 2])], b"\x00" * 7, "7 bytes after the metadata", id="trailing"),
+    ],
+)
+def test_checkpoint_rejects_an_unordered_table_and_bytes_after_the_metadata(tmp_path, entries, tail, message):
+    # an ascending table with nothing after it is what save_checkpoint writes
+    write_table(tmp_path / "fine.ckpt", [("a", (2,), [1, 2]), ("b", (1,), [5])])
+    save_checkpoint(tmp_path / "saved.ckpt", {"a": np.array([1.0, 2.0]), "b": np.array([5.0])}, {})
+    assert (tmp_path / "fine.ckpt").read_bytes() == (tmp_path / "saved.ckpt").read_bytes()
+    path = tmp_path / "odd.ckpt"
+    write_table(path, entries, tail)
+    with pytest.raises(ValueError, match=f"odd.ckpt: corrupt checkpoint payload: {message}"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_refuses_metadata_nested_deeper_than_the_decoder_recurses(tmp_path):
+    path = tmp_path / "deep.ckpt"
+    blob = b"[" * 100_000
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<3I", CHECKPOINT_VERSION, 0, len(blob)) + blob)
+    with pytest.raises(ValueError, match="deep.ckpt: corrupt checkpoint payload: maximum recursion depth"):
+        load_checkpoint(path)
+
+def test_checkpoint_refuses_a_shape_past_the_end_of_the_file_before_allocating(tmp_path, peak_above_held):
+    path = tmp_path / "short.ckpt"
+    declared = (1 << 20, 1 << 7)  # 1 GiB of float64, in a file of 16 value bytes
+    write_table(path, [("a", (2,), [1, 2])])
+    blob = path.read_bytes()
+    path.write_bytes(blob[:15] + struct.pack("<B2I", 2, *declared) + blob[20:])
+
+    def refused():
+        with pytest.raises(ValueError, match="short.ckpt: corrupt checkpoint payload: 1073741824 bytes wanted"):
+            load_checkpoint(path)
+
+    _, peak = peak_above_held(refused)
+    assert peak < 1 << 20
+
+
+def test_a_checkpoint_load_holds_the_file_once(tmp_path, peak_above_held):
+    # each array is read into its own buffer; no copy of the whole file is held
+    rng = np.random.default_rng(0)
+    arrays = {f"w{i}": rng.standard_normal((256, 128)) for i in range(8)}
+    path = tmp_path / "big.ckpt"
+    save_checkpoint(path, arrays, {"epoch": 1})
+    (loaded, _), peak = peak_above_held(load_checkpoint, path)
+    assert all(np.array_equal(loaded[name], arr) for name, arr in arrays.items())
+    assert peak < 1.25 * path.stat().st_size
 
 
 def test_resume_between_refreshes_matches_uninterrupted(tmp_path):
