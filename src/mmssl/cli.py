@@ -35,7 +35,7 @@ from .evaluation import evaluate_scores  # noqa: F401  (perfbench's wrapper test
 from .gradcheck import run_loss_checks, run_primitive_checks
 from .trainer import Trainer, check_inputs, evaluate_model, load_checkpoint, load_model
 
-__all__ = ["main"]
+__all__ = ["CliError", "main"]
 
 
 class CliError(Exception):

@@ -21,7 +21,7 @@ from .encoder import EncoderConfig
 from .evaluation import EvalConfig
 from .trainer import AdvConfig, ObjectiveConfig, TrainConfig
 
-__all__ = ["ConfigError", "Settings", "DEFAULTS", "load_config", "resolve_settings"]
+__all__ = ["ConfigError", "Settings", "DEFAULTS", "load_config", "apply_env", "resolve_settings"]
 
 
 class ConfigError(ValueError):

@@ -38,6 +38,7 @@ __all__ = [
     "NormalizedAdjacency",
     "build_norm_adjacency",
     "sparsity_buckets",
+    "check_bucket_boundaries",
     "bucket_labels",
     "generate_synthetic",
 ]

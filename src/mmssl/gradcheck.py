@@ -51,7 +51,8 @@ def run_loss_checks() -> dict[str, float]:
     neighborhoods = mdl.refresh_neighborhoods(state, adj, features, 4)
     triplets = sample_bpr_triplets(split, graph, 8, rng)
     adv_users = rng.integers(0, 12, size=8)
-    fwd = mdl.forward_embeddings(state, adj, features, neighborhoods, enc_cfg, 0.2)
+    chain = mdl.semantic_embeddings(state, adj, neighborhoods, enc_cfg)
+    fwd = mdl.forward_embeddings(state, adj, features, chain, 0.2)
     real = adversarial.gumbel_real_proxy(
         split.train.dense_matrix()[adv_users], rng, 0.2, 1.0, False,
         fwd.h_users.data[adv_users], fwd.h_items.data,
@@ -60,7 +61,8 @@ def run_loss_checks() -> dict[str, float]:
     gp = adversarial.interpolate_rows(real, fake, rng)
 
     def losses(contrastive, users):
-        fwd = mdl.forward_embeddings(state, adj, features, neighborhoods, enc_cfg, 0.2)
+        chain = mdl.semantic_embeddings(state, adj, neighborhoods, enc_cfg)
+        fwd = mdl.forward_embeddings(state, adj, features, chain, 0.2)
         return mdl.generator_losses(
             fwd, state.disc, triplets, users, 0.085, paper_sign=False, contrastive=contrastive
         )

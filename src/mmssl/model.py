@@ -121,22 +121,16 @@ def forward_embeddings(
     state: ModelState,
     adj: NormalizedAdjacency,
     features: list[ModalityFeatureTable],
-    neighborhoods: list[SemanticNeighborhood] | None,
-    cfg: EncoderConfig,
+    semantic: SemanticChain,
     omega: float,
     train: bool = False,
     rng: np.random.Generator | None = None,
-    semantic: SemanticChain | None = None,
 ) -> ForwardResult:
-    """Full chain from raw features and id tables to final embeddings.
-
-    The semantic neighborhoods are taken as fixed index structure; all
-    other stages are differentiable tape operations.  ``semantic`` is a
-    chain already computed from the same state and neighborhoods; without
-    it the chain is computed here.
+    """Final embeddings: the ``semantic`` chain (``semantic_embeddings`` of
+    the same state) fused with each modality's collaborative prior, which
+    is computed here from the raw features as differentiable tape
+    operations.
     """
-    if semantic is None:
-        semantic = semantic_embeddings(state, adj, neighborhoods, cfg)
     prior_u, prior_i = [], []
     for m, table in enumerate(features):
         f_u, f_i = adversarial.modality_collab_embeddings(

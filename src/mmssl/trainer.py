@@ -37,6 +37,7 @@ from .evaluation import EvalConfig, RankingReport, evaluate_scores
 __all__ = [
     "TrainConfig",
     "AdvConfig",
+    "ObjectiveConfig",
     "AdamOptimizer",
     "Trainer",
     "save_checkpoint",
@@ -309,15 +310,15 @@ def _check_arrays(
     modalities: int,
     top_k: int,
     need: tuple[str, ...],
-) -> tuple[set[str], list[SemanticNeighborhood] | None]:
-    """The groups of the model's checkpoint layout that ``arrays`` holds,
-    and the neighbour ids they store (None without them), after one check:
-    each array belongs to a group of this model (not one from a run with
-    more modalities), each group in ``need`` is held, each held group is
-    complete and shaped as the layout says, and each neighbour id is a whole
-    number in range that no other id of its row repeats (the ids index the
-    relation matrices, and a refresh reads a row's ids as k distinct
-    entries).  Anything else is a ``ValueError`` naming the array."""
+) -> list[SemanticNeighborhood] | None:
+    """The neighbour ids that ``arrays`` (a checkpoint's) store, None
+    without them, after one check: each array belongs to a group of this
+    model (not one from a run with more modalities), each group in ``need``
+    is held, each held group is complete and shaped as the layout says, and
+    each neighbour id is a whole number in range that no other id of its
+    row repeats (the ids index the relation matrices, and a refresh reads a
+    row's ids as k distinct entries).  Anything else is a ``ValueError``
+    naming the array."""
     layout = _checkpoint_shapes(state, graph, modalities, top_k)
     # a name belongs to the group its first part names, else to live
     group_of = {name: name.split(".")[0] if name.split(".")[0] in layout else "live" for name in arrays}
@@ -338,7 +339,7 @@ def _check_arrays(
         for name in layout["nbr"]
         if name in arrays
     ]
-    return held, [SemanticNeighborhood(*ids[i : i + 2]) for i in range(0, len(ids), 2)] or None
+    return [SemanticNeighborhood(*ids[i : i + 2]) for i in range(0, len(ids), 2)] or None
 
 
 def load_model(
@@ -351,12 +352,12 @@ def load_model(
     """The model that ``arrays`` (a checkpoint's) hold, under ``cfg`` and
     ``enc_cfg`` on this data, and the neighbour ids they store.
 
-    The check is ``Trainer.load_arrays``' with only the live group needed:
+    The check is ``Trainer.restore``'s with only the live group needed:
     the optimizer moments and the best snapshot are checked by shape where
     held, and never copied.  No optimizer or training random stream is
     built."""
     state = _init_state(cfg, enc_cfg, graph, features)
-    _, neighborhoods = _check_arrays(arrays, state, graph, len(features), enc_cfg.top_k, ("live",))
+    neighborhoods = _check_arrays(arrays, state, graph, len(features), enc_cfg.top_k, ("live",))
     for name, buf in _live_arrays(state).items():
         buf[:] = arrays[name]
     return state, neighborhoods
@@ -381,7 +382,11 @@ def evaluate_model(
             f"held-out graph has shape {held_out.matrix.shape}, "
             f"the model {train_graph.matrix.shape}"
         )
-    fwd = mdl.forward_embeddings(state, adj, features, neighborhoods, enc_cfg, omega, train=False)
+    # the chain is a temporary, so its (U, d) and (I, d) arrays are freed
+    # when the forward returns, before the ranking
+    fwd = mdl.forward_embeddings(
+        state, adj, features, mdl.semantic_embeddings(state, adj, neighborhoods, enc_cfg), omega
+    )
     return evaluate_scores(
         ScoreRows(fwd.h_users.data, fwd.h_items.data),
         train_items=train_graph.user_items,
@@ -463,10 +468,7 @@ class Trainer:
         # taped ops skip their own finiteness checks; check what is read
         for t in (chain.prop_users, chain.prop_items):
             chain_tape.require_finite(t, "non-finite semantic embeddings")
-        fwd = mdl.forward_embeddings(
-            self.state, self.adj, self.features, self.neighborhoods, self.enc_cfg, self.obj_cfg.omega,
-            train=False, semantic=chain,
-        )
+        fwd = mdl.forward_embeddings(self.state, self.adj, self.features, chain, self.obj_cfg.omega)
         real = adversarial.gumbel_real_proxy(
             self.split.train.matrix[batch_users].toarray(), self.rng_adv,
             self.adv_cfg.tau, self.adv_cfg.zeta, cfg.disable_gumbel,
@@ -500,15 +502,7 @@ class Trainer:
         tape, chain = taped
         with tape:
             fwd = mdl.forward_embeddings(
-                self.state,
-                self.adj,
-                self.features,
-                self.neighborhoods,
-                self.enc_cfg,
-                self.obj_cfg.omega,
-                train=True,
-                rng=self.rng,
-                semantic=chain,
+                self.state, self.adj, self.features, chain, self.obj_cfg.omega, train=True, rng=self.rng
             )
             l_bpr, l_cl, l_g = mdl.generator_losses(
                 fwd,
@@ -544,43 +538,22 @@ class Trainer:
         report = self.evaluate(self.split.val, self.eval_cfg.k)
         return {key: report.overall[key] for key in ("recall", "ndcg", "precision")}
 
-    def _layout(self) -> dict[str, dict[str, tuple[tuple[int, ...], np.ndarray | None]]]:
-        """The checkpoint layout (``_checkpoint_shapes``) with the buffer
-        this trainer holds under each name: array group -> checkpoint name ->
-        (shape, held value), the value None while the group holds none."""
-        held = {
-            "live": _live_arrays(self.state),
-            "nbr": {
-                f"nbr.{m}.{side}": ids
-                for m, n in enumerate(self.neighborhoods or ())
-                for side, ids in (("users", n.user_neighbors), ("items", n.item_neighbors))
-            },
-            "best": {f"best.{name}": buf for name, buf in self.best_arrays.items()},
-        }
+    def _held(self) -> dict[str, dict[str, np.ndarray]]:
+        """The buffer this trainer holds under each checkpoint name, by
+        array group of ``_checkpoint_shapes``: ``nbr`` is empty before the
+        first refresh, ``best`` before the first validation."""
+        held = {"live": _live_arrays(self.state)}
         for prefix, opt in (("optg", self.opt_gen), ("optd", self.opt_disc)):
             held[prefix] = {
                 f"{prefix}.{moment}.{name}": buf for moment in ("m", "v") for name, buf in getattr(opt, moment).items()
             }
-        shapes = _checkpoint_shapes(self.state, self.graph, len(self.features), self.enc_cfg.top_k)
-        return {
-            group: {name: (shape, held[group].get(name)) for name, shape in slots.items()}
-            for group, slots in shapes.items()
+        held["nbr"] = {
+            f"nbr.{m}.{side}": ids
+            for m, n in enumerate(self.neighborhoods or ())
+            for side, ids in (("users", n.user_neighbors), ("items", n.item_neighbors))
         }
-
-    def load_arrays(self, arrays: dict[str, np.ndarray], need: tuple[str, ...] = ("live",)) -> None:
-        """Load every group of the layout that ``arrays`` holds, after the
-        one check of ``_check_arrays``, which changes nothing if it fails."""
-        held, neighborhoods = _check_arrays(
-            arrays, self.state, self.graph, len(self.features), self.enc_cfg.top_k, need
-        )
-        layout = self._layout()
-        for group in held & {"live", "optg", "optd"}:
-            for name, (_, buf) in layout[group].items():
-                buf[:] = arrays[name]
-        if neighborhoods:
-            self.neighborhoods = neighborhoods
-        if "best" in held:
-            self.best_arrays = {name: arrays[best] for name, best in zip(layout["live"], layout["best"])}
+        held["best"] = {f"best.{name}": buf for name, buf in self.best_arrays.items()}
+        return held
 
     def checkpoint_meta(self) -> dict:
         return {
@@ -596,9 +569,8 @@ class Trainer:
         }
 
     def save(self, path) -> None:
-        """Write every held array of the layout, from the live buffers."""
-        layout = self._layout().values()
-        arrays = {name: value for group in layout for name, (_, value) in group.items() if value is not None}
+        """Write every array this trainer holds, from the live buffers."""
+        arrays = {name: buf for group in self._held().values() for name, buf in group.items()}
         save_checkpoint(path, arrays, self.checkpoint_meta())
 
     def save_best(self, path) -> None:
@@ -632,7 +604,17 @@ class Trainer:
         if best_epoch == -1 and snapshot:
             raise ValueError(f"checkpoint metadata best_epoch is -1, yet the checkpoint holds array {snapshot[0]}")
         rng, rng_adv = _restore_rng(meta, "rng"), _restore_rng(meta, "rng_adv")
-        self.load_arrays(arrays, need=("live", "optg", "optd", "nbr") + (("best",) if best_epoch >= 0 else ()))
+        neighborhoods = _check_arrays(
+            arrays, self.state, self.graph, len(self.features), self.enc_cfg.top_k,
+            ("live", "optg", "optd", "nbr") + (("best",) if best_epoch >= 0 else ()),
+        )
+        held = self._held()
+        for group in ("live", "optg", "optd"):
+            for name, buf in held[group].items():
+                buf[:] = arrays[name]
+        self.neighborhoods = neighborhoods
+        # the snapshot is the checkpoint's alone, none under best_epoch -1
+        self.best_arrays = {name: arrays[f"best.{name}"] for name in held["live"]} if best_epoch >= 0 else {}
         self.opt_gen.t = meta["opt_gen_t"]
         self.opt_disc.t = meta["opt_disc_t"]
         self.rng, self.rng_adv = rng, rng_adv

@@ -354,7 +354,8 @@ def test_generator_adversarial_backward_starts_with_no_relation_rows_alive(monke
 
     def step():
         with ad.Tape() as tape:
-            fwd = mdl.forward_embeddings(state, adj, features, neighborhoods, enc_cfg, 0.2, train=True, rng=rng)
+            chain = mdl.semantic_embeddings(state, adj, neighborhoods, enc_cfg)
+            fwd = mdl.forward_embeddings(state, adj, features, chain, 0.2, train=True, rng=rng)
         return peak_above_held(loss_g_then_backward, tape, fwd)
 
     (alive, peak), _ = peak_above_held(step)

@@ -509,12 +509,15 @@ def test_selection_matrices_are_built_once_per_refresh(monkeypatch):
     for _ in range(2):
         neighborhoods = mdl.refresh_neighborhoods(state, adj, features, cfg.top_k)
         outputs = [
-            mdl.forward_embeddings(state, adj, features, neighborhoods, cfg, omega=0.5)
+            mdl.forward_embeddings(
+                state, adj, features, mdl.semantic_embeddings(state, adj, neighborhoods, cfg), 0.5
+            )
             for _ in range(3)
         ]
         assert len(built) == 2 * len(features)
         rebuilt = [enc.SemanticNeighborhood(n.user_neighbors, n.item_neighbors) for n in neighborhoods]
-        outputs.append(mdl.forward_embeddings(state, adj, features, rebuilt, cfg, omega=0.5))
+        chain = mdl.semantic_embeddings(state, adj, rebuilt, cfg)
+        outputs.append(mdl.forward_embeddings(state, adj, features, chain, 0.5))
         for out in outputs[1:]:
             np.testing.assert_array_equal(out.h_users.data, outputs[0].h_users.data)
             np.testing.assert_array_equal(out.h_items.data, outputs[0].h_items.data)

@@ -7,7 +7,10 @@ through the same calls, so a change that breaks a name the benchmark
 binds fails here, not only when the benchmark runs.
 """
 
+import importlib
+import inspect
 import math
+import pkgutil
 import sys
 import time
 from pathlib import Path
@@ -44,3 +47,20 @@ def test_a_tiny_workload_passes_every_check_with_finite_metrics(tmp_path, kind):
     if kind == "train":  # with every layer wrapped, the same losses
         traced = bench.timed_loop(pkg, wl, bench.build(pkg, wl, 1, None), ctx, 2, 1, layers=True)
         assert traced.checks.failures == [] and traced.checks.losses == loop.checks.losses
+
+
+def test_all_lists_every_public_function_and_class_of_its_module():
+    # traced benchmark runs time only the functions a module's __all__ names
+    pkg = bench.import_package()
+    unlisted = []
+    for info in pkgutil.iter_modules(pkg.__path__):
+        mod = importlib.import_module(f"{pkg.__name__}.{info.name}")
+        unlisted += [
+            f"{info.name}.{name}"
+            for name, obj in vars(mod).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ == mod.__name__
+            and name not in mod.__all__
+        ]
+    assert unlisted == []

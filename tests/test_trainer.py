@@ -28,6 +28,7 @@ from mmssl.trainer import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     Trainer,
+    _checkpoint_shapes,
     load_checkpoint,
     save_checkpoint,
 )
@@ -222,7 +223,13 @@ def test_run_returns_the_trainer_as_the_record_of_every_run_so_far():
     assert [r["epoch"] for r in trainer.log] == [0, 1, 2, 3]
     best = max(range(4), key=lambda epoch: (trainer.log[epoch]["recall"], -epoch))  # the first best
     assert (trainer.best_epoch, trainer.best_recall) == (best, trainer.log[best]["recall"])
-    assert trainer.best_arrays.keys() == trainer._layout()["live"].keys()
+    held = trainer._held()
+    assert trainer.best_arrays.keys() == held["live"].keys()
+    # after a validated epoch every group holds every name of the layout
+    layout = _checkpoint_shapes(trainer.state, trainer.graph, len(trainer.features), trainer.enc_cfg.top_k)
+    assert {group: names.keys() for group, names in held.items()} == {
+        group: shapes.keys() for group, shapes in layout.items()
+    }
 
 
 def test_aborted_describes_the_last_run(monkeypatch):
@@ -729,8 +736,8 @@ def test_sparse_train_rows_equal_dense_rows():
 
 def held_arrays(trainer):
     """Copies of the trainer's parameters, BN statistics and optimizer moments."""
-    layout = trainer._layout()
-    return {name: value.copy() for group in ("live", "optg", "optd") for name, (_, value) in layout[group].items()}
+    held = trainer._held()
+    return {name: buf.copy() for group in ("live", "optg", "optd") for name, buf in held[group].items()}
 
 
 def _without(prefix):
@@ -779,6 +786,29 @@ def test_restore_of_a_bad_checkpoint_changes_nothing(tmp_path, edit, message):
     assert all(np.array_equal(before[n], after[n]) for n in before)
     assert trainer.neighborhoods is neighborhoods and trainer.rng is rng and not trainer.best_arrays
     assert trainer.epoch == 0 and trainer.opt_gen.t == 0
+
+
+def test_a_restore_replaces_the_best_snapshot(tmp_path):
+    # a trainer that has validated restores a checkpoint with no best epoch:
+    # it keeps no snapshot of its own, so its next save restores
+    graph, features, _ = tiny_problem()
+    unvalidated = tmp_path / "unvalidated.ckpt"
+    no_val = split_edges(graph, (0.9, 0.0, 0.1), seed=0)
+    Trainer(*tiny_configs(epochs=1), graph, features, no_val).run(checkpoint_path=unvalidated)
+    trainer = run_tiny(epochs=1)
+    assert trainer.best_epoch == 0 and trainer.best_arrays
+    trainer.restore(unvalidated)
+    assert trainer.best_epoch == -1 and not trainer.best_arrays
+    trainer.save(tmp_path / "again.ckpt")
+    trainer.restore(tmp_path / "again.ckpt")
+    assert trainer.best_epoch == -1 and not trainer.best_arrays
+    validated = tmp_path / "validated.ckpt"
+    run_tiny(epochs=2, checkpoint=validated)
+    trainer.restore(validated)
+    arrays, meta = load_checkpoint(validated)
+    assert trainer.best_epoch == meta["best_epoch"] >= 0
+    assert trainer.best_arrays.keys() == {name[len("best.") :] for name in arrays if name.startswith("best.")}
+    assert all(np.array_equal(buf, arrays[f"best.{name}"]) for name, buf in trainer.best_arrays.items())
 
 
 # -- one semantic chain per training step -------------------------------------
