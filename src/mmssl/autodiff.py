@@ -703,7 +703,7 @@ def row_sq_norms(a) -> Tensor:
 INFONCE_BLOCK_BYTES = 256 << 10
 
 
-def infonce_terms(q_h, q_v, tau: float) -> Tensor:
+def infonce_terms(q_h, q_v, tau: float, hold: bool = True) -> Tensor:
     """Per-user contrastive terms of one view, as one tape record.
 
     Entry u is log(sum_u' exp(q_h[u'].q_v[u] / tau) + exp(q_v[u'].q_v[u] / tau))
@@ -717,11 +717,20 @@ def infonce_terms(q_h, q_v, tau: float) -> Tensor:
     block of ``INFONCE_BLOCK_BYTES`` at a time, so the block size cannot move
     a bit.  The forward scales a block, reads its positives, exponentiates
     it, and reduces its rows together with the column sums so far (row 0 of
-    a small buffer), in the row order of ``(e_hv + e_vv).sum(axis=0)``.  The
-    record holds the two exponentials and no other (n, n) array.  The vjp
+    a small buffer), in the row order of ``(e_hv + e_vv).sum(axis=0)``.  It
+    builds no (n, n) array beside the two exponentials.  Only the (n,)
+    output is checked for non-finite values.
+
+    With ``hold`` the record keeps the two exponentials until its vjp, which
     overwrites them with their partials, so it allocates no (n, n) array and
-    the tape can be differentiated only once.  Only the (n,) output is
-    checked for non-finite values.
+    the tape can be differentiated only once.  Without it the record keeps
+    no (n, n) array, and the vjp rebuilds each exponential by the forward's
+    whole GEMM, block scaling and ``exp`` (under the forward's errstate), a
+    block just before its partial steps, so with the same bits, at the cost
+    of one GEMM and one ``exp`` pass per array.  Either way the vjp
+    finishes with ``e_hv`` and lets it go before it takes ``e_vv``, so it
+    has at most the forward's two (n, n) arrays alive, and without ``hold``
+    at most one.
     """
     q_h, q_v = _as_tensor(q_h), _as_tensor(q_v)
     if q_h.ndim != 2 or q_h.shape != q_v.shape:
@@ -752,18 +761,32 @@ def infonce_terms(q_h, q_v, tau: float) -> Tensor:
         val = np.log(denom) - pos
     _check_finite(val, "infonce_terms")
     out = Tensor(val)
+    held = [e_hv, e_vv] if hold else []
+
+    def partials(q, g_den, g=None):
+        # the held exponentials of q's products, or the same bits rebuilt
+        # block by block, overwritten in place with their partials; ``g`` is
+        # taken off the positives
+        e = held.pop(0) if hold else q @ t
+        for start in starts:
+            block = e[start : start + rows]
+            if not hold:
+                with np.errstate(over="ignore", invalid="ignore"):  # as in the forward
+                    block *= c
+                    np.exp(block, out=block)
+            block *= g_den
+            if g is not None:
+                block.reshape(-1)[start :: n + 1] -= g[start : start + block.shape[0]]
+            block *= c
+        return e
 
     def vjp(g):
         g_den = g / denom
-        for start in starts:
-            hv, vv = e_hv[start : start + rows], e_vv[start : start + rows]
-            hv *= g_den
-            hv.reshape(-1)[start :: n + 1] -= g[start : start + hv.shape[0]]  # the positives
-            hv *= c
-            vv *= g_den
-            vv *= c
-        d_h, hv_part = e_hv @ t.T, q_h.data.T @ e_hv
-        return (d_h, e_vv @ t.T + (q_v.data.T @ e_vv).T + hv_part.T)
+        e = partials(q_h.data, g_den, g)
+        d_h, hv_part = e @ t.T, q_h.data.T @ e
+        del e  # before e_vv is taken or rebuilt
+        e = partials(q_v.data, g_den)
+        return (d_h, e @ t.T + (q_v.data.T @ e).T + hv_part.T)
 
     _record("infonce_terms", out, (q_h, q_v), vjp)
     return out

@@ -336,21 +336,20 @@ def _entries_above(
     zero), its top k in the block: its first k users when all its entries
     are equal.  Either way equal scores come lowest user first."""
     rows, width = block.shape
-    above = block > threshold
-    # counted as bytes: a bool sum would widen every entry to an integer
-    counts = above.view(np.uint8).sum(axis=0, dtype=np.uint32).astype(np.intp)
+    hits = np.flatnonzero(block > threshold)
+    items = hits % width
+    counts = np.bincount(items, minlength=width)
     crowded = np.flatnonzero(counts > MAX_CANDIDATES)
-    above[:, crowded] = False
-    hits = np.flatnonzero(above)
     if crowded.size:
         columns = block.T[crowded]
         best = np.tile(np.arange(min(k, rows)), (crowded.size, 1))
         varied = np.flatnonzero(columns.min(axis=1) != columns.max(axis=1))
         if varied.size:
             best[varied] = top_k_rows(columns[varied], k)
-        hits = np.concatenate([hits, (best * width + crowded[:, None]).ravel()])
+        kept = (counts <= MAX_CANDIDATES)[items]  # the crowded columns' hits leave
+        hits = np.concatenate([hits[kept], (best * width + crowded[:, None]).ravel()])
+        items = np.concatenate([items[kept], np.repeat(crowded, best.shape[1])])
         counts[crowded] = best.shape[1]
-    items = hits % width
     # stable, and a radix sort when the item ids fit 16 bits
     by_item = np.argsort(items.astype(np.min_scalar_type(width)), kind="stable")
     hits, items = hits[by_item], items[by_item]

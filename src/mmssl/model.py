@@ -224,15 +224,18 @@ def refresh_neighborhoods(
         qu = ad.l2_normalize_rows(f_u).data
         qi = ad.l2_normalize_rows(f_i).data
         kt = np.ascontiguousarray(qi.T)
+        del f_u, f_i  # the priors are not read again; qi only by the floor
         step = max(1, REFRESH_BLOCK_BYTES // (8 * kt.shape[1]))
         blocks = (qu[start : start + step] @ kt for start in range(0, qu.shape[0], step))
         if previous is None:
+            del qi
             neighborhoods.append(enc.neighbors_from_row_blocks(blocks, top_k))
             continue
         users, items = previous[m].user_neighbors, previous[m].item_neighbors
         if users.shape != (len(qu), min(top_k, len(qi))) or items.shape != (len(qi), min(top_k, len(qu))):
             raise ValueError(f"previous neighbourhood {m} is not a top-{top_k} neighbourhood of this graph")
         floor = _item_floor(qu, qi, items)
+        del qi
         neighborhoods.append(enc.neighbors_from_row_blocks(blocks, top_k, users, floor))
     return neighborhoods
 

@@ -73,6 +73,15 @@ def infonce_loss(
     users u', with s the temperature-scaled cosine.  The mean of
     -log(ratio) over users and modalities is returned; ``paper_sign``
     flips to the raw +log form.
+
+    Each view's terms are one ``ad.infonce_terms`` record, and only the last
+    view's holds its two (U, U) exponentials from its forward to its vjp.
+    Every earlier view's vjp rebuilds its exponentials, one at a time, for
+    one more GEMM and ``exp`` pass per array.  The last view's vjp runs
+    first in backward and lets its arrays go before any rebuild, so a step
+    has at most two (U, U) arrays alive however many views there are.
+    Holding them spares one view's rebuild; rebuilding every view would
+    only shorten the time the two arrays are held.
     """
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
@@ -80,8 +89,9 @@ def infonce_loss(
         raise ValueError("contrastive loss needs at least one modality view")
     q_h = ad.l2_normalize_rows(h_users)
     total = None
-    for view in modality_views:
-        term = ad.mean(_infonce_terms(q_h, view, tau))
+    last = len(modality_views) - 1
+    for m, view in enumerate(modality_views):
+        term = ad.mean(_infonce_terms(q_h, view, tau, hold=m == last))
         total = term if total is None else ad.add(total, term)
     loss = ad.scale(total, 1.0 / len(modality_views))
     if paper_sign:
@@ -89,10 +99,10 @@ def infonce_loss(
     return loss
 
 
-def _infonce_terms(q_h: Tensor, view: Tensor, tau: float) -> Tensor:
+def _infonce_terms(q_h: Tensor, view: Tensor, tau: float, hold: bool = True) -> Tensor:
     """Per-user terms -log(ratio) of one modality view, given the unit-norm
-    final user embeddings ``q_h``."""
-    return ad.infonce_terms(q_h, ad.l2_normalize_rows(view), tau)
+    final user embeddings ``q_h``; ``hold`` as in ``ad.infonce_terms``."""
+    return ad.infonce_terms(q_h, ad.l2_normalize_rows(view), tau, hold=hold)
 
 
 def hard_negative_profile(x, tau: float) -> np.ndarray:

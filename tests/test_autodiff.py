@@ -260,6 +260,35 @@ def test_infonce_record_holds_two_user_by_user_arrays_and_its_vjp_makes_none(pea
     assert backward_growth < 0.5 * user_by_user, f"backward grew {backward_growth / user_by_user:.2f}"
 
 
+def test_infonce_record_without_hold_keeps_no_user_by_user_array_and_its_vjp_rebuilds_one(peak_above_held):
+    n = 1000
+    rng = np.random.default_rng(4)
+    h, v = (ad.parameter(rng.standard_normal((n, 16)), name) for name in "hv")
+    user_by_user = n * n * 8
+
+    def forward(hold):
+        with ad.Tape() as tape:
+            loss = ad.mean(ad.infonce_terms(h, v, 0.5, hold=hold))
+        return tape, loss
+
+    def forward_then_backward():
+        before = tracemalloc.get_traced_memory()[0]
+        (tape, loss), forward_peak = peak_above_held(forward, False)
+        kept = tracemalloc.get_traced_memory()[0] - before
+        grads, backward_growth = peak_above_held(tape.backward, loss, params=[h, v])
+        return kept, forward_peak, backward_growth, [loss.data, grads.get(h), grads.get(v)]
+
+    (kept, forward_peak, backward_growth, rebuilt), _ = peak_above_held(forward_then_backward)
+    assert kept < 0.1 * user_by_user, f"the record kept {kept / user_by_user:.2f}"
+    assert forward_peak < 2.25 * user_by_user, f"forward peaked at {forward_peak / user_by_user:.2f}"
+    # the vjp rebuilds one exponential at a time and lets it go before the next
+    assert backward_growth < 1.25 * user_by_user, f"backward grew {backward_growth / user_by_user:.2f}"
+    tape, loss = forward(True)
+    grads = tape.backward(loss, params=[h, v])
+    for name, a, b in zip(("loss", "h", "v"), [loss.data, grads.get(h), grads.get(v)], rebuilt):
+        assert np.array_equal(a, b), name
+
+
 def test_attention_record_keeps_its_weights_and_backward_one_partial_at_a_time(peak_above_held):
     n, d, heads, num_m = 2000, 64, 2, 2
     rng = np.random.default_rng(6)

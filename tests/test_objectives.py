@@ -91,9 +91,10 @@ def test_infonce_brute_force_oracle():
     np.testing.assert_allclose(loss.data, np.mean(terms), rtol=1e-10)
 
 
-def composed_infonce_terms(q_h, view, tau):
+def composed_infonce_terms(q_h, view, tau, hold=True):
     """The per-user InfoNCE terms composed of elementary tape ops: the
-    bitwise reference of ``ad.infonce_terms``."""
+    bitwise reference of ``ad.infonce_terms``, held or not (``hold`` only
+    decides where the record's exponentials live, so it is ignored here)."""
     q_v = ad.l2_normalize_rows(view)
     sim_hv = ad.scale(ad.matmul(q_h, ad.transpose(q_v)), 1.0 / tau)  # [u', u]
     sim_vv = ad.scale(ad.matmul(q_v, ad.transpose(q_v)), 1.0 / tau)  # [u', u]
@@ -118,7 +119,16 @@ def _assert_fused_infonce_equals_composed(monkeypatch, n, paper_sign):
         grads = tape.backward(loss, params=[h, *views])
         return [loss.data] + [grads.get(p) for p in (h, *views)]
 
+    held = []
+    fused_terms = ad.infonce_terms
+
+    def spy(*args, hold):
+        held.append(hold)
+        return fused_terms(*args, hold=hold)
+
+    monkeypatch.setattr(ad, "infonce_terms", spy)
     fused = loss_and_grads()
+    assert held == [False, True]  # view 0 rebuilds its exponentials, view 1 holds them
     monkeypatch.setattr(obj, "_infonce_terms", composed_infonce_terms)
     composed = loss_and_grads()
     for name, a, b in zip(("loss", "h", "view0", "view1"), fused, composed):

@@ -645,10 +645,10 @@ def test_evaluate_peak_memory_below_half_a_user_by_item_array(peak_above_held):
     assert peak < user_by_item / 2, f"evaluate peaked at {peak / user_by_item:.2f} (U, I) arrays"
 
 
-def _g_step_peak(peak_above_held, **overrides):
+def _g_step_peak(peak_above_held, modality_dims=(16, 8), **overrides):
     """Traced peak allocation of one ``g_step`` at U = 1500, I = 1000, d = 64."""
     spec = SyntheticSpec(
-        num_users=1500, num_items=1000, modality_dims=(16, 8), interactions_per_user=3, seed=5
+        num_users=1500, num_items=1000, modality_dims=modality_dims, interactions_per_user=3, seed=5
     )
     graph, features, _ = generate_synthetic(spec)
     split = split_edges(graph, (0.8, 0.1, 0.1), seed=5)
@@ -662,20 +662,26 @@ def _g_step_peak(peak_above_held, **overrides):
     return peak_above_held(lambda: trainer.g_step(trainer._record_chain()))[1]
 
 
-def test_g_step_peak_memory_below_six_and_a_fifth_user_by_user_arrays(peak_above_held):
-    # the full model (InfoNCE, adversarial, Gumbel): the InfoNCE record keeps
-    # two (U, U) exponentials per view and builds no other (U, U) array; its
-    # vjp overwrites them with their partials.  Backward frees each record's
-    # arrays once its vjp ran, copies no first partial and adds into a first
-    # partial that only the sum holds; the propagation, modality-summary
-    # and relation-scoring segments keep only their outputs, and add, sub and
-    # the routing ops keep shapes, not inputs.  The peak is near 5.40 (U, U)
-    # arrays; keeping the relation rows and the mixed attention views until
-    # the backward made it 5.78, and a second partial always going into a
-    # new array 6.31
+@pytest.mark.parametrize("modalities, bound", [(1, 3.3), (2, 3.75), (3, 4.2)], ids=["1", "2", "3"])
+def test_g_step_peak_memory_grows_under_half_a_user_by_user_array_per_modality(
+    peak_above_held, modalities, bound
+):
+    # the full model (InfoNCE, adversarial, Gumbel): each view's InfoNCE
+    # record builds two (U, U) exponentials and no other (U, U) array.  Only
+    # the last view's record keeps them for its vjp, which runs first and
+    # overwrites them with their partials; every earlier view's vjp rebuilds
+    # them one at a time.  Backward frees each record's arrays once its vjp
+    # ran, copies no first partial and adds into a first partial that only
+    # the sum holds; the propagation, modality-summary and relation-scoring
+    # segments keep only their outputs, and add, sub and the routing ops
+    # keep shapes, not inputs.  The peak is near 2.95 / 3.40 / 3.86 (U, U)
+    # arrays for 1 / 2 / 3 modalities; every view keeping its two
+    # exponentials made it 2.95 / 5.40 / 7.86, keeping the relation rows and
+    # the mixed attention views until the backward made the two-modality
+    # peak 5.78, and a second partial always going into a new array 6.31
     user_by_user = 1500 * 1500 * 8
-    peak = _g_step_peak(peak_above_held)
-    assert peak < 6.2 * user_by_user, f"g_step peaked at {peak / user_by_user:.2f} (U, U) arrays"
+    peak = _g_step_peak(peak_above_held, (16, 8, 4)[:modalities])
+    assert peak < bound * user_by_user, f"g_step peaked at {peak / user_by_user:.2f} (U, U) arrays"
 
 
 def test_g_step_peak_memory_without_infonce_below_47_user_by_dim_arrays(peak_above_held):
