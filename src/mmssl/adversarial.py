@@ -1,9 +1,10 @@
 """Adversarial modality-aware relation generation.
 
 The generator turns raw modality features into user/item collaborative
-embeddings and scores every user-item pair by cosine similarity, producing
-one dense relation matrix per modality.  A small row-wise critic is trained
-to tell those rows apart from a smoothed proxy of the observed interaction
+embeddings and scores user-item pairs by cosine similarity: the training
+steps score batch rows, and only the test oracle ``generate_relations``
+builds a whole relation matrix.  A small row-wise critic is trained to
+tell those rows apart from a smoothed proxy of the observed interaction
 rows; the generator is trained to fool it.  The critic is regularized with
 a gradient penalty on interpolated rows.
 """
@@ -304,7 +305,9 @@ def discriminate(
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Score a batch of relation rows, one value in (0, 1) per row."""
+    """Score a batch of relation rows, one value in (0, 1) per row.  It
+    collects no penalty factor, so every record on a step's tape reaches
+    its loss."""
     rows = rows if isinstance(rows, Tensor) else ad.constant(rows)
     if rows.ndim != 2:
         raise ValueError("discriminate expects a 2-D batch of rows")

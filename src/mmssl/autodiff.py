@@ -2,30 +2,13 @@
 
 All buffers are 64-bit floats.  Every tensor gets a key that no other
 tensor ever gets.  Operations compute eagerly with numpy and, when a tape
-is active, append a record holding the op name, the outputs, their keys,
-the input keys and a vector-Jacobian closure, which keeps only what it
-reads.  ``Tape.backward`` walks the records in reverse and sums every
+is active, append a record (``_Record``) of the op name, the outputs, their
+keys, the input keys and a vector-Jacobian closure, which keeps only what
+it reads.  ``Tape.backward`` walks the records in reverse and sums every
 tensor's partials by key in one ``GradientMap``; creation order is a
-topological order by construction, so no sort is needed.  Once a record's
-vjp has run, the record lets go of its outputs, so a forward tensor is
-freed as soon as the last record that reads it has been differentiated
-(unless the caller still holds it).  A ``segment`` renames the records a
-function makes, which keep only the function's outputs.
-
-Non-finite values raise ``NumericError`` naming the op that produced them.
-A call made with no tape active checks its own output.  A taped step is
-checked once: ``Tape.backward`` checks the loss before any record lets go,
-and on failure replays the records to name the first op with a non-finite
-output.  A vjp that goes non-finite is named, after a replay of the records
-up to it, which are still whole.  The gradients it returns are checked after
-every record has let go, so a failure there names the parameter.  A failure
-inside a segment names the segment.  A train-mode ``batch_norm`` checks
-every call, so a failing step never writes a non-finite running statistic.
-
-At most one tape records at a time.  A tape may be entered again after it
-was left: its records then continue in order, so a forward recorded in
-pieces is differentiated as one, and only once.  Backward never mutates
-parameters; it only returns a gradient map.
+topological order by construction, so no sort is needed.  How records let
+go of their tensors and how a non-finite value is named is stated once, in
+``Tape.backward``; how a function's records are renamed, in ``segment``.
 """
 
 from __future__ import annotations
@@ -231,7 +214,9 @@ class GradientMap:
 
 
 class Tape:
-    """Ordered record of primitive applications."""
+    """Ordered record of primitive applications.  At most one tape records
+    at a time; one entered again after it was left continues its records in
+    order, so a forward recorded in pieces is differentiated as one."""
 
     def __init__(self):
         self._records: list[_Record] = []
@@ -261,11 +246,11 @@ class Tape:
         ``params`` receive gradients; a partial that only a constant or
         another leaf would receive is not worked out where its primitive
         defers it.  Every tensor's partials are summed by key in one
-        ``GradientMap``, which is returned.  Each vjp is dropped once it has
-        run, which frees the arrays it holds (a vjp may also overwrite them),
-        and once its partials are summed the record lets go of its outputs,
-        keeping its op name and keys; so a tape is differentiated once: a
-        second call raises ``ValueError``.
+        ``GradientMap``, which is returned; no parameter changes.  Each vjp
+        is dropped once it has run, which frees the arrays it holds (a vjp
+        may also overwrite them), and once its partials are summed the
+        record lets go of its outputs, keeping its op name and keys; so a
+        tape is differentiated once: a second call raises ``ValueError``.
 
         Raises ``NumericError`` if the loss, a vjp or a returned gradient is
         not finite.  The loss is checked, and the records replayed to name
@@ -428,14 +413,14 @@ def scale(a, c: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """``a @ b``.  Each operand is read only by the other's partial, so the
+    record keeps it only where ``_may_be_requested`` says that partial may
+    be: scoring rows with constant weights keeps no row."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("matmul expects 2-D operands")
     out = Tensor(a.data @ b.data)
     _check_finite(out.data, "matmul")
-    # each operand is read only by the other's partial, so it is kept only
-    # when that partial may be requested: scoring rows with constant weights
-    # keeps no row
     kept_a = a.data if _may_be_requested(b) else None
     kept_b = b.data if _may_be_requested(a) else None
     _record(
@@ -512,6 +497,8 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
 
 
 def gather_rows(a, idx) -> Tensor:
+    """Rows ``idx`` of ``a``, ids may repeat.  The vjp defers its scatter
+    buffer, so the gradient map owns a table's gradient without a copy."""
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
     out = Tensor(a.data[idx])

@@ -1,11 +1,11 @@
 """Command-line interface.
 
-Subcommands: ``train``, ``eval``, ``synth``, ``gradcheck``, ``report``.
+Subcommands: train, eval, synth, gradcheck, report.
 Exit status 0 on success, 1 on a validation problem (bad flags, missing or
 malformed files, inconsistent configuration, sizes too large to allocate),
 2 on a numeric failure, 141 (128 + SIGPIPE, as a shell reports a writer
 stopped by SIGPIPE) when standard output was closed by its reader, such as
-``mmssl train ... | head -1``; whatever the command wrote to disk stays.
+mmssl train ... | head -1; whatever the command wrote to disk stays.
 """
 
 from __future__ import annotations

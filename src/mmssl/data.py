@@ -548,7 +548,9 @@ class SyntheticSpec:
 class ScoreRows:
     """The (U, I) scores ``users @ items.T``, computed a block of rows at a
     time: a reader of only ``.shape`` and ``[rows]`` never holds the whole
-    U x I matrix.  ``np.asarray`` builds it in one product."""
+    U x I matrix.  ``np.asarray`` builds it in one product.  Where I is not
+    a multiple of the BLAS kernel width, a block's last few columns can
+    differ from it in the last bit, so a ranking moves only on such ties."""
 
     def __init__(self, users: np.ndarray, items: np.ndarray):
         self.users, self.items = users, items

@@ -1,7 +1,8 @@
 """Cross-modal contrastive encoder.
 
-From each generated relation matrix we read off the top-k semantic
-neighbors and aggregate id embeddings over them into per-modality views.
+Each modality's top-k semantic neighbours are read off its relations, which
+the refresh streams in row blocks of at most ``model.REFRESH_BLOCK_BYTES``,
+and id embeddings are aggregated over them into per-modality views.
 Multi-head attention mixes the views across modalities, the mixed views are
 mean-pooled and injected into the zero-order embeddings, and alternating
 bipartite propagation spreads them over the interaction graph.

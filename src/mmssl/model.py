@@ -202,19 +202,13 @@ def refresh_neighborhoods(
     previous: list[SemanticNeighborhood] | None = None,
 ) -> list[SemanticNeighborhood]:
     """Recompute per-modality relations (eval mode, no tape) and read off
-    fresh top-k semantic neighbors.
+    fresh top-k semantic neighbors with ``enc.neighbors_from_row_blocks``.
 
-    Relations are produced and consumed one block of user rows at a time,
-    so memory holds one (block, I) slab instead of the full (U, I) matrix.
-    Rows are normalized once per modality; a block is the product of its
-    unit user rows with the transposed unit item table, the same numpy
-    operations ``adversarial.relation_rows`` runs on a gathered block.
-
-    ``previous`` is an earlier top-k neighbourhood of each modality, such as
-    the last refresh's, with k distinct ids per row.  Its ids only bound the
-    scan, so the result is the same without it: a user's relations to its
-    previous items bound its k-th value from below, and so does each item's
-    floor (``_item_floor``).
+    A block is at most ``REFRESH_BLOCK_BYTES`` of user rows: their unit rows
+    times the transposed unit item table, the numpy operations of
+    ``adversarial.relation_rows``.  ``previous``, an earlier top-k
+    neighbourhood of each modality, only bounds the scan, through each
+    user's previous items and ``_item_floor``.
     """
     neighborhoods = []
     for m, table in enumerate(features):

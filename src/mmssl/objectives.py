@@ -74,14 +74,8 @@ def infonce_loss(
     -log(ratio) over users and modalities is returned; ``paper_sign``
     flips to the raw +log form.
 
-    Each view's terms are one ``ad.infonce_terms`` record, and only the last
-    view's holds its two (U, U) exponentials from its forward to its vjp.
-    Every earlier view's vjp rebuilds its exponentials, one at a time, for
-    one more GEMM and ``exp`` pass per array.  The last view's vjp runs
-    first in backward and lets its arrays go before any rebuild, so a step
-    has at most two (U, U) arrays alive however many views there are.
-    Holding them spares one view's rebuild; rebuilding every view would
-    only shorten the time the two arrays are held.
+    Each view's terms are one ``ad.infonce_terms`` record.  Only the last
+    view's holds its exponentials, because its vjp runs first in backward.
     """
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")

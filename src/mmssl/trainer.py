@@ -317,8 +317,9 @@ def _check_arrays(
     is held, each held group is complete and shaped as the layout says, and
     each neighbour id is a whole number in range that no other id of its
     row repeats (the ids index the relation matrices, and a refresh reads a
-    row's ids as k distinct entries).  Anything else is a ``ValueError``
-    naming the array."""
+    row's ids as k distinct entries).  Every other held array is finite, and
+    a BN running variance or Adam second moment not negative.  Anything else
+    is a ``ValueError`` naming the array."""
     layout = _checkpoint_shapes(state, graph, modalities, top_k)
     # a name belongs to the group its first part names, else to live
     group_of = {name: name.split(".")[0] if name.split(".")[0] in layout else "live" for name in arrays}
@@ -334,6 +335,13 @@ def _check_arrays(
                 raise ValueError(f"checkpoint is missing array {name}")
             if arrays[name].shape != shape:
                 raise ValueError(f"checkpoint array {name} has shape {arrays[name].shape}")
+            if group == "nbr":  # _stored_ids checks the ids' values
+                continue
+            if not np.isfinite(arrays[name]).all():
+                raise ValueError(f"checkpoint array {name} holds a non-finite value")
+            non_negative = name.endswith(".var") or name.startswith(("optg.v.", "optd.v."))
+            if non_negative and (arrays[name] < 0).any():
+                raise ValueError(f"checkpoint array {name} holds a negative value")
     ids = [
         _stored_ids(name, arrays[name], graph.num_items if name.endswith("users") else graph.num_users)
         for name in layout["nbr"]
@@ -579,6 +587,10 @@ class Trainer:
         save_checkpoint(path, self.best_arrays, {**self.checkpoint_meta(), "epoch": self.best_epoch})
 
     def restore(self, path) -> None:
+        """Continue from the checkpoint at ``path``.  After the metadata
+        checks and ``_check_arrays``, and only then, the live, optg and optd
+        groups are copied into the buffers of ``_held``; the best snapshot
+        becomes the checkpoint's alone, none when it names no best epoch."""
         arrays, meta = load_checkpoint(path)
         if self.config_flat and meta.get("config_hash") != _config_fingerprint(self.config_flat):
             raise ValueError("checkpoint was produced under a different configuration")
@@ -613,7 +625,6 @@ class Trainer:
             for name, buf in held[group].items():
                 buf[:] = arrays[name]
         self.neighborhoods = neighborhoods
-        # the snapshot is the checkpoint's alone, none under best_epoch -1
         self.best_arrays = {name: arrays[f"best.{name}"] for name in held["live"]} if best_epoch >= 0 else {}
         self.opt_gen.t = meta["opt_gen_t"]
         self.opt_disc.t = meta["opt_disc_t"]

@@ -366,6 +366,38 @@ def test_resume_rejects_checkpoint_without_optimizer_state(
 
 
 @pytest.mark.parametrize(
+    "name, value, fault",
+    [
+        # eval never runs the critic, so its weights and statistics were read unchecked
+        ("disc.w1", np.nan, "non-finite"),
+        ("id.users", np.nan, "non-finite"),
+        ("gen.w0", -np.inf, "non-finite"),
+        ("bn.disc.bn1.var", -1.0, "negative"),
+        ("best.bn.disc.bn2.var", -1.0, "negative"),
+        ("optg.v.id.users", -1.0, "negative"),
+    ],
+)
+def test_a_checkpoint_value_no_run_makes_exits_1_on_eval_and_resume_naming_the_array(
+    data_dir, train_dir, tmp_path, capsys, name, value, fault
+):
+    arrays, meta = load_checkpoint(train_dir / "final.ckpt")
+    bad = arrays[name].copy()
+    bad.flat[0] = value
+    broken = tmp_path / "broken.ckpt"
+    save_checkpoint(broken, {**arrays, name: bad}, meta)
+    resume = [
+        "train", "--data", str(data_dir), "--out", str(tmp_path / "out"),
+        "--config", str(train_dir / "config.json"), "--resume", str(broken),
+    ]
+    for argv in (["eval", "--checkpoint", str(broken), "--data", str(data_dir)], resume):
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: checkpoint array {name} holds a {fault} value\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "drop, edit, message",
     [
         pytest.param(
