@@ -690,74 +690,89 @@ def row_sq_norms(a) -> Tensor:
 INFONCE_BLOCK_BYTES = 256 << 10
 
 
-def infonce_terms(q_h, q_v, tau: float, hold: bool = True) -> Tensor:
-    """Per-user contrastive terms of one view, as one tape record.
+def infonce_terms(q_h, views: Sequence, tau: float) -> list[Tensor]:
+    """Per-user contrastive terms of each view, as one tape record with one
+    output per view.
 
-    Entry u is log(sum_u' exp(q_h[u'].q_v[u] / tau) + exp(q_v[u'].q_v[u] / tau))
-    - q_h[u].q_v[u] / tau.  Every entry goes through the numpy operations of
-    the composed expression (transpose, matmul, scale, exp, add, reduce_sum,
-    log, diagonal gather, sub) in the same order, so values and gradients
-    are bitwise equal to it.
+    Entry u of view v's output is log(sum_u' exp(q_h[u'].v[u] / tau) +
+    exp(v[u'].v[u] / tau)) - q_h[u].v[u] / tau.  Every entry goes through the
+    numpy operations of the composed expression (transpose, matmul, scale,
+    exp, add, reduce_sum, log, diagonal gather, sub) in the same order, and
+    ``q_h`` is listed once per view, the last view first, so the tape sums
+    its partials in the order of one composed expression per view.  Values
+    and gradients are bitwise equal to the composed ones.
 
-    The two (n, n) products are whole GEMMs: a GEMM split into row blocks
-    can round differently in the last bit.  The rest runs in place, one row
-    block of ``INFONCE_BLOCK_BYTES`` at a time, so the block size cannot move
-    a bit.  The forward scales a block, reads its positives, exponentiates
-    it, and reduces its rows together with the column sums so far (row 0 of
-    a small buffer), in the row order of ``(e_hv + e_vv).sum(axis=0)``.  It
-    builds no (n, n) array beside the two exponentials.  Only the (n,)
-    output is checked for non-finite values.
+    The views run in order.  Each view's two (n, n) products are whole
+    GEMMs: a GEMM split into row blocks can round differently in the last
+    bit.  The rest runs in place, one row block of ``INFONCE_BLOCK_BYTES`` at
+    a time, so the block size cannot move a bit.  The forward scales a block,
+    reads its positives, exponentiates it, and reduces its rows together
+    with the column sums so far (row 0 of a small buffer), in the row order
+    of ``(e_hv + e_vv).sum(axis=0)``.  It builds no (n, n) array beside a
+    view's two exponentials, and lets an earlier view's go before the next
+    view's are built.  Only the (n,) outputs are checked for non-finite
+    values.
 
-    With ``hold`` the record keeps the two exponentials until its vjp, which
-    overwrites them with their partials, so it allocates no (n, n) array and
-    the tape can be differentiated only once.  Without it the record keeps
-    no (n, n) array, and the vjp rebuilds each exponential by the forward's
-    whole GEMM, block scaling and ``exp`` (under the forward's errstate), a
-    block just before its partial steps, so with the same bits, at the cost
-    of one GEMM and one ``exp`` pass per array.  Either way the vjp
-    finishes with ``e_hv`` and lets it go before it takes ``e_vv``, so it
-    has at most the forward's two (n, n) arrays alive, and without ``hold``
-    at most one.
+    The record keeps the last view's two exponentials and no other (n, n)
+    array.  The vjp runs the last view first and overwrites its held
+    exponentials with their partials.  It rebuilds each earlier view's by
+    the forward's whole GEMM, block scaling and ``exp`` (under the forward's
+    errstate), a block just before its partial steps, so with the same
+    bits, at the cost of one GEMM and one ``exp`` pass per array.  A view
+    finishes with ``e_hv`` and lets it go before it takes ``e_vv``.  So,
+    whatever the number of views, the record has at most the forward's two
+    (n, n) arrays alive, and the tape can be differentiated only once.
     """
-    q_h, q_v = _as_tensor(q_h), _as_tensor(q_v)
-    if q_h.ndim != 2 or q_h.shape != q_v.shape:
-        raise ValueError(
-            f"infonce_terms expects two equal 2-D shapes, got {q_h.shape} and {q_v.shape}"
-        )
+    q_h = _as_tensor(q_h)
+    views = [_as_tensor(v) for v in views]
+    for q_v in views:
+        if q_h.ndim != 2 or q_h.shape != q_v.shape:
+            raise ValueError(
+                f"infonce_terms expects two equal 2-D shapes, got {q_h.shape} and {q_v.shape}"
+            )
     n = q_h.shape[0]
     c = float(1.0 / tau)
-    t = np.ascontiguousarray(q_v.data.T)
-    e_hv = q_h.data @ t
-    e_vv = q_v.data @ t
     rows = max(1, INFONCE_BLOCK_BYTES // (8 * max(n, 1)))
     starts = range(0, n, rows)
-    pos = np.empty(n)
-    sums = np.zeros((min(rows, n) + 1, n))  # row 0: the column sums so far
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in starts:
-            hv, vv = e_hv[start : start + rows], e_vv[start : start + rows]
-            k = hv.shape[0]
-            hv *= c
-            pos[start : start + k] = hv.diagonal(start)
-            np.exp(hv, out=hv)
-            vv *= c
-            np.exp(vv, out=vv)
-            np.add(hv, vv, out=sums[1 : k + 1])
-            sums[0] = np.add.reduce(sums[: k + 1], axis=0)  # 0 + x is x exactly
-        denom = sums[0].copy()
-        val = np.log(denom) - pos
-    _check_finite(val, "infonce_terms")
-    out = Tensor(val)
-    held = [e_hv, e_vv] if hold else []
+    ts = [np.ascontiguousarray(q_v.data.T) for q_v in views]
 
-    def partials(q, g_den, g=None):
-        # the held exponentials of q's products, or the same bits rebuilt
-        # block by block, overwritten in place with their partials; ``g`` is
-        # taken off the positives
-        e = held.pop(0) if hold else q @ t
+    def terms(e_hv, e_vv):
+        # one view's terms and denominators from its two products, which
+        # become its exponentials
+        pos = np.empty(n)
+        sums = np.zeros((min(rows, n) + 1, n))  # row 0: the column sums so far
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in starts:
+                hv, vv = e_hv[start : start + rows], e_vv[start : start + rows]
+                k = hv.shape[0]
+                hv *= c
+                pos[start : start + k] = hv.diagonal(start)
+                np.exp(hv, out=hv)
+                vv *= c
+                np.exp(vv, out=vv)
+                np.add(hv, vv, out=sums[1 : k + 1])
+                sums[0] = np.add.reduce(sums[: k + 1], axis=0)  # 0 + x is x exactly
+            denom = sums[0].copy()
+            return np.log(denom) - pos, denom
+
+    held, outs, denoms = [], [], []
+    for q_v, t in zip(views, ts):
+        held.clear()  # an earlier view's exponentials: the vjp rebuilds them
+        held += (q_h.data @ t, q_v.data @ t)
+        val, denom = terms(*held)
+        _check_finite(val, "infonce_terms")
+        outs.append(Tensor(val))
+        denoms.append(denom)
+
+    def partials(q, t, g_den, g=None):
+        # the held exponentials of q's product with t, or the same bits
+        # rebuilt block by block, overwritten in place with their partials;
+        # ``g`` is taken off the positives
+        rebuild = not held
+        e = q @ t if rebuild else held.pop(0)
         for start in starts:
             block = e[start : start + rows]
-            if not hold:
+            if rebuild:
                 with np.errstate(over="ignore", invalid="ignore"):  # as in the forward
                     block *= c
                     np.exp(block, out=block)
@@ -767,16 +782,24 @@ def infonce_terms(q_h, q_v, tau: float, hold: bool = True) -> Tensor:
             block *= c
         return e
 
-    def vjp(g):
-        g_den = g / denom
-        e = partials(q_h.data, g_den, g)
+    def view_vjp(m, g):
+        q_v, t = views[m].data, ts[m]
+        g_den = g / denoms[m]
+        e = partials(q_h.data, t, g_den, g)
         d_h, hv_part = e @ t.T, q_h.data.T @ e
         del e  # before e_vv is taken or rebuilt
-        e = partials(q_v.data, g_den)
-        return (d_h, e @ t.T + (q_v.data.T @ e).T + hv_part.T)
+        e = partials(q_v, t, g_den)
+        return d_h, e @ t.T + (q_v.T @ e).T + hv_part.T
 
-    _record("infonce_terms", out, (q_h, q_v), vjp)
-    return out
+    def vjp(gs):
+        out = []
+        for m in reversed(range(len(views))):
+            out += (None, None) if gs[m] is None else view_vjp(m, gs[m])
+            held.clear()  # the last view's pair, if its terms got no gradient
+        return out
+
+    _append("infonce_terms", tuple(outs), [x for q_v in reversed(views) for x in (q_h, q_v)], vjp)
+    return outs
 
 
 def head_attention(

@@ -150,11 +150,17 @@ def run_primitive_checks() -> dict[str, float]:
         [a],
     )
     check("row_sq_norms", lambda: ad.reduce_sum(ad.mul(ad.row_sq_norms(a), w4)), [a])
-    check(
-        "infonce_terms",
-        lambda: ad.reduce_sum(ad.mul(ad.infonce_terms(a, b, 0.7), w4)),
-        [a, b],
-    )
+    # a second view, whose vjp rebuilds its exponentials, drawn from a
+    # generator of its own so that no later case's inputs move
+    local = np.random.default_rng(13)
+    b2 = ad.parameter(local.standard_normal((4, 5)), "b2")
+    w4b = ad.constant(local.standard_normal(4))
+
+    def infonce():
+        first, second = ad.infonce_terms(a, [b, b2], 0.7)
+        return ad.add(ad.reduce_sum(ad.mul(first, w4)), ad.reduce_sum(ad.mul(second, w4b)))
+
+    check("infonce_terms", infonce, [a, b, b2])
     s = sp.random(6, 4, density=0.5, random_state=5, format="csr")
     x = ad.parameter(rng.standard_normal((4, 3)), "x")
     w63 = weights_like((6, 3))

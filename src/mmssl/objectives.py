@@ -72,31 +72,23 @@ def infonce_loss(
     denominator sums exp s(h_u', e_u^m) and exp s(e_u'^m, e_u^m) over all
     users u', with s the temperature-scaled cosine.  The mean of
     -log(ratio) over users and modalities is returned; ``paper_sign``
-    flips to the raw +log form.
-
-    Each view's terms are one ``ad.infonce_terms`` record.  Only the last
-    view's holds its exponentials, because its vjp runs first in backward.
+    flips to the raw +log form.  The per-user terms of every view are one
+    ``ad.infonce_terms`` record.
     """
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
     if not modality_views:
         raise ValueError("contrastive loss needs at least one modality view")
     q_h = ad.l2_normalize_rows(h_users)
+    views = [ad.l2_normalize_rows(view) for view in modality_views]
     total = None
-    last = len(modality_views) - 1
-    for m, view in enumerate(modality_views):
-        term = ad.mean(_infonce_terms(q_h, view, tau, hold=m == last))
+    for terms in ad.infonce_terms(q_h, views, tau):
+        term = ad.mean(terms)
         total = term if total is None else ad.add(total, term)
     loss = ad.scale(total, 1.0 / len(modality_views))
     if paper_sign:
         loss = ad.scale(loss, -1.0)
     return loss
-
-
-def _infonce_terms(q_h: Tensor, view: Tensor, tau: float, hold: bool = True) -> Tensor:
-    """Per-user terms -log(ratio) of one modality view, given the unit-norm
-    final user embeddings ``q_h``; ``hold`` as in ``ad.infonce_terms``."""
-    return ad.infonce_terms(q_h, ad.l2_normalize_rows(view), tau, hold=hold)
 
 
 def hard_negative_profile(x, tau: float) -> np.ndarray:
@@ -126,7 +118,7 @@ def negative_gradient_norms(
     h = ad.parameter(np.asarray(h_users, dtype=np.float64), "profile.h")
     v = ad.constant(np.asarray(view, dtype=np.float64))
     with ad.Tape() as tape:
-        terms = _infonce_terms(ad.l2_normalize_rows(h), v, tau)
+        (terms,) = ad.infonce_terms(ad.l2_normalize_rows(h), [ad.l2_normalize_rows(v)], tau)
         term = ad.gather_rows(terms, [anchor])
     grads = tape.backward(term, params=[h])
     norms = np.linalg.norm(grads.get(h), axis=1)

@@ -69,13 +69,13 @@ def test_non_finite_input_raises_numeric_error():
 
 def test_infonce_terms_rejects_mismatched_shapes():
     with pytest.raises(ValueError, match=r"\(3, 4\) and \(3, 5\)"):
-        ad.infonce_terms(np.ones((3, 4)), np.ones((3, 5)), 0.1)
+        ad.infonce_terms(np.ones((3, 4)), [np.ones((3, 4)), np.ones((3, 5))], 0.1)
 
 
 def test_infonce_terms_overflow_names_the_primitive():
     q = np.eye(3)  # unit rows: exp(1 / 1e-3) overflows
     with pytest.raises(ad.NumericError, match="infonce_terms"):
-        ad.infonce_terms(q, q, 1e-3)
+        ad.infonce_terms(q, [q], 1e-3)
 
 
 def test_row_sq_norms_checks_its_shape_and_names_an_overflow():
@@ -230,7 +230,7 @@ def test_a_spent_tape_refuses_a_second_backward():
     rng = np.random.default_rng(2)
     h, v = (ad.parameter(rng.standard_normal((5, 3)), name) for name in "hv")
     with ad.Tape() as tape:
-        terms = ad.infonce_terms(h, v, 0.5)
+        (terms,) = ad.infonce_terms(h, [v], 0.5)
         loss = ad.mean(terms)
     with pytest.raises(ValueError, match="scalar"):
         tape.backward(terms, params=[h, v])  # refused before any vjp ran: the tape is not spent
@@ -247,7 +247,8 @@ def test_infonce_record_holds_two_user_by_user_arrays_and_its_vjp_makes_none(pea
 
     def forward():
         with ad.Tape() as tape:
-            loss = ad.mean(ad.infonce_terms(h, v, 0.5))
+            (terms,) = ad.infonce_terms(h, [v], 0.5)
+            loss = ad.mean(terms)
         return tape, loss
 
     def forward_then_backward():
@@ -260,33 +261,45 @@ def test_infonce_record_holds_two_user_by_user_arrays_and_its_vjp_makes_none(pea
     assert backward_growth < 0.5 * user_by_user, f"backward grew {backward_growth / user_by_user:.2f}"
 
 
-def test_infonce_record_without_hold_keeps_no_user_by_user_array_and_its_vjp_rebuilds_one(peak_above_held):
+def test_infonce_record_keeps_only_the_last_views_pair_and_rebuilds_the_others_bitwise(peak_above_held):
     n = 1000
     rng = np.random.default_rng(4)
-    h, v = (ad.parameter(rng.standard_normal((n, 16)), name) for name in "hv")
+    h, *views = (ad.parameter(rng.standard_normal((n, 16)), name) for name in ("h", "v0", "v1", "v2"))
     user_by_user = n * n * 8
 
-    def forward(hold):
+    def record(views):
         with ad.Tape() as tape:
-            loss = ad.mean(ad.infonce_terms(h, v, 0.5, hold=hold))
-        return tape, loss
+            terms = ad.infonce_terms(h, views, 0.5)
+            loss = ad.mean(terms[0])
+            for t in terms[1:]:
+                loss = ad.add(loss, ad.mean(t))
+        return tape, loss, terms
 
-    def forward_then_backward():
+    def forward_then_backward(views):
         before = tracemalloc.get_traced_memory()[0]
-        (tape, loss), forward_peak = peak_above_held(forward, False)
+        (tape, loss, terms), forward_peak = peak_above_held(record, views)
         kept = tracemalloc.get_traced_memory()[0] - before
-        grads, backward_growth = peak_above_held(tape.backward, loss, params=[h, v])
-        return kept, forward_peak, backward_growth, [loss.data, grads.get(h), grads.get(v)]
+        grads, backward_growth = peak_above_held(tape.backward, loss, params=[h, *views])
+        figures = [f / user_by_user for f in (kept, forward_peak, backward_growth)]
+        return figures, [t.data for t in terms], [grads.get(v) for v in views]
 
-    (kept, forward_peak, backward_growth, rebuilt), _ = peak_above_held(forward_then_backward)
-    assert kept < 0.1 * user_by_user, f"the record kept {kept / user_by_user:.2f}"
-    assert forward_peak < 2.25 * user_by_user, f"forward peaked at {forward_peak / user_by_user:.2f}"
-    # the vjp rebuilds one exponential at a time and lets it go before the next
-    assert backward_growth < 1.25 * user_by_user, f"backward grew {backward_growth / user_by_user:.2f}"
-    tape, loss = forward(True)
-    grads = tape.backward(loss, params=[h, v])
-    for name, a, b in zip(("loss", "h", "v"), [loss.data, grads.get(h), grads.get(v)], rebuilt):
-        assert np.array_equal(a, b), name
+    for num_views in (2, 3):
+        (figures, terms, grads), _ = peak_above_held(forward_then_backward, views[:num_views])
+        kept, forward_peak, backward_growth = figures
+        # the last view's two exponentials, and (n, d) and (n,) arrays
+        assert kept < 2.1, f"{num_views} views: the record kept {kept:.2f}"
+        assert forward_peak < 2.25, f"{num_views} views: forward peaked at {forward_peak:.2f}"
+        # the vjp overwrites the held pair, lets it go, then rebuilds one
+        # exponential at a time: two (n, n) arrays at most, as in the forward
+        assert backward_growth < 1.25, f"{num_views} views: backward grew {backward_growth:.2f}"
+        peak = kept + backward_growth
+        assert peak < 2.25, f"{num_views} views: backward peaked at {peak:.2f}"
+        # a rebuilt view has the bits of a one-view record, which holds its pair
+        for m, v in enumerate(views[:num_views]):
+            tape, loss, (want,) = record([v])
+            want_grad = tape.backward(loss, params=[h, v]).get(v)
+            assert np.array_equal(terms[m], want.data), (num_views, m)
+            assert np.array_equal(grads[m], want_grad), (num_views, m)
 
 
 def test_attention_record_keeps_its_weights_and_backward_one_partial_at_a_time(peak_above_held):

@@ -91,48 +91,49 @@ def test_infonce_brute_force_oracle():
     np.testing.assert_allclose(loss.data, np.mean(terms), rtol=1e-10)
 
 
-def composed_infonce_terms(q_h, view, tau, hold=True):
-    """The per-user InfoNCE terms composed of elementary tape ops: the
-    bitwise reference of ``ad.infonce_terms``, held or not (``hold`` only
-    decides where the record's exponentials live, so it is ignored here)."""
-    q_v = ad.l2_normalize_rows(view)
-    sim_hv = ad.scale(ad.matmul(q_h, ad.transpose(q_v)), 1.0 / tau)  # [u', u]
-    sim_vv = ad.scale(ad.matmul(q_v, ad.transpose(q_v)), 1.0 / tau)  # [u', u]
+def composed_infonce_terms(q_h, views, tau):
+    """The per-user InfoNCE terms of each unit-row view composed of
+    elementary tape ops: the bitwise reference of ``ad.infonce_terms``."""
     n = q_h.shape[0]
-    pos = ad.gather_rows(ad.reshape(sim_hv, (n * n,)), np.arange(n) * (n + 1))
-    denom = ad.reduce_sum(ad.add(ad.exp(sim_hv), ad.exp(sim_vv)), axis=0)
-    return ad.sub(ad.log(denom), pos)
+    out = []
+    for q_v in views:
+        sim_hv = ad.scale(ad.matmul(q_h, ad.transpose(q_v)), 1.0 / tau)  # [u', u]
+        sim_vv = ad.scale(ad.matmul(q_v, ad.transpose(q_v)), 1.0 / tau)  # [u', u]
+        pos = ad.gather_rows(ad.reshape(sim_hv, (n * n,)), np.arange(n) * (n + 1))
+        denom = ad.reduce_sum(ad.add(ad.exp(sim_hv), ad.exp(sim_vv)), axis=0)
+        out.append(ad.sub(ad.log(denom), pos))
+    return out
 
 
 def _assert_fused_infonce_equals_composed(monkeypatch, n, paper_sign):
     rng = np.random.default_rng(n)
     h = ad.parameter(rng.standard_normal((n, 16)), "h")
-    views = [ad.parameter(rng.standard_normal((n, 16)), f"view{m}") for m in range(2)]
-    views[0].data[n // 2] = 0.0  # a zero view row
+    all_views = [ad.parameter(rng.standard_normal((n, 16)), f"view{m}") for m in range(3)]
+    all_views[0].data[n // 2] = 0.0  # a zero view row
     if n > 1:  # duplicated rows tie in every similarity
         h.data[-1] = h.data[0]
-        views[1].data[-1] = views[1].data[0]
+        all_views[1].data[-1] = all_views[1].data[0]
 
-    def loss_and_grads():
+    def loss_and_grads(views):
         with ad.Tape() as tape:
             loss = obj.infonce_loss(h, views, tau=0.085, paper_sign=paper_sign)
+        records = [rec.op for rec in tape._records].count("infonce_terms")
         grads = tape.backward(loss, params=[h, *views])
-        return [loss.data] + [grads.get(p) for p in (h, *views)]
+        return records, [loss.data] + [grads.get(p) for p in (h, *views)]
 
-    held = []
-    fused_terms = ad.infonce_terms
-
-    def spy(*args, hold):
-        held.append(hold)
-        return fused_terms(*args, hold=hold)
-
-    monkeypatch.setattr(ad, "infonce_terms", spy)
-    fused = loss_and_grads()
-    assert held == [False, True]  # view 0 rebuilds its exponentials, view 1 holds them
-    monkeypatch.setattr(obj, "_infonce_terms", composed_infonce_terms)
-    composed = loss_and_grads()
-    for name, a, b in zip(("loss", "h", "view0", "view1"), fused, composed):
-        assert np.array_equal(a, b), name
+    # two and three views rebuild the earlier views' exponentials, and three
+    # add a third partial into q_h's sum in place
+    for num_views in (1, 2, 3):
+        views = all_views[:num_views]
+        records, fused = loss_and_grads(views)
+        assert records == 1
+        with monkeypatch.context() as patch:
+            patch.setattr(ad, "infonce_terms", composed_infonce_terms)
+            records, composed = loss_and_grads(views)
+        assert records == 0
+        names = ["loss", "h"] + [v.name for v in views]
+        for name, a, b in zip(names, fused, composed):
+            assert np.array_equal(a, b), (num_views, name)
 
 
 @pytest.mark.parametrize("paper_sign", [False, True])

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from mmssl import adversarial, encoder
 from mmssl import autodiff as ad
 from mmssl import model as mdl
-from mmssl import objectives as obj
 from mmssl.autodiff import NumericError, Tape
 from mmssl.data import SyntheticSpec, generate_synthetic, split_edges
 from mmssl.encoder import EncoderConfig
@@ -596,7 +595,7 @@ def test_training_is_bitwise_equal_with_composed_infonce(tmp_path, monkeypatch):
     from test_objectives import composed_infonce_terms
 
     fused, composed = _fused_and_composed_runs(
-        tmp_path, monkeypatch, obj, "_infonce_terms", composed_infonce_terms
+        tmp_path, monkeypatch, ad, "infonce_terms", composed_infonce_terms
     )
     assert all(json.loads(line)["l_cl"] > 0 for line in fused[2])  # InfoNCE was on
     _assert_runs_equal(fused, composed)
@@ -666,11 +665,11 @@ def _g_step_peak(peak_above_held, modality_dims=(16, 8), **overrides):
 def test_g_step_peak_memory_grows_under_half_a_user_by_user_array_per_modality(
     peak_above_held, modalities, bound
 ):
-    # the full model (InfoNCE, adversarial, Gumbel): each view's InfoNCE
-    # record builds two (U, U) exponentials and no other (U, U) array.  Only
-    # the last view's record keeps them for its vjp, which runs first and
-    # overwrites them with their partials; every earlier view's vjp rebuilds
-    # them one at a time.  Backward frees each record's arrays once its vjp
+    # the full model (InfoNCE, adversarial, Gumbel): the InfoNCE record
+    # builds two (U, U) exponentials per view and no other (U, U) array.  It
+    # keeps only the last view's for its vjp, which runs that view first and
+    # overwrites them with their partials, then rebuilds each earlier view's
+    # one at a time.  Backward frees each record's arrays once its vjp
     # ran, copies no first partial and adds into a first partial that only
     # the sum holds; the propagation, modality-summary and relation-scoring
     # segments keep only their outputs, and add, sub and the routing ops
