@@ -1,21 +1,24 @@
 """Reverse-mode differentiation over an explicitly recorded operation tape.
 
 All buffers are 64-bit floats.  Every tensor gets a key that no other
-tensor ever gets.  Operations compute eagerly with numpy and, when a tape
-is active, append a record (``_Record``) of the op name, the outputs, their
-keys, the input keys and a vector-Jacobian closure, which keeps only what
-it reads.  ``Tape.backward`` walks the records in reverse and sums every
-tensor's partials by key in one ``GradientMap``; creation order is a
-topological order by construction, so no sort is needed.  How records let
-go of their tensors and how a non-finite value is named is stated once, in
-``Tape.backward``; how a function's records are renamed, in ``segment``.
+tensor ever gets.  Each primitive is a forward made one by ``_primitive``:
+it computes eagerly with numpy and returns its output arrays, its input
+tensors and a vector-Jacobian closure, which keeps only what it reads.
+With a tape active, the call appends a record (``_Record``) of the op name,
+the outputs, their keys and the input keys; with none, it checks its
+outputs and names itself in a ``NumericError``.  ``Tape.backward`` walks
+the records in reverse and sums every tensor's partials by key in one
+``GradientMap``; creation order is a topological order by construction, so
+no sort is needed.  How records let go of their tensors and how a taped
+non-finite value is named is stated once, in ``Tape.backward``; how a
+function's records are renamed, in ``segment``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, wraps
 from typing import Callable, Sequence
 
 import numpy as np
@@ -72,12 +75,6 @@ class NumericError(ArithmeticError):
 def _require_finite(arr: np.ndarray, op: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"non-finite value produced by '{op}'")
-
-
-def _check_finite(arr: np.ndarray, op: str) -> None:
-    """Check an untaped call's output; a taped step is checked in backward."""
-    if _ACTIVE is None:
-        _require_finite(arr, op)
 
 
 _KEYS = itertools.count()  # unlike an object's identity, a key is never reused
@@ -325,10 +322,39 @@ def _may_be_requested(t: Tensor) -> bool:
     return t.name is not None or (_ACTIVE is not None and t.key in _ACTIVE._made)
 
 
-def _record(op: str, out: Tensor, inputs: tuple[Tensor, ...], vjp: Callable) -> None:
-    """Record a one-output primitive on the active tape, if any.  ``vjp``
-    takes the output's gradient; the record's vjp takes it as a 1-tuple."""
-    _append(op, (out,), inputs, lambda g_out: vjp(*g_out))
+def _primitive(forward: Callable) -> Callable:
+    """Make ``forward`` a primitive op named after it.
+
+    ``forward`` returns ``(output, inputs, vjp)``.  ``output`` is one array,
+    whose vjp takes its gradient, or a list of arrays, whose vjp takes the
+    tuple of their gradients (None for one that got none); either vjp
+    returns one partial per tensor of ``inputs``, in the forms
+    ``GradientMap.add`` takes.  The forward runs with numpy's
+    floating-point warnings off, and each output array becomes a
+    ``Tensor``.  With a tape active the call appends one record; with none
+    it checks every output and raises ``NumericError`` naming the op, so an
+    untaped failure names the first op whose output is non-finite, as the
+    taped replay does.  A forward that returns a tensor instead (an
+    identity, such as eval-mode ``dropout``) makes no record.
+    """
+    op = forward.__name__
+
+    @wraps(forward)
+    def call(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            result = forward(*args, **kwargs)
+        if isinstance(result, Tensor):
+            return result
+        val, inputs, vjp = result
+        many = isinstance(val, list)
+        outs = [Tensor(v) for v in val] if many else [Tensor(val)]
+        if _ACTIVE is None:
+            for t in outs:
+                _require_finite(t.data, op)
+        _append(op, tuple(outs), inputs, vjp if many else lambda g_out: vjp(*g_out))
+        return outs if many else outs[0]
+
+    return call
 
 
 def segment(op: str, fn: Callable, *args):
@@ -369,49 +395,41 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+@_primitive
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data + b.data)
-    _check_finite(out.data, "add")
     sa, sb = a.shape, b.shape
-    _record("add", out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
-    return out
+    return a.data + b.data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb))
 
 
+@_primitive
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data - b.data)
-    _check_finite(out.data, "sub")
     sa, sb = a.shape, b.shape
-    _record("sub", out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
-    return out
+    return a.data - b.data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb))
 
 
+@_primitive
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data * b.data)
-    _check_finite(out.data, "mul")
-    _record(
-        "mul",
-        out,
+    return (
+        a.data * b.data,
         (a, b),
         lambda g: (
             lambda: _unbroadcast(g * b.data, a.shape),
             lambda: _unbroadcast(g * a.data, b.shape),
         ),
     )
-    return out
 
 
+@_primitive
 def scale(a, c: float) -> Tensor:
     a = _as_tensor(a)
     c = float(c)
-    out = Tensor(a.data * c)
-    _check_finite(out.data, "scale")
-    _record("scale", out, (a,), lambda g: (g * c,))
-    return out
+    return a.data * c, (a,), lambda g: (g * c,)
 
 
+@_primitive
 def matmul(a, b) -> Tensor:
     """``a @ b``.  Each operand is read only by the other's partial, so the
     record keeps it only where ``_may_be_requested`` says that partial may
@@ -419,22 +437,19 @@ def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("matmul expects 2-D operands")
-    out = Tensor(a.data @ b.data)
-    _check_finite(out.data, "matmul")
     kept_a = a.data if _may_be_requested(b) else None
     kept_b = b.data if _may_be_requested(a) else None
-    _record(
-        "matmul",
-        out,
+    return (
+        a.data @ b.data,
         (a, b),
         lambda g: (
             None if kept_b is None else lambda: g @ kept_b.T,
             None if kept_a is None else lambda: kept_a.T @ g,
         ),
     )
-    return out
 
 
+@_primitive
 def sparse_matmul(s: sp.csr_matrix, x) -> Tensor:
     """Multiply a constant CSR matrix against a dense tensor.
 
@@ -443,30 +458,25 @@ def sparse_matmul(s: sp.csr_matrix, x) -> Tensor:
     would store them, so its bits equal a product with that transpose.
     """
     x = _as_tensor(x)
-    out = Tensor(np.asarray(s @ x.data))
-    _check_finite(out.data, "sparse_matmul")
-    _record("sparse_matmul", out, (x,), lambda g: (np.asarray(s.T @ g),))
-    return out
+    return np.asarray(s @ x.data), (x,), lambda g: (np.asarray(s.T @ g),)
 
 
+@_primitive
 def transpose(a) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(a.data.T)
-    _record("transpose", out, (a,), lambda g: (g.T,))
-    return out
+    return a.data.T, (a,), lambda g: (g.T,)
 
 
+@_primitive
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(a.data.reshape(shape))
     old = a.shape
-    _record("reshape", out, (a,), lambda g: (g.reshape(old),))
-    return out
+    return a.data.reshape(shape), (a,), lambda g: (g.reshape(old),)
 
 
+@_primitive
 def slice_cols(a, start: int, stop: int) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(a.data[:, start:stop])
     shape = a.shape
 
     def vjp(g):
@@ -474,13 +484,13 @@ def slice_cols(a, start: int, stop: int) -> Tensor:
         buf[:, start:stop] = g
         return (buf,)
 
-    _record("slice_cols", out, (a,), vjp)
-    return out
+    return a.data[:, start:stop], (a,), vjp
 
 
+@_primitive
 def concat(parts: Sequence, axis: int = 0) -> Tensor:
     tensors = [_as_tensor(p) for p in parts]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
+    val = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -492,16 +502,15 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
             pieces.append(g[tuple(slicer)])
         return tuple(pieces)
 
-    _record("concat", out, tuple(tensors), vjp)
-    return out
+    return val, tuple(tensors), vjp
 
 
+@_primitive
 def gather_rows(a, idx) -> Tensor:
     """Rows ``idx`` of ``a``, ids may repeat.  The vjp defers its scatter
     buffer, so the gradient map owns a table's gradient without a copy."""
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(a.data[idx])
     shape = a.shape
 
     def vjp(g):
@@ -512,14 +521,12 @@ def gather_rows(a, idx) -> Tensor:
 
         return (scatter,)
 
-    _record("gather_rows", out, (a,), vjp)
-    return out
+    return a.data[idx], (a,), vjp
 
 
+@_primitive
 def reduce_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
-    _check_finite(out.data, "reduce_sum")
     shape = a.shape
 
     def vjp(g):
@@ -528,8 +535,7 @@ def reduce_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
         gg = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, shape).copy(),)
 
-    _record("reduce_sum", out, (a,), vjp)
-    return out
+    return a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp
 
 
 def mean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -538,35 +544,24 @@ def mean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return scale(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
+@_primitive
 def exp(a) -> Tensor:
     a = _as_tensor(a)
-    with np.errstate(over="ignore"):
-        val = np.exp(a.data)
-    _check_finite(val, "exp")
-    out = Tensor(val)
-    _record("exp", out, (a,), lambda g: (g * val,))
-    return out
+    val = np.exp(a.data)
+    return val, (a,), lambda g: (g * val,)
 
 
+@_primitive
 def log(a) -> Tensor:
     a = _as_tensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.log(a.data)
-    _check_finite(val, "log")
-    out = Tensor(val)
-    _record("log", out, (a,), lambda g: (g / a.data,))
-    return out
+    return np.log(a.data), (a,), lambda g: (g / a.data,)
 
 
+@_primitive
 def sqrt(a) -> Tensor:
     a = _as_tensor(a)
-    with np.errstate(invalid="ignore"):
-        val = np.sqrt(a.data)
-    _check_finite(val, "sqrt")
-    out = Tensor(val)
-
-    _record("sqrt", out, (a,), lambda g: (g / (2.0 * val),))
-    return out
+    val = np.sqrt(a.data)
+    return val, (a,), lambda g: (g / (2.0 * val),)
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
@@ -578,40 +573,34 @@ def _sigmoid_values(x: np.ndarray) -> np.ndarray:
     return out
 
 
+@_primitive
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     val = _sigmoid_values(a.data)
-    out = Tensor(val)
-    _record("sigmoid", out, (a,), lambda g: (g * val * (1.0 - val),))
-    return out
+    return val, (a,), lambda g: (g * val * (1.0 - val),)
 
 
+@_primitive
 def softplus(a) -> Tensor:
     """log(1 + e^x), computed without overflow for large |x|."""
     a = _as_tensor(a)
-    val = np.logaddexp(0.0, a.data)
-    out = Tensor(val)
-    _record("softplus", out, (a,), lambda g: (g * _sigmoid_values(a.data),))
-    return out
+    return np.logaddexp(0.0, a.data), (a,), lambda g: (g * _sigmoid_values(a.data),)
 
 
+@_primitive
 def leaky_relu(a, slope: float) -> Tensor:
     a = _as_tensor(a)
     val = np.where(a.data >= 0, a.data, slope * a.data)
-    out = Tensor(val)
-    _record("leaky_relu", out, (a,), lambda g: (g * np.where(a.data >= 0, 1.0, slope),))
-    return out
+    return val, (a,), lambda g: (g * np.where(a.data >= 0, 1.0, slope),)
 
 
+@_primitive
 def row_softmax(a) -> Tensor:
     a = _as_tensor(a)
     if a.ndim != 2:
         raise ValueError("row_softmax expects a 2-D tensor")
     val = _softmax_rows(a.data)
-    _check_finite(val, "row_softmax")
-    out = Tensor(val)
-    _record("row_softmax", out, (a,), lambda g: (_softmax_rows_vjp(g, val),))
-    return out
+    return val, (a,), lambda g: (_softmax_rows_vjp(g, val),)
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -625,6 +614,7 @@ def _softmax_rows_vjp(g: np.ndarray, val: np.ndarray) -> np.ndarray:
     return val * (g - inner)
 
 
+@_primitive
 def l2_normalize_rows(a) -> Tensor:
     """Scale each row to unit L2 norm; all-zero rows stay zero."""
     a = _as_tensor(a)
@@ -633,7 +623,6 @@ def l2_normalize_rows(a) -> Tensor:
     norms = np.linalg.norm(a.data, axis=1, keepdims=True)
     safe = np.where(norms > 0, norms, 1.0)
     val = a.data / safe
-    out = Tensor(val)
 
     def vjp(g):
         inner = (g * val).sum(axis=1, keepdims=True)
@@ -641,10 +630,10 @@ def l2_normalize_rows(a) -> Tensor:
         d[norms[:, 0] == 0] = 0.0
         return (d,)
 
-    _record("l2_normalize_rows", out, (a,), vjp)
-    return out
+    return val, (a,), vjp
 
 
+@_primitive
 def divide_rows_by_sq_norm(a) -> Tensor:
     """Scale each row by the inverse of its squared L2 norm; zero rows stay zero."""
     a = _as_tensor(a)
@@ -652,8 +641,6 @@ def divide_rows_by_sq_norm(a) -> Tensor:
         raise ValueError("divide_rows_by_sq_norm expects a 2-D tensor")
     sq = (a.data * a.data).sum(axis=1, keepdims=True)
     safe = np.where(sq > 0, sq, 1.0)
-    val = a.data / safe
-    out = Tensor(val)
 
     def vjp(g):
         inner = (g * a.data).sum(axis=1, keepdims=True)
@@ -661,10 +648,10 @@ def divide_rows_by_sq_norm(a) -> Tensor:
         d[sq[:, 0] == 0] = 0.0
         return (d,)
 
-    _record("divide_rows_by_sq_norm", out, (a,), vjp)
-    return out
+    return a.data / safe, (a,), vjp
 
 
+@_primitive
 def row_sq_norms(a) -> Tensor:
     """Each row's squared L2 norm, as one tape record.
 
@@ -677,12 +664,7 @@ def row_sq_norms(a) -> Tensor:
     a = _as_tensor(a)
     if a.ndim != 2:
         raise ValueError("row_sq_norms expects a 2-D tensor")
-    with np.errstate(over="ignore"):
-        val = (a.data * a.data).sum(axis=1)
-    _check_finite(val, "row_sq_norms")
-    out = Tensor(val)
-    _record("row_sq_norms", out, (a,), lambda g: (lambda: (2.0 * g)[:, None] * a.data,))
-    return out
+    return (a.data * a.data).sum(axis=1), (a,), lambda g: (lambda: (2.0 * g)[:, None] * a.data,)
 
 
 # Bytes of one row block of the InfoNCE record's (n, n) arrays, worked in
@@ -690,6 +672,7 @@ def row_sq_norms(a) -> Tensor:
 INFONCE_BLOCK_BYTES = 256 << 10
 
 
+@_primitive
 def infonce_terms(q_h, views: Sequence, tau: float) -> list[Tensor]:
     """Per-user contrastive terms of each view, as one tape record with one
     output per view.
@@ -710,15 +693,14 @@ def infonce_terms(q_h, views: Sequence, tau: float) -> list[Tensor]:
     with the column sums so far (row 0 of a small buffer), in the row order
     of ``(e_hv + e_vv).sum(axis=0)``.  It builds no (n, n) array beside a
     view's two exponentials, and lets an earlier view's go before the next
-    view's are built.  Only the (n,) outputs are checked for non-finite
-    values.
+    view's are built.
 
     The record keeps the last view's two exponentials and no other (n, n)
     array.  The vjp runs the last view first and overwrites its held
     exponentials with their partials.  It rebuilds each earlier view's by
-    the forward's whole GEMM, block scaling and ``exp`` (under the forward's
-    errstate), a block just before its partial steps, so with the same
-    bits, at the cost of one GEMM and one ``exp`` pass per array.  A view
+    the forward's whole GEMM, block scaling and ``exp`` (ignoring overflow,
+    as the forward does), a block just before its partial steps, so with the
+    same bits, at the cost of one GEMM and one ``exp`` pass per array.  A view
     finishes with ``e_hv`` and lets it go before it takes ``e_vv``.  So,
     whatever the number of views, the record has at most the forward's two
     (n, n) arrays alive, and the tape can be differentiated only once.
@@ -741,27 +723,25 @@ def infonce_terms(q_h, views: Sequence, tau: float) -> list[Tensor]:
         # become its exponentials
         pos = np.empty(n)
         sums = np.zeros((min(rows, n) + 1, n))  # row 0: the column sums so far
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in starts:
-                hv, vv = e_hv[start : start + rows], e_vv[start : start + rows]
-                k = hv.shape[0]
-                hv *= c
-                pos[start : start + k] = hv.diagonal(start)
-                np.exp(hv, out=hv)
-                vv *= c
-                np.exp(vv, out=vv)
-                np.add(hv, vv, out=sums[1 : k + 1])
-                sums[0] = np.add.reduce(sums[: k + 1], axis=0)  # 0 + x is x exactly
-            denom = sums[0].copy()
-            return np.log(denom) - pos, denom
+        for start in starts:
+            hv, vv = e_hv[start : start + rows], e_vv[start : start + rows]
+            k = hv.shape[0]
+            hv *= c
+            pos[start : start + k] = hv.diagonal(start)
+            np.exp(hv, out=hv)
+            vv *= c
+            np.exp(vv, out=vv)
+            np.add(hv, vv, out=sums[1 : k + 1])
+            sums[0] = np.add.reduce(sums[: k + 1], axis=0)  # 0 + x is x exactly
+        denom = sums[0].copy()
+        return np.log(denom) - pos, denom
 
-    held, outs, denoms = [], [], []
+    held, vals, denoms = [], [], []
     for q_v, t in zip(views, ts):
         held.clear()  # an earlier view's exponentials: the vjp rebuilds them
         held += (q_h.data @ t, q_v.data @ t)
         val, denom = terms(*held)
-        _check_finite(val, "infonce_terms")
-        outs.append(Tensor(val))
+        vals.append(val)
         denoms.append(denom)
 
     def partials(q, t, g_den, g=None):
@@ -772,8 +752,8 @@ def infonce_terms(q_h, views: Sequence, tau: float) -> list[Tensor]:
         e = q @ t if rebuild else held.pop(0)
         for start in starts:
             block = e[start : start + rows]
-            if rebuild:
-                with np.errstate(over="ignore", invalid="ignore"):  # as in the forward
+            if rebuild:  # under backward, which raises on flags the forward ignores
+                with np.errstate(over="ignore", invalid="ignore"):
                     block *= c
                     np.exp(block, out=block)
             block *= g_den
@@ -798,10 +778,10 @@ def infonce_terms(q_h, views: Sequence, tau: float) -> list[Tensor]:
             held.clear()  # the last view's pair, if its terms got no gradient
         return out
 
-    _append("infonce_terms", tuple(outs), [x for q_v in reversed(views) for x in (q_h, q_v)], vjp)
-    return outs
+    return vals, [x for q_v in reversed(views) for x in (q_h, q_v)], vjp
 
 
+@_primitive
 def head_attention(
     views: Sequence, query: Sequence[Tensor], key: Sequence[Tensor]
 ) -> list[Tensor]:
@@ -817,7 +797,6 @@ def head_attention(
     and layouts.  Each view is listed once per target view, query map and
     key map, and each map once per view, so the tape sums their partials in
     the composed order and values and gradients are bitwise equal to it.
-    Only the outputs are checked for non-finite values.
 
     The record keeps the (n, M) weights of each target view and head, and
     no projection: the vjp works out the projections again, a head at a
@@ -846,9 +825,6 @@ def head_attention(
             for mp in range(1, num_m):
                 block += alpha[:, mp : mp + 1] * v[mp][:, cols[h]]
         del keys, queries
-    for val in vals:
-        _check_finite(val, "head_attention")
-    outs = [Tensor(val) for val in vals]
 
     def vjp(gs):
         gs = [np.zeros((n, d)) if g is None else g for g in gs]
@@ -892,8 +868,7 @@ def head_attention(
         *(query[h] for h in range(heads) for _ in range(num_m)),
         *(key[h] for h in range(heads) for _ in range(num_m)),
     )
-    _append("head_attention", tuple(outs), inputs, vjp)
-    return outs
+    return vals, inputs, vjp
 
 
 def _add_partial(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
@@ -904,8 +879,10 @@ def _add_partial(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
     return total
 
 
+@_primitive
 def dropout(a, rate: float, rng: np.random.Generator | None, train: bool) -> Tensor:
-    """Inverted dropout.  Identity in eval mode or at rate zero."""
+    """Inverted dropout.  Identity in eval mode or at rate zero, which
+    returns ``a`` itself and makes no record."""
     a = _as_tensor(a)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
@@ -914,9 +891,7 @@ def dropout(a, rate: float, rng: np.random.Generator | None, train: bool) -> Ten
     if rng is None:
         raise ValueError("train-mode dropout needs a random generator")
     mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
-    out = Tensor(a.data * mask)
-    _record("dropout", out, (a,), lambda g: (g * mask,))
-    return out
+    return a.data * mask, (a,), lambda g: (g * mask,)
 
 
 # The batch-norm epsilon, added to the variance before its inverse square root,
@@ -937,6 +912,7 @@ class BatchNormState:
         return cls(mean=np.zeros(width), var=np.ones(width))
 
 
+@_primitive
 def batch_norm(
     x,
     gamma: Tensor,
@@ -957,39 +933,33 @@ def batch_norm(
     if x.ndim != 2:
         raise ValueError("batch_norm expects a 2-D tensor")
     n = x.shape[0]
-    if train:
-        mu = x.data.mean(axis=0)
-        xc = x.data - mu
-        var = (xc * xc).mean(axis=0)
-        inv = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = xc * inv
-        val = gamma.data * xhat + beta.data
-        _require_finite(val, "batch_norm")
-        out = Tensor(val)
-
-        def vjp(g):
-            dxhat = g * gamma.data
-            dgamma = (g * xhat).sum(axis=0)
-            dbeta = g.sum(axis=0)
-            dx = inv / n * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
-            return (dx, dgamma, dbeta)
-
-        _record("batch_norm", out, (x, gamma, beta), vjp)
-        unbiased = var * n / (n - 1) if n > 1 else var
-        state.mean[:] = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mu
-        state.var[:] = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * unbiased
-        return out
-    inv = 1.0 / np.sqrt(state.var + BN_EPS)
-    xhat = (x.data - state.mean) * inv
+    if not train:
+        inv = 1.0 / np.sqrt(state.var + BN_EPS)
+        xhat = (x.data - state.mean) * inv
+        return (
+            gamma.data * xhat + beta.data,
+            (x, gamma, beta),
+            lambda g: (g * gamma.data * inv, (g * xhat).sum(axis=0), g.sum(axis=0)),
+        )
+    mu = x.data.mean(axis=0)
+    xc = x.data - mu
+    var = (xc * xc).mean(axis=0)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = xc * inv
     val = gamma.data * xhat + beta.data
-    _check_finite(val, "batch_norm")
-    out = Tensor(val)
+    _require_finite(val, "batch_norm")
+    unbiased = var * n / (n - 1) if n > 1 else var
+    state.mean[:] = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mu
+    state.var[:] = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * unbiased
 
-    def vjp_eval(g):
-        return (g * gamma.data * inv, (g * xhat).sum(axis=0), g.sum(axis=0))
+    def vjp(g):
+        dxhat = g * gamma.data
+        dgamma = (g * xhat).sum(axis=0)
+        dbeta = g.sum(axis=0)
+        dx = inv / n * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+        return (dx, dgamma, dbeta)
 
-    _record("batch_norm", out, (x, gamma, beta), vjp_eval)
-    return out
+    return val, (x, gamma, beta), vjp
 
 
 # --------------------------------------------------------------------------

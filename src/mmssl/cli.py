@@ -122,9 +122,8 @@ def _cmd_train(args) -> int:
     trainer.run(checkpoint_path=out / "final.ckpt", log_path=out / "metrics.ndjson")
     if trainer.best_epoch >= 0:
         trainer.save_best(out / "best.ckpt")
-    if trainer.aborted:
-        print("training aborted on a non-finite loss; last finished epoch kept", file=sys.stderr)
-        return 2
+    if trainer.aborted:  # main prints it and exits 2
+        raise trainer.aborted
     best = (
         f"best recall@{settings.eval.k} {trainer.best_recall:.5f} at epoch {trainer.best_epoch}"
         if trainer.best_epoch >= 0

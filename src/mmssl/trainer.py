@@ -448,7 +448,7 @@ class Trainer:
         self.best_recall = -1.0
         self.best_arrays: dict[str, np.ndarray] = {}
         self.log: list[dict] = []
-        self.aborted = False  # whether the last run() stopped on a non-finite loss
+        self.aborted: NumericError | None = None  # what stopped the last run(), if anything did
 
     # -- single steps -----------------------------------------------------
 
@@ -641,10 +641,14 @@ class Trainer:
         record: its ``state``, ``log``, ``best_epoch``, ``best_recall``,
         ``best_arrays`` and ``aborted``.  Patience counts the epochs since
         the best.  With no validation edges no epoch is validated: the log
-        records no metrics, no epoch is best, and patience never stops the run."""
+        records no metrics, no epoch is best, and patience never stops the run.
+        A ``NumericError`` in a training step stops the run in that epoch,
+        which is not logged; ``aborted`` holds the error, its message ending
+        with the epoch and the 0-based step, and is None after a run that
+        finished."""
         cfg = self.cfg
         steps = cfg.steps_per_epoch or max(1, -(-self.split.train.num_edges // cfg.batch_size))
-        self.aborted = False
+        self.aborted = None
         log_fh = open(log_path, "a", encoding="utf-8") if log_path else None
         try:
             while self.epoch < cfg.epochs:
@@ -657,14 +661,15 @@ class Trainer:
                     )
                 sums = {"l_bpr": 0.0, "l_cl": 0.0, "l_g": 0.0, "l_d": 0.0}
                 try:
-                    for _ in range(steps):
+                    for step in range(steps):
                         d_losses, g_losses = self.train_step()
                         for value in d_losses:  # one at a time, in step order
                             sums["l_d"] += value
                         for key, value in g_losses.items():
                             sums[key] += value
-                except NumericError:
-                    self.aborted = True
+                except NumericError as e:
+                    # a new error, which holds no frame of the failed step
+                    self.aborted = NumericError(f"{e} in epoch {epoch}, step {step}")
                     break
                 record = {"epoch": epoch}
                 record.update(

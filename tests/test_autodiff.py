@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import mmssl.adversarial as adv
 import mmssl.autodiff as ad
+from conftest import PRIMITIVES
 from mmssl.gradcheck import run_primitive_checks
 
 
@@ -76,6 +77,75 @@ def test_infonce_terms_overflow_names_the_primitive():
     q = np.eye(3)  # unit rows: exp(1 / 1e-3) overflows
     with pytest.raises(ad.NumericError, match="infonce_terms"):
         ad.infonce_terms(q, [q], 1e-3)
+
+
+# head_attention's query maps (the first two) and key maps of two heads over width 4
+_MAPS = [ad.constant(m) for m in np.random.default_rng(8).standard_normal((4, 4, 2))]
+
+# one call of each primitive but the composite mean, on a (4, 4) input
+# whose NaN at [1, 2] reaches the output; every other input is a constant
+NAN_CALLS = {
+    "add": lambda x: ad.add(x, 1.0),
+    "sub": lambda x: ad.sub(x, 1.0),
+    "mul": lambda x: ad.mul(x, 2.0),
+    "scale": lambda x: ad.scale(x, 2.0),
+    "matmul": lambda x: ad.matmul(x, np.eye(4)),
+    "sparse_matmul": lambda x: ad.sparse_matmul(sp.identity(4, format="csr"), x),
+    "transpose": ad.transpose,
+    "reshape": lambda x: ad.reshape(x, (2, 8)),
+    "slice_cols": lambda x: ad.slice_cols(x, 1, 3),
+    "concat": lambda x: ad.concat([x, x], axis=1),
+    "gather_rows": lambda x: ad.gather_rows(x, [1, 0]),
+    "reduce_sum": lambda x: ad.reduce_sum(x, axis=0),
+    "exp": ad.exp,
+    "log": ad.log,
+    "sqrt": ad.sqrt,
+    "sigmoid": ad.sigmoid,
+    "softplus": ad.softplus,
+    "leaky_relu": lambda x: ad.leaky_relu(x, 0.2),
+    "row_softmax": ad.row_softmax,
+    "l2_normalize_rows": ad.l2_normalize_rows,
+    "divide_rows_by_sq_norm": ad.divide_rows_by_sq_norm,
+    "row_sq_norms": ad.row_sq_norms,
+    "infonce_terms": lambda x: ad.infonce_terms(x, [np.eye(4)], 0.5),
+    "head_attention": lambda x: ad.head_attention([x, np.eye(4)], _MAPS[:2], _MAPS[2:]),
+    "dropout": lambda x: ad.dropout(x, 0.5, np.random.default_rng(0), train=True),
+    "batch_norm": lambda x: ad.batch_norm(
+        x, ad.constant(np.ones(4)), ad.constant(np.zeros(4)), ad.BatchNormState.create(4), train=False
+    ),
+}
+
+
+@pytest.mark.parametrize("name", [p for p in PRIMITIVES if p != "mean"])
+def test_a_non_finite_output_names_its_primitive_untaped_and_taped(name):
+    data = np.random.default_rng(9).random((4, 4)) + 0.5
+    data[1, 2] = np.nan
+    message = f"^non-finite value produced by '{name}'$"
+    with pytest.raises(ad.NumericError, match=message):
+        NAN_CALLS[name](ad.constant(data))
+    x = ad.parameter(data, "x")
+    with pytest.raises(ad.NumericError, match=message):
+        with ad.Tape() as tape:
+            out = NAN_CALLS[name](x)
+            outs = out if isinstance(out, list) else [out]
+            loss = ad.reduce_sum(ad.concat([ad.reshape(t, (-1,)) for t in outs]))
+        tape.backward(loss, params=[x])
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("exp", lambda: ad.exp(np.full((2, 2), 1000.0))),
+        ("matmul", lambda: ad.matmul(np.full((2, 2), 1e200), np.full((2, 2), 1e200))),
+        ("head_attention", lambda: ad.head_attention([np.full((3, 4), 1e200)] * 2, _MAPS[:2], _MAPS[2:])),
+        # an inf times a zero of the mask is NaN, an invalid-value flag
+        ("dropout", lambda: ad.dropout(np.full((4, 4), np.inf), 0.5, np.random.default_rng(0), train=True)),
+    ],
+)
+def test_an_untaped_overflow_raises_numeric_error_naming_the_op(name, call):
+    # under the suite's warnings-as-errors, a numpy warning would escape first
+    with pytest.raises(ad.NumericError, match=f"^non-finite value produced by '{name}'$"):
+        call()
 
 
 def test_row_sq_norms_checks_its_shape_and_names_an_overflow():

@@ -456,6 +456,21 @@ def test_train_that_finishes_no_epoch_says_no_validation_ran(data_dir, tmp_path,
     assert not (out / "best.ckpt").exists() and not (out / "final.ckpt").exists()
 
 
+def test_a_diverging_run_exits_2_naming_the_op_epoch_and_step(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"num_users": 60, "num_items": 40}))
+    assert main(["synth", "--out", str(tmp_path / "data"), "--spec", str(spec)]) == 0
+    config = tmp_path / "diverge.json"
+    config.write_text(json.dumps({"train.lr_gen": 1e200, "train.epochs": 3, "train.batch_size": 16}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["train", "--data", str(tmp_path / "data"), "--out", str(out), "--config", str(config)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("numeric failure: non-finite value produced by '")
+    assert re.search(r"' in epoch 0, step \d+$", line), line
+    assert not (out / "best.ckpt").exists()
+
+
 def test_train_without_validation_edges_runs_every_epoch_and_writes_no_best(data_dir, tmp_path, capsys):
     # round(0.0 x edges) is 0: no epoch is validated, so none is best and
     # patience (10 by default) never stops the run

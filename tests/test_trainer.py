@@ -239,9 +239,12 @@ def test_aborted_describes_the_last_run(monkeypatch):
 
     monkeypatch.setattr(trainer, "train_step", non_finite)
     assert trainer.run().aborted
+    assert isinstance(trainer.aborted, NumericError)
+    assert str(trainer.aborted) == "non-finite loss in epoch 0, step 0"
     assert trainer.log == [] and trainer.best_epoch == -1 and not trainer.best_arrays
     monkeypatch.undo()
     assert not trainer.run().aborted and len(trainer.log) == 1 and trainer.best_epoch == 0
+    assert trainer.aborted is None
 
 
 def test_losses_logged_and_finite():
