@@ -73,6 +73,9 @@ class NumericError(ArithmeticError):
 
 
 def _require_finite(arr: np.ndarray, op: str) -> None:
+    """Raise ``NumericError`` naming ``op`` if ``arr`` holds a NaN or Inf.
+    Every untaped primitive output passes through it, and train-mode
+    ``batch_norm`` checks its output with it before the running state moves."""
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"non-finite value produced by '{op}'")
 
